@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, simulate_ito_process
+from .integrate import ItoPath, ItoProcessSpec, _mean_se, simulate_ito_process
 from .noise import NoiseSpec, TimeGrid, sample_path
 from .quadvar import optional_qv, predictable_qv
 
@@ -115,14 +115,6 @@ def bracket_terminal(path: ItoPath, flavor: str = "optional") -> float:
     if flavor == "optional":
         return float(optional_qv(path)[-1])
     raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
-
-
-def _mean_se(samples: np.ndarray) -> Tuple[float, float]:
-    n = len(samples)
-    if n < 2:
-        # a single path has no spread estimate; NaN marks it unreliable
-        return float(samples.mean()), float("nan")
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
 
 
 def mc_sup_moment(paths: Sequence[ItoPath], p: float) -> Tuple[float, float]:

@@ -43,6 +43,8 @@ from .integrate import (
     ItoProcessSpec,
     SimpleBlock,
     SimpleIntegrand,
+    _mean_se,
+    _z_score,
     compose_integrands,
     conditional_isometry_check,
     constant_integrand,
@@ -390,13 +392,6 @@ def _checks_outcome(checks, metrics) -> _Outcome:
     return _Outcome(all(c["passed"] for c in checks), _CHECK_HEADER, rows, checks, metrics)
 
 
-def _mean_se(values: np.ndarray):
-    mean = float(values.mean())
-    if len(values) < 2:
-        return mean, None
-    return mean, float(values.std(ddof=1) / np.sqrt(len(values)))
-
-
 # ------------------------------------------------------------- scenarios
 
 
@@ -414,7 +409,7 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
         path = integrate(integrand, sample_path(spec, grid, seed=cfg.seed, path_index=i))
         sq[i] = float(path.terminal @ path.terminal)
     mean, se = _mean_se(sq)
-    z = (mean - target) / se if se else 0.0
+    z = _z_score(mean - target, se)
     rel = abs(mean - target) / target
     checks = [
         _check("second-moment-z", z, 0.0, cfg.params["z_max"], abs(z) <= cfg.params["z_max"], z=z),
@@ -583,7 +578,7 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
             comp[idx] = float(ito_residual(path, f, trace_variant="compensator")[0])
             idx += 1
     mean, se = _mean_se(comp)
-    z = mean / se if se else 0.0
+    z = _z_score(mean, se)
     checks = [
         _check("realized-residual-max-rel", worst, 0.0, p["path_tol"], worst <= p["path_tol"]),
         _check("compensator-residual-z", z, 0.0, p["z_max"], abs(z) <= p["z_max"], z=z),
@@ -657,16 +652,16 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
         )
         worst_mass = max(worst_mass, abs(total - split) / max(1.0, total))
     tab = spec.tables
+    total, parts = tab.flavor("total"), (tab.flavor("continuous"), tab.flavor("discontinuous"))
     worst_mix = 0.0
     for j in range(spec.n_cells):
-        if tab.total_rate[j] <= 0:
+        if total.rate[j] <= 0:
             continue
-        lhs = tab.q_total[j] * tab.total_rate[j]
+        lhs = total.field[j] * total.rate[j]
         rhs = np.zeros_like(lhs)
-        if tab.cont_rate[j] > 0:
-            rhs = rhs + tab.cont_rate[j] * tab.q_cont[j]
-        if tab.jump_qv_rate[j] > 0:
-            rhs = rhs + tab.jump_qv_rate[j] * tab.q_jump[j]
+        for part in parts:
+            if part.rate[j] > 0:
+                rhs = rhs + part.rate[j] * part.field[j]
         worst_mix = max(worst_mix, float(np.linalg.norm(lhs - rhs)))
     checks = [
         _check("parts-sum-to-path", worst_sum, 0.0, tol, worst_sum <= tol),
@@ -804,7 +799,7 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
                      rep.constant, rep.constant_source, rep.ratio, rep.satisfied))
 
     gap, gap_se = terminal_isometry_gap(cont_paths)
-    gap_z = gap / gap_se if gap_se and math.isfinite(gap_se) else 0.0
+    gap_z = _z_score(gap, gap_se)
     rep2 = burkholder_check(cont_paths, 2.0, flavor="predictable", moment="terminal")
     reports.append(rep2)
     checks.append(

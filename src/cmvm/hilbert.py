@@ -1,48 +1,23 @@
-"""Dense finite-dimensional Hilbert space primitives.
+"""Dense finite-dimensional operator helpers.
 
 Everything downstream (noise models, stochastic integrals, quadratic
 variation, moment bounds) works with coordinates in fixed orthonormal bases,
-so the state space H, the target space G and the value space K of bilinear
-forms are all represented by float64 arrays. The wrappers below add the
-validation the rest of the package relies on (finite entries, dimension caps,
-immutability) and the handful of operator computations that carry actual
-content: Hilbert-Schmidt norms, operator norms, PSD square roots, rank-one
-operators and the basis-independent trace of a bilinear form along a pair of
-operators.
+so vectors, operators and covariance fields are plain float64 arrays. This
+module holds the dimension cap of the package and the two operator
+computations with actual content: the operator norm, which normalizes
+covariance operators, and the PSD square root, which turns a covariance
+into a sampling factor and into the Hilbert-Schmidt weight of the brackets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
-
 import numpy as np
 
-__all__ = [
-    "MAX_DIM",
-    "HilbertVec",
-    "LinearOp",
-    "BilinearTensor",
-    "hs_norm",
-    "op_norm",
-    "psd_sqrt",
-    "outer",
-    "trace_bilinear",
-    "bilinear_from_matrix",
-]
+__all__ = ["MAX_DIM", "op_norm", "psd_sqrt"]
 
 # Dense-matrix regime for the whole package; larger spaces would call for a
 # different backend, so constructors refuse them outright.
 MAX_DIM = 64
-
-ArrayLike = Union[np.ndarray, Sequence[float], Sequence[Sequence[float]]]
-
-
-def _as_float_array(data: ArrayLike, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _check_dim(dim: int, name: str) -> None:
@@ -50,146 +25,18 @@ def _check_dim(dim: int, name: str) -> None:
         raise ValueError(f"{name} dimension {dim} outside supported range 1..{MAX_DIM}")
 
 
-def _frozen_copy(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+def _finite_matrix(op) -> np.ndarray:
+    m = np.asarray(op, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return m
 
 
-@dataclass(frozen=True)
-class HilbertVec:
-    """A vector in a finite-dimensional real Hilbert space."""
-
-    coords: np.ndarray
-
-    def __init__(self, coords: ArrayLike):
-        arr = _as_float_array(coords, "coords")
-        if arr.ndim != 1:
-            raise ValueError(f"coords must be one-dimensional, got shape {arr.shape}")
-        _check_dim(arr.shape[0], "vector")
-        object.__setattr__(self, "coords", _frozen_copy(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def inner(self, other: "HilbertVec") -> float:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return float(self.coords @ other.coords)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords)
-
-
-@dataclass(frozen=True)
-class LinearOp:
-    """A bounded linear operator between coordinate spaces, stored densely.
-
-    ``entries`` has shape (dim_out, dim_in); the operator acts by matrix
-    multiplication on coordinate vectors.
-    """
-
-    entries: np.ndarray
-
-    def __init__(self, entries: ArrayLike):
-        arr = _as_float_array(entries, "entries")
-        if arr.ndim != 2:
-            raise ValueError(f"entries must be a matrix, got shape {arr.shape}")
-        _check_dim(arr.shape[0], "output")
-        _check_dim(arr.shape[1], "input")
-        object.__setattr__(self, "entries", _frozen_copy(arr))
-
-    @property
-    def dim_out(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim_in(self) -> int:
-        return self.entries.shape[1]
-
-    def apply(self, vec: Union[HilbertVec, np.ndarray]) -> np.ndarray:
-        arr = vec.coords if isinstance(vec, HilbertVec) else np.asarray(vec, dtype=np.float64)
-        if arr.shape != (self.dim_in,):
-            raise ValueError(f"expected vector of dim {self.dim_in}, got shape {arr.shape}")
-        return self.entries @ arr
-
-    def compose(self, other: "LinearOp") -> "LinearOp":
-        """self after other: (self.compose(other)).apply(x) == self(other(x))."""
-        if other.dim_out != self.dim_in:
-            raise ValueError(
-                f"cannot compose: inner dims {self.dim_in} vs {other.dim_out} differ"
-            )
-        return LinearOp(self.entries @ other.entries)
-
-    def adjoint(self) -> "LinearOp":
-        return LinearOp(self.entries.T)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries)
-
-
-@dataclass(frozen=True)
-class BilinearTensor:
-    """A K-valued bilinear form on G x G, stored as a (dim_K, G, G) array.
-
-    ``apply(g1, g2)`` returns the K-coordinate vector zeta(g1, g2). Scalar
-    forms use dim_K == 1.
-    """
-
-    entries: np.ndarray
-
-    def __init__(self, entries: ArrayLike):
-        arr = _as_float_array(entries, "entries")
-        if arr.ndim != 3:
-            raise ValueError(f"entries must have shape (dim_K, G, G), got {arr.shape}")
-        if arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"argument dims must match, got {arr.shape[1]} vs {arr.shape[2]}")
-        _check_dim(arr.shape[0], "value")
-        _check_dim(arr.shape[1], "argument")
-        object.__setattr__(self, "entries", _frozen_copy(arr))
-
-    @property
-    def dim_value(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim_arg(self) -> int:
-        return self.entries.shape[1]
-
-    def apply(self, g1: Union[HilbertVec, ArrayLike], g2: Union[HilbertVec, ArrayLike]) -> np.ndarray:
-        a = g1.coords if isinstance(g1, HilbertVec) else np.asarray(g1, dtype=np.float64)
-        b = g2.coords if isinstance(g2, HilbertVec) else np.asarray(g2, dtype=np.float64)
-        if a.shape != (self.dim_arg,) or b.shape != (self.dim_arg,):
-            raise ValueError(
-                f"expected two vectors of dim {self.dim_arg}, got {a.shape} and {b.shape}"
-            )
-        return np.einsum("kab,a,b->k", self.entries, a, b)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries)
-
-
-def _entries_of(op: Union[LinearOp, np.ndarray]) -> np.ndarray:
-    if isinstance(op, LinearOp):
-        return op.entries
-    arr = np.asarray(op, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
-    return arr
-
-
-def hs_norm(op: Union[LinearOp, np.ndarray]) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of a dense operator."""
-    return float(np.linalg.norm(_entries_of(op)))
-
-
-def op_norm(op: Union[LinearOp, np.ndarray]) -> float:
+def op_norm(op) -> float:
     """Operator (spectral) norm of a dense operator."""
-    m = _entries_of(op)
+    m = _finite_matrix(op)
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if m.shape[0] == m.shape[1] and np.abs(m - m.T).max(initial=0.0) <= 1e-12 * scale:
         # symmetric fast path: largest |eigenvalue|
@@ -197,21 +44,21 @@ def op_norm(op: Union[LinearOp, np.ndarray]) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def psd_sqrt(op: Union[LinearOp, np.ndarray], tol: float = 1e-10) -> LinearOp:
+def psd_sqrt(op, tol: float = 1e-10) -> np.ndarray:
     """Symmetric square root of a positive semidefinite operator.
 
     Uses an eigendecomposition; eigenvalues in [-tol*scale, 0) are treated as
-    rounding noise and clipped to zero. Asymmetry or genuinely negative
-    eigenvalues beyond the tolerance raise ValueError.
+    rounding noise and clipped to zero. Non-finite entries, asymmetry or
+    genuinely negative eigenvalues beyond the tolerance raise ValueError.
 
     Args:
-        op: square symmetric PSD matrix (or LinearOp).
+        op: square symmetric PSD matrix.
         tol: relative tolerance for the symmetry and negativity checks.
 
     Returns:
-        LinearOp S with S @ S == op up to rounding.
+        Read-only array S with S @ S == op up to rounding.
     """
-    m = _entries_of(op)
+    m = _finite_matrix(op)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
@@ -228,55 +75,5 @@ def psd_sqrt(op: Union[LinearOp, np.ndarray], tol: float = 1e-10) -> LinearOp:
             f"matrix is not positive semidefinite: eigenvalue {eigvals.min():.3e}"
         )
     root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    return LinearOp(root)
-
-
-def outer(u: Union[HilbertVec, np.ndarray], v: Union[HilbertVec, np.ndarray]) -> LinearOp:
-    """Rank-one operator g -> u * <v, g>."""
-    ua = u.coords if isinstance(u, HilbertVec) else np.asarray(u, dtype=np.float64)
-    va = v.coords if isinstance(v, HilbertVec) else np.asarray(v, dtype=np.float64)
-    if ua.ndim != 1 or va.ndim != 1:
-        raise ValueError("outer expects two vectors")
-    return LinearOp(np.outer(ua, va))
-
-
-def trace_bilinear(
-    zeta: BilinearTensor,
-    left: Union[LinearOp, np.ndarray],
-    right: Union[LinearOp, np.ndarray],
-    basis: Union[np.ndarray, None] = None,
-) -> np.ndarray:
-    """Trace of a bilinear form along a pair of operators.
-
-    Computes sum_j zeta(left h_j, right h_j) over an orthonormal basis (h_j)
-    of the common input space of ``left`` and ``right``. The value does not
-    depend on the basis; ``basis`` (columns orthonormal) exists so tests can
-    exercise that invariance.
-
-    Returns:
-        K-coordinate array of the trace.
-    """
-    lm = _entries_of(left)
-    rm = _entries_of(right)
-    if lm.shape[1] != rm.shape[1]:
-        raise ValueError(f"input dims differ: {lm.shape[1]} vs {rm.shape[1]}")
-    if lm.shape[0] != zeta.dim_arg or rm.shape[0] != zeta.dim_arg:
-        raise ValueError(
-            f"operator outputs ({lm.shape[0]}, {rm.shape[0]}) do not match the "
-            f"form's argument dim {zeta.dim_arg}"
-        )
-    if basis is not None:
-        b = np.asarray(basis, dtype=np.float64)
-        if b.shape != (lm.shape[1], lm.shape[1]):
-            raise ValueError(f"basis must be square of dim {lm.shape[1]}")
-        lm = lm @ b
-        rm = rm @ b
-    return np.einsum("kab,aj,bj->k", zeta.entries, lm, rm)
-
-
-def bilinear_from_matrix(matrix: ArrayLike) -> BilinearTensor:
-    """Scalar bilinear form (g1, g2) -> g1^T B g2 as a dim_K == 1 tensor."""
-    b = _as_float_array(matrix, "matrix")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"square matrix required, got shape {b.shape}")
-    return BilinearTensor(b[np.newaxis, :, :])
+    root.setflags(write=False)
+    return root

@@ -411,8 +411,8 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
     m = spec.n_cells
     dt = grid.dt
     times = grid.times
-    tab = spec.tables
-    active = [j for j in range(m) if tab.total_rate[j] > 0.0]
+    total_rate = spec.tables.flavor("total").rate
+    active = [j for j in range(m) if total_rate[j] > 0.0]
     d_out = integrand.dim_out
 
     driver_by_step = {}
@@ -519,19 +519,28 @@ def realized_lambda2_mass(
     deterministic integrand this IS the squared norm of the integrand over
     the window; for adapted integrands it is one sample of it.
     """
-    spec = path.sample.spec
-    tab = spec.tables
-    rate = tab.rate(flavor)
-    roots = tab.field_sqrt(flavor)
+    table = path.sample.spec.tables.flavor(flavor)
     n = path.grid.n_steps if upto_step is None else upto_step
     dt = path.grid.dt
     total = 0.0
-    for j in range(spec.n_cells):
-        if rate[j] <= 0.0 or roots[j] is None:
-            continue
-        prods = path.phis[:n, j] @ roots[j]
-        total += float(np.sum(prods * prods)) * rate[j] * dt
+    for j in np.nonzero(table.rate)[0]:
+        prods = path.phis[:n, j] @ table.root[j]
+        total += float(np.sum(prods * prods)) * table.rate[j] * dt
     return total
+
+
+def _mean_se(samples: np.ndarray):
+    """Sample mean and its standard error; the error is NaN below two samples."""
+    mean = float(samples.mean())
+    if len(samples) < 2:
+        return mean, float("nan")
+    return mean, float(samples.std(ddof=1) / np.sqrt(len(samples)))
+
+
+def _z_score(diff: float, se: float) -> float:
+    """diff / se, or NaN when se is not finite and positive, so that a
+    z-gate without a spread estimate fails instead of passing on z = 0."""
+    return diff / se if np.isfinite(se) and se > 0.0 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -553,7 +562,7 @@ def lambda2_norm(
     """Squared norm of an integrand under the flavor's control measure.
 
     Deterministic integrands are integrated exactly (stderr 0); adapted ones
-    are estimated over ``n_paths`` fresh walks.
+    are estimated over ``n_paths`` fresh walks (stderr NaN for one walk).
     """
     if flavor not in QV_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
@@ -566,8 +575,8 @@ def lambda2_norm(
     for i in range(n_paths):
         sample = sample_path(spec, grid, seed=seed, path_index=i)
         masses[i] = realized_lambda2_mass(integrate(integrand, sample), flavor)
-    se = float(masses.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return Lambda2Result(value=float(masses.mean()), stderr=se, n_paths=n_paths)
+    mean, se = _mean_se(masses)
+    return Lambda2Result(value=mean, stderr=se, n_paths=n_paths)
 
 
 @dataclass(frozen=True)
@@ -601,7 +610,8 @@ def conditional_isometry_check(
     the paired difference (squared increment minus realized predictable
     bracket increment) is formed, weighted by the indicator; adaptedness
     makes its mean zero regardless of how the integrand feeds back on the
-    path, so |z| is the headline number.
+    path, so |z| is the headline number. z is NaN when the differences
+    have no positive standard error (one path, or an event never hit).
     """
     spec = normalize_spec(spec)
     ks = grid.index_of(s)
@@ -630,10 +640,8 @@ def conditional_isometry_check(
                 br_sum[name] += bracket
     out = []
     for name in names:
-        d = diffs[name]
-        se = float(d.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("nan")
-        mean = float(d.mean())
-        z = mean / se if se > 0 else 0.0
+        mean, se = _mean_se(diffs[name])
+        z = _z_score(mean, se)
         out.append(
             EventCheck(
                 name=name,
@@ -667,7 +675,8 @@ class LocalizedPath:
 
 def localize(path: ItoPath, level: float, flavor: str = "total") -> LocalizedPath:
     """Stop the path at the first grid time where the cumulative predictable
-    bracket reaches ``level``; the whole horizon if it never does.
+    bracket reaches ``level``; the whole horizon if it never does. The
+    bracket is realized_lambda2_mass accumulated step by step in one pass.
 
     The stopped bracket stays below level plus one step's mass, which is the
     discrete shadow of local boundedness: the stopped integrand has finite
@@ -675,10 +684,14 @@ def localize(path: ItoPath, level: float, flavor: str = "total") -> LocalizedPat
     """
     if level <= 0.0:
         raise ValueError(f"level must be positive, got {level}")
+    table = path.sample.spec.tables.flavor(flavor)
     n = path.grid.n_steps
-    cum = np.empty(n + 1)
-    for k in range(n + 1):
-        cum[k] = realized_lambda2_mass(path, flavor, upto_step=k)
+    steps = np.zeros(n)
+    for j in np.nonzero(table.rate)[0]:
+        prods = path.phis[:, j] @ table.root[j]
+        steps += np.sum(prods * prods, axis=(1, 2)) * table.rate[j] * path.grid.dt
+    cum = np.zeros(n + 1)
+    np.cumsum(steps, out=cum[1:])
     hit = np.nonzero(cum >= level)[0]
     stop = int(hit[0]) if hit.size else n
     values = np.array(path.values)

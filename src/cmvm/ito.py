@@ -240,9 +240,8 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
     n = path.grid.n_steps
     dt = path.grid.dt
     times = path.grid.times
-    tab = path.sample.spec.tables
-    cont_rate = tab.cont_rate
-    roots = tab.q_cont_sqrt
+    cont = path.sample.spec.tables.flavor("continuous")
+    cont_rate, roots = cont.rate, cont.root
 
     time_term = np.zeros(k_dim)
     fv_term = np.zeros(k_dim)
@@ -331,9 +330,8 @@ def norm_power_expansion(path: ItoPath, p: float, trace_variant: str = "compensa
         )
     n = path.grid.n_steps
     dt = path.grid.dt
-    tab = path.sample.spec.tables
-    cont_rate = tab.cont_rate
-    roots = tab.q_cont_sqrt
+    cont = path.sample.spec.tables.flavor("continuous")
+    cont_rate, roots = cont.rate, cont.root
 
     fv = stoch = trace_outer = trace_hs = jump = 0.0
     for k in range(n):

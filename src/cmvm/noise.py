@@ -8,9 +8,7 @@ components:
   N(0, dt * intensity_j * cov_j), and
 * a compensated jump component: Poisson(rate_j * dt) many events per step,
   each with an independent mean-zero amplitude whose covariance is the cell's
-  amplitude covariance. Amplitudes are mean zero, so the compensator drift
-  vanishes identically; it is still carried on the sampled path to keep the
-  bookkeeping explicit.
+  amplitude covariance.
 
 Cells are sampled from separate counter-based random streams, so increments
 over disjoint cells are independent and a path's content does not depend on
@@ -18,19 +16,22 @@ how many other paths an ensemble draws.
 
 All quadratic-variation bookkeeping is done against the normalized form of a
 specification (covariance operators of unit operator norm, magnitudes folded
-into intensities) produced by :func:`normalize_spec`.
+into intensities) produced by :func:`normalize_spec`. A normalized spec
+carries one table per flavor ("total", "continuous", "discontinuous"): the
+per-cell mass rate, the covariance field and its square root, all read-only
+arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import LinearOp, _check_dim, op_norm, psd_sqrt
+from .hilbert import _check_dim, op_norm, psd_sqrt
 
 __all__ = [
     "TimeGrid",
@@ -101,6 +102,8 @@ class SpatialPartition:
 
     def __init__(self, breaks: Sequence[float]):
         b = tuple(float(x) for x in breaks)
+        if not all(np.isfinite(b)):
+            raise ValueError(f"breaks must be finite, got {b}")
         if len(b) < 2:
             raise ValueError("partition needs at least one cell")
         if abs(b[0]) > 1e-12 or abs(b[-1] - 1.0) > 1e-12:
@@ -185,13 +188,15 @@ class GaussianAmplitude:
         c = np.asarray(cov, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"covariance must be square, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("gaussian amplitude covariance contains non-finite entries")
         s = op_norm(c)
         if s <= 0.0:
             raise ValueError("gaussian amplitude covariance must be nonzero")
         self.normalized_cov = c / s if abs(s - 1.0) > _NORM_ATOL else np.array(c)
         self.normalized_cov.setflags(write=False)
         self.scale = float(np.sqrt(s))
-        self._factor = psd_sqrt(self.normalized_cov).entries
+        self._factor = psd_sqrt(self.normalized_cov)
 
     @property
     def dim(self) -> int:
@@ -226,21 +231,28 @@ class CellNoise:
     diffusion_cov is the Gaussian covariance shape (None for no diffusion),
     diffusion_intensity its rate per unit time. jump_rate is the Poisson
     event rate per unit time; jump_amplitude the amplitude model.
+    diffusion_norm, the operator norm of diffusion_cov (0 without one), is
+    computed once here and reused by normalization.
     """
 
     diffusion_cov: Optional[np.ndarray] = None
     diffusion_intensity: float = 0.0
     jump_rate: float = 0.0
     jump_amplitude: Optional[AmplitudeModel] = None
+    diffusion_norm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         if self.diffusion_cov is not None:
-            c = np.asarray(self.diffusion_cov, dtype=np.float64)
+            c = np.array(self.diffusion_cov, dtype=np.float64)
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise ValueError(f"diffusion covariance must be square, got {c.shape}")
-            c = np.array(c)
+            if not np.all(np.isfinite(c)):
+                raise ValueError("diffusion covariance contains non-finite entries")
             c.setflags(write=False)
             object.__setattr__(self, "diffusion_cov", c)
+            object.__setattr__(self, "diffusion_norm", op_norm(c))
+        if not (np.isfinite(self.diffusion_intensity) and np.isfinite(self.jump_rate)):
+            raise ValueError("intensities must be finite")
         if self.diffusion_intensity < 0.0 or self.jump_rate < 0.0:
             raise ValueError("intensities must be nonnegative")
         if self.jump_rate > 0.0 and self.jump_amplitude is None:
@@ -248,11 +260,7 @@ class CellNoise:
 
     @property
     def has_diffusion(self) -> bool:
-        return (
-            self.diffusion_cov is not None
-            and self.diffusion_intensity > 0.0
-            and op_norm(self.diffusion_cov) > 0.0
-        )
+        return self.diffusion_intensity > 0.0 and self.diffusion_norm > 0.0
 
     @property
     def has_jumps(self) -> bool:
@@ -294,7 +302,7 @@ class NoiseSpec:
         amplitude with zero rate)."""
         for cell in self.cells:
             if cell.has_diffusion:
-                if abs(op_norm(cell.diffusion_cov) - 1.0) > _NORM_ATOL:
+                if abs(cell.diffusion_norm - 1.0) > _NORM_ATOL:
                     return False
             elif cell.diffusion_cov is not None or cell.diffusion_intensity != 0.0:
                 return False
@@ -309,73 +317,74 @@ class NoiseSpec:
         return _NoiseTables(self)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class _FlavorTable:
+    """One quadratic-variation flavor of a normalized spec, per cell.
+
+    rate[j] is the flavor's mass per unit time on cell j; field[j] its
+    normalized covariance operator and root[j] that operator's square root,
+    both None where the cell carries no mass of the flavor.
+    """
+
+    rate: np.ndarray
+    field: tuple
+    root: tuple
+
+    def __init__(self, rate: np.ndarray, covs: Sequence[Optional[np.ndarray]]):
+        object.__setattr__(self, "rate", _frozen(rate))
+        object.__setattr__(self, "field", tuple(covs))
+        object.__setattr__(self, "root", tuple(None if q is None else psd_sqrt(q) for q in covs))
+
+
 class _NoiseTables:
-    """Per-cell derived quantities of a normalized spec (rates, covariance
-    fields and their square roots), computed once and shared."""
+    """Per-cell derived quantities of a normalized spec, computed once and
+    shared: one _FlavorTable per flavor, the Poisson event rates and the
+    Gaussian sampling factors. Every array is read-only."""
 
     def __init__(self, spec: NoiseSpec):
         m = spec.n_cells
-        self.cont_rate = np.zeros(m)
-        self.jump_qv_rate = np.zeros(m)
-        self.jump_rate = np.zeros(m)
-        self.q_cont = [None] * m
-        self.q_cont_sqrt = [None] * m
-        self.q_jump = [None] * m
-        self.q_jump_sqrt = [None] * m
-        self.gauss_factor = [None] * m
+        cont_rate, jump_qv_rate, jump_rate = np.zeros(m), np.zeros(m), np.zeros(m)
+        q_cont, q_jump, q_total = [None] * m, [None] * m, [None] * m
         for j, cell in enumerate(spec.cells):
             if cell.has_diffusion:
-                self.cont_rate[j] = cell.diffusion_intensity
-                self.q_cont[j] = np.asarray(cell.diffusion_cov)
-                root = psd_sqrt(cell.diffusion_cov).entries
-                self.q_cont_sqrt[j] = root
-                self.gauss_factor[j] = np.sqrt(cell.diffusion_intensity) * root
+                cont_rate[j] = cell.diffusion_intensity
+                q_cont[j] = cell.diffusion_cov
             if cell.has_jumps:
                 amp = cell.jump_amplitude
-                self.jump_rate[j] = cell.jump_rate
-                self.jump_qv_rate[j] = cell.jump_rate * amp.scale**2
-                self.q_jump[j] = np.asarray(amp.normalized_cov)
-                self.q_jump_sqrt[j] = psd_sqrt(amp.normalized_cov).entries
-        self.total_rate = self.cont_rate + self.jump_qv_rate
-        self.q_total = [None] * m
-        self.q_total_sqrt = [None] * m
+                jump_rate[j] = cell.jump_rate
+                jump_qv_rate[j] = cell.jump_rate * amp.scale**2
+                q_jump[j] = amp.normalized_cov
+        total_rate = cont_rate + jump_qv_rate
         for j in range(m):
-            if self.total_rate[j] > 0.0:
+            if total_rate[j] > 0.0:
                 q = np.zeros((spec.dim, spec.dim))
-                if self.cont_rate[j] > 0.0:
-                    q += self.cont_rate[j] * self.q_cont[j]
-                if self.jump_qv_rate[j] > 0.0:
-                    q += self.jump_qv_rate[j] * self.q_jump[j]
-                q /= self.total_rate[j]
-                self.q_total[j] = q
-                self.q_total_sqrt[j] = psd_sqrt(q).entries
+                if cont_rate[j] > 0.0:
+                    q += cont_rate[j] * q_cont[j]
+                if jump_qv_rate[j] > 0.0:
+                    q += jump_qv_rate[j] * q_jump[j]
+                q /= total_rate[j]
+                q_total[j] = _frozen(q)
+        self.flavors = {
+            "total": _FlavorTable(total_rate, q_total),
+            "continuous": _FlavorTable(cont_rate, q_cont),
+            "discontinuous": _FlavorTable(jump_qv_rate, q_jump),
+        }
+        self.jump_rate = _frozen(jump_rate)
+        self.gauss_factor = tuple(
+            None if root is None else _frozen(np.sqrt(cont_rate[j]) * root)
+            for j, root in enumerate(self.flavors["continuous"].root)
+        )
 
-    def rate(self, flavor: str) -> np.ndarray:
-        if flavor == "total":
-            return self.total_rate
-        if flavor == "continuous":
-            return self.cont_rate
-        if flavor == "discontinuous":
-            return self.jump_qv_rate
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
-
-    def field(self, flavor: str) -> list:
-        if flavor == "total":
-            return self.q_total
-        if flavor == "continuous":
-            return self.q_cont
-        if flavor == "discontinuous":
-            return self.q_jump
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
-
-    def field_sqrt(self, flavor: str) -> list:
-        if flavor == "total":
-            return self.q_total_sqrt
-        if flavor == "continuous":
-            return self.q_cont_sqrt
-        if flavor == "discontinuous":
-            return self.q_jump_sqrt
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
+    def flavor(self, name: str) -> _FlavorTable:
+        try:
+            return self.flavors[name]
+        except KeyError:
+            raise ValueError(f"unknown flavor {name!r}; expected one of {QV_FLAVORS}") from None
 
 
 def normalize_spec(spec: NoiseSpec) -> NoiseSpec:
@@ -398,7 +407,7 @@ def normalize_spec(spec: NoiseSpec) -> NoiseSpec:
         diffusion_cov = None
         intensity = 0.0
         if cell.has_diffusion:
-            s = op_norm(cell.diffusion_cov)
+            s = cell.diffusion_norm
             if abs(s - 1.0) <= _NORM_ATOL:
                 diffusion_cov, intensity = cell.diffusion_cov, cell.diffusion_intensity
             else:
@@ -447,9 +456,9 @@ class SamplePath:
 
     gauss[k, j] is the Gaussian increment of cell j over step k; jumps are
     all jump events sorted by (step, time); jump_sums[k, j] their per-step
-    per-cell totals. compensator_rate is the per-cell drift rate removed by
-    compensation (identically zero for the mean-zero amplitude families, but
-    carried so the martingale bookkeeping stays visible).
+    per-cell totals. Every amplitude family is centered, so the compensator
+    of the jumps is zero and the raw jump sums are already martingale
+    increments.
     """
 
     spec: NoiseSpec
@@ -459,7 +468,6 @@ class SamplePath:
     gauss: np.ndarray
     jumps: tuple
     jump_sums: np.ndarray
-    compensator_rate: np.ndarray
 
     @cached_property
     def jumps_by_step(self) -> tuple:
@@ -511,8 +519,6 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
     events.sort(key=lambda ev: (ev.step, ev.time))
     gauss.setflags(write=False)
     jump_sums.setflags(write=False)
-    comp = np.zeros((m, d))
-    comp.setflags(write=False)
     return SamplePath(
         spec=spec,
         grid=grid,
@@ -521,7 +527,6 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
         gauss=gauss,
         jumps=tuple(events),
         jump_sums=jump_sums,
-        compensator_rate=comp,
     )
 
 
@@ -542,10 +547,7 @@ def evaluate(path: SamplePath, s: float, t: float, cells: Sequence[int], h: Sequ
     if k0 == k1 or not idx:
         return 0.0
     block = path.gauss[k0:k1, idx, :] + path.jump_sums[k0:k1, idx, :]
-    value = float(block.sum(axis=(0, 1)) @ hv)
-    # compensator contribution (zero for mean-zero amplitudes, kept explicit)
-    value -= (t - s) * float(path.compensator_rate[idx, :].sum(axis=0) @ hv)
-    return value
+    return float(block.sum(axis=(0, 1)) @ hv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,34 +584,34 @@ def qv_measure(spec: NoiseSpec, grid: TimeGrid, flavor: str = "total") -> QVMeas
     diffusion intensity and the discontinuous rate is jump_rate * scale^2.
     """
     spec = normalize_spec(spec)
-    rate = spec.tables.rate(flavor)
+    rate = spec.tables.flavor(flavor).rate
     mass = np.tile(rate * grid.dt, (grid.n_steps, 1))
     mass.setflags(write=False)
     return QVMeasure(grid=grid, flavor=flavor, mass=mass)
 
 
-def covariance_field(spec: NoiseSpec, cell: int, flavor: str = "total") -> LinearOp:
+def covariance_field(spec: NoiseSpec, cell: int, flavor: str = "total") -> np.ndarray:
     """Pointwise covariance operator of the field on one cell.
 
     The model is time homogeneous, so the field depends on the cell only.
     Flavors: "continuous" returns the normalized diffusion covariance,
     "discontinuous" the normalized amplitude covariance, and "total" their
     combination weighted by the flavors' share of the total mass (the
-    Radon-Nikodym weights mass_c/mass_total and mass_d/mass_total).
+    Radon-Nikodym weights mass_c/mass_total and mass_d/mass_total). The
+    returned array is the shared read-only table entry.
 
     Raises:
         ValueError: if the cell carries no mass of the requested flavor
             (the covariance field Q_M is undefined off the support).
     """
     spec = normalize_spec(spec)
-    tab = spec.tables
     (cell,) = spec.partition.validate_cells([cell])
-    q = tab.field(flavor)[cell]
+    q = spec.tables.flavor(flavor).field[cell]
     if q is None:
         raise ValueError(
             f"Q_M undefined off support: cell {cell} carries no {flavor} mass"
         )
-    return LinearOp(q)
+    return q
 
 
 def intensity_nu(
@@ -621,16 +623,14 @@ def intensity_nu(
     measure), so the array is defined everywhere.
     """
     spec = normalize_spec(spec)
-    tab = spec.tables
     hv = np.asarray(h, dtype=np.float64)
     if hv.shape != (spec.dim,):
         raise ValueError(f"direction must have dim {spec.dim}, got shape {hv.shape}")
-    rate = tab.rate(flavor)
-    field = tab.field(flavor)
+    table = spec.tables.flavor(flavor)
     per_cell = np.zeros(spec.n_cells)
     for j in range(spec.n_cells):
-        if rate[j] > 0.0:
-            per_cell[j] = rate[j] * float(hv @ field[j] @ hv)
+        if table.rate[j] > 0.0:
+            per_cell[j] = table.rate[j] * float(hv @ table.field[j] @ hv)
     return np.tile(per_cell * grid.dt, (grid.n_steps, 1))
 
 

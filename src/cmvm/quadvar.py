@@ -25,7 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .integrate import ItoPath
-from .noise import QV_FLAVORS
 
 __all__ = [
     "predictable_qv",
@@ -45,13 +44,9 @@ __all__ = [
 
 def _flavor_terms(path: ItoPath, flavor: str):
     """Per-cell (rate * dt, covariance) pairs of a flavor, active cells only."""
-    if flavor not in QV_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
-    tab = path.sample.spec.tables
-    rate = tab.rate(flavor)
-    field = tab.field(flavor)
+    table = path.sample.spec.tables.flavor(flavor)
     dt = path.grid.dt
-    return [(j, rate[j] * dt, field[j]) for j in range(len(rate)) if rate[j] > 0.0]
+    return [(j, rate * dt, table.field[j]) for j, rate in enumerate(table.rate) if rate > 0.0]
 
 
 def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:

@@ -114,12 +114,25 @@ def test_run_outputs_are_reproducible(tmp_path):
 
 
 def test_single_path_run_flags_unreliable_stderr(tmp_path):
-    cfg = apply_overrides(load_config("verify-isometry"), ["n_paths=1", "n_steps=4"])
-    res = run(cfg, str(tmp_path))
-    payload = json.loads((tmp_path / "verify-isometry.json").read_text())
-    assert payload["metrics"]["stderr_reliable"] is False
-    assert payload["metrics"]["stderr"] is None
-    assert res.record_path  # the run completed and wrote its record
+    # one path has no standard error: every z-gate fails with z recorded as null
+    z_checks = {
+        "verify-isometry": ["second-moment-z"],
+        "verify-conditional-isometry": ["event-always-z", "event-first-up-z", "event-first-down-z"],
+        "burkholder": ["terminal-equality-p2-z"],
+    }
+    for scenario, names in z_checks.items():
+        cfg = apply_overrides(load_config(scenario), ["n_paths=1", "n_steps=4"])
+        res = run(cfg, str(tmp_path / scenario))
+        payload = json.loads((tmp_path / scenario / f"{scenario}.json").read_text())
+        assert payload["metrics"]["stderr_reliable"] is False
+        checks = {c["name"]: c for c in payload["checks"]}
+        for name in names:
+            assert checks[name]["z"] is None
+            assert checks[name]["passed"] is False
+        assert res.passed is False
+        assert res.record_path  # the run completed and wrote its record
+    isometry = json.loads((tmp_path / "verify-isometry" / "verify-isometry.json").read_text())
+    assert isometry["metrics"]["stderr"] is None
 
 
 def test_noise_model_file_as_preset(tmp_path):

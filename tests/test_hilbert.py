@@ -1,7 +1,8 @@
 """Linear-algebra primitive tests.
 
 Frozen values below were computed by hand (diagonal square roots, small
-Frobenius norms) before the implementation existed.
+Frobenius norms) before the implementation existed. Operators are plain
+float64 arrays throughout.
 """
 
 import numpy as np
@@ -9,101 +10,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvm.hilbert import (
-    MAX_DIM,
-    BilinearTensor,
-    HilbertVec,
-    LinearOp,
-    bilinear_from_matrix,
-    hs_norm,
-    op_norm,
-    outer,
-    psd_sqrt,
-    trace_bilinear,
+from cmvm.hilbert import MAX_DIM, op_norm, psd_sqrt
+from cmvm.integrate import constant_integrand, lambda2_norm
+from cmvm.noise import (
+    CellNoise,
+    NoiseSpec,
+    SpatialPartition,
+    TimeGrid,
+    covariance_field,
 )
+from cmvm.presets import make_preset
 
 
-def test_vec_inner_and_norm():
-    u = HilbertVec([3.0, 4.0])
-    v = HilbertVec([1.0, -1.0])
-    assert u.norm() == pytest.approx(5.0)
-    assert u.inner(v) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        u.inner(HilbertVec([1.0, 2.0, 3.0]))
+def _one_cell(cov, intensity):
+    cell = CellNoise(diffusion_cov=np.array(cov), diffusion_intensity=intensity)
+    return NoiseSpec(2, SpatialPartition.uniform(1), [cell])
 
 
-def test_op_apply_compose_adjoint():
-    a = LinearOp([[1.0, 2.0], [0.0, 1.0]])
-    b = LinearOp([[0.0, -1.0], [1.0, 0.0]])
-    x = HilbertVec([1.0, 1.0])
-    assert np.allclose(a.apply(x), [3.0, 1.0])
-    ab = a.compose(b)
-    assert np.allclose(ab.entries, [[2.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(a.adjoint().entries, [[1.0, 0.0], [2.0, 1.0]])
-    rect = LinearOp(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        rect.compose(LinearOp(np.ones((3, 3))))
-
-
-def test_hs_norm_frozen():
-    # identity on R^2 has Frobenius norm sqrt(2)
-    assert hs_norm(LinearOp(np.eye(2))) == pytest.approx(np.sqrt(2.0))
-    assert hs_norm(LinearOp([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
+def test_hs_weight_frozen():
+    # the control-measure norm of a constant integrand is
+    # ||phi Q^{1/2}||_HS^2 * intensity * horizon
+    grid = TimeGrid(1.0, 4)
+    # Q = I: ||diag(3, 4)||_HS^2 = 25, intensity 2
+    spec = _one_cell(np.eye(2), 2.0)
+    got = lambda2_norm(constant_integrand([[3.0, 0.0], [0.0, 4.0]]), spec, grid).value
+    assert got == pytest.approx(50.0)
+    # Q = diag(1, 1/4): ||I Q^{1/2}||_HS^2 = trace Q = 1.25
+    spec = _one_cell([[1.0, 0.0], [0.0, 0.25]], 1.0)
+    assert lambda2_norm(constant_integrand(np.eye(2)), spec, grid).value == pytest.approx(1.25)
 
 
 def test_op_norm_frozen():
-    assert op_norm(LinearOp([[3.0, 0.0], [0.0, -4.0]])) == pytest.approx(4.0)
+    assert op_norm([[3.0, 0.0], [0.0, -4.0]]) == pytest.approx(4.0)
     # nonsymmetric: largest singular value of [[0, 2], [0, 0]] is 2
-    assert op_norm(LinearOp([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
+    assert op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
 
 
 def test_psd_sqrt_frozen_diagonal():
-    root = psd_sqrt(LinearOp([[2.0, 0.0], [0.0, 8.0]]))
-    assert np.allclose(root.entries, [[np.sqrt(2.0), 0.0], [0.0, 2.0 * np.sqrt(2.0)]])
+    root = psd_sqrt([[2.0, 0.0], [0.0, 8.0]])
+    assert np.allclose(root, [[np.sqrt(2.0), 0.0], [0.0, 2.0 * np.sqrt(2.0)]])
 
 
 def test_psd_sqrt_rejects_bad_input():
     with pytest.raises(ValueError, match="symmetric"):
-        psd_sqrt(LinearOp([[1.0, 1.0], [0.0, 1.0]]))
+        psd_sqrt([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="semidefinite"):
-        psd_sqrt(LinearOp([[1.0, 0.0], [0.0, -0.5]]))
-
-
-def test_outer_and_trace_frozen():
-    u = HilbertVec([1.0, 2.0])
-    v = HilbertVec([3.0, 5.0])
-    assert np.allclose(outer(u, v).entries, [[3.0, 5.0], [6.0, 10.0]])
-    # scalar inner-product form with identity slots traces to the dimension
-    zeta = bilinear_from_matrix(np.eye(3))
-    t = trace_bilinear(zeta, LinearOp(np.eye(3)), LinearOp(np.eye(3)))
-    assert t.shape == (1,)
-    assert t[0] == pytest.approx(3.0)
-
-
-def test_bilinear_apply():
-    zeta = BilinearTensor(np.arange(8.0).reshape(2, 2, 2))
-    g1 = HilbertVec([1.0, 0.0])
-    g2 = HilbertVec([0.0, 1.0])
-    # component k is zeta[k, 0, 1]
-    assert np.allclose(zeta.apply(g1, g2), [1.0, 5.0])
+        psd_sqrt([[1.0, 0.0], [0.0, -0.5]])
+    with pytest.raises(ValueError, match="square"):
+        psd_sqrt(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="matrix"):
+        psd_sqrt([1.0, 2.0])
 
 
 def test_dimension_cap_and_finiteness():
-    with pytest.raises(ValueError):
-        HilbertVec(np.zeros(MAX_DIM + 1))
-    with pytest.raises(ValueError):
-        LinearOp([[np.inf, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        HilbertVec([np.nan])
+    with pytest.raises(ValueError, match="dimension"):
+        NoiseSpec(MAX_DIM + 1, SpatialPartition.uniform(1), [CellNoise()])
+    with pytest.raises(ValueError, match="dimension"):
+        constant_integrand(np.zeros((MAX_DIM + 1, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_sqrt([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        op_norm([[np.nan]])
 
 
 def test_entries_are_immutable():
-    op = LinearOp(np.eye(2))
+    root = psd_sqrt(np.eye(2))
     with pytest.raises(ValueError):
-        op.entries[0, 0] = 7.0
-    v = HilbertVec([1.0, 2.0])
+        root[0, 0] = 7.0
+    mixed = make_preset("mixed-default")
     with pytest.raises(ValueError):
-        v.coords[0] = 0.0
+        covariance_field(mixed, 0, "total")[0, 0] = 7.0
+    tab = mixed.tables
+    shared = [tab.jump_rate] + [q for q in tab.gauss_factor if q is not None]
+    for table in tab.flavors.values():
+        shared.append(table.rate)
+        shared += [q for q in table.field + table.root if q is not None]
+    for arr in shared:
+        assert not arr.flags.writeable
 
 
 def _random_matrix(draw, n, m, scale=3.0):
@@ -114,9 +97,7 @@ def _random_matrix(draw, n, m, scale=3.0):
 @st.composite
 def _op_pair(draw):
     n = draw(st.integers(1, 5))
-    a = _random_matrix(draw, n, n)
-    b = _random_matrix(draw, n, n)
-    return LinearOp(a), LinearOp(b)
+    return _random_matrix(draw, n, n), _random_matrix(draw, n, n)
 
 
 @given(_op_pair())
@@ -124,8 +105,8 @@ def test_compose_hs_bound(pair):
     a, b = pair
     # ||A B||_HS <= ||A||_op ||B||_HS, the workhorse inequality behind
     # every second-moment bound in the integrator
-    lhs = hs_norm(a.compose(b))
-    rhs = op_norm(a) * hs_norm(b)
+    lhs = np.linalg.norm(a @ b)
+    rhs = op_norm(a) * np.linalg.norm(b)
     assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
@@ -133,26 +114,33 @@ def test_compose_hs_bound(pair):
 def _psd_op(draw):
     n = draw(st.integers(1, 5))
     a = _random_matrix(draw, n, n)
-    m = a @ a.T + 1e-6 * np.eye(n)
-    return LinearOp(m)
+    return a @ a.T + 1e-6 * np.eye(n)
 
 
 @given(_psd_op())
 def test_psd_sqrt_roundtrip(op):
     root = psd_sqrt(op)
-    recon = root.entries @ root.entries.T
-    assert np.linalg.norm(recon - op.entries) <= 1e-8 * max(1.0, np.linalg.norm(op.entries))
+    recon = root @ root.T
+    assert np.linalg.norm(recon - op) <= 1e-8 * max(1.0, np.linalg.norm(op))
 
 
 @settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_trace_bilinear_basis_invariance(seed, n):
+    # The Ito trace term sum_i zeta(phi_l Q^{1/2} h_i, phi_r Q^{1/2} h_i) is
+    # taken in the coordinate basis; it must not depend on the orthonormal
+    # basis (h_i) and must equal trace(zeta_k phi_r Q phi_l^T) per component.
     rng = np.random.default_rng(seed)
-    zeta = BilinearTensor(rng.standard_normal((2, n, n)))
-    left = LinearOp(rng.standard_normal((n, n)))
-    right = LinearOp(rng.standard_normal((n, n)))
-    base = trace_bilinear(zeta, left, right)
-    # any orthonormal basis gives the same partial trace
+    zeta = rng.standard_normal((2, n, n))
+    a = rng.standard_normal((n, n))
+    cov = a @ a.T
+    phi_l, phi_r = rng.standard_normal((2, n, n))
+    root = psd_sqrt(cov)
+    left, right = phi_l @ root, phi_r @ root
+    base = np.einsum("kab,ai,bi->k", zeta, left, right)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    rotated = trace_bilinear(zeta, left, right, basis=q)
-    assert np.allclose(base, rotated, atol=1e-10)
+    rotated = np.einsum("kab,ai,bi->k", zeta, left @ q, right @ q)
+    scale = max(1.0, float(np.abs(base).max()))
+    assert np.allclose(base, rotated, atol=1e-10 * scale)
+    closed = np.array([np.trace(z @ phi_r @ cov @ phi_l.T) for z in zeta])
+    assert np.allclose(base, closed, atol=1e-8 * scale)

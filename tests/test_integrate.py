@@ -222,6 +222,9 @@ def test_lambda2_norm_deterministic_vs_sampled(mixed, grid8):
     )
     assert sampled.stderr == pytest.approx(0.0, abs=1e-12)
     assert sampled.value == pytest.approx(det.value, rel=1e-12)
+    # one sampled walk carries no spread estimate
+    single = lambda2_norm(state_linear_integrand(PHI, [1.0, 0.0], 0.4), mixed, grid8, n_paths=1)
+    assert np.isnan(single.stderr)
     with pytest.raises(ValueError, match="flavor"):
         lambda2_norm(constant_integrand(PHI), mixed, grid8, flavor="spicy")
 
@@ -250,6 +253,28 @@ def test_localize_nesting_and_cap(mixed):
     assert localize(path, 0.1 * total).stopped_early is True
     with pytest.raises(ValueError, match="positive"):
         localize(path, 0.0)
+
+
+def test_localize_matches_per_step_route(mixed):
+    """The one-pass cumulative bracket of localize against the per-step
+    route of realized_lambda2_mass(upto_step=k) for every k."""
+    grid = TimeGrid(1.0, 32)
+    for idx in range(4):
+        path = integrate(
+            state_linear_integrand(PHI, [0.5, 0.5], 0.8),
+            sample_path(mixed, grid, seed=13, path_index=idx),
+        )
+        for flavor in ("total", "continuous", "discontinuous"):
+            cum = np.array(
+                [realized_lambda2_mass(path, flavor, upto_step=k) for k in range(grid.n_steps + 1)]
+            )
+            for frac in (0.05, 0.3, 0.7, 1.5):
+                level = frac * cum[-1]
+                loc = localize(path, level, flavor)
+                hit = np.nonzero(cum >= level)[0]
+                assert loc.stop_step == (int(hit[0]) if hit.size else grid.n_steps)
+                ref = realized_lambda2_mass(path, flavor, upto_step=loc.stop_step)
+                assert abs(loc.stopped_mass - ref) <= 1e-12 * max(ref, 1e-300)
 
 
 def test_decompose_parts_sum_exactly(mixed, grid8):

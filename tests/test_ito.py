@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cmvm.hilbert import BilinearTensor, LinearOp, trace_bilinear
 from cmvm.integrate import (
     ItoProcessSpec,
     constant_integrand,
@@ -218,17 +217,19 @@ def test_stoch_term_matches_composed_integral_without_jumps(grid8):
 
 def test_compensator_trace_agrees_with_trace_helper(mixed, grid8):
     """Dual route for the trace term: the inlined sum must equal the partial
-    trace computed through the bilinear helper, cell by cell."""
+    trace sum_i zeta(m h_i, m h_i), cell by cell, taken over a random
+    orthonormal basis (h_i), which the trace does not depend on."""
     f = make_smooth("gauss_cos")
     path = _walk(mixed, grid8, constant_integrand(PHI), seed=303, path_index=2)
-    tab = mixed.tables
+    cont = mixed.tables.flavor("continuous")
+    basis, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
     dt = grid8.dt
     expected = np.zeros(1)
     for k in range(grid8.n_steps):
-        zeta = BilinearTensor(f.d_xx(float(grid8.times[k]), path.values[k]))
-        for j in np.nonzero(tab.cont_rate)[0]:
-            m = LinearOp(path.phis[k, j] @ tab.q_cont_sqrt[j])
-            expected += 0.5 * tab.cont_rate[j] * dt * trace_bilinear(zeta, m, m)
+        zeta = f.d_xx(float(grid8.times[k]), path.values[k])
+        for j in np.nonzero(cont.rate)[0]:
+            mh = path.phis[k, j] @ cont.root[j] @ basis
+            expected += 0.5 * cont.rate[j] * dt * np.einsum("kab,ai,bi->k", zeta, mh, mh)
     got = ito_terms(path, f).trace
     assert np.abs(got - expected).max() < 1e-12
 

@@ -15,6 +15,8 @@ import json
 import numpy as np
 import pytest
 
+import cmvm.hilbert
+import cmvm.noise
 from cmvm.noise import (
     CellNoise,
     GaussianAmplitude,
@@ -125,6 +127,26 @@ def test_cell_noise_validation():
         CellNoise(diffusion_cov=np.ones((2, 3)), diffusion_intensity=1.0)
 
 
+def test_non_finite_model_values_rejected(tmp_path):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            CellNoise(diffusion_cov=[[1.0, 0.0], [0.0, bad]], diffusion_intensity=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            CellNoise(diffusion_cov=np.eye(2), diffusion_intensity=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CellNoise(jump_rate=bad, jump_amplitude=TwoPointAmplitude([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianAmplitude([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            SpatialPartition([0.0, bad, 1.0])
+    doc = spec_to_json(make_preset("gauss-default"))
+    doc["cells"][1]["diffusion"]["intensity"] = float("nan")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="cell 1: intensities must be finite"):
+        load_noise_spec(str(model))
+
+
 def test_spec_validation():
     p = SpatialPartition.uniform(2)
     good = CellNoise(diffusion_cov=np.eye(2), diffusion_intensity=1.0)
@@ -208,15 +230,15 @@ def test_covariance_field_norms_and_identity(mixed):
     # single-flavor cells: the normalized field has unit operator norm
     for cell, flavor in [(2, "continuous"), (3, "discontinuous"), (2, "total"), (3, "total")]:
         q = covariance_field(mixed, cell, flavor)
-        assert np.abs(np.linalg.eigvalsh(q.entries)).max() == pytest.approx(1.0)
+        assert np.abs(np.linalg.eigvalsh(q)).max() == pytest.approx(1.0)
     # mixed cells: the total field is the mass-weighted convex combination
-    tab = mixed.tables
+    rate = {name: table.rate for name, table in mixed.tables.flavors.items()}
     for cell in (0, 1):
-        lhs = tab.total_rate[cell] * covariance_field(mixed, cell, "total").entries
-        rhs = tab.cont_rate[cell] * covariance_field(mixed, cell, "continuous").entries
-        rhs = rhs + tab.jump_qv_rate[cell] * covariance_field(mixed, cell, "discontinuous").entries
+        lhs = rate["total"][cell] * covariance_field(mixed, cell, "total")
+        rhs = rate["continuous"][cell] * covariance_field(mixed, cell, "continuous")
+        rhs = rhs + rate["discontinuous"][cell] * covariance_field(mixed, cell, "discontinuous")
         assert np.abs(lhs - rhs).max() < 1e-14
-        assert np.abs(np.linalg.eigvalsh(covariance_field(mixed, cell, "total").entries)).max() <= 1.0 + 1e-12
+        assert np.abs(np.linalg.eigvalsh(covariance_field(mixed, cell, "total"))).max() <= 1.0 + 1e-12
     with pytest.raises(ValueError, match="undefined off support"):
         covariance_field(mixed, 3, "continuous")
     with pytest.raises(ValueError, match="undefined off support"):
@@ -233,7 +255,7 @@ def test_intensity_nu_additive_and_consistent(mixed, grid8):
     # against the covariance field and mass directly
     mass = qv_measure(mixed, grid8, "total")
     for j in range(4):
-        q = covariance_field(mixed, j, "total").entries
+        q = covariance_field(mixed, j, "total")
         assert nu_tot[0, j] == pytest.approx(mass.mass[0, j] * float(h @ q @ h))
     # continuous intensity vanishes on the jump-only cell
     assert nu_c[:, 3].max() == 0.0
@@ -253,6 +275,21 @@ def test_sampling_is_deterministic(mixed, grid8):
     assert not np.array_equal(a.gauss, c.gauss)
     d = sample_path(mixed, grid8, seed=100, path_index=3)
     assert not np.array_equal(a.gauss, d.gauss)
+
+
+def test_sample_path_makes_no_op_norm_calls(mixed, grid8, monkeypatch):
+    # norms are taken once, when a cell is built; sampling reuses them
+    calls = []
+
+    def counting(op, _orig=cmvm.hilbert.op_norm):
+        calls.append(1)
+        return _orig(op)
+
+    monkeypatch.setattr(cmvm.noise, "op_norm", counting)
+    monkeypatch.setattr(cmvm.hilbert, "op_norm", counting)
+    for i in range(3):
+        sample_path(mixed, grid8, seed=5, path_index=i)
+    assert calls == []
 
 
 def test_streams_are_cell_local(grid8):
@@ -287,7 +324,6 @@ def test_jump_bookkeeping(ensemble, grid8):
         assert np.allclose(sums, path.jump_sums, atol=1e-15)
         steps = [(ev.step, ev.time) for ev in path.jumps]
         assert steps == sorted(steps)
-        assert np.all(path.compensator_rate == 0.0)
 
 
 def test_poisson_event_rate(ensemble):
@@ -348,8 +384,8 @@ def test_disjoint_cells_uncorrelated(ensemble):
 def test_gaussian_step_variance(ensemble, mixed, grid8):
     """Pooled per-step increments of the diffusion-only cell match dt * intensity * <Qh, h>."""
     h = np.array([0.2, 0.9])
-    tab = mixed.tables
-    target = grid8.dt * tab.cont_rate[2] * float(h @ tab.q_cont[2] @ h)
+    cont = mixed.tables.flavor("continuous")
+    target = grid8.dt * cont.rate[2] * float(h @ cont.field[2] @ h)
     samples = np.concatenate([(p.gauss[:, 2, :] @ h) ** 2 for p in ensemble])
     se = samples.std(ddof=1) / np.sqrt(len(samples))
     assert abs(samples.mean() - target) < 4.0 * se
