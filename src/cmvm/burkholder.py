@@ -87,12 +87,10 @@ def walk_ensemble(
 def path_running_sup(path: ItoPath) -> float:
     """Largest norm the path attains at grid points and around its jumps."""
     best = float(np.linalg.norm(path.values, axis=1).max())
-    for rec in path.jumps:
-        best = max(
-            best,
-            float(np.linalg.norm(rec.pre_value)),
-            float(np.linalg.norm(rec.pre_value + rec.delta)),
-        )
+    if len(path.jumps):
+        pre = path.jumps["pre"]
+        for x in (pre, pre + path.jumps["delta"]):
+            best = max(best, float(np.sqrt(np.vecdot(x, x)).max()))
     return best
 
 
@@ -111,7 +109,8 @@ def bracket_terminal(path: ItoPath, flavor: str = "optional") -> float:
     if flavor == "continuous":
         return float(predictable_qv(path, "continuous")[-1])
     if flavor == "jumps":
-        return float(sum(rec.delta @ rec.delta for rec in path.jumps))
+        dx = path.jumps["delta"]  # cumsum adds in jump order, as the bracket accumulates
+        return float(np.cumsum(np.vecdot(dx, dx))[-1]) if len(dx) else 0.0
     if flavor == "optional":
         return float(optional_qv(path)[-1])
     raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
@@ -202,6 +201,8 @@ def check(
     an empirical constant the inequality is the definition of the constant,
     so ``satisfied`` only reports that both sides were finite and positive.
     """
+    if not paths:
+        raise ValueError("the moment check needs a non-empty ensemble of paths")
     if moment not in ("sup", "terminal"):
         raise ValueError(f"moment must be 'sup' or 'terminal', got {moment!r}")
     if p <= 0.0:

@@ -215,19 +215,44 @@ def _build_config(data: dict) -> ExperimentConfig:
             raise ValueError(
                 f"unknown config key {key!r}; expected scenario, params or one of {sorted(fields)}"
             )
-    if fields["n_steps"] <= 0 or fields["n_paths"] <= 0:
+    horizon = fields["horizon"]
+    number = isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
+    if not (number and 0 < horizon < math.inf):
+        raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
+    n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
+    if n_steps <= 0 or n_paths <= 0:
         raise ValueError("n_steps and n_paths must be positive")
-    if fields["horizon"] <= 0:
-        raise ValueError("horizon must be positive")
+    _spec_for(fields["preset"])
+    if "continuous_preset" in params:
+        _spec_for(params["continuous_preset"])
+    if "levels" in params:
+        levels = params["levels"]
+        if not isinstance(levels, list) or not levels:
+            raise ValueError(f"params.levels must be a non-empty list, got {levels!r}")
+        levels = [_integer("params.levels entry", v) for v in levels]
+        if scenario == "ito-converge" and min(levels) < 0:
+            raise ValueError(f"levels are log2 step counts and must be >= 0, got {levels}")
+        finest = n_steps.bit_length() - 1  # 2^level blocks must not out-refine the grid
+        if params.get("kind") == "dyadic" and not all(0 <= v <= finest for v in levels):
+            raise ValueError(f"dyadic levels {levels} must lie in 0..{finest} for {n_steps} steps")
     return ExperimentConfig(
         scenario=scenario,
-        preset=str(fields["preset"]),
-        horizon=float(fields["horizon"]),
-        n_steps=int(fields["n_steps"]),
-        n_paths=int(fields["n_paths"]),
-        seed=int(fields["seed"]),
+        preset=fields["preset"],
+        horizon=float(horizon),
+        n_steps=n_steps,
+        n_paths=n_paths,
+        seed=seed,
         params=params,
     )
+
+
+def _integer(key: str, value) -> int:
+    """value as an int; integral floats pass, bools and fractions do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path_or_scenario: str) -> ExperimentConfig:
@@ -283,6 +308,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _spec_for(name: str):
     """Resolve a preset name or a noise-model JSON file path."""
+    if not isinstance(name, str):
+        raise ValueError(f"a preset must be a name or a file path, got {name!r}")
     if name in preset_names():
         return make_preset(name)
     if os.path.exists(name):
@@ -504,10 +531,15 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
 
 
 def _monotone_checks(prefix: str, medians, final_tol: float, relative_to_first: bool):
-    """Shared gate shape of the two convergence scenarios."""
-    ratios = [b / a for a, b in zip(medians, medians[1:])]
-    worst_ratio = max(ratios) if ratios else 0.0
-    final = medians[-1] / medians[0] if relative_to_first else medians[-1]
+    """Shared gate shape of the two convergence scenarios. A ratio over a
+    zero median is NaN, so its gate fails with a null value."""
+
+    def ratio(b, a):
+        return b / a if a > 0.0 else math.nan
+
+    ratios = [ratio(b, a) for a, b in zip(medians, medians[1:])]
+    worst_ratio = math.nan if any(map(math.isnan, ratios)) else max(ratios, default=0.0)
+    final = ratio(medians[-1], medians[0]) if relative_to_first else medians[-1]
     return [
         _check(f"{prefix}-strictly-decreasing", worst_ratio, 0.0, 1.0, worst_ratio < 1.0),
         _check(f"{prefix}-finest", final, 0.0, final_tol, final <= final_tol),

@@ -3,10 +3,11 @@
 The central object is the left-frozen integral walk: an operator-valued
 integrand is evaluated once per (time step, spatial cell) from information
 available at the step's left endpoint, then applied to every increment the
-cell produces inside the step. The walk records enough per-step data
-(evaluated integrand operators, the continuous stochastic increment, drift,
-jump records with refined pre-jump values) for the quadratic-variation and
-chain-rule modules to work from a finished path without re-walking it.
+cell produces inside the step. The walk keeps enough per-step data
+(evaluated integrand operators, the continuous stochastic increment, drift)
+and one record array of the path's jumps with their refined pre-jump values,
+so that the quadratic-variation and chain-rule modules work from a finished
+path without re-walking it.
 
 Within one step the increments apply in a fixed micro-order: drift first,
 then the continuous block, then noise jumps sorted by their exact times,
@@ -23,6 +24,7 @@ detectable here; the isometry checks exist to expose exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "SimpleBlock",
     "SimpleIntegrand",
     "integrate_simple",
-    "JumpRecord",
     "ItoPath",
     "FVDriver",
     "ItoProcessSpec",
@@ -237,17 +238,9 @@ class SimpleIntegrand:
                         out += b.matrix
             return out
 
-        if has_gates:
-            return Integrand(_eval, self.dim_out, self.dim_in, deterministic=False, name="simple")
-
-        def _eval_det(state: AdaptedState, cell: int) -> np.ndarray:
-            out = np.zeros((self.dim_out, self.dim_in))
-            for b in blocks:
-                if b.start <= state.step < b.stop and cell in b.cells:
-                    out += b.matrix
-            return out
-
-        return Integrand(_eval_det, self.dim_out, self.dim_in, deterministic=True, name="simple")
+        return Integrand(
+            _eval, self.dim_out, self.dim_in, deterministic=not has_gates, name="simple"
+        )
 
 
 def integrate_simple(simple: SimpleIntegrand, sample: SamplePath) -> np.ndarray:
@@ -269,20 +262,10 @@ def integrate_simple(simple: SimpleIntegrand, sample: SamplePath) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class JumpRecord:
-    """One jump of the integral/process path.
-
-    ``pre_value`` is the path value immediately before this jump in the
-    step's micro-order; ``cell`` is None for finite-variation driver jumps.
-    """
-
-    step: int
-    time: float
-    cell: Optional[int]
-    delta: np.ndarray
-    pre_value: np.ndarray
-    source: str  # "noise" or "driver"
+@lru_cache(maxsize=None)
+def _jump_dtype(dim: int) -> np.dtype:
+    vec = ("f8", (dim,))
+    return np.dtype([("step", "i8"), ("time", "f8"), ("cell", "i8"), ("delta", *vec), ("pre", *vec)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +274,11 @@ class ItoPath:
 
     values[k] is the path at t_k; phis[k, j] the operator used for cell j in
     step k; stoch_cont[k] the continuous stochastic increment; drift[k] the
-    drift increment. Jumps carry refined pre-jump values. The identity
+    drift increment. jumps is a read-only structured array, one row per
+    jump in the walk's micro-order, with fields step (int64), time
+    (float64; t_{k+1} for a driver jump), cell (int64; -1 marks a jump of
+    the finite-variation driver), delta (float64, (dim_out,)) and pre, the
+    path value just before the jump. The identity
 
         values[k+1] == values[k] + drift[k] + stoch_cont[k] + sum of deltas
 
@@ -305,7 +292,7 @@ class ItoPath:
     phis: np.ndarray
     stoch_cont: np.ndarray
     drift: np.ndarray
-    jumps: tuple
+    jumps: np.ndarray
     provenance: dict
 
     @property
@@ -315,9 +302,6 @@ class ItoPath:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-    def jumps_in_step(self, k: int) -> tuple:
-        return tuple(r for r in self.jumps if r.step == k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,32 +399,47 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
     active = [j for j in range(m) if total_rate[j] > 0.0]
     d_out = integrand.dim_out
 
-    driver_by_step = {}
-    if process.driver is not None:
-        for i, k in enumerate(process.driver.jump_steps):
-            if not (0 <= k < n):
-                raise ValueError(f"driver jump step {k} outside 0..{n - 1}")
-            driver_by_step.setdefault(k, []).append(process.driver.values[i])
+    driver = process.driver
+    drv_steps = np.array(() if driver is None else driver.jump_steps, dtype=np.int64)
+    for k in drv_steps.tolist():
+        if not (0 <= k < n):
+            raise ValueError(f"driver jump step {k} outside 0..{n - 1}")
 
     values = np.zeros((n + 1, d_out))
     values[0] = process.initial
-    stoch = np.zeros((n, d_out))
     drift = np.zeros((n, d_out))
-    records = []
     dr = process.drift_rate * dt
     has_drift = bool(process.drift_rate.any())
 
-    phis = None
-    history = None
+    noise = sample.jumps
+    delta = np.zeros((len(noise), d_out))
     if integrand.deterministic:
         phis = _deterministic_phis(integrand, sample, active)
-        # one einsum for the continuous contributions of every step
+        # one einsum for the continuous contributions of every step, one
+        # stacked product for the deltas of every noise jump
         stoch = np.einsum("kjab,kjb->ka", phis[:, active], sample.gauss[:, active])
+        if len(noise):
+            delta = (phis[noise["step"], noise["cell"]] @ noise["amp"][:, :, None])[:, :, 0]
     else:
         phis = np.zeros((n, m, d_out, integrand.dim_in))
+        stoch = np.zeros((n, d_out))
         history = PathHistory(sample, values)
 
+    # jump rows in micro-order: a step's noise jumps by time, then its
+    # driver jumps in the driver's order
+    step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
+    if len(drv_steps):
+        pos = np.searchsorted(step, drv_steps, side="right")
+        step, time = np.insert(step, pos, drv_steps), np.insert(time, pos, times[drv_steps + 1])
+        cell, amp = np.insert(cell, pos, -1), np.insert(amp, pos, 0.0, axis=0)
+        delta = np.insert(delta, pos, driver.values, axis=0)
+    ends = np.searchsorted(step, np.arange(n), side="right").tolist()
+    cells = cell.tolist()
+    pre = np.zeros((len(step), d_out))
+
+    hi = 0
     for k in range(n):
+        lo, hi = hi, ends[k]
         v = values[k].copy()
         if has_drift:
             drift[k] = dr
@@ -454,26 +453,19 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
                 phis[k, j] = mat
                 sc += mat @ sample.gauss[k, j]
             stoch[k] = sc
+            for i in range(lo, hi):
+                if cells[i] >= 0:
+                    delta[i] = phis[k, cells[i]] @ amp[i]
         v += stoch[k]
-        for ev in sample.jumps_by_step[k]:
-            delta = phis[k, ev.cell] @ ev.amplitude
-            records.append(
-                JumpRecord(
-                    step=k, time=ev.time, cell=ev.cell, delta=delta,
-                    pre_value=v.copy(), source="noise",
-                )
-            )
-            v = v + delta
-        for delta in driver_by_step.get(k, ()):
-            records.append(
-                JumpRecord(
-                    step=k, time=times[k + 1], cell=None, delta=np.array(delta),
-                    pre_value=v.copy(), source="driver",
-                )
-            )
-            v = v + delta
+        for i in range(lo, hi):
+            pre[i] = v
+            v = v + delta[i]
         values[k + 1] = v
 
+    jumps = np.empty(len(step), _jump_dtype(d_out))
+    for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
+        jumps[name] = column
+    jumps.setflags(write=False)
     values.setflags(write=False)
     phis.setflags(write=False)
     stoch.setflags(write=False)
@@ -494,7 +486,7 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
         phis=phis,
         stoch_cont=stoch,
         drift=drift,
-        jumps=tuple(records),
+        jumps=jumps,
         provenance=provenance,
     )
 
@@ -721,11 +713,9 @@ def decompose_integral(path: ItoPath):
     np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
     jump_steps = np.zeros((n, d))
     fv_steps = np.zeros((n, d))
-    for rec in path.jumps:
-        if rec.source == "noise":
-            jump_steps[rec.step] += rec.delta
-        else:
-            fv_steps[rec.step] += rec.delta
+    noise = path.jumps["cell"] >= 0
+    np.add.at(jump_steps, path.jumps["step"][noise], path.jumps["delta"][noise])
+    np.add.at(fv_steps, path.jumps["step"][~noise], path.jumps["delta"][~noise])
     jump = np.zeros((n + 1, d))
     np.cumsum(jump_steps, axis=0, out=jump[1:])
     fv = np.zeros((n + 1, d))

@@ -267,15 +267,13 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
                 trace_term += 0.5 * cont_rate[j] * dt * np.einsum("qab,ac,bc->q", hess, m, m)
 
     for rec in path.jumps:
-        tau = float(rec.time)
-        pre = rec.pre_value
-        grad_pre = f.d_x(tau, pre)
-        step_inc = grad_pre @ rec.delta
-        if rec.source == "noise":
+        tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
+        step_inc = f.d_x(tau, pre) @ dx
+        if rec["cell"] >= 0:
             stoch_term += step_inc
         else:
             fv_term += step_inc
-        jump_term += f.value(tau, pre + rec.delta) - f.value(tau, pre) - step_inc
+        jump_term += f.value(tau, pre + dx) - f.value(tau, pre) - step_inc
 
     return ItoTerms(
         time=time_term,
@@ -356,15 +354,14 @@ def norm_power_expansion(path: ItoPath, p: float, trace_variant: str = "compensa
                 trace_hs += c_hs * float(np.sum(m * m)) * mass
 
     for rec in path.jumps:
-        pre = rec.pre_value
+        pre, dx = rec["pre"], rec["delta"]
         r = float(np.linalg.norm(pre))
-        grad_inc = p * r ** (p - 2.0) * float(pre @ rec.delta) if r > 0.0 else 0.0
-        if rec.source == "noise":
+        grad_inc = p * r ** (p - 2.0) * float(pre @ dx) if r > 0.0 else 0.0
+        if rec["cell"] >= 0:
             stoch += grad_inc
         else:
             fv += grad_inc
-        post = pre + rec.delta
-        jump += float(np.linalg.norm(post) ** p - r**p) - grad_inc
+        jump += float(np.linalg.norm(pre + dx) ** p - r**p) - grad_inc
 
     return NormPowerTerms(
         p=p, fv=fv, stoch=stoch, trace_outer=trace_outer, trace_hs=trace_hs,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "GaussianAmplitude",
     "CellNoise",
     "NoiseSpec",
-    "JumpEvent",
     "SamplePath",
     "QVMeasure",
     "QV_FLAVORS",
@@ -440,25 +439,22 @@ def substream(master_seed: int, stream: int, slot: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-@dataclass(frozen=True, eq=False)
-class JumpEvent:
-    """One jump of the noise field: cell, exact time, amplitude vector."""
-
-    step: int
-    cell: int
-    time: float
-    amplitude: np.ndarray
+@lru_cache(maxsize=None)
+def _jump_dtype(dim: int) -> np.dtype:
+    return np.dtype([("step", "i8"), ("cell", "i8"), ("time", "f8"), ("amp", "f8", (dim,))])
 
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """One realization of the noise field on a grid.
 
-    gauss[k, j] is the Gaussian increment of cell j over step k; jumps are
-    all jump events sorted by (step, time); jump_sums[k, j] their per-step
-    per-cell totals. Every amplitude family is centered, so the compensator
-    of the jumps is zero and the raw jump sums are already martingale
-    increments.
+    gauss[k, j] is the Gaussian increment of cell j over step k. jumps is a
+    read-only structured array, one row per jump event sorted by (step,
+    time), with fields step and cell (int64), time (float64, in
+    (t_step, t_step+1]) and amp (float64, (dim,)); jump_sums[k, j] holds the
+    per-step per-cell amplitude totals. Every amplitude family is centered,
+    so the compensator of the jumps is zero and the raw jump sums are
+    already martingale increments.
     """
 
     spec: NoiseSpec
@@ -466,15 +462,8 @@ class SamplePath:
     seed: int
     path_index: int
     gauss: np.ndarray
-    jumps: tuple
+    jumps: np.ndarray
     jump_sums: np.ndarray
-
-    @cached_property
-    def jumps_by_step(self) -> tuple:
-        buckets = [[] for _ in range(self.grid.n_steps)]
-        for ev in self.jumps:
-            buckets[ev.step].append(ev)
-        return tuple(tuple(b) for b in buckets)
 
 
 # Purpose slots inside one (seed, path, cell) stream family.
@@ -490,7 +479,7 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
     sqrt_dt = np.sqrt(dt)
     gauss = np.zeros((n, m, d))
     jump_sums = np.zeros((n, m, d))
-    events = []
+    parts = []  # per jumping cell: its step, cell, time and amplitude columns
     for j, cell in enumerate(spec.cells):
         if cell.has_diffusion:
             rg = substream(seed, path_index, 4 * j + _SLOT_GAUSS)
@@ -503,29 +492,30 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
             if total > 0:
                 rg_times = substream(seed, path_index, 4 * j + _SLOT_TIMES)
                 rg_amps = substream(seed, path_index, 4 * j + _SLOT_AMPS)
-                offsets = rg_times.random(total)
-                amps = cell.jump_amplitude.sample(rg_amps, total)
-                pos = 0
-                for k in np.nonzero(counts)[0]:
-                    c = int(counts[k])
-                    # times in (t_k, t_{k+1}]: 1 - U with U uniform on [0, 1)
-                    times = grid.times[k] + dt * (1.0 - offsets[pos : pos + c])
-                    order = np.argsort(times)
-                    for i in order:
-                        amp = amps[pos + i]
-                        events.append(JumpEvent(int(k), j, float(times[i]), amp))
-                        jump_sums[k, j, :] += amp
-                    pos += c
-    events.sort(key=lambda ev: (ev.step, ev.time))
+                step = np.repeat(np.arange(n), counts)
+                # times in (t_k, t_{k+1}]: 1 - U with U uniform on [0, 1)
+                time = grid.times[step] + dt * (1.0 - rg_times.random(total))
+                amp = cell.jump_amplitude.sample(rg_amps, total)
+                parts.append((step, np.full(total, j), time, amp))
+    jumps = np.zeros(0, _jump_dtype(d))
+    if parts:
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        order = np.lexsort((columns[2], columns[0]))
+        jumps = np.empty(len(order), jumps.dtype)
+        for name, column in zip(jumps.dtype.names, columns):
+            jumps[name] = column[order]
+        # in (step, time) order, so each block's amplitudes add up in time order
+        np.add.at(jump_sums, (jumps["step"], jumps["cell"]), jumps["amp"])
     gauss.setflags(write=False)
     jump_sums.setflags(write=False)
+    jumps.setflags(write=False)
     return SamplePath(
         spec=spec,
         grid=grid,
         seed=int(seed),
         path_index=int(path_index),
         gauss=gauss,
-        jumps=tuple(events),
+        jumps=jumps,
         jump_sums=jump_sums,
     )
 

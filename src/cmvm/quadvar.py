@@ -120,8 +120,8 @@ def optional_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
     steps = np.zeros(n)
     for j, mass, q in _flavor_terms(path, "continuous"):
         steps += np.einsum("kab,bc,kac->k", path.phis[:, j], q, other.phis[:, j]) * mass
-    for rec_a, rec_b in zip(path.jumps, other.jumps):
-        steps[rec_a.step] += float(rec_a.delta @ rec_b.delta)
+    if len(path.jumps):  # a path without jumps skips the numpy calls
+        np.add.at(steps, path.jumps["step"], np.vecdot(path.jumps["delta"], other.jumps["delta"]))
     out = np.zeros(n + 1)
     np.cumsum(steps, out=out[1:])
     return out
@@ -135,8 +135,8 @@ def optional_operator_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.n
     steps = np.zeros((n, d, d))
     for j, mass, q in _flavor_terms(path, "continuous"):
         steps += np.einsum("kab,bc,kdc->kad", path.phis[:, j], q, other.phis[:, j]) * mass
-    for rec_a, rec_b in zip(path.jumps, other.jumps):
-        steps[rec_a.step] += np.outer(rec_a.delta, rec_b.delta)
+    da, db = path.jumps["delta"], other.jumps["delta"]
+    np.add.at(steps, path.jumps["step"], da[:, :, None] * db[:, None, :])
     out = np.zeros((n + 1, d, d))
     np.cumsum(steps, axis=0, out=out[1:])
     return out
@@ -196,11 +196,11 @@ def make_adaptive_partition(path: ItoPath, delta: float) -> RandomPartition:
     dt = path.grid.dt
     max_steps = max(1, int(np.floor(delta / dt)))
     cont_steps = np.diff(predictable_qv(path, "continuous"))
-    jumps_by_step = {}
-    for rec in path.jumps:
-        jumps_by_step.setdefault(rec.step, []).append(rec)
+    # each jump's pre- and post-jump values, with per-step row ranges
+    around = np.stack([path.jumps["pre"], path.jumps["pre"] + path.jumps["delta"]], axis=1)
+    ends = np.searchsorted(path.jumps["step"], np.arange(n), side="right").tolist()
     idx = [0]
-    last = 0
+    last = lo = 0
     anchor = path.values[0]
     cont_mass = 0.0
     drift_var = 0.0
@@ -208,12 +208,10 @@ def make_adaptive_partition(path: ItoPath, delta: float) -> RandomPartition:
         cont_mass += cont_steps[k]
         drift_var += float(np.linalg.norm(path.drift[k]))
         moved = float(np.linalg.norm(path.values[k + 1] - anchor))
-        for rec in jumps_by_step.get(k, ()):
-            moved = max(
-                moved,
-                float(np.linalg.norm(rec.pre_value - anchor)),
-                float(np.linalg.norm(rec.pre_value + rec.delta - anchor)),
-            )
+        if ends[k] > lo:
+            x = around[lo : ends[k]] - anchor
+            moved = max(moved, float(np.sqrt(np.vecdot(x, x)).max()))
+            lo = ends[k]
         if (k + 1 - last) >= max_steps or moved >= delta or cont_mass >= delta or drift_var >= delta:
             idx.append(k + 1)
             last = k + 1
@@ -263,9 +261,8 @@ def weighted_qv_target(path: ItoPath, form: Callable[[float, np.ndarray], np.nda
         for k in range(n):
             phi = path.phis[k, j]
             total += float(np.trace(forms[k] @ phi @ q @ phi.T)) * mass
-    for rec in path.jumps:
-        f = forms[rec.step]
-        total += float(rec.delta @ f @ rec.delta)
+    for k, dx in zip(path.jumps["step"].tolist(), path.jumps["delta"]):
+        total += float(dx @ forms[k] @ dx)
     return total
 
 

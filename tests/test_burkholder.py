@@ -142,6 +142,8 @@ def test_check_rejects_bad_arguments(gauss_paths):
         check(gauss_paths, 2.0, moment="running")
     with pytest.raises(ValueError, match="positive"):
         check(gauss_paths, 0.0)
+    with pytest.raises(ValueError, match="non-empty ensemble"):
+        check([], 2.0)
 
 
 def test_sup_includes_refined_jump_positions(grid8):

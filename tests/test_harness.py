@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -223,3 +224,61 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run"]) == 2
     assert "give a config" in capsys.readouterr().err
+
+
+def _nan_rate_model(tmp_path):
+    doc = spec_to_json(make_preset("jump-default"))
+    doc["cells"][1]["jump"]["rate"] = float("nan")
+    model = tmp_path / "nan-rate.json"
+    model.write_text(json.dumps(doc))
+    return str(model)
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("verify-isometry", ["preset=NAN_MODEL"]),
+        ("verify-isometry", ["preset=no-such-model.json"]),
+        ("burkholder", ["params.continuous_preset=no-such-model.json"]),
+        ("verify-isometry", ["horizon=nan"]),
+        ("verify-isometry", ["horizon=NaN"]),
+        ("verify-isometry", ['horizon="1.0"']),
+        ("verify-isometry", ["n_steps=1.5"]),
+        ("verify-isometry", ['n_paths="abc"']),
+        ("verify-isometry", ["seed=0.5"]),
+        ("qv-converge", ["n_steps=32"]),
+        ("qv-converge", ["params.levels=[]"]),
+        ("ito-converge", ["params.levels=[]"]),
+    ],
+)
+def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
+    overrides = [o.replace("NAN_MODEL", _nan_rate_model(tmp_path)) for o in overrides]
+    args = [scenario] + [arg for o in overrides for arg in ("--set", o)]
+    for argv in (["validate-config"] + args, ["run"] + args + ["--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_still_resolve():
+    cfg = apply_overrides(load_config("verify-qv"), ["n_steps=16.0", "seed=3.0"])
+    assert (cfg.n_steps, cfg.seed) == (16, 3)
+    assert isinstance(cfg.n_steps, int) and isinstance(cfg.seed, int)
+
+
+def test_zero_median_fails_convergence_gate(tmp_path):
+    """On a pure-jump model the Riemann sums hit the optional bracket
+    exactly, so later medians are 0 and a ratio over them is undefined: the
+    gate must fail with a null value, not divide by zero."""
+    cfg = apply_overrides(
+        load_config("qv-converge"), ["preset=jump-default", "n_paths=40", "n_steps=128"]
+    )
+    res = run(cfg, str(tmp_path))
+    checks = {c["name"]: c for c in res.checks}
+    decreasing = checks["median-rel-err-strictly-decreasing"]
+    assert math.isnan(decreasing["value"]) and decreasing["passed"] is False
+    assert 0.0 in res.metrics["medians"]
+    blob = json.loads((tmp_path / "qv-converge.json").read_text())
+    stored = {c["name"]: c for c in blob["checks"]}
+    assert stored["median-rel-err-strictly-decreasing"]["value"] is None

@@ -105,20 +105,50 @@ def test_walk_reconstructs_exactly(mixed, grid8):
     sample = sample_path(mixed, grid8, seed=77, path_index=0)
     path = simulate_ito_process(proc, sample)
     assert len(sample.jumps) > 0
+    jumps = path.jumps
     for k in range(grid8.n_steps):
         v = path.values[k].copy()
         v += path.drift[k]
         v += path.stoch_cont[k]
-        for rec in path.jumps_in_step(k):
-            assert np.array_equal(rec.pre_value, v)
-            v = v + rec.delta
+        for rec in jumps[jumps["step"] == k]:
+            assert np.array_equal(rec["pre"], v)
+            v = v + rec["delta"]
         assert np.array_equal(path.values[k + 1], v), f"step {k} does not tile"
     # driver jumps land at right endpoints, after every noise jump of the step
-    driver_recs = [r for r in path.jumps if r.source == "driver"]
-    assert [r.step for r in driver_recs] == [2, 5]
-    for r in driver_recs:
-        assert r.time == pytest.approx(grid8.times[r.step + 1])
-        assert r.cell is None
+    driver = jumps["cell"] == -1
+    assert jumps["step"][driver].tolist() == [2, 5]
+    assert np.allclose(jumps["time"][driver], grid8.times[jumps["step"][driver] + 1])
+    for k in (2, 5):
+        in_step = jumps["cell"][jumps["step"] == k]
+        assert in_step[-1] == -1 and np.all(in_step[:-1] >= 0)
+
+
+def test_jumps_are_read_only_record_arrays(mixed, grid8):
+    """Sampled and walked jumps are structured arrays, one row per jump;
+    driver rows are marked by cell -1 at the right end of their step."""
+    sample = sample_path(mixed, grid8, seed=77, path_index=0)
+    proc = ItoProcessSpec(
+        constant_integrand(PHI), driver=FVDriver([2, 5], [[0.05, 0.0], [-0.02, 0.04]])
+    )
+    path = simulate_ito_process(proc, sample)
+    assert sample.jumps.dtype.names == ("step", "cell", "time", "amp")
+    assert sample.jumps.dtype["amp"].shape == (2,)
+    assert path.jumps.dtype.names == ("step", "time", "cell", "delta", "pre")
+    assert path.jumps.dtype["delta"].shape == path.jumps.dtype["pre"].shape == (2,)
+    assert len(sample.jumps) > 0
+    assert len(path.jumps) == len(sample.jumps) + 2
+    for jumps in (sample.jumps, path.jumps):
+        assert isinstance(jumps, np.ndarray) and not jumps.flags.writeable
+        with pytest.raises(ValueError):
+            jumps["step"][0] = 0
+    noise = path.jumps["cell"] >= 0
+    for field in ("step", "cell", "time"):
+        assert np.array_equal(path.jumps[field][noise], sample.jumps[field])
+    driver = path.jumps[~noise]
+    assert np.all(driver["cell"] == -1)
+    assert driver["step"].tolist() == [2, 5]
+    assert np.array_equal(driver["time"], grid8.times[driver["step"] + 1])
+    assert np.array_equal(driver["delta"], proc.driver.values)
 
 
 def test_lookahead_guard_raises(mixed, grid8):
@@ -294,7 +324,7 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
         assert np.allclose(cont[0], 0.0)
         assert np.allclose(jump[0], 0.0)
         assert np.allclose(fv[0], [1.0, 2.0])
-        noise_total = sum((r.delta for r in path.jumps if r.source == "noise"), np.zeros(2))
+        noise_total = path.jumps["delta"][path.jumps["cell"] >= 0].sum(axis=0)
         assert np.allclose(jump[-1], noise_total, atol=1e-12)
 
 

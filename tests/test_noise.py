@@ -268,9 +268,8 @@ def test_sampling_is_deterministic(mixed, grid8):
     b = sample_path(mixed, grid8, seed=99, path_index=3)
     assert np.array_equal(a.gauss, b.gauss)
     assert len(a.jumps) == len(b.jumps)
-    for ea, eb in zip(a.jumps, b.jumps):
-        assert (ea.step, ea.cell, ea.time) == (eb.step, eb.cell, eb.time)
-        assert np.array_equal(ea.amplitude, eb.amplitude)
+    for field in ("step", "cell", "time", "amp"):
+        assert np.array_equal(a.jumps[field], b.jumps[field])
     c = sample_path(mixed, grid8, seed=99, path_index=4)
     assert not np.array_equal(a.gauss, c.gauss)
     d = sample_path(mixed, grid8, seed=100, path_index=3)
@@ -316,19 +315,20 @@ def test_substream_independence():
 def test_jump_bookkeeping(ensemble, grid8):
     dt = grid8.dt
     for path in ensemble[:50]:
+        jumps = path.jumps
+        t_lo = grid8.times[jumps["step"]]
+        assert np.all((t_lo < jumps["time"]) & (jumps["time"] <= t_lo + dt + 1e-15))
         sums = np.zeros_like(path.jump_sums)
-        for ev in path.jumps:
-            t_lo = grid8.times[ev.step]
-            assert t_lo < ev.time <= t_lo + dt + 1e-15
-            sums[ev.step, ev.cell] += ev.amplitude
+        for step, cell, amp in zip(jumps["step"], jumps["cell"], jumps["amp"]):
+            sums[step, cell] += amp
         assert np.allclose(sums, path.jump_sums, atol=1e-15)
-        steps = [(ev.step, ev.time) for ev in path.jumps]
+        steps = list(zip(jumps["step"].tolist(), jumps["time"].tolist()))
         assert steps == sorted(steps)
 
 
 def test_poisson_event_rate(ensemble):
     # cell 3 fires at rate 2 on a unit horizon
-    counts = np.array([sum(ev.cell == 3 for ev in p.jumps) for p in ensemble])
+    counts = np.array([np.count_nonzero(p.jumps["cell"] == 3) for p in ensemble])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - 2.0) < 4.0 * se
 

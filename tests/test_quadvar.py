@@ -87,7 +87,7 @@ def test_optional_bracket_structure(paths):
         opt = optional_qv(p)
         manual = predictable_qv(p, "continuous").copy()
         for rec in p.jumps:
-            manual[rec.step + 1 :] += float(rec.delta @ rec.delta)
+            manual[rec["step"] + 1 :] += float(rec["delta"] @ rec["delta"])
         assert np.allclose(opt, manual, rtol=1e-12, atol=1e-15)
         op = optional_operator_qv(p)
         assert np.allclose(np.trace(op, axis1=1, axis2=2), opt, rtol=1e-12, atol=1e-15)
@@ -163,8 +163,6 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
     path whose only feature is one cancelled jump."""
     from dataclasses import replace
 
-    from cmvm.integrate import JumpRecord
-
     grid = TimeGrid(1.0, 16)
     real = integrate(constant_integrand(PHI), sample_path(mixed, grid, seed=7007, path_index=0))
     flat = dict(
@@ -177,12 +175,11 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
         drift=np.zeros((16, 2)),
         provenance=real.provenance,
     )
-    spike = JumpRecord(
-        step=5, time=float(grid.times[5]) + 0.01, cell=0,
-        delta=np.array([10.0, 0.0]), pre_value=np.zeros(2), source="noise",
-    )
-    doctored = replace(real, jumps=(spike,), **flat)
-    control = replace(real, jumps=(), **flat)
+    spike = np.zeros(1, real.jumps.dtype)
+    spike["step"], spike["time"], spike["cell"] = 5, float(grid.times[5]) + 0.01, 0
+    spike["delta"] = [10.0, 0.0]
+    doctored = replace(real, jumps=spike, **flat)
+    control = replace(real, jumps=spike[:0], **flat)
     assert make_adaptive_partition(doctored, 1.0).step_indices == (0, 6, 16)
     assert make_adaptive_partition(control, 1.0).step_indices == (0, 16)
 
