@@ -3,9 +3,11 @@
 The library side of the p-th moment inequalities. ``continuous_constant``
 returns the closed-form constant that works for continuous integrators:
 Lenglart domination below square power, the isometry at the square, and the
-bracket-domination route above it. The Monte Carlo helpers estimate both
-sides on an ensemble of walked paths, and ``check`` wraps them in a report
-that says which constant was used and where it came from:
+bracket-domination route above it. ``walk_ensemble`` walks each path once
+and keeps only its statistics (running sup, terminal norm and every bracket
+flavor), one row per path; ``check`` estimates both sides from those
+columns and returns a report that says which constant was used and where it
+came from:
 
 * "closed-form": a constant the continuous theory provides (also used for
   the terminal second moment, which is an identity for any integrator);
@@ -24,25 +26,23 @@ bias is conservative for checking upper bounds and is left uncorrected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .integrate import ItoPath, ItoProcessSpec, _mean_se, simulate_ito_process
-from .noise import NoiseSpec, TimeGrid, sample_path
+from .noise import NoiseSpec, TimeGrid, normalize_spec, sample_path
 from .quadvar import optional_qv, predictable_qv
 
 __all__ = [
     "bracket_power_constant",
     "continuous_constant",
     "BRACKET_FLAVORS",
+    "Ensemble",
     "walk_ensemble",
     "path_running_sup",
     "bracket_terminal",
-    "mc_sup_moment",
-    "mc_terminal_moment",
-    "mc_qv_moment",
     "terminal_isometry_gap",
     "BurkholderReport",
     "check",
@@ -67,21 +67,6 @@ def continuous_constant(p: float) -> float:
     if p == 2.0:
         return 1.0
     return bracket_power_constant(p) ** (0.5 * p)
-
-
-def walk_ensemble(
-    process: ItoProcessSpec,
-    spec: NoiseSpec,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    base_index: int = 0,
-) -> List[ItoPath]:
-    """Walk the same process on n_paths independent driving samples."""
-    return [
-        simulate_ito_process(process, sample_path(spec, grid, seed=seed, path_index=base_index + i))
-        for i in range(n_paths)
-    ]
 
 
 def path_running_sup(path: ItoPath) -> float:
@@ -116,36 +101,60 @@ def bracket_terminal(path: ItoPath, flavor: str = "optional") -> float:
     raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
 
 
-def mc_sup_moment(paths: Sequence[ItoPath], p: float) -> Tuple[float, float]:
-    """Estimate of E sup|I|^p with its standard error."""
-    return _mean_se(np.array([path_running_sup(path) ** p for path in paths]))
+@dataclass(frozen=True)
+class Ensemble:
+    """Per-path statistics of a walked ensemble.
+
+    ``stats`` is a read-only record array, one row per path, with fields
+    ``sup`` (running sup of |I|), ``terminal`` (|I_T|), ``terminal_sq``
+    (|I_T|^2) and one terminal bracket per name in ``BRACKET_FLAVORS``.
+    ``has_jumps`` says whether the noise model can jump, whether or not a
+    path did.
+    """
+
+    stats: np.ndarray
+    has_jumps: bool
 
 
-def mc_terminal_moment(paths: Sequence[ItoPath], p: float) -> Tuple[float, float]:
-    """Estimate of E |I_T|^p with its standard error."""
-    return _mean_se(np.array([float(np.linalg.norm(path.terminal)) ** p for path in paths]))
+_STATS_DTYPE = np.dtype(
+    [(name, np.float64) for name in ("sup", "terminal", "terminal_sq") + BRACKET_FLAVORS]
+)
 
 
-def mc_qv_moment(
-    paths: Sequence[ItoPath], p: float, flavor: str = "optional"
-) -> Tuple[float, float]:
-    """Estimate of E bracket_T^{p/2} with its standard error."""
-    return _mean_se(np.array([bracket_terminal(path, flavor) ** (0.5 * p) for path in paths]))
+def walk_ensemble(
+    process: ItoProcessSpec,
+    spec: NoiseSpec,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    base_index: int = 0,
+) -> Ensemble:
+    """Walk the same process on n_paths independent driving samples and
+    keep each path's statistics; the paths themselves are not kept."""
+    stats = np.empty(n_paths, _STATS_DTYPE)
+    for i in range(n_paths):
+        sample = sample_path(spec, grid, seed=seed, path_index=base_index + i)
+        path = simulate_ito_process(process, sample)
+        end = path.terminal
+        brackets = [bracket_terminal(path, flavor) for flavor in BRACKET_FLAVORS]
+        stats[i] = (path_running_sup(path), float(np.linalg.norm(end)), float(end @ end), *brackets)
+    stats.setflags(write=False)
+    return Ensemble(stats, bool(normalize_spec(spec).tables.jump_rate.any()))
 
 
-def terminal_isometry_gap(paths: Sequence[ItoPath]) -> Tuple[float, float]:
+def _moment(column: np.ndarray, q: float) -> Tuple[float, float]:
+    """Mean of column**q with its standard error. The powers are taken on
+    Python floats: np.power can differ from ** in the last bit."""
+    return _mean_se(np.array([v ** q for v in column.tolist()]))
+
+
+def terminal_isometry_gap(ensemble: Ensemble) -> Tuple[float, float]:
     """Paired per-path gap |I_T|^2 - <I>_T: mean and standard error.
 
     Zero in expectation for any integrand the walk accepts; the pairing
     cancels most of the variance the two one-sided estimates would carry.
     """
-    gaps = np.array(
-        [
-            float(path.terminal @ path.terminal) - bracket_terminal(path, "predictable")
-            for path in paths
-        ]
-    )
-    return _mean_se(gaps)
+    return _mean_se(ensemble.stats["terminal_sq"] - ensemble.stats["predictable"])
 
 
 @dataclass(frozen=True)
@@ -166,27 +175,14 @@ class BurkholderReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "flavor": self.flavor,
-            "moment": self.moment,
-            "n_paths": self.n_paths,
-            "lhs": self.lhs,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs_core": self.rhs_core,
-            "rhs_stderr": self.rhs_stderr,
-            "constant": self.constant,
-            "constant_source": self.constant_source,
-            "ratio": self.ratio,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def check(
-    paths: Sequence[ItoPath],
+    ensemble: Ensemble,
     p: float,
     flavor: str = "optional",
     moment: str = "sup",
@@ -201,25 +197,24 @@ def check(
     an empirical constant the inequality is the definition of the constant,
     so ``satisfied`` only reports that both sides were finite and positive.
     """
-    if not paths:
+    stats = ensemble.stats
+    if not len(stats):
         raise ValueError("the moment check needs a non-empty ensemble of paths")
     if moment not in ("sup", "terminal"):
         raise ValueError(f"moment must be 'sup' or 'terminal', got {moment!r}")
     if p <= 0.0:
         raise ValueError(f"moment order must be positive, got p={p}")
-    if moment == "sup":
-        lhs, lhs_se = mc_sup_moment(paths, p)
-    else:
-        lhs, lhs_se = mc_terminal_moment(paths, p)
-    rhs, rhs_se = mc_qv_moment(paths, p, flavor)
+    if flavor not in BRACKET_FLAVORS:
+        raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
+    lhs, lhs_se = _moment(stats[moment], p)
+    rhs, rhs_se = _moment(stats[flavor], 0.5 * p)
 
-    has_jumps = bool(paths[0].sample.spec.tables.jump_rate.any())
     ratio = lhs / rhs if rhs > 0.0 else float("inf")
     if constant is not None:
         source = "supplied"
     elif moment == "terminal" and p == 2.0:
         constant, source = 1.0, "closed-form"
-    elif not has_jumps:
+    elif not ensemble.has_jumps:
         constant, source = continuous_constant(p), "closed-form"
     elif p < 2.0 and flavor == "predictable":
         constant, source = continuous_constant(p), "heuristic"
@@ -236,7 +231,7 @@ def check(
         p=float(p),
         flavor=flavor,
         moment=moment,
-        n_paths=len(paths),
+        n_paths=len(stats),
         lhs=lhs,
         lhs_stderr=lhs_se,
         rhs_core=rhs,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .harness import (
@@ -43,6 +44,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         help="override a config field (repeatable); params.NAME reaches into params",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config's seed")
+
+
+def _shown(value) -> str:
+    """A check field as the CSV writes it, with a blank (null or non-finite) as '-'."""
+    return repr(value) if value is not None and math.isfinite(value) else "-"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +111,8 @@ def main(argv=None) -> int:
     print(f"scenario {result.scenario} ({config_hash(cfg)[:12]})")
     for check in result.checks:
         state = "pass" if check["passed"] else "FAIL"
-        print(f"  [{state}] {check['name']}: value={check['value']!r}")
+        fields = " ".join(f"{k}={_shown(check[k])}" for k in ("value", "target", "tolerance", "z"))
+        print(f"  [{state}] {check['name']}: {fields}")
     print(f"  csv:  {result.csv_path}")
     print(f"  json: {result.json_path}")
     print(f"  {'PASS' if result.passed else 'FAIL'}")

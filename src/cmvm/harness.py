@@ -222,9 +222,20 @@ def _build_config(data: dict) -> ExperimentConfig:
     n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
     if n_steps <= 0 or n_paths <= 0:
         raise ValueError("n_steps and n_paths must be positive")
-    _spec_for(fields["preset"])
+    models = [fields["preset"]]
     if "continuous_preset" in params:
-        _spec_for(params["continuous_preset"])
+        models.append(params["continuous_preset"])
+    dims = {name: _spec_for(name).dim for name in models}
+    if "phi" in params:  # every phi-driven integrand maps model noise to len(phi) outputs
+        rows = len(_param_array(params, "phi", 2))
+        for key in [k for k in ("phi", "phi_b") if k in params]:
+            cols = _param_array(params, key, 2).shape[1]
+            for name, dim in dims.items():
+                if cols != dim:
+                    raise ValueError(f"params.{key} has {cols} columns; model {name!r} has dim {dim}")
+        for key, ndim in (("phi_b", 2), ("weight", 1), ("drift", 1)):
+            if key in params and len(_param_array(params, key, ndim)) != rows:
+                raise ValueError(f"params.{key} needs one entry per row of params.phi ({rows})")
     if "levels" in params:
         levels = params["levels"]
         if not isinstance(levels, list) or not levels:
@@ -244,6 +255,17 @@ def _build_config(data: dict) -> ExperimentConfig:
         seed=seed,
         params=params,
     )
+
+
+def _param_array(params: dict, key: str, ndim: int) -> np.ndarray:
+    """params[key] as a float array with ndim axes, or a ValueError naming it."""
+    try:
+        arr = np.array(params[key], dtype=np.float64)
+        if arr.ndim == ndim:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"params.{key} must be a {ndim}-D numeric array, got {params[key]!r}")
 
 
 def _integer(key: str, value) -> int:
@@ -532,13 +554,14 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
 
 def _monotone_checks(prefix: str, medians, final_tol: float, relative_to_first: bool):
     """Shared gate shape of the two convergence scenarios. A ratio over a
-    zero median is NaN, so its gate fails with a null value."""
+    zero median is NaN, and a single level has no ratio; either way the
+    decreasing gate fails with a null value."""
 
     def ratio(b, a):
         return b / a if a > 0.0 else math.nan
 
     ratios = [ratio(b, a) for a, b in zip(medians, medians[1:])]
-    worst_ratio = math.nan if any(map(math.isnan, ratios)) else max(ratios, default=0.0)
+    worst_ratio = max(ratios) if ratios and not any(map(math.isnan, ratios)) else math.nan
     final = ratio(medians[-1], medians[0]) if relative_to_first else medians[-1]
     return [
         _check(f"{prefix}-strictly-decreasing", worst_ratio, 0.0, 1.0, worst_ratio < 1.0),
@@ -811,53 +834,35 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     proc = ItoProcessSpec(constant_integrand(_phi_matrix(p)))
     cont_name = p["continuous_preset"]
-    cont_paths = walk_ensemble(proc, _spec_for(cont_name), grid, cfg.n_paths, cfg.seed)
-    jump_paths = walk_ensemble(proc, _spec_for(cfg.preset), grid, cfg.n_paths, cfg.seed + 1)
+    cont = walk_ensemble(proc, _spec_for(cont_name), grid, cfg.n_paths, cfg.seed)
+    jump = walk_ensemble(proc, _spec_for(cfg.preset), grid, cfg.n_paths, cfg.seed + 1)
 
-    rows, reports, checks = [], [], []
+    reports, checks = [], []  # reports as (report, preset) pairs
     for order in p["p_closed"]:
-        rep = burkholder_check(cont_paths, float(order), flavor="optional")
-        reports.append(rep)
-        checks.append(
-            _check(
-                f"sup-moment-p{order}",
-                rep.ratio,
-                rep.constant,
-                0.0,
-                rep.satisfied and rep.constant_source == "closed-form",
-            )
-        )
-        rows.append((rep.p, cont_name, rep.flavor, rep.moment, rep.lhs, rep.rhs_core,
-                     rep.constant, rep.constant_source, rep.ratio, rep.satisfied))
+        rep = burkholder_check(cont, float(order), flavor="optional")
+        ok = rep.satisfied and rep.constant_source == "closed-form"
+        reports.append((rep, cont_name))
+        checks.append(_check(f"sup-moment-p{order}", rep.ratio, rep.constant, 0.0, ok))
 
-    gap, gap_se = terminal_isometry_gap(cont_paths)
+    gap, gap_se = terminal_isometry_gap(cont)
     gap_z = _z_score(gap, gap_se)
-    rep2 = burkholder_check(cont_paths, 2.0, flavor="predictable", moment="terminal")
-    reports.append(rep2)
-    checks.append(
-        _check("terminal-equality-p2-z", gap_z, 0.0, p["z_max"],
-               rep2.satisfied and abs(gap_z) <= p["z_max"], z=gap_z)
-    )
-    rows.append((2.0, cont_name, rep2.flavor, rep2.moment, rep2.lhs, rep2.rhs_core,
-                 rep2.constant, rep2.constant_source, rep2.ratio, rep2.satisfied))
+    rep = burkholder_check(cont, 2.0, flavor="predictable", moment="terminal")
+    ok = rep.satisfied and abs(gap_z) <= p["z_max"]
+    reports.append((rep, cont_name))
+    checks.append(_check("terminal-equality-p2-z", gap_z, 0.0, p["z_max"], ok, z=gap_z))
 
     for order in p["p_empirical"]:
-        rep = burkholder_check(jump_paths, float(order), flavor="optional")
-        reports.append(rep)
-        checks.append(
-            _check(
-                f"empirical-ratio-p{order}",
-                rep.ratio,
-                None,
-                0.0,
-                rep.satisfied and rep.constant_source == "empirical",
-            )
-        )
-        rows.append((rep.p, cfg.preset, rep.flavor, rep.moment, rep.lhs, rep.rhs_core,
-                     rep.constant, rep.constant_source, rep.ratio, rep.satisfied))
+        rep = burkholder_check(jump, float(order), flavor="optional")
+        ok = rep.satisfied and rep.constant_source == "empirical"
+        reports.append((rep, cfg.preset))
+        checks.append(_check(f"empirical-ratio-p{order}", rep.ratio, None, 0.0, ok))
 
+    rows = [
+        tuple(preset if key == "preset" else getattr(rep, key) for key in _BURKHOLDER_HEADER)
+        for rep, preset in reports
+    ]
     metrics = {
-        "reports": [rep.to_dict() for rep in reports],
+        "reports": [rep.to_dict() for rep, _ in reports],
         "terminal_gap": gap,
         "terminal_gap_stderr": gap_se,
         "terminal_gap_z": gap_z,

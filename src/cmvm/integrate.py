@@ -293,7 +293,6 @@ class ItoPath:
     stoch_cont: np.ndarray
     drift: np.ndarray
     jumps: np.ndarray
-    provenance: dict
 
     @property
     def dim_out(self) -> int:
@@ -352,12 +351,6 @@ class ItoProcessSpec:
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "drift_rate", rate)
         object.__setattr__(self, "driver", driver)
-
-    @property
-    def is_driftless(self) -> bool:
-        return not self.drift_rate.any() and (
-            self.driver is None or len(self.driver.jump_steps) == 0
-        )
 
 
 def _deterministic_phis(integrand: Integrand, sample: SamplePath, active) -> np.ndarray:
@@ -470,14 +463,6 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
     phis.setflags(write=False)
     stoch.setflags(write=False)
     drift.setflags(write=False)
-    provenance = {
-        "seed": sample.seed,
-        "path_index": sample.path_index,
-        "n_steps": n,
-        "horizon": grid.horizon,
-        "integrand": integrand.name,
-        "deterministic": integrand.deterministic,
-    }
     return ItoPath(
         sample=sample,
         grid=grid,
@@ -487,7 +472,6 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
         stoch_cont=stoch,
         drift=drift,
         jumps=jumps,
-        provenance=provenance,
     )
 
 

@@ -652,15 +652,22 @@ def spec_to_json(spec: NoiseSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> NoiseSpec:
-    try:
-        dim = int(doc["dim"])
-        partition = SpatialPartition(doc["partition"])
-        cell_docs = doc["cells"]
-    except KeyError as exc:
-        raise ValueError(f"noise spec document is missing field {exc}") from exc
+    def field(key, convert):
+        try:
+            return convert(doc[key])
+        except KeyError as exc:
+            raise ValueError(f"noise spec document is missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"noise spec field {key!r}: {exc}") from exc
+
+    dim = field("dim", int)
+    partition = field("partition", SpatialPartition)
+    cell_docs = field("cells", list)
     cells = []
     for j, cd in enumerate(cell_docs):
         try:
+            if not isinstance(cd, dict):
+                raise TypeError(f"expected an object, got {cd!r}")
             diffusion = cd.get("diffusion")
             jump = cd.get("jump")
             kwargs = {}
@@ -671,7 +678,7 @@ def spec_from_json(doc: dict) -> NoiseSpec:
                 kwargs["jump_rate"] = float(jump["rate"])
                 kwargs["jump_amplitude"] = amplitude_from_params(jump["amplitude"])
             cells.append(CellNoise(**kwargs))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"cell {j}: {exc}") from exc
     return NoiseSpec(dim, partition, cells)
 

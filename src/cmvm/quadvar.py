@@ -86,8 +86,8 @@ def _same_driving(a: ItoPath, b: ItoPath) -> bool:
     if a.sample is b.sample:
         return True
     return (
-        a.provenance["seed"] == b.provenance["seed"]
-        and a.provenance["path_index"] == b.provenance["path_index"]
+        a.sample.seed == b.sample.seed
+        and a.sample.path_index == b.sample.path_index
         and a.grid == b.grid
         and a.sample.spec is b.sample.spec
     )
@@ -99,8 +99,8 @@ def _check_pair(path: ItoPath, other: Optional[ItoPath]) -> ItoPath:
     if not _same_driving(path, other):
         raise ValueError(
             "cross bracket needs both paths walked on the same driving sample; "
-            f"got seeds {path.provenance['seed']}/{other.provenance['seed']}, "
-            f"path indices {path.provenance['path_index']}/{other.provenance['path_index']}"
+            f"got seeds {path.sample.seed}/{other.sample.seed}, "
+            f"path indices {path.sample.path_index}/{other.sample.path_index}"
         )
     if len(path.jumps) != len(other.jumps):
         raise ValueError("paths disagree on the jump sequence; different drivers?")

@@ -1,4 +1,4 @@
-"""Moment-bound constants, Monte Carlo estimators and report policy."""
+"""Moment-bound constants, ensemble statistics and report policy."""
 
 import json
 import math
@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from cmvm.burkholder import (
+    BRACKET_FLAVORS,
+    Ensemble,
     bracket_power_constant,
     bracket_terminal,
     check,
     continuous_constant,
-    mc_sup_moment,
-    mc_terminal_moment,
     path_running_sup,
     terminal_isometry_gap,
     walk_ensemble,
@@ -87,8 +87,8 @@ def test_doob_band_diagnostic(gauss_paths):
     report = check(gauss_paths, 2.0, flavor="predictable", moment="sup", constant=4.0)
     assert report.constant_source == "supplied"
     assert report.satisfied
-    sup_m, _ = mc_sup_moment(gauss_paths, 2.0)
-    term_m, _ = mc_terminal_moment(gauss_paths, 2.0)
+    sup_m = report.lhs
+    term_m = check(gauss_paths, 2.0, flavor="predictable", moment="terminal").lhs
     assert sup_m >= term_m
 
 
@@ -113,19 +113,57 @@ def test_jump_model_below_square_is_flagged_heuristic(mixed_paths):
 
 def test_bracket_flavors_add_up(mixed_paths):
     saw_jump = False
-    for path in mixed_paths[:200]:
-        cont = bracket_terminal(path, "continuous")
-        jumps = bracket_terminal(path, "jumps")
-        opt = bracket_terminal(path, "optional")
+    for row in mixed_paths.stats[:200]:
+        cont = row["continuous"]
+        jumps = row["jumps"]
+        opt = row["optional"]
         assert abs(opt - (cont + jumps)) < 1e-12 * max(1.0, opt)
-        assert bracket_terminal(path, "predictable") >= cont
+        assert row["predictable"] >= cont
         saw_jump = saw_jump or jumps > 0.0
     assert saw_jump
 
 
-def test_unknown_bracket_flavor(mixed_paths):
+def test_unknown_bracket_flavor(grid8, mixed_paths):
+    proc = ItoProcessSpec(constant_integrand(PHI))
+    path = simulate_ito_process(proc, sample_path(make_preset("mixed-default"), grid8, seed=4502))
     with pytest.raises(ValueError, match="predictable.*optional"):
-        bracket_terminal(mixed_paths[0], "realised")
+        bracket_terminal(path, "realised")
+    with pytest.raises(ValueError, match="unknown bracket flavor.*predictable.*optional"):
+        check(mixed_paths, 2.0, flavor="realised")
+
+
+def test_ensemble_rows_match_paths_walked_alone(grid8):
+    """Each row holds the statistics of the same (seed, index) path walked on
+    its own; the rows are read-only and no path object is kept."""
+    spec = make_preset("mixed-default")
+    proc = ItoProcessSpec(constant_integrand(PHI))
+    ens = walk_ensemble(proc, spec, grid8, n_paths=6, seed=4503, base_index=10)
+    assert isinstance(ens, Ensemble) and len(ens.stats) == 6 and ens.has_jumps
+    assert ens.stats.dtype.names == ("sup", "terminal", "terminal_sq") + BRACKET_FLAVORS
+    for i, row in enumerate(ens.stats):
+        path = simulate_ito_process(proc, sample_path(spec, grid8, seed=4503, path_index=10 + i))
+        assert row["sup"] == path_running_sup(path)
+        assert row["terminal"] == float(np.linalg.norm(path.terminal))
+        assert row["terminal_sq"] == float(path.terminal @ path.terminal)
+        for flavor in BRACKET_FLAVORS:
+            assert row[flavor] == bracket_terminal(path, flavor)
+    assert not ens.stats.flags.writeable
+    with pytest.raises(ValueError):
+        ens.stats["sup"][0] = 0.0
+
+
+def test_jump_model_flag_survives_an_ensemble_without_jumps(grid8):
+    """has_jumps comes from the noise model, not from the draws: a one-path
+    jump ensemble that realized no jump still gets the jump-model policy."""
+    spec = make_preset("jump-default")
+    proc = ItoProcessSpec(constant_integrand(PHI))
+    idx = next(
+        i for i in range(500) if not len(sample_path(spec, grid8, seed=4504, path_index=i).jumps)
+    )
+    one = walk_ensemble(proc, spec, grid8, n_paths=1, seed=4504, base_index=idx)
+    assert one.stats["jumps"][0] == 0.0
+    assert one.has_jumps
+    assert check(one, 1.0, flavor="predictable").constant_source == "heuristic"
 
 
 def test_report_round_trips_through_json(gauss_paths):
@@ -137,13 +175,15 @@ def test_report_round_trips_through_json(gauss_paths):
     assert set(blob) == set(report.to_dict())
 
 
-def test_check_rejects_bad_arguments(gauss_paths):
+def test_check_rejects_bad_arguments(grid8, gauss_paths):
     with pytest.raises(ValueError, match="sup.*terminal"):
         check(gauss_paths, 2.0, moment="running")
     with pytest.raises(ValueError, match="positive"):
         check(gauss_paths, 0.0)
+    proc = ItoProcessSpec(constant_integrand(PHI))
+    empty = walk_ensemble(proc, make_preset("gauss-default"), grid8, n_paths=0, seed=1)
     with pytest.raises(ValueError, match="non-empty ensemble"):
-        check([], 2.0)
+        check(empty, 2.0)
 
 
 def test_sup_includes_refined_jump_positions(grid8):

@@ -196,7 +196,9 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    assert "[pass] polarization" in out
+    line = next(ln for ln in out.splitlines() if "[pass] polarization:" in ln)
+    assert "value=" in line and "target=0.0" in line and "tolerance=1e-12" in line
+    assert line.endswith(" z=-")
 
     # an absurdly tight relative tolerance makes the gate fail honestly
     code = main(
@@ -212,7 +214,12 @@ def test_cli_run_exit_codes(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    line = next(ln for ln in out.splitlines() if "second-moment-z:" in ln)
+    shown = dict(item.split("=") for item in line.split(": ", 1)[1].split())
+    assert list(shown) == ["value", "target", "tolerance", "z"]
+    assert "-" not in shown.values() and shown["z"] == shown["value"], line
 
 
 def test_cli_bad_inputs_exit_two(tmp_path, capsys):
@@ -226,10 +233,19 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert "give a config" in capsys.readouterr().err
 
 
-def _nan_rate_model(tmp_path):
+def _model_file(tmp_path, name):
+    """A noise-model file: jump-default with one field spoiled, or a valid 1-D model."""
     doc = spec_to_json(make_preset("jump-default"))
-    doc["cells"][1]["jump"]["rate"] = float("nan")
-    model = tmp_path / "nan-rate.json"
+    if name == "NAN_MODEL":
+        doc["cells"][1]["jump"]["rate"] = float("nan")
+    elif name == "LIST_DIM_MODEL":
+        doc["dim"] = [2]
+    elif name == "SCALAR_CELL_MODEL":
+        doc["cells"][1] = 5
+    elif name == "ONE_DIM_MODEL":
+        cell = {"diffusion": {"cov": [[1.0]], "intensity": 1.0}, "jump": None}
+        doc = {"dim": 1, "partition": [0.0, 1.0], "cells": [cell]}
+    model = tmp_path / f"{name.lower()}.json"
     model.write_text(json.dumps(doc))
     return str(model)
 
@@ -249,11 +265,24 @@ def _nan_rate_model(tmp_path):
         ("qv-converge", ["n_steps=32"]),
         ("qv-converge", ["params.levels=[]"]),
         ("ito-converge", ["params.levels=[]"]),
+        ("verify-isometry", ["preset=LIST_DIM_MODEL"]),
+        ("verify-isometry", ["preset=SCALAR_CELL_MODEL"]),
+        ("verify-isometry", ["params.phi=[[1.0]]"]),
+        ("verify-isometry", ["params.phi=[1.0, 0.0]"]),
+        ("verify-isometry", ['params.phi=[[1.0, "a"], [0.0, 1.0]]']),
+        ("burkholder", ["params.phi=[[1.0]]"]),
+        ("burkholder", ["params.continuous_preset=ONE_DIM_MODEL"]),
+        ("verify-qv", ["params.phi_b=[[0.2, -0.5]]"]),
+        ("verify-conditional-isometry", ["params.weight=[0.6]"]),
+        ("ito-converge", ["params.drift=[0.3, -0.2, 0.1]"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
-    overrides = [o.replace("NAN_MODEL", _nan_rate_model(tmp_path)) for o in overrides]
-    args = [scenario] + [arg for o in overrides for arg in ("--set", o)]
+    def resolve(item):
+        key, value = item.split("=", 1)
+        return f"{key}={_model_file(tmp_path, value)}" if value.endswith("_MODEL") else item
+
+    args = [scenario] + [arg for o in overrides for arg in ("--set", resolve(o))]
     for argv in (["validate-config"] + args, ["run"] + args + ["--out", str(tmp_path / "out")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -282,3 +311,14 @@ def test_zero_median_fails_convergence_gate(tmp_path):
     blob = json.loads((tmp_path / "qv-converge.json").read_text())
     stored = {c["name"]: c for c in blob["checks"]}
     assert stored["median-rel-err-strictly-decreasing"]["value"] is None
+
+
+@pytest.mark.parametrize("scenario, level", [("qv-converge", 3), ("ito-converge", 4)])
+def test_single_level_fails_convergence_gate(tmp_path, scenario, level):
+    """One level leaves no ratio to compare, so the decreasing gate must fail
+    with a null value instead of passing on 0.0."""
+    argv = ["run", scenario, "--set", f"params.levels=[{level}]", "--set", "n_paths=20"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    blob = json.loads((tmp_path / f"{scenario}.json").read_text())
+    decreasing = next(c for c in blob["checks"] if c["name"].endswith("-strictly-decreasing"))
+    assert decreasing["value"] is None and decreasing["passed"] is False

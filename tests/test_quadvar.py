@@ -173,7 +173,6 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
         phis=np.zeros_like(real.phis),
         stoch_cont=np.zeros((16, 2)),
         drift=np.zeros((16, 2)),
-        provenance=real.provenance,
     )
     spike = np.zeros(1, real.jumps.dtype)
     spike["step"], spike["time"], spike["cell"] = 5, float(grid.times[5]) + 0.01, 0
