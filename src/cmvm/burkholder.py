@@ -33,7 +33,7 @@ import numpy as np
 
 from .integrate import ItoPath, ItoProcessSpec, _mean_se, simulate_ito_process
 from .noise import NoiseSpec, TimeGrid, normalize_spec, sample_path
-from .quadvar import optional_qv, predictable_qv
+from .quadvar import _add_jumps, _bracket_steps, optional_qv, predictable_qv
 
 __all__ = [
     "bracket_power_constant",
@@ -130,13 +130,18 @@ def walk_ensemble(
     base_index: int = 0,
 ) -> Ensemble:
     """Walk the same process on n_paths independent driving samples and
-    keep each path's statistics; the paths themselves are not kept."""
+    keep each path's statistics; the paths themselves are not kept. Each
+    bracket column equals ``bracket_terminal`` of its flavor; the continuous
+    and optional columns share one computation of the continuous steps."""
     stats = np.empty(n_paths, _STATS_DTYPE)
     for i in range(n_paths):
         sample = sample_path(spec, grid, seed=seed, path_index=base_index + i)
         path = simulate_ito_process(process, sample)
         end = path.terminal
-        brackets = [bracket_terminal(path, flavor) for flavor in BRACKET_FLAVORS]
+        cont = _bracket_steps(path, "continuous")
+        opt = _add_jumps(cont.copy(), path, path)
+        pred, jumps = bracket_terminal(path, "predictable"), bracket_terminal(path, "jumps")
+        brackets = (pred, float(np.cumsum(cont)[-1]), jumps, float(np.cumsum(opt)[-1]))
         stats[i] = (path_running_sup(path), float(np.linalg.norm(end)), float(end @ end), *brackets)
     stats.setflags(write=False)
     return Ensemble(stats, bool(normalize_spec(spec).tables.jump_rate.any()))

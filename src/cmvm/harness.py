@@ -522,6 +522,7 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     mat_a = _phi_matrix(p)
     mat_b = _phi_matrix(p, "phi_b")
     adapted = state_linear_integrand(mat_a, p["weight"], p["gain"])
+    ia, ib, iab = (constant_integrand(m) for m in (mat_a, mat_b, mat_a + mat_b))
     worst = {f"mass-{flavor}": 0.0 for flavor in QV_FLAVORS}
     worst["optional-additivity"] = 0.0
     worst["polarization"] = 0.0
@@ -540,9 +541,7 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
         worst["optional-additivity"] = max(
             worst["optional-additivity"], abs(opt - (cont + jumps)) / max(1.0, opt)
         )
-        pa = integrate(constant_integrand(mat_a), sample)
-        pb = integrate(constant_integrand(mat_b), sample)
-        pab = integrate(constant_integrand(mat_a + mat_b), sample)
+        pa, pb, pab = integrate(ia, sample), integrate(ib, sample), integrate(iab, sample)
         lhs = optional_qv(pab)[-1]
         rhs = optional_qv(pa)[-1] + 2.0 * optional_qv(pa, pb)[-1] + optional_qv(pb)[-1]
         worst["polarization"] = max(worst["polarization"], abs(lhs - rhs) / max(1.0, abs(lhs)))

@@ -53,8 +53,6 @@ __all__ = [
     "lambda2_norm",
     "EventCheck",
     "conditional_isometry_check",
-    "LocalizedPath",
-    "localize",
     "decompose_integral",
     "integrate_process",
     "compose_integrands",
@@ -631,56 +629,6 @@ def conditional_isometry_check(
             )
         )
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class LocalizedPath:
-    """A path stopped when its predictable bracket first reaches a level."""
-
-    source: ItoPath
-    level: float
-    stop_step: int
-    stop_time: float
-    values: np.ndarray
-    stopped_mass: float
-
-    @property
-    def stopped_early(self) -> bool:
-        return self.stop_step < self.source.grid.n_steps
-
-
-def localize(path: ItoPath, level: float, flavor: str = "total") -> LocalizedPath:
-    """Stop the path at the first grid time where the cumulative predictable
-    bracket reaches ``level``; the whole horizon if it never does. The
-    bracket is realized_lambda2_mass accumulated step by step in one pass.
-
-    The stopped bracket stays below level plus one step's mass, which is the
-    discrete shadow of local boundedness: the stopped integrand has finite
-    norm no matter how the full one behaves later.
-    """
-    if level <= 0.0:
-        raise ValueError(f"level must be positive, got {level}")
-    table = path.sample.spec.tables.flavor(flavor)
-    n = path.grid.n_steps
-    steps = np.zeros(n)
-    for j in np.nonzero(table.rate)[0]:
-        prods = path.phis[:, j] @ table.root[j]
-        steps += np.sum(prods * prods, axis=(1, 2)) * table.rate[j] * path.grid.dt
-    cum = np.zeros(n + 1)
-    np.cumsum(steps, out=cum[1:])
-    hit = np.nonzero(cum >= level)[0]
-    stop = int(hit[0]) if hit.size else n
-    values = np.array(path.values)
-    values[stop:] = path.values[stop]
-    values.setflags(write=False)
-    return LocalizedPath(
-        source=path,
-        level=level,
-        stop_step=stop,
-        stop_time=float(path.grid.times[stop]),
-        values=values,
-        stopped_mass=float(cum[stop]),
-    )
 
 
 def decompose_integral(path: ItoPath):

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import ItoPath
+from .quadvar import _bracket_steps
 
 __all__ = [
     "SmoothFunction",
@@ -208,6 +209,18 @@ def finite_difference_check(f: SmoothFunction, t: float, x, step: float = 1e-5) 
 _TRACE_VARIANTS = ("compensator", "realized")
 
 
+def _compensator_steps(path: ItoPath, trace_variant: str):
+    """The continuous operator steps S_k that price the compensator trace
+    term, or None for the realized variant, which reads stoch_cont instead."""
+    if trace_variant not in _TRACE_VARIANTS:
+        raise ValueError(
+            f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
+        )
+    if trace_variant == "realized":
+        return None
+    return _bracket_steps(path, "continuous", operator=True)
+
+
 @dataclass(frozen=True)
 class ItoTerms:
     """The five chain-rule terms of one path, each of shape (dim_value,)."""
@@ -232,16 +245,11 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
     squared continuous increments ("realized"). Jump-localized evaluations
     use the jump's own time and refined pre-jump value.
     """
-    if trace_variant not in _TRACE_VARIANTS:
-        raise ValueError(
-            f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
-        )
     k_dim = f.dim_value
     n = path.grid.n_steps
     dt = path.grid.dt
     times = path.grid.times
-    cont = path.sample.spec.tables.flavor("continuous")
-    cont_rate, roots = cont.rate, cont.root
+    cont_steps = _compensator_steps(path, trace_variant)
 
     time_term = np.zeros(k_dim)
     fv_term = np.zeros(k_dim)
@@ -258,13 +266,11 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
             fv_term += grad @ path.drift[k]
         stoch_term += grad @ path.stoch_cont[k]
         hess = f.d_xx(t, x)
-        if trace_variant == "realized":
+        if cont_steps is None:
             s = path.stoch_cont[k]
             trace_term += 0.5 * np.einsum("qab,a,b->q", hess, s, s)
         else:
-            for j in np.nonzero(cont_rate)[0]:
-                m = path.phis[k, j] @ roots[j]
-                trace_term += 0.5 * cont_rate[j] * dt * np.einsum("qab,ac,bc->q", hess, m, m)
+            trace_term += 0.5 * np.einsum("qab,ab->q", hess, cont_steps[k])
 
     for rec in path.jumps:
         tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
@@ -317,19 +323,13 @@ def norm_power_expansion(path: ItoPath, p: float, trace_variant: str = "compensa
 
     Same change as the generic route, but with the Hessian's two pieces kept
     apart; the split is what the p-th moment bounds consume. For the
-    compensator variant the rank-one piece uses |root^T x|^2, the partial
-    trace of x (x) x along the cell's root.
+    compensator variant the rank-one piece is x^T S_k x and the isotropic
+    piece tr S_k, with S_k the continuous operator step of the bracket.
     """
     if p <= 2.0:
         raise ValueError(f"norm power expansion needs p > 2, got p={p}")
-    if trace_variant not in _TRACE_VARIANTS:
-        raise ValueError(
-            f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
-        )
     n = path.grid.n_steps
-    dt = path.grid.dt
-    cont = path.sample.spec.tables.flavor("continuous")
-    cont_rate, roots = cont.rate, cont.root
+    cont_steps = _compensator_steps(path, trace_variant)
 
     fv = stoch = trace_outer = trace_hs = jump = 0.0
     for k in range(n):
@@ -342,16 +342,12 @@ def norm_power_expansion(path: ItoPath, p: float, trace_variant: str = "compensa
         stoch += float(grad @ s)
         c_outer = 0.5 * p * (p - 2.0) * r ** (p - 4.0) if r > 0.0 else 0.0
         c_hs = 0.5 * p * r ** (p - 2.0) if r > 0.0 else 0.0
-        if trace_variant == "realized":
+        if cont_steps is None:
             trace_outer += c_outer * float(x @ s) ** 2
             trace_hs += c_hs * float(s @ s)
         else:
-            for j in np.nonzero(cont_rate)[0]:
-                m = path.phis[k, j] @ roots[j]
-                proj = m.T @ x
-                mass = cont_rate[j] * dt
-                trace_outer += c_outer * float(proj @ proj) * mass
-                trace_hs += c_hs * float(np.sum(m * m)) * mass
+            trace_outer += c_outer * float(x @ cont_steps[k] @ x)
+            trace_hs += c_hs * float(np.trace(cont_steps[k]))
 
     for rec in path.jumps:
         pre, dx = rec["pre"], rec["delta"]

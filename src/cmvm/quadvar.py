@@ -6,13 +6,16 @@ re-simulation:
 * the predictable bracket, integrating the integrand against the noise
   field's control measure (scalar and operator-valued cumulative versions);
 * the optional bracket, pairing the continuous flavor of the predictable
-  bracket with the realized squared jumps;
+  bracket with the realized squared jumps; a path stopped where its
+  predictable bracket reaches a level (``localize``);
 * Riemann quadratic-variation sums over coarser partitions of the horizon,
   which converge to the optional bracket as the partition refines. The
   partitions may be deterministic (dyadic) or adaptive, with refinement
   points that are stopping times of the path.
 
-Scalar and operator versions are tied together by the trace, and the
+Every bracket reads the same per-step control-measure increments, as
+operators or as their traces, plus the realized jump products. Scalar and
+operator versions are tied together by the trace, and the
 continuous/discontinuous flavors add up to the total exactly; tests lean on
 both identities.
 """
@@ -31,6 +34,8 @@ __all__ = [
     "predictable_operator_qv",
     "optional_qv",
     "optional_operator_qv",
+    "LocalizedPath",
+    "localize",
     "RandomPartition",
     "make_dyadic_partition",
     "make_adaptive_partition",
@@ -42,11 +47,43 @@ __all__ = [
 ]
 
 
-def _flavor_terms(path: ItoPath, flavor: str):
-    """Per-cell (rate * dt, covariance) pairs of a flavor, active cells only."""
+def _bracket_steps(
+    path: ItoPath, flavor: str, other: Optional[ItoPath] = None, operator: bool = False
+) -> np.ndarray:
+    """Per-step increments sum_j rate_j dt * phi_kj Q_j psi_kj^T of the
+    flavor's control-measure bracket, over its active cells.
+
+    psi is ``other``'s integrand (``path``'s own by default). Returns the
+    operators, shape (n_steps, d, d), or their traces, shape (n_steps,).
+    """
+    other = path if other is None else other
     table = path.sample.spec.tables.flavor(flavor)
-    dt = path.grid.dt
-    return [(j, rate * dt, table.field[j]) for j, rate in enumerate(table.rate) if rate > 0.0]
+    n, d, dt = path.grid.n_steps, path.dim_out, path.grid.dt
+    steps = np.zeros((n, d, d) if operator else n)
+    subscripts = "kab,bc,kdc->kad" if operator else "kab,bc,kac->k"
+    for j, rate in enumerate(table.rate):
+        if rate > 0.0:
+            phi, psi = path.phis[:, j], other.phis[:, j]
+            steps += np.einsum(subscripts, phi, table.field[j], psi) * (rate * dt)
+    return steps
+
+
+def _add_jumps(steps: np.ndarray, path: ItoPath, other: ItoPath) -> np.ndarray:
+    """Add each realized jump's delta product (inner product into trace
+    steps, outer product into operator steps) to the step it happens in."""
+    jumps = path.jumps
+    if len(jumps):  # a path without jumps skips the numpy calls
+        da, db = jumps["delta"], other.jumps["delta"]
+        prods = np.vecdot(da, db) if steps.ndim == 1 else da[:, :, None] * db[:, None, :]
+        np.add.at(steps, jumps["step"], prods)
+    return steps
+
+
+def _cumulative(steps: np.ndarray) -> np.ndarray:
+    """Running sums of the steps, starting from zero at the origin."""
+    out = np.zeros((len(steps) + 1,) + steps.shape[1:])
+    np.cumsum(steps, axis=0, out=out[1:])
+    return out
 
 
 def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
@@ -55,14 +92,7 @@ def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
     Step k adds sum_j trace(phi_kj Q_j phi_kj^T) * mass_kj over the flavor's
     active cells. Nondecreasing, zero at the origin.
     """
-    n = path.grid.n_steps
-    steps = np.zeros(n)
-    for j, mass, q in _flavor_terms(path, flavor):
-        phi = path.phis[:, j]
-        steps += np.einsum("kab,bc,kac->k", phi, q, phi) * mass
-    out = np.zeros(n + 1)
-    np.cumsum(steps, out=out[1:])
-    return out
+    return _cumulative(_bracket_steps(path, flavor))
 
 
 def predictable_operator_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
@@ -71,38 +101,23 @@ def predictable_operator_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
     Step k adds sum_j phi_kj Q_j phi_kj^T * mass_kj; its trace reproduces
     the scalar bracket and each increment is symmetric PSD.
     """
-    n = path.grid.n_steps
-    d = path.dim_out
-    steps = np.zeros((n, d, d))
-    for j, mass, q in _flavor_terms(path, flavor):
-        phi = path.phis[:, j]
-        steps += np.einsum("kab,bc,kdc->kad", phi, q, phi) * mass
-    out = np.zeros((n + 1, d, d))
-    np.cumsum(steps, axis=0, out=out[1:])
-    return out
-
-
-def _same_driving(a: ItoPath, b: ItoPath) -> bool:
-    if a.sample is b.sample:
-        return True
-    return (
-        a.sample.seed == b.sample.seed
-        and a.sample.path_index == b.sample.path_index
-        and a.grid == b.grid
-        and a.sample.spec is b.sample.spec
-    )
+    return _cumulative(_bracket_steps(path, flavor, operator=True))
 
 
 def _check_pair(path: ItoPath, other: Optional[ItoPath]) -> ItoPath:
+    """The second path of a bracket: ``path`` itself, or a cross partner
+    walked on the same driving sample with the same jump rows."""
     if other is None:
         return path
-    if not _same_driving(path, other):
+    a, b = path.sample, other.sample
+    if (a.seed, a.path_index, a.grid, a.spec) != (b.seed, b.path_index, b.grid, b.spec):
         raise ValueError(
             "cross bracket needs both paths walked on the same driving sample; "
-            f"got seeds {path.sample.seed}/{other.sample.seed}, "
-            f"path indices {path.sample.path_index}/{other.sample.path_index}"
+            f"got seeds {a.seed}/{b.seed}, path indices {a.path_index}/{b.path_index}"
         )
-    if len(path.jumps) != len(other.jumps):
+    ja, jb = path.jumps, other.jumps
+    rows = ("step", "time", "cell")
+    if len(ja) != len(jb) or not all(np.array_equal(ja[f], jb[f]) for f in rows):
         raise ValueError("paths disagree on the jump sequence; different drivers?")
     return other
 
@@ -113,33 +128,61 @@ def optional_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
     The continuous part is the predictable bracket of the continuous flavor;
     every realized jump (noise and driver alike) contributes the product of
     its deltas at the step it happens in. A cross bracket requires the other
-    path to be walked on the same driving sample.
+    path to be walked on the same driving sample, with the same jumps at the
+    same steps, times and cells.
     """
     other = _check_pair(path, other)
-    n = path.grid.n_steps
-    steps = np.zeros(n)
-    for j, mass, q in _flavor_terms(path, "continuous"):
-        steps += np.einsum("kab,bc,kac->k", path.phis[:, j], q, other.phis[:, j]) * mass
-    if len(path.jumps):  # a path without jumps skips the numpy calls
-        np.add.at(steps, path.jumps["step"], np.vecdot(path.jumps["delta"], other.jumps["delta"]))
-    out = np.zeros(n + 1)
-    np.cumsum(steps, out=out[1:])
-    return out
+    return _cumulative(_add_jumps(_bracket_steps(path, "continuous", other), path, other))
 
 
 def optional_operator_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
     """Operator-valued cumulative optional bracket, shape (n_steps + 1, d, d)."""
     other = _check_pair(path, other)
-    n = path.grid.n_steps
-    d = path.dim_out
-    steps = np.zeros((n, d, d))
-    for j, mass, q in _flavor_terms(path, "continuous"):
-        steps += np.einsum("kab,bc,kdc->kad", path.phis[:, j], q, other.phis[:, j]) * mass
-    da, db = path.jumps["delta"], other.jumps["delta"]
-    np.add.at(steps, path.jumps["step"], da[:, :, None] * db[:, None, :])
-    out = np.zeros((n + 1, d, d))
-    np.cumsum(steps, axis=0, out=out[1:])
-    return out
+    steps = _bracket_steps(path, "continuous", other, operator=True)
+    return _cumulative(_add_jumps(steps, path, other))
+
+
+@dataclass(frozen=True, eq=False)
+class LocalizedPath:
+    """A path stopped when its predictable bracket first reaches a level."""
+
+    source: ItoPath
+    level: float
+    stop_step: int
+    stop_time: float
+    values: np.ndarray
+    stopped_mass: float
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_step < self.source.grid.n_steps
+
+
+def localize(path: ItoPath, level: float, flavor: str = "total") -> LocalizedPath:
+    """Stop the path at the first grid time where the cumulative predictable
+    bracket of the flavor reaches ``level``; the whole horizon if it never
+    does.
+
+    The stopped bracket stays below level plus one step's mass, which is the
+    discrete shadow of local boundedness: the stopped integrand has finite
+    norm no matter how the full one behaves later.
+    """
+    if level <= 0.0:
+        raise ValueError(f"level must be positive, got {level}")
+    cum = predictable_qv(path, flavor)
+    hit = np.nonzero(cum >= level)[0]
+    stop = int(hit[0]) if hit.size else path.grid.n_steps
+    values = np.array(path.values)
+    values[stop:] = path.values[stop]
+    values.setflags(write=False)
+    return LocalizedPath(
+        source=path,
+        level=level,
+        stop_step=stop,
+        stop_time=float(path.grid.times[stop]),
+        values=values,
+        stopped_mass=float(cum[stop]),
+    )
 
 
 @dataclass(frozen=True)
@@ -248,22 +291,15 @@ def riemann_weighted_bilinear(
 def weighted_qv_target(path: ItoPath, form: Callable[[float, np.ndarray], np.ndarray]) -> float:
     """The limit the weighted Riemann sums approach on this path.
 
-    Integrates F against the optional bracket: the continuous part pairs
-    F(t_k, X_{t_k}) with the per-step continuous covariance, and every jump
-    contributes <delta, F delta> with F frozen at the left endpoint of the
-    jump's step.
+    Integrates F against the optional bracket: sum_k <F(t_k, X_{t_k}), S_k>,
+    where the operator step S_k carries the continuous control-measure
+    increment and the outer product of every jump delta in step k, so each
+    jump sees F frozen at the left endpoint of its step.
     """
     times = path.grid.times
-    total = 0.0
-    n = path.grid.n_steps
-    forms = [np.asarray(form(float(times[k]), path.values[k])) for k in range(n)]
-    for j, mass, q in _flavor_terms(path, "continuous"):
-        for k in range(n):
-            phi = path.phis[k, j]
-            total += float(np.trace(forms[k] @ phi @ q @ phi.T)) * mass
-    for k, dx in zip(path.jumps["step"].tolist(), path.jumps["delta"]):
-        total += float(dx @ forms[k] @ dx)
-    return total
+    forms = np.array([form(float(times[k]), path.values[k]) for k in range(path.grid.n_steps)])
+    steps = _add_jumps(_bracket_steps(path, "continuous", operator=True), path, path)
+    return float(np.einsum("kab,kab->", forms, steps))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmvm.cli import main
 from cmvm.harness import (
     CONVERGENCE_HEADER,
+    _build_config,
     apply_overrides,
     config_hash,
     emit_convergence_csv,
@@ -18,7 +21,7 @@ from cmvm.harness import (
     scenario_names,
 )
 from cmvm.noise import spec_to_json
-from cmvm.presets import make_preset
+from cmvm.presets import make_preset, preset_names
 
 ALL_SCENARIOS = [
     "burkholder",
@@ -83,6 +86,39 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.n_paths == 25
     assert cfg.params["tol"] == 1e-11
     assert cfg.params["gain"] == 0.4  # untouched default
+
+
+@st.composite
+def _configs(draw):
+    """A default scenario config with drawn valid top-level and phi overrides."""
+    scenario = draw(st.sampled_from(ALL_SCENARIOS))
+    fields = {
+        "preset": draw(st.sampled_from(preset_names())),
+        "horizon": draw(st.floats(1e-3, 100.0)),
+        "n_steps": draw(st.integers(1, 512)),
+        "n_paths": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    overrides = [f"{key}={json.dumps(fields[key])}" for key in sorted(keys)]
+    cfg = load_config(scenario)
+    if "phi" in cfg.params and draw(st.booleans()):
+        row = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+        phi = draw(st.lists(row, min_size=2, max_size=2))
+        overrides.append(f"params.phi={json.dumps(phi)}")
+    try:
+        return apply_overrides(cfg, overrides)
+    except ValueError:  # e.g. dyadic levels finer than a drawn grid
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_configs())
+def test_config_round_trips_through_its_dict(cfg):
+    for doc in (cfg.to_dict(), json.loads(json.dumps(cfg.to_dict()))):
+        back = _build_config(doc)
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
 
 
 def test_config_hash_tracks_content():

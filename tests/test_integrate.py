@@ -28,13 +28,13 @@ from cmvm.integrate import (
     integrate_process,
     integrate_simple,
     lambda2_norm,
-    localize,
     realized_lambda2_mass,
     simulate_ito_process,
     state_linear_integrand,
 )
 from cmvm.noise import TimeGrid, evaluate, sample_path
 from cmvm.presets import make_preset
+from cmvm.quadvar import localize
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
 
@@ -167,6 +167,29 @@ def test_lookahead_guard_raises(mixed, grid8):
 
     with pytest.raises(LookAheadError):
         integrate(Integrand(too_far_value, 2, 2, deterministic=False, name="peek2"), sample)
+
+
+def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
+    sample = sample_path(mixed, grid8, seed=3, path_index=0)
+    h = [0.4, -1.0]
+    seen = {}
+
+    def reads_to_cursor(state, cell):
+        t = float(grid8.times[state.step])
+        seen[state.step, cell] = state.history.noise_pairing(0.0, t, [cell], h)
+        return PHI
+
+    integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False, name="past"), sample)
+    assert {k for k, _ in seen} == set(range(grid8.n_steps))
+    for (k, cell), value in seen.items():
+        assert value == evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)
+
+    def reads_one_step_ahead(state, cell):
+        state.history.noise_pairing(0.0, float(grid8.times[state.step + 1]), [cell], h)
+        return PHI
+
+    with pytest.raises(LookAheadError, match="beyond the walk's step 0"):
+        integrate(Integrand(reads_one_step_ahead, 2, 2, deterministic=False, name="ahead"), sample)
 
 
 def test_anticipating_integrand_is_detected(mixed, grid8):

@@ -216,9 +216,10 @@ def test_stoch_term_matches_composed_integral_without_jumps(grid8):
 
 
 def test_compensator_trace_agrees_with_trace_helper(mixed, grid8):
-    """Dual route for the trace term: the inlined sum must equal the partial
-    trace sum_i zeta(m h_i, m h_i), cell by cell, taken over a random
-    orthonormal basis (h_i), which the trace does not depend on."""
+    """Dual route for the trace term: 0.5 <zeta, S_k> over the continuous
+    operator steps must equal the root-form partial trace
+    sum_i zeta(m h_i, m h_i), cell by cell, taken over a random orthonormal
+    basis (h_i), which the trace does not depend on."""
     f = make_smooth("gauss_cos")
     path = _walk(mixed, grid8, constant_integrand(PHI), seed=303, path_index=2)
     cont = mixed.tables.flavor("continuous")

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmvm.hilbert
 import cmvm.noise
@@ -402,6 +404,65 @@ def test_serialization_roundtrip(tmp_path, mixed):
     assert spec_to_json(loaded) == doc
     assert loaded.dim == mixed.dim
     assert loaded.partition.breaks == mixed.partition.breaks
+
+
+_FLOAT = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _noise_specs(draw):
+    """A valid model: 1-3 dims, 1-3 cells on drawn breaks, each cell with an
+    optional diffusion and an optional two-point or Gaussian jump part.
+    Intensities and rates are 0 or at least 1e-3: a subnormal intensity
+    underflows in normalize_spec, a defect this round trip does not test."""
+    dim = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
+    breaks = [0.0, *sorted(inner), 1.0]
+    assume(min(np.diff(breaks)) > 1e-3)
+
+    def psd():
+        a = np.array(draw(st.lists(_FLOAT, min_size=dim * dim, max_size=dim * dim)))
+        m = a.reshape(dim, dim) @ a.reshape(dim, dim).T
+        m = 0.5 * (m + m.T)
+        assume(np.linalg.norm(m) > 1e-3)
+        return m
+
+    cells = []
+    for _ in range(len(breaks) - 1):
+        kwargs = {}
+        if draw(st.booleans()):
+            intensity = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+            kwargs.update(diffusion_cov=psd(), diffusion_intensity=intensity)
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                vec = draw(st.lists(_FLOAT, min_size=dim, max_size=dim))
+                assume(np.linalg.norm(vec) > 1e-3)
+                amplitude = TwoPointAmplitude(vec)
+            else:
+                amplitude = GaussianAmplitude(psd())
+            kwargs.update(jump_rate=draw(st.floats(1e-3, 5.0)), jump_amplitude=amplitude)
+        cells.append(CellNoise(**kwargs))
+    assume(any(c.has_diffusion or c.has_jumps for c in cells))
+    return NoiseSpec(dim, SpatialPartition(breaks), cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_noise_specs())
+def test_json_round_trip_keeps_every_flavor_table(spec):
+    back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    assert back.partition == spec.partition
+    want, got = normalize_spec(spec).tables, normalize_spec(back).tables
+    np.testing.assert_allclose(got.jump_rate, want.jump_rate, rtol=1e-12)
+    for flavor in ("total", "continuous", "discontinuous"):
+        a, b = want.flavor(flavor), got.flavor(flavor)
+        np.testing.assert_allclose(b.rate, a.rate, rtol=1e-12)
+        # the square root of a rank-deficient field moves by about the square
+        # root of the field's rounding, hence the looser root tolerance
+        for ops_a, ops_b, atol in ((a.field, b.field, 1e-12), (a.root, b.root, 1e-7)):
+            assert [q is None for q in ops_b] == [q is None for q in ops_a]
+            for qa, qb in zip(ops_a, ops_b):
+                if qa is not None:
+                    np.testing.assert_allclose(qb, qa, rtol=1e-12, atol=atol)
 
 
 def test_from_json_errors():

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from cmvm.integrate import (
+    FVDriver,
+    ItoProcessSpec,
     constant_integrand,
     integrate,
     realized_lambda2_mass,
+    simulate_ito_process,
     state_linear_integrand,
 )
 from cmvm.noise import TimeGrid, sample_path
@@ -113,6 +116,16 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
     p1 = integrate(ia, sample_path(mixed, grid8, seed=31, path_index=1))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(p0, p1)
+    # one sample, but driver jumps at different steps: pairing the jump rows
+    # by position would add a jump product the true bracket does not have
+    sample = sample_path(make_preset("gauss-default"), grid8, seed=3, path_index=0)
+    early, late = (
+        simulate_ito_process(ItoProcessSpec(ia, driver=FVDriver([k], [[1.0, 0.0]])), sample)
+        for k in (1, 6)
+    )
+    for bracket in (optional_qv, optional_operator_qv):
+        with pytest.raises(ValueError, match="jump sequence"):
+            bracket(early, late)
 
 
 def test_realized_variance_is_unbiased(paths):
