@@ -12,8 +12,8 @@ files into the output directory:
 Reruns with the same config produce byte-identical CSV and JSON files:
 floats are rendered with repr, keys are sorted, and nothing time- or
 host-dependent goes into them. The run record is identical up to its
-``wall_time_s`` field. Convergence scenarios share a fixed CSV schema so
-sweeps can be appended into one table with ``emit_convergence_csv``.
+``wall_time_s`` field. The two convergence scenarios share one CSV schema,
+``CONVERGENCE_HEADER``.
 
 The ``preset`` config field accepts either a built-in preset name or a path
 to a noise-model JSON file (the format ``docs/noise-spec.md`` describes).
@@ -58,6 +58,8 @@ from .integrate import (
     state_linear_integrand,
 )
 from .ito import (
+    FD_TOL,
+    finite_difference_check,
     gamma_estimate,
     ito_residual,
     make_smooth,
@@ -77,7 +79,6 @@ __all__ = [
     "scenario_description",
     "RunResult",
     "run",
-    "emit_convergence_csv",
     "CONVERGENCE_HEADER",
 ]
 
@@ -391,21 +392,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], mode: str = "w") -> None:
-    fresh = mode == "w" or not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(header)
+        writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def emit_convergence_csv(path: str, rows: Sequence[dict], mode: str = "a") -> None:
-    """Append convergence rows (dicts keyed by CONVERGENCE_HEADER) to a CSV,
-    writing the header only when the file is new or empty."""
-    ordered = [[row[k] for k in CONVERGENCE_HEADER] for row in rows]
-    _write_csv(path, CONVERGENCE_HEADER, ordered, mode=mode)
 
 
 _CHECK_HEADER = ("check", "value", "target", "tolerance", "z", "passed")
@@ -772,12 +764,13 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
         inner, outer = _random_simple_pair(
             rng, cfg.n_steps, spec.n_cells, int(p["max_blocks"])
         )
+        integrand = inner.as_general()
+        if i % 2:  # odd paths swap in an inner integrand that reads its own value
+            base, weight = rng.uniform(-1.0, 1.0, size=(2, 2)), rng.uniform(-1.0, 1.0, size=2)
+            integrand = state_linear_integrand(base, weight, float(rng.uniform(0.0, 0.5)))
         sample = sample_path(spec, grid, seed=cfg.seed, path_index=i)
-        inner_path = integrate(inner.as_general(), sample)
-        iterated = integrate_process(outer, inner_path, dim_out=2)
-        fused = integrate(
-            compose_integrands(outer, inner.as_general(), dim_out=2), sample
-        ).terminal
+        iterated = integrate_process(outer, integrate(integrand, sample), dim_out=2)
+        fused = integrate(compose_integrands(outer, integrand, dim_out=2), sample).terminal
         scale = max(1.0, float(np.abs(iterated).max()))
         worst = max(worst, float(np.abs(iterated - fused).max()) / scale)
     checks = [_check("iterated-vs-fused-max-rel", worst, 0.0, tol, worst <= tol)]
@@ -788,10 +781,10 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     tol = float(p["tol"])
     rng = np.random.default_rng(cfg.seed + 23)
-    worst = {}
+    worst, derivative_errors = {}, {}
     for name in p["functions"]:
         f = make_smooth(name)
-        gap = 0.0
+        gap = fd_err = 0.0
         for _ in range(cfg.n_paths):
             t = float(rng.uniform(0.0, cfg.horizon))
             x = rng.uniform(-1.5, 1.5, size=2)
@@ -799,7 +792,9 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
             direct = taylor_remainder(f, t, x, y)
             quad = taylor_remainder_quadrature(f, t, x, y)
             gap = max(gap, float(np.abs(direct - quad).max()))
+            fd_err = max(fd_err, *finite_difference_check(f, t, x).values())
         worst[name] = gap
+        derivative_errors[name] = fd_err
     deltas = [float(d) for d in p["deltas"]]
     sups = gamma_estimate(
         make_smooth("norm_p:4"), deltas, dim=2, n_samples=max(cfg.n_paths, 100), seed=cfg.seed
@@ -810,7 +805,17 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
         for name, gap in sorted(worst.items())
     ]
     checks.append(_check("modulus-decays", sups[-1], 0.0, sups[0], decays))
-    metrics = {"route_gaps": worst, "deltas": deltas, "modulus": sups, "decays": decays}
+    checks += [
+        _check(f"derivatives-{name}", err, 0.0, FD_TOL, err <= FD_TOL)
+        for name, err in sorted(derivative_errors.items())
+    ]
+    metrics = {
+        "route_gaps": worst,
+        "derivative_errors": derivative_errors,
+        "deltas": deltas,
+        "modulus": sups,
+        "decays": decays,
+    }
     return _checks_outcome(checks, metrics)
 
 
@@ -837,24 +842,35 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
     jump = walk_ensemble(proc, _spec_for(cfg.preset), grid, cfg.n_paths, cfg.seed + 1)
 
     reports, checks = [], []  # reports as (report, preset) pairs
+
+    def terminal_equality(name, ensemble, preset):
+        """The paired isometry gate E|I_T|^2 = E<I>_T on one ensemble."""
+        gap, gap_se = terminal_isometry_gap(ensemble)
+        gap_z = _z_score(gap, gap_se)
+        rep = burkholder_check(ensemble, 2.0, flavor="predictable", moment="terminal")
+        ok = rep.satisfied and abs(gap_z) <= p["z_max"]
+        reports.append((rep, preset))
+        checks.append(_check(name, gap_z, 0.0, p["z_max"], ok, z=gap_z))
+        return gap, gap_se, gap_z
+
     for order in p["p_closed"]:
         rep = burkholder_check(cont, float(order), flavor="optional")
         ok = rep.satisfied and rep.constant_source == "closed-form"
         reports.append((rep, cont_name))
         checks.append(_check(f"sup-moment-p{order}", rep.ratio, rep.constant, 0.0, ok))
 
-    gap, gap_se = terminal_isometry_gap(cont)
-    gap_z = _z_score(gap, gap_se)
-    rep = burkholder_check(cont, 2.0, flavor="predictable", moment="terminal")
-    ok = rep.satisfied and abs(gap_z) <= p["z_max"]
-    reports.append((rep, cont_name))
-    checks.append(_check("terminal-equality-p2-z", gap_z, 0.0, p["z_max"], ok, z=gap_z))
+    gap, gap_se, gap_z = terminal_equality("terminal-equality-p2-z", cont, cont_name)
 
     for order in p["p_empirical"]:
         rep = burkholder_check(jump, float(order), flavor="optional")
         ok = rep.satisfied and rep.constant_source == "empirical"
         reports.append((rep, cfg.preset))
         checks.append(_check(f"empirical-ratio-p{order}", rep.ratio, None, 0.0, ok))
+
+    # the jump ensemble's isometry: unlike its empirical ratios, this can fail
+    jump_gap, jump_gap_se, jump_gap_z = terminal_equality(
+        "jump-terminal-equality-p2-z", jump, cfg.preset
+    )
 
     rows = [
         tuple(preset if key == "preset" else getattr(rep, key) for key in _BURKHOLDER_HEADER)
@@ -865,6 +881,9 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
         "terminal_gap": gap,
         "terminal_gap_stderr": gap_se,
         "terminal_gap_z": gap_z,
+        "jump_terminal_gap": jump_gap,
+        "jump_terminal_gap_stderr": jump_gap_se,
+        "jump_terminal_gap_z": jump_gap_z,
         "stderr_reliable": cfg.n_paths >= 2,
     }
     return _Outcome(all(c["passed"] for c in checks), _BURKHOLDER_HEADER, rows, checks, metrics)
@@ -901,15 +920,15 @@ _SCENARIOS: Dict[str, Tuple[Callable[[ExperimentConfig], _Outcome], str]] = {
     ),
     "verify-associativity": (
         _scn_verify_associativity,
-        "iterated vs fused integration on random gated step-function pairs",
+        "iterated vs fused integration over gated simple and state-linear inner integrands",
     ),
     "verify-taylor": (
         _scn_verify_taylor,
-        "direct vs integral-form Taylor remainders and the sampled modulus decay",
+        "Taylor remainder routes, modulus decay and coded derivatives vs finite differences",
     ),
     "burkholder": (
         _scn_burkholder,
-        "running-sup moment bounds with closed-form, heuristic or empirical constants",
+        "running-sup moment bounds and the terminal isometry, with and without jumps",
     ),
 }
 
@@ -944,7 +963,7 @@ def run(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     json_path = os.path.join(out_dir, f"{cfg.scenario}.json")
     record_path = os.path.join(out_dir, "run-record.json")
 
-    _write_csv(csv_path, outcome.header, outcome.rows, mode="w")
+    _write_csv(csv_path, outcome.header, outcome.rows)
     payload = _definite(
         {
             "scenario": cfg.scenario,

@@ -685,12 +685,32 @@ def compose_integrands(
 
     Walking the composition against the noise gives the same values as
     integrating ``outer`` against the walked inner integral, because the
-    walk is left-frozen in both routes.
+    walk is left-frozen in both routes. An adapted ``inner`` sees its own
+    running value, not the composition's: the closure restarts it at step 0
+    and, on entering step k, adds the operators inner returned in step k - 1
+    applied to that step's noise increments, which the left-frozen walk
+    makes exactly the inner integral at t_k.
     """
+    inner_eval = inner.evaluator
+    if not inner.deterministic:
+        step, value, mats = -1, None, {}
+
+        def inner_eval(state: AdaptedState, cell: int) -> np.ndarray:
+            nonlocal step, value, mats
+            if state.step != step:
+                if state.step == 0:
+                    value, mats = np.zeros(inner.dim_out), {}
+                past, k = state.history, state.step - 1
+                for j, mat in mats.items():
+                    value = value + mat @ (past.gauss_increment(k, j) + past.jump_sum(k, j))
+                step, mats = state.step, {}
+            own = AdaptedState(state.step, state.time, value, state.history)
+            mats[cell] = mat = np.asarray(inner.evaluator(own, cell), dtype=np.float64)
+            return mat
 
     def _eval(state: AdaptedState, cell: int) -> np.ndarray:
         mat = np.asarray(outer(state.step, state.time, state.value))
-        return mat @ inner.evaluator(state, cell)
+        return mat @ inner_eval(state, cell)
 
     return Integrand(
         evaluator=_eval,

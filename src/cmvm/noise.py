@@ -41,15 +41,11 @@ __all__ = [
     "CellNoise",
     "NoiseSpec",
     "SamplePath",
-    "QVMeasure",
     "QV_FLAVORS",
     "normalize_spec",
     "substream",
     "sample_path",
     "evaluate",
-    "qv_measure",
-    "covariance_field",
-    "intensity_nu",
     "spec_to_json",
     "spec_from_json",
     "load_noise_spec",
@@ -60,6 +56,9 @@ QV_FLAVORS = ("total", "continuous", "discontinuous")
 # Operators whose norm is within this tolerance of 1 are treated as already
 # normalized, which makes normalize_spec an exact fixed point on its range.
 _NORM_ATOL = 1e-12
+
+# Every positive rate, given or derived, must be at least this (see CellNoise).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -256,6 +255,19 @@ class CellNoise:
             raise ValueError("intensities must be nonnegative")
         if self.jump_rate > 0.0 and self.jump_amplitude is None:
             raise ValueError("jump_rate > 0 needs an amplitude model")
+        # A positive rate below the smallest normal float loses its precision
+        # in the derived tables or becomes 0 there, which leaves a dead field.
+        # The derived rates are the products normalize_spec and the tables form.
+        given = (("diffusion intensity", self.diffusion_intensity), ("jump rate", self.jump_rate))
+        rates = [(what, rate) for what, rate in given if rate > 0.0]
+        if self.has_diffusion:
+            normalized = self.diffusion_intensity * self.diffusion_norm
+            rates.append(("normalized diffusion intensity", normalized))
+        if self.has_jumps:
+            rates.append(("jump QV rate", self.jump_rate * self.jump_amplitude.scale**2))
+        for what, rate in rates:
+            if rate < _TINY:
+                raise ValueError(f"{what} {rate!r} underflows below the smallest normal float")
 
     @property
     def has_diffusion(self) -> bool:
@@ -538,90 +550,6 @@ def evaluate(path: SamplePath, s: float, t: float, cells: Sequence[int], h: Sequ
         return 0.0
     block = path.gauss[k0:k1, idx, :] + path.jump_sums[k0:k1, idx, :]
     return float(block.sum(axis=(0, 1)) @ hv)
-
-
-@dataclass(frozen=True, eq=False)
-class QVMeasure:
-    """Quadratic-variation mass on the step x cell product, one flavor.
-
-    mass[k, j] is the measure of (t_k, t_{k+1}] x A_j. The total flavor is
-    the entrywise sum of the continuous and discontinuous flavors.
-    """
-
-    grid: TimeGrid
-    flavor: str
-    mass: np.ndarray
-
-    def window_mass(self, k0: int, k1: int, cells: Optional[Sequence[int]] = None) -> float:
-        sub = self.mass[k0:k1] if cells is None else self.mass[k0:k1][:, list(cells)]
-        return float(sub.sum())
-
-    def total(self) -> float:
-        return float(self.mass.sum())
-
-    def cumulative(self) -> np.ndarray:
-        """Mass of [0, t_k] x U for k = 0..n_steps."""
-        out = np.zeros(self.grid.n_steps + 1)
-        np.cumsum(self.mass.sum(axis=1), out=out[1:])
-        return out
-
-
-def qv_measure(spec: NoiseSpec, grid: TimeGrid, flavor: str = "total") -> QVMeasure:
-    """Quadratic-variation measure of the field on the grid.
-
-    In this time-homogeneous model the mass of one step-cell block is
-    dt * (flavor rate of the cell); the continuous rate is the normalized
-    diffusion intensity and the discontinuous rate is jump_rate * scale^2.
-    """
-    spec = normalize_spec(spec)
-    rate = spec.tables.flavor(flavor).rate
-    mass = np.tile(rate * grid.dt, (grid.n_steps, 1))
-    mass.setflags(write=False)
-    return QVMeasure(grid=grid, flavor=flavor, mass=mass)
-
-
-def covariance_field(spec: NoiseSpec, cell: int, flavor: str = "total") -> np.ndarray:
-    """Pointwise covariance operator of the field on one cell.
-
-    The model is time homogeneous, so the field depends on the cell only.
-    Flavors: "continuous" returns the normalized diffusion covariance,
-    "discontinuous" the normalized amplitude covariance, and "total" their
-    combination weighted by the flavors' share of the total mass (the
-    Radon-Nikodym weights mass_c/mass_total and mass_d/mass_total). The
-    returned array is the shared read-only table entry.
-
-    Raises:
-        ValueError: if the cell carries no mass of the requested flavor
-            (the covariance field Q_M is undefined off the support).
-    """
-    spec = normalize_spec(spec)
-    (cell,) = spec.partition.validate_cells([cell])
-    q = spec.tables.flavor(flavor).field[cell]
-    if q is None:
-        raise ValueError(
-            f"Q_M undefined off support: cell {cell} carries no {flavor} mass"
-        )
-    return q
-
-
-def intensity_nu(
-    spec: NoiseSpec, grid: TimeGrid, h: Sequence[float], flavor: str = "total"
-) -> np.ndarray:
-    """Directional intensity nu_h[k, j] = <Q_M h, h> * mass[k, j].
-
-    Cells without mass of the requested flavor contribute zero (the zero
-    measure), so the array is defined everywhere.
-    """
-    spec = normalize_spec(spec)
-    hv = np.asarray(h, dtype=np.float64)
-    if hv.shape != (spec.dim,):
-        raise ValueError(f"direction must have dim {spec.dim}, got shape {hv.shape}")
-    table = spec.tables.flavor(flavor)
-    per_cell = np.zeros(spec.n_cells)
-    for j in range(spec.n_cells):
-        if table.rate[j] > 0.0:
-            per_cell[j] = table.rate[j] * float(hv @ table.field[j] @ hv)
-    return np.tile(per_cell * grid.dt, (grid.n_steps, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,21 @@ Three related objects, all computed from a finished walk without
 re-simulation:
 
 * the predictable bracket, integrating the integrand against the noise
-  field's control measure (scalar and operator-valued cumulative versions);
+  field's control measure;
 * the optional bracket, pairing the continuous flavor of the predictable
-  bracket with the realized squared jumps; a path stopped where its
-  predictable bracket reaches a level (``localize``);
+  bracket with the realized squared jumps, and the cross bracket of two
+  paths walked on one driving sample;
 * Riemann quadratic-variation sums over coarser partitions of the horizon,
   which converge to the optional bracket as the partition refines. The
   partitions may be deterministic (dyadic) or adaptive, with refinement
-  points that are stopping times of the path.
+  points that are stopping times of the path. A weighted form pairs each
+  block's increment with an operator frozen at its left endpoint; its limit
+  integrates that operator against the optional bracket.
 
-Every bracket reads the same per-step control-measure increments, as
-operators or as their traces, plus the realized jump products. Scalar and
-operator versions are tied together by the trace, and the
-continuous/discontinuous flavors add up to the total exactly; tests lean on
-both identities.
+Every bracket reads the same per-step control-measure increments of
+``_bracket_steps``, as operators or as their traces, plus the realized jump
+products. The continuous/discontinuous flavors add up to the total exactly;
+tests lean on that identity.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from .integrate import ItoPath
 
 __all__ = [
     "predictable_qv",
-    "predictable_operator_qv",
     "optional_qv",
-    "optional_operator_qv",
-    "LocalizedPath",
-    "localize",
     "RandomPartition",
     "make_dyadic_partition",
     "make_adaptive_partition",
@@ -95,15 +92,6 @@ def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
     return _cumulative(_bracket_steps(path, flavor))
 
 
-def predictable_operator_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
-    """Operator-valued cumulative bracket, shape (n_steps + 1, d, d).
-
-    Step k adds sum_j phi_kj Q_j phi_kj^T * mass_kj; its trace reproduces
-    the scalar bracket and each increment is symmetric PSD.
-    """
-    return _cumulative(_bracket_steps(path, flavor, operator=True))
-
-
 def _check_pair(path: ItoPath, other: Optional[ItoPath]) -> ItoPath:
     """The second path of a bracket: ``path`` itself, or a cross partner
     walked on the same driving sample with the same jump rows."""
@@ -133,56 +121,6 @@ def optional_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
     """
     other = _check_pair(path, other)
     return _cumulative(_add_jumps(_bracket_steps(path, "continuous", other), path, other))
-
-
-def optional_operator_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
-    """Operator-valued cumulative optional bracket, shape (n_steps + 1, d, d)."""
-    other = _check_pair(path, other)
-    steps = _bracket_steps(path, "continuous", other, operator=True)
-    return _cumulative(_add_jumps(steps, path, other))
-
-
-@dataclass(frozen=True, eq=False)
-class LocalizedPath:
-    """A path stopped when its predictable bracket first reaches a level."""
-
-    source: ItoPath
-    level: float
-    stop_step: int
-    stop_time: float
-    values: np.ndarray
-    stopped_mass: float
-
-    @property
-    def stopped_early(self) -> bool:
-        return self.stop_step < self.source.grid.n_steps
-
-
-def localize(path: ItoPath, level: float, flavor: str = "total") -> LocalizedPath:
-    """Stop the path at the first grid time where the cumulative predictable
-    bracket of the flavor reaches ``level``; the whole horizon if it never
-    does.
-
-    The stopped bracket stays below level plus one step's mass, which is the
-    discrete shadow of local boundedness: the stopped integrand has finite
-    norm no matter how the full one behaves later.
-    """
-    if level <= 0.0:
-        raise ValueError(f"level must be positive, got {level}")
-    cum = predictable_qv(path, flavor)
-    hit = np.nonzero(cum >= level)[0]
-    stop = int(hit[0]) if hit.size else path.grid.n_steps
-    values = np.array(path.values)
-    values[stop:] = path.values[stop]
-    values.setflags(write=False)
-    return LocalizedPath(
-        source=path,
-        level=level,
-        stop_step=stop,
-        stop_time=float(path.grid.times[stop]),
-        values=values,
-        stopped_mass=float(cum[stop]),
-    )
 
 
 @dataclass(frozen=True)
@@ -238,7 +176,7 @@ def make_adaptive_partition(path: ItoPath, delta: float) -> RandomPartition:
     n = path.grid.n_steps
     dt = path.grid.dt
     max_steps = max(1, int(np.floor(delta / dt)))
-    cont_steps = np.diff(predictable_qv(path, "continuous"))
+    cont_steps = _bracket_steps(path, "continuous")
     # each jump's pre- and post-jump values, with per-step row ranges
     around = np.stack([path.jumps["pre"], path.jumps["pre"] + path.jumps["delta"]], axis=1)
     ends = np.searchsorted(path.jumps["step"], np.arange(n), side="right").tolist()

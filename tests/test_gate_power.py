@@ -1,0 +1,89 @@
+"""Gate power: each named gate passes on the code as it is and fails once a
+planted defect (a mutant) replaces one function of the package."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import cmvm.harness
+import cmvm.ito
+from cmvm.harness import apply_overrides, load_config, run
+from cmvm.integrate import Integrand
+from cmvm.noise import GaussianAmplitude, TwoPointAmplitude
+
+
+def _amplitudes(monkeypatch, change):
+    """Pass every sampled jump amplitude, of both families, through change."""
+    for cls in (TwoPointAmplitude, GaussianAmplitude):
+        original = cls.sample
+        monkeypatch.setattr(cls, "sample", lambda self, rng, n, _f=original: change(_f(self, rng, n)))
+
+
+def _hessian_off_by_one_percent(monkeypatch):
+    original = cmvm.ito._gauss_cos
+
+    def mutant():
+        f = original()
+        return dataclasses.replace(f, d_xx=lambda t, x: 1.01 * f.d_xx(t, x))
+
+    monkeypatch.setattr(cmvm.ito, "_gauss_cos", mutant)
+
+
+def _compose_with_outer_value(monkeypatch):
+    """compose_integrands as it was when the inner integrand was handed the
+    composed integral's running value in place of its own."""
+
+    def mutant(outer, inner, dim_out, *, outer_deterministic=False, name="composed"):
+        def _eval(state, cell):
+            mat = np.asarray(outer(state.step, state.time, state.value))
+            return mat @ inner.evaluator(state, cell)
+
+        deterministic = inner.deterministic and outer_deterministic
+        return Integrand(_eval, dim_out, inner.dim_in, deterministic=deterministic, name=name)
+
+    monkeypatch.setattr(cmvm.harness, "compose_integrands", mutant)
+
+
+# mutant -> (planting function, scenario, overrides, the gate that must fail)
+MUTANTS = {
+    "jump-amplitudes-x3": (
+        lambda mp: _amplitudes(mp, lambda amp: 3.0 * amp),
+        "burkholder",
+        ["n_paths=400"],
+        "jump-terminal-equality-p2-z",
+    ),
+    "jump-amplitudes-shifted": (
+        lambda mp: _amplitudes(mp, lambda amp: amp + 0.3),
+        "burkholder",
+        ["n_paths=400"],
+        "jump-terminal-equality-p2-z",
+    ),
+    "gauss-cos-hessian-x1.01": (
+        _hessian_off_by_one_percent,
+        "verify-taylor",
+        [],
+        "derivatives-gauss_cos",
+    ),
+    "compose-with-outer-value": (
+        _compose_with_outer_value,
+        "verify-associativity",
+        ["n_paths=20"],
+        "iterated-vs-fused-max-rel",
+    ),
+}
+
+
+def _gate(scenario, overrides, gate, out_dir):
+    cfg = apply_overrides(load_config(scenario), overrides)
+    return next(c for c in run(cfg, str(out_dir)).checks if c["name"] == gate)
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_gate_fails_on_planted_defect(mutant, monkeypatch, tmp_path):
+    plant, scenario, overrides, gate = MUTANTS[mutant]
+    clean = _gate(scenario, overrides, gate, tmp_path / "clean")
+    assert clean["passed"], clean
+    plant(monkeypatch)
+    planted = _gate(scenario, overrides, gate, tmp_path / "mutant")
+    assert not planted["passed"], planted

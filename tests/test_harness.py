@@ -1,6 +1,5 @@
 """Config handling, scenario outputs, CLI exit codes."""
 
-import csv
 import json
 import math
 
@@ -10,11 +9,9 @@ from hypothesis import strategies as st
 
 from cmvm.cli import main
 from cmvm.harness import (
-    CONVERGENCE_HEADER,
     _build_config,
     apply_overrides,
     config_hash,
-    emit_convergence_csv,
     load_config,
     run,
     scenario_description,
@@ -182,28 +179,6 @@ def test_noise_model_file_as_preset(tmp_path):
     assert res.passed
 
 
-def test_emit_convergence_csv_appends_without_duplicate_header(tmp_path):
-    path = str(tmp_path / "sweep.csv")
-    row = {
-        "experiment": "qv-converge",
-        "level": 3,
-        "mesh": 0.125,
-        "metric": "median_rel_err",
-        "value": 0.2,
-        "q25": 0.1,
-        "q75": 0.3,
-        "n_paths": 10,
-        "seed": 0,
-    }
-    emit_convergence_csv(path, [row], mode="w")
-    emit_convergence_csv(path, [dict(row, level=4)], mode="a")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(CONVERGENCE_HEADER)
-    assert len(rows) == 3
-    assert rows[1][1] == "3" and rows[2][1] == "4"
-
-
 def test_cli_list_and_validate(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
@@ -270,7 +245,8 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
 
 
 def _model_file(tmp_path, name):
-    """A noise-model file: jump-default with one field spoiled, or a valid 1-D model."""
+    """A noise-model file: jump-default with one field spoiled (or given a
+    diffusion whose rate underflows), or a valid 1-D model."""
     doc = spec_to_json(make_preset("jump-default"))
     if name == "NAN_MODEL":
         doc["cells"][1]["jump"]["rate"] = float("nan")
@@ -278,6 +254,10 @@ def _model_file(tmp_path, name):
         doc["dim"] = [2]
     elif name == "SCALAR_CELL_MODEL":
         doc["cells"][1] = 5
+    elif name == "SUBNORMAL_MODEL":
+        doc["cells"][1]["diffusion"] = {"cov": [[0.0, 0.0], [0.0, 0.25]], "intensity": 5e-324}
+    elif name == "UNDERFLOW_MODEL":
+        doc["cells"][1]["diffusion"] = {"cov": [[1e-30, 0.0], [0.0, 0.0]], "intensity": 1e-300}
     elif name == "ONE_DIM_MODEL":
         cell = {"diffusion": {"cov": [[1.0]], "intensity": 1.0}, "jump": None}
         doc = {"dim": 1, "partition": [0.0, 1.0], "cells": [cell]}
@@ -311,6 +291,8 @@ def _model_file(tmp_path, name):
         ("verify-qv", ["params.phi_b=[[0.2, -0.5]]"]),
         ("verify-conditional-isometry", ["params.weight=[0.6]"]),
         ("ito-converge", ["params.drift=[0.3, -0.2, 0.1]"]),
+        ("verify-isometry", ["preset=SUBNORMAL_MODEL"]),
+        ("verify-isometry", ["preset=UNDERFLOW_MODEL"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):

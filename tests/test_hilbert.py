@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from cmvm.hilbert import MAX_DIM, op_norm, psd_sqrt
 from cmvm.integrate import constant_integrand, lambda2_norm
-from cmvm.noise import (
-    CellNoise,
-    NoiseSpec,
-    SpatialPartition,
-    TimeGrid,
-    covariance_field,
-)
+from cmvm.noise import CellNoise, NoiseSpec, SpatialPartition, TimeGrid
 from cmvm.presets import make_preset
 
 
@@ -77,10 +71,7 @@ def test_entries_are_immutable():
     root = psd_sqrt(np.eye(2))
     with pytest.raises(ValueError):
         root[0, 0] = 7.0
-    mixed = make_preset("mixed-default")
-    with pytest.raises(ValueError):
-        covariance_field(mixed, 0, "total")[0, 0] = 7.0
-    tab = mixed.tables
+    tab = make_preset("mixed-default").tables
     shared = [tab.jump_rate] + [q for q in tab.gauss_factor if q is not None]
     for table in tab.flavors.values():
         shared.append(table.rate)

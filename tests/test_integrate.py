@@ -34,7 +34,6 @@ from cmvm.integrate import (
 )
 from cmvm.noise import TimeGrid, evaluate, sample_path
 from cmvm.presets import make_preset
-from cmvm.quadvar import localize
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
 
@@ -282,54 +281,6 @@ def test_lambda2_norm_deterministic_vs_sampled(mixed, grid8):
         lambda2_norm(constant_integrand(PHI), mixed, grid8, flavor="spicy")
 
 
-def test_localize_nesting_and_cap(mixed):
-    grid = TimeGrid(1.0, 32)
-    sample = sample_path(mixed, grid, seed=12, path_index=4)
-    path = integrate(state_linear_integrand(PHI, [0.5, 0.5], 0.8), sample)
-    total = realized_lambda2_mass(path, "total")
-    step_masses = [
-        realized_lambda2_mass(path, "total", upto_step=k + 1)
-        - realized_lambda2_mass(path, "total", upto_step=k)
-        for k in range(grid.n_steps)
-    ]
-    levels = [0.1 * total, 0.4 * total, 0.8 * total, 2.0 * total]
-    stops = []
-    for lv in levels:
-        loc = localize(path, lv)
-        stops.append(loc.stop_step)
-        assert loc.stopped_mass <= lv + max(step_masses) + 1e-15
-        # untouched before the stop, frozen after
-        assert np.array_equal(loc.values[: loc.stop_step + 1], path.values[: loc.stop_step + 1])
-        assert np.all(loc.values[loc.stop_step :] == loc.values[loc.stop_step])
-    assert stops == sorted(stops)
-    assert localize(path, 2.0 * total).stopped_early is False
-    assert localize(path, 0.1 * total).stopped_early is True
-    with pytest.raises(ValueError, match="positive"):
-        localize(path, 0.0)
-
-
-def test_localize_matches_per_step_route(mixed):
-    """The one-pass cumulative bracket of localize against the per-step
-    route of realized_lambda2_mass(upto_step=k) for every k."""
-    grid = TimeGrid(1.0, 32)
-    for idx in range(4):
-        path = integrate(
-            state_linear_integrand(PHI, [0.5, 0.5], 0.8),
-            sample_path(mixed, grid, seed=13, path_index=idx),
-        )
-        for flavor in ("total", "continuous", "discontinuous"):
-            cum = np.array(
-                [realized_lambda2_mass(path, flavor, upto_step=k) for k in range(grid.n_steps + 1)]
-            )
-            for frac in (0.05, 0.3, 0.7, 1.5):
-                level = frac * cum[-1]
-                loc = localize(path, level, flavor)
-                hit = np.nonzero(cum >= level)[0]
-                assert loc.stop_step == (int(hit[0]) if hit.size else grid.n_steps)
-                ref = realized_lambda2_mass(path, flavor, upto_step=loc.stop_step)
-                assert abs(loc.stopped_mass - ref) <= 1e-12 * max(ref, 1e-300)
-
-
 def test_decompose_parts_sum_exactly(mixed, grid8):
     proc = ItoProcessSpec(
         state_linear_integrand(PHI, [0.2, 0.9], 0.3),
@@ -423,6 +374,23 @@ def test_composition_with_state_dependent_outer(mixed, grid8):
         direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
         fused = integrate(composed, sample).terminal
         assert np.allclose(direct, fused, atol=1e-12)
+
+
+def test_composition_with_adapted_inner(mixed, grid8):
+    """An inner integrand that feeds back on its own running value: the
+    composition must hand it the inner integral, not the composed one."""
+    inner = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
+    outer_mats = np.random.default_rng(5).uniform(-1.0, 1.0, size=(grid8.n_steps, 2, 2))
+
+    def psi(step, time, value):
+        return outer_mats[step]
+
+    composed = compose_integrands(psi, inner, dim_out=2)
+    for idx in range(40):
+        sample = sample_path(mixed, grid8, seed=0, path_index=idx)
+        direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
+        fused = integrate(composed, sample).terminal
+        assert np.allclose(direct, fused, rtol=0.0, atol=1e-12 * max(1.0, np.abs(direct).max()))
 
 
 def test_deterministic_integrand_time_dependence(mixed, grid8):

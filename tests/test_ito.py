@@ -1,4 +1,4 @@
-"""Chain-rule decomposition, Taylor remainders and the power-function route."""
+"""Chain-rule decomposition, Taylor remainders and the registered derivatives."""
 
 import numpy as np
 import pytest
@@ -14,12 +14,12 @@ from cmvm.integrate import (
     state_linear_integrand,
 )
 from cmvm.ito import (
+    FD_TOL,
     finite_difference_check,
     gamma_estimate,
     ito_residual,
     ito_terms,
     make_smooth,
-    norm_power_expansion,
     taylor_remainder,
     taylor_remainder_quadrature,
 )
@@ -52,9 +52,9 @@ def _walk(spec, grid, integrand, *, seed, path_index, drift=None):
 def test_registry_derivatives_match_finite_differences(name, point):
     f = make_smooth(name)
     errs = finite_difference_check(f, 0.37, np.array(point), step=1e-5)
-    assert errs["d_t"] < 1e-4
-    assert errs["d_x"] < 1e-4
-    assert errs["d_xx"] < 1e-4
+    assert errs["d_t"] < FD_TOL
+    assert errs["d_x"] < FD_TOL
+    assert errs["d_xx"] < FD_TOL
 
 
 def test_registry_rejects_unknown_and_shallow_powers():
@@ -161,33 +161,6 @@ def test_unknown_trace_variant_rejected(mixed, grid8):
     path = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
     with pytest.raises(ValueError, match="trace variant"):
         ito_terms(path, make_smooth("quadratic"), trace_variant="midpoint")
-
-
-# ------------------------------------------------- power-function route
-
-
-@pytest.mark.parametrize("p", [3.0, 4.0])
-@pytest.mark.parametrize("variant", ["compensator", "realized"])
-def test_norm_power_matches_generic_route(mixed, grid8, p, variant):
-    f = make_smooth(f"norm_p:{p}")
-    for idx in range(10):
-        path = _walk(
-            mixed, grid8, constant_integrand(PHI), seed=910, path_index=idx, drift=[0.2, 0.1]
-        )
-        spec_terms = norm_power_expansion(path, p, trace_variant=variant)
-        gen = ito_terms(path, f, trace_variant=variant)
-        scale = max(1.0, abs(gen.total[0]))
-        assert abs(spec_terms.stoch - gen.stoch[0]) < 1e-9 * scale
-        assert abs(spec_terms.fv - gen.fv[0]) < 1e-9 * scale
-        assert abs(spec_terms.jump - gen.jump[0]) < 1e-9 * scale
-        assert abs(spec_terms.trace_outer + spec_terms.trace_hs - gen.trace[0]) < 1e-9 * scale
-        assert abs(spec_terms.total - gen.total[0]) < 1e-9 * scale
-
-
-def test_norm_power_rejects_shallow_exponent(mixed, grid8):
-    path = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
-    with pytest.raises(ValueError, match="p > 2"):
-        norm_power_expansion(path, 2.0)
 
 
 # -------------------------------------------------- cross-module routes

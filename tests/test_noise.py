@@ -26,12 +26,9 @@ from cmvm.noise import (
     SpatialPartition,
     TimeGrid,
     TwoPointAmplitude,
-    covariance_field,
     evaluate,
-    intensity_nu,
     load_noise_spec,
     normalize_spec,
-    qv_measure,
     sample_path,
     spec_from_json,
     spec_to_json,
@@ -147,6 +144,17 @@ def test_non_finite_model_values_rejected(tmp_path):
     model.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="cell 1: intensities must be finite"):
         load_noise_spec(str(model))
+    # positive rates that underflow: a subnormal intensity, and a normal one
+    # whose product with the covariance norm (the normalized intensity) is 0
+    for cov, intensity in (([[0.0, 0.0], [0.0, 0.25]], 5e-324), (1e-30 * np.eye(2), 1e-300)):
+        with pytest.raises(ValueError, match="underflows"):
+            CellNoise(diffusion_cov=cov, diffusion_intensity=intensity)
+    with pytest.raises(ValueError, match="jump QV rate .* underflows"):
+        CellNoise(jump_rate=1e-300, jump_amplitude=TwoPointAmplitude([1e-5, 0.0]))
+    doc["cells"][1]["diffusion"]["intensity"] = 5e-324
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="cell 1: diffusion intensity 5e-324 underflows"):
+        load_noise_spec(str(model))
 
 
 def test_spec_validation():
@@ -205,64 +213,41 @@ def test_normalize_rejects_inert_spec():
         normalize_spec(spec)
 
 
-def test_qv_measure_frozen_values(mixed, grid8):
-    dt = grid8.dt
-    disc = qv_measure(mixed, grid8, "discontinuous")
-    cont = qv_measure(mixed, grid8, "continuous")
-    total = qv_measure(mixed, grid8, "total")
+def test_qv_measure_frozen_values(mixed):
+    """The control measure of a step-cell block is dt times the flavor's rate."""
+    tab = mixed.tables
+    disc, cont, total = (tab.flavor(f).rate for f in ("discontinuous", "continuous", "total"))
     # cell 0: jump part carries rate * scale^2 = 1.5 * 0.4 per unit time
-    assert disc.mass[0, 0] == pytest.approx(dt * 1.5 * _AMP0_SQ)
+    assert disc[0] == pytest.approx(1.5 * _AMP0_SQ)
     # cell 0: diffusion part carries intensity * ||Q||, 0.8 * lam(Q0)
-    assert cont.mass[0, 0] == pytest.approx(dt * 0.8 * _LAM_Q0)
+    assert cont[0] == pytest.approx(0.8 * _LAM_Q0)
     # cell 2 is diffusion-only, cell 3 jump-only
-    assert disc.mass[0, 2] == 0.0
-    assert cont.mass[0, 3] == 0.0
+    assert disc[2] == 0.0
+    assert cont[3] == 0.0
+    assert np.all(total > 0.0)
     # the total flavor is the entrywise sum of the other two
-    assert np.allclose(total.mass, cont.mass + disc.mass, rtol=0, atol=1e-15)
-    cum = total.cumulative()
-    assert cum[0] == 0.0
-    assert cum[-1] == pytest.approx(total.total())
-    assert np.all(np.diff(cum) > 0)
-    assert total.window_mass(2, 5, [0, 1]) == pytest.approx(total.mass[2:5, :2].sum())
+    assert np.allclose(total, cont + disc, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="flavor"):
-        qv_measure(mixed, grid8, "everything")
+        tab.flavor("everything")
 
 
 def test_covariance_field_norms_and_identity(mixed):
+    field = {name: table.field for name, table in mixed.tables.flavors.items()}
+    rate = {name: table.rate for name, table in mixed.tables.flavors.items()}
     # single-flavor cells: the normalized field has unit operator norm
     for cell, flavor in [(2, "continuous"), (3, "discontinuous"), (2, "total"), (3, "total")]:
-        q = covariance_field(mixed, cell, flavor)
+        q = field[flavor][cell]
         assert np.abs(np.linalg.eigvalsh(q)).max() == pytest.approx(1.0)
     # mixed cells: the total field is the mass-weighted convex combination
-    rate = {name: table.rate for name, table in mixed.tables.flavors.items()}
     for cell in (0, 1):
-        lhs = rate["total"][cell] * covariance_field(mixed, cell, "total")
-        rhs = rate["continuous"][cell] * covariance_field(mixed, cell, "continuous")
-        rhs = rhs + rate["discontinuous"][cell] * covariance_field(mixed, cell, "discontinuous")
+        lhs = rate["total"][cell] * field["total"][cell]
+        rhs = rate["continuous"][cell] * field["continuous"][cell]
+        rhs = rhs + rate["discontinuous"][cell] * field["discontinuous"][cell]
         assert np.abs(lhs - rhs).max() < 1e-14
-        assert np.abs(np.linalg.eigvalsh(covariance_field(mixed, cell, "total"))).max() <= 1.0 + 1e-12
-    with pytest.raises(ValueError, match="undefined off support"):
-        covariance_field(mixed, 3, "continuous")
-    with pytest.raises(ValueError, match="undefined off support"):
-        covariance_field(mixed, 2, "discontinuous")
-
-
-def test_intensity_nu_additive_and_consistent(mixed, grid8):
-    h = np.array([0.7, -0.4])
-    nu_tot = intensity_nu(mixed, grid8, h, "total")
-    nu_c = intensity_nu(mixed, grid8, h, "continuous")
-    nu_d = intensity_nu(mixed, grid8, h, "discontinuous")
-    assert nu_tot.shape == (8, 4)
-    assert np.abs(nu_tot - (nu_c + nu_d)).max() < 1e-14
-    # against the covariance field and mass directly
-    mass = qv_measure(mixed, grid8, "total")
-    for j in range(4):
-        q = covariance_field(mixed, j, "total")
-        assert nu_tot[0, j] == pytest.approx(mass.mass[0, j] * float(h @ q @ h))
-    # continuous intensity vanishes on the jump-only cell
-    assert nu_c[:, 3].max() == 0.0
-    with pytest.raises(ValueError, match="dim"):
-        intensity_nu(mixed, grid8, [1.0, 2.0, 3.0])
+        assert np.abs(np.linalg.eigvalsh(field["total"][cell])).max() <= 1.0 + 1e-12
+    # off a flavor's support the field is undefined, and the table holds None
+    assert field["continuous"][3] is None
+    assert field["discontinuous"][2] is None
 
 
 def test_sampling_is_deterministic(mixed, grid8):
@@ -366,9 +351,11 @@ def test_increments_are_mean_zero(ensemble):
 
 
 def test_second_moment_matches_intensity(ensemble, mixed, grid8):
-    """E <M((0, T], U), h>^2 equals the total directional intensity."""
+    """E <M((0, T], U), h>^2 equals the total directional intensity
+    T * sum_j rate_j <Q_j h, h>."""
     h = np.array([0.7, -0.4])
-    target = intensity_nu(mixed, grid8, h, "total").sum()
+    total = mixed.tables.flavor("total")
+    target = grid8.horizon * sum(r * float(h @ q @ h) for r, q in zip(total.rate, total.field))
     sq = np.array([evaluate(p, 0.0, 1.0, range(4), h) ** 2 for p in ensemble])
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - target) < 4.0 * se
@@ -409,12 +396,15 @@ def test_serialization_roundtrip(tmp_path, mixed):
 _FLOAT = st.floats(-2.0, 2.0)
 
 
+_RATE = st.floats(5e-324, 5.0)
+
+
 @st.composite
-def _noise_specs(draw):
-    """A valid model: 1-3 dims, 1-3 cells on drawn breaks, each cell with an
-    optional diffusion and an optional two-point or Gaussian jump part.
-    Intensities and rates are 0 or at least 1e-3: a subnormal intensity
-    underflows in normalize_spec, a defect this round trip does not test."""
+def _noise_models(draw):
+    """A model as (dim, breaks, per-cell keyword arguments): 1-3 dims, 1-3
+    cells on drawn breaks, each cell with an optional diffusion and an
+    optional two-point or Gaussian jump part. Intensities and rates reach
+    down to the smallest subnormal float."""
     dim = draw(st.integers(1, 3))
     inner = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
     breaks = [0.0, *sorted(inner), 1.0]
@@ -431,7 +421,7 @@ def _noise_specs(draw):
     for _ in range(len(breaks) - 1):
         kwargs = {}
         if draw(st.booleans()):
-            intensity = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+            intensity = draw(st.one_of(st.just(0.0), _RATE))
             kwargs.update(diffusion_cov=psd(), diffusion_intensity=intensity)
         if draw(st.booleans()):
             if draw(st.booleans()):
@@ -440,15 +430,24 @@ def _noise_specs(draw):
                 amplitude = TwoPointAmplitude(vec)
             else:
                 amplitude = GaussianAmplitude(psd())
-            kwargs.update(jump_rate=draw(st.floats(1e-3, 5.0)), jump_amplitude=amplitude)
-        cells.append(CellNoise(**kwargs))
-    assume(any(c.has_diffusion or c.has_jumps for c in cells))
-    return NoiseSpec(dim, SpatialPartition(breaks), cells)
+            kwargs.update(jump_rate=draw(_RATE), jump_amplitude=amplitude)
+        cells.append(kwargs)
+    return dim, breaks, cells
 
 
 @settings(max_examples=60, deadline=None)
-@given(_noise_specs())
-def test_json_round_trip_keeps_every_flavor_table(spec):
+@given(_noise_models())
+def test_json_round_trip_keeps_every_flavor_table(model):
+    """Every model is rejected at construction, for a rate that underflows,
+    or survives the JSON round trip with every flavor table intact."""
+    dim, breaks, cell_kwargs = model
+    try:
+        cells = [CellNoise(**kwargs) for kwargs in cell_kwargs]
+    except ValueError as exc:
+        assert "underflows" in str(exc)
+        return
+    assume(any(c.has_diffusion or c.has_jumps for c in cells))
+    spec = NoiseSpec(dim, SpatialPartition(breaks), cells)
     back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
     assert back.partition == spec.partition
     want, got = normalize_spec(spec).tables, normalize_spec(back).tables

@@ -22,11 +22,11 @@ from cmvm.integrate import (
 from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
+    _add_jumps,
+    _bracket_steps,
     make_adaptive_partition,
     make_dyadic_partition,
-    optional_operator_qv,
     optional_qv,
-    predictable_operator_qv,
     predictable_qv,
     qv_refinement_study,
     riemann_qv,
@@ -69,15 +69,23 @@ def test_predictable_bracket_monotone_and_consistent(paths):
         total = predictable_qv(p, "total")
         split = predictable_qv(p, "continuous") + predictable_qv(p, "discontinuous")
         assert np.allclose(total, split, rtol=1e-12, atol=1e-15)
+    # the running bracket against the per-step route of the realized mass
+    for p in paths[:4]:
+        for flavor in ("total", "continuous", "discontinuous"):
+            steps = range(p.grid.n_steps + 1)
+            per_step = [realized_lambda2_mass(p, flavor, upto_step=k) for k in steps]
+            assert np.allclose(predictable_qv(p, flavor), per_step, rtol=1e-12, atol=0.0)
 
 
 def test_operator_bracket_trace_and_psd(paths):
+    """The operator steps of the bracket kernel: their running sums trace to
+    the scalar bracket, and each step is symmetric PSD."""
     for p in paths[:30]:
         for flavor in ("total", "continuous"):
-            op = predictable_operator_qv(p, flavor)
+            inc = _bracket_steps(p, flavor, operator=True)
+            op = np.cumsum(inc, axis=0)
             scalar = predictable_qv(p, flavor)
-            assert np.allclose(np.trace(op, axis1=1, axis2=2), scalar, rtol=1e-12, atol=1e-15)
-            inc = np.diff(op, axis=0)
+            assert np.allclose(np.trace(op, axis1=1, axis2=2), scalar[1:], rtol=1e-12, atol=1e-15)
             assert np.allclose(inc, np.swapaxes(inc, 1, 2), atol=1e-14)
             eigs = np.linalg.eigvalsh(inc)
             assert eigs.min() > -1e-12
@@ -92,8 +100,8 @@ def test_optional_bracket_structure(paths):
         for rec in p.jumps:
             manual[rec["step"] + 1 :] += float(rec["delta"] @ rec["delta"])
         assert np.allclose(opt, manual, rtol=1e-12, atol=1e-15)
-        op = optional_operator_qv(p)
-        assert np.allclose(np.trace(op, axis1=1, axis2=2), opt, rtol=1e-12, atol=1e-15)
+        op = np.cumsum(_add_jumps(_bracket_steps(p, "continuous", operator=True), p, p), axis=0)
+        assert np.allclose(np.trace(op, axis1=1, axis2=2), opt[1:], rtol=1e-12, atol=1e-15)
 
 
 def test_optional_polarization(mixed, grid8):
@@ -123,9 +131,8 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
         simulate_ito_process(ItoProcessSpec(ia, driver=FVDriver([k], [[1.0, 0.0]])), sample)
         for k in (1, 6)
     )
-    for bracket in (optional_qv, optional_operator_qv):
-        with pytest.raises(ValueError, match="jump sequence"):
-            bracket(early, late)
+    with pytest.raises(ValueError, match="jump sequence"):
+        optional_qv(early, late)
 
 
 def test_realized_variance_is_unbiased(paths):
