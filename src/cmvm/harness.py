@@ -640,6 +640,17 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
     return _checks_outcome(checks, metrics)
 
 
+def _quartiles(values: np.ndarray) -> list:
+    """Lower quartile, median and upper quartile, interpolated linearly
+    between order statistics as np.quantile does by default, or NaNs when a
+    value is NaN. np.quantile and np.median import numpy.ma on first use."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return [math.nan] * 3
+    positions = np.array([0.25, 0.5, 0.75]) * (len(s) - 1)
+    return np.interp(positions, np.arange(len(s)), s).tolist()
+
+
 def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     p = cfg.params
@@ -657,16 +668,17 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
                 proc, sample_path(spec, grid, seed=cfg.seed, path_index=i)
             )
             res[i] = abs(float(ito_residual(path, f, trace_variant=p["variant"])[0]))
-        medians.append(float(np.median(res)))
+        q25, median, q75 = _quartiles(res)
+        medians.append(median)
         rows.append(
             [
                 "ito-converge",
                 level,
                 grid.dt,
                 "median_abs_residual",
-                medians[-1],
-                float(np.quantile(res, 0.25)),
-                float(np.quantile(res, 0.75)),
+                median,
+                q25,
+                q75,
                 cfg.n_paths,
                 cfg.seed,
             ]
@@ -723,8 +735,10 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     return _checks_outcome(checks, metrics)
 
 
-def _random_simple_pair(rng: np.random.Generator, n_steps: int, n_cells: int, max_blocks: int):
-    """One random gated simple integrand plus a random step-function outer map."""
+def _random_simple_pair(
+    rng: np.random.Generator, n_steps: int, n_cells: int, dim: int, max_blocks: int
+):
+    """A random gated simple integrand with 2 x dim blocks, and a random step-function outer map."""
 
     def random_blocks():
         blocks = []
@@ -733,10 +747,10 @@ def _random_simple_pair(rng: np.random.Generator, n_steps: int, n_cells: int, ma
             stop = int(rng.integers(start + 1, n_steps + 1))
             n_pick = int(rng.integers(1, n_cells + 1))
             cells = tuple(sorted(rng.choice(n_cells, size=n_pick, replace=False).tolist()))
-            matrix = rng.uniform(-1.0, 1.0, size=(2, 2))
+            matrix = rng.uniform(-1.0, 1.0, size=(2, dim))
             predicate = None
             if start > 0 and rng.random() < 0.5:
-                comp = int(rng.integers(0, 2))
+                comp = int(rng.integers(0, dim))
 
                 def predicate(sample, start_step, _c=comp):
                     return bool(sample.gauss[: start_step].sum(axis=(0, 1))[_c] > 0.0)
@@ -744,7 +758,7 @@ def _random_simple_pair(rng: np.random.Generator, n_steps: int, n_cells: int, ma
             blocks.append(SimpleBlock(start, stop, cells, matrix, predicate))
         return blocks
 
-    inner = SimpleIntegrand(random_blocks(), 2, 2)
+    inner = SimpleIntegrand(random_blocks(), 2, dim)
     outer_mats = rng.uniform(-1.0, 1.0, size=(n_steps, 2, 2))
 
     def outer(step, time_, value, _mats=outer_mats):
@@ -762,11 +776,12 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
     worst = 0.0
     for i in range(cfg.n_paths):
         inner, outer = _random_simple_pair(
-            rng, cfg.n_steps, spec.n_cells, int(p["max_blocks"])
+            rng, cfg.n_steps, spec.n_cells, spec.dim, int(p["max_blocks"])
         )
         integrand = inner.as_general()
         if i % 2:  # odd paths swap in an inner integrand that reads its own value
-            base, weight = rng.uniform(-1.0, 1.0, size=(2, 2)), rng.uniform(-1.0, 1.0, size=2)
+            base = rng.uniform(-1.0, 1.0, size=(2, spec.dim))
+            weight = rng.uniform(-1.0, 1.0, size=2)
             integrand = state_linear_integrand(base, weight, float(rng.uniform(0.0, 0.5)))
         sample = sample_path(spec, grid, seed=cfg.seed, path_index=i)
         iterated = integrate_process(outer, integrate(integrand, sample), dim_out=2)

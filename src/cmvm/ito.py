@@ -21,9 +21,13 @@ that is a statistical statement in the step size.
 The registered functions (``make_smooth``) carry hand-coded derivatives,
 which ``finite_difference_check`` compares with central differences; the
 p-th power of the norm is one of them, so its chain rule is ``ito_terms``
-with ``norm_p:<p>``. The module also carries the integral-form Taylor
-remainder (the object whose smallness makes the trace term the right
-second-order price) and a sampled modulus for it.
+with ``norm_p:<p>``. Each function and derivative broadcasts over leading
+axes of (t, x), so ``ito_terms`` prices a path in array passes: one call
+per derivative over the step-start points, and one over all jump rows at
+their pre- and post-jump values. The module also carries the
+integral-form Taylor remainder (the object whose smallness makes the trace
+term the right second-order price), evaluated at all quadrature nodes in
+one call, and a sampled modulus for it.
 """
 
 from __future__ import annotations
@@ -54,27 +58,38 @@ __all__ = [
 class SmoothFunction:
     """A C^{1,2} map f(t, x) with hand-coded derivatives.
 
-    value returns shape (dim_value,); d_t the same; d_x the Jacobian
-    (dim_value, d); d_xx the Hessian stack (dim_value, d, d). All take
-    (t, x) with x a coordinate vector of any dimension the map supports.
+    Each callable broadcasts over leading axes: t of shape (...) and x of
+    shape (..., d), for any d the map supports, give value and d_t of shape
+    (..., dim_value), Jacobians d_x (..., dim_value, d) and Hessian stacks
+    d_xx (..., dim_value, d, d). A float t with a vector x is one point.
     """
 
     name: str
     dim_value: int
-    value: Callable[[float, np.ndarray], np.ndarray]
-    d_t: Callable[[float, np.ndarray], np.ndarray]
-    d_x: Callable[[float, np.ndarray], np.ndarray]
-    d_xx: Callable[[float, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_xx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _zeros(x, *tail):
+    """Zeros of shape (..., 1, *tail) for the leading axes of x."""
+    return np.zeros(x.shape[:-1] + (1,) + tail)
+
+
+def _outer(a, b):
+    """Batched outer products: (..., d) x (..., d) -> (..., d, d)."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def _quadratic() -> SmoothFunction:
     return SmoothFunction(
         name="quadratic",
         dim_value=1,
-        value=lambda t, x: np.array([float(x @ x)]),
-        d_t=lambda t, x: np.zeros(1),
-        d_x=lambda t, x: (2.0 * x)[None, :],
-        d_xx=lambda t, x: 2.0 * np.eye(x.shape[0])[None, :, :],
+        value=lambda t, x: np.vecdot(x, x)[..., None],
+        d_t=lambda t, x: _zeros(x),
+        d_x=lambda t, x: (2.0 * x)[..., None, :],
+        d_xx=lambda t, x: _zeros(x, x.shape[-1], x.shape[-1]) + 2.0 * np.eye(x.shape[-1]),
     )
 
 
@@ -82,10 +97,10 @@ def _linear(c: float) -> SmoothFunction:
     return SmoothFunction(
         name=f"linear:{c}",
         dim_value=1,
-        value=lambda t, x: np.array([c * float(x.sum())]),
-        d_t=lambda t, x: np.zeros(1),
-        d_x=lambda t, x: np.full((1, x.shape[0]), c),
-        d_xx=lambda t, x: np.zeros((1, x.shape[0], x.shape[0])),
+        value=lambda t, x: c * x.sum(axis=-1)[..., None],
+        d_t=lambda t, x: _zeros(x),
+        d_x=lambda t, x: np.full(x.shape[:-1] + (1, x.shape[-1]), c),
+        d_xx=lambda t, x: _zeros(x, x.shape[-1], x.shape[-1]),
     )
 
 
@@ -93,28 +108,26 @@ def _norm_power(p: float) -> SmoothFunction:
     if p <= 2.0:
         raise ValueError(f"norm_p needs p > 2 for a C^2 function at the origin, got p={p}")
 
-    def value(t, x):
-        return np.array([float(np.linalg.norm(x) ** p)])
-
+    # r ** (p - 2) is 0 at the origin, so value and d_x need no special case
     def d_x(t, x):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return np.zeros((1, x.shape[0]))
-        return (p * r ** (p - 2.0) * x)[None, :]
+        r = np.sqrt(np.vecdot(x, x))
+        return ((p * r ** (p - 2.0))[..., None] * x)[..., None, :]
 
     def d_xx(t, x):
-        d = x.shape[0]
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return np.zeros((1, d, d))
-        outer = np.outer(x, x)
-        return (p * (p - 2.0) * r ** (p - 4.0) * outer + p * r ** (p - 2.0) * np.eye(d))[None]
+        r = np.sqrt(np.vecdot(x, x))
+        # r ** (p - 4) blows up at the origin for p < 4; the mask puts the
+        # Hessian's limit, 0, there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = (p * (p - 2.0) * r ** (p - 4.0))[..., None, None] * _outer(x, x) + (
+                p * r ** (p - 2.0)
+            )[..., None, None] * np.eye(x.shape[-1])
+        return np.where((r > 0.0)[..., None, None], h, 0.0)[..., None, :, :]
 
     return SmoothFunction(
         name=f"norm_p:{p}",
         dim_value=1,
-        value=value,
-        d_t=lambda t, x: np.zeros(1),
+        value=lambda t, x: (np.sqrt(np.vecdot(x, x)) ** p)[..., None],
+        d_t=lambda t, x: _zeros(x),
         d_x=d_x,
         d_xx=d_xx,
     )
@@ -127,37 +140,35 @@ def _gauss_cos() -> SmoothFunction:
     what the step-size refinement studies need.
     """
 
-    def w_of(d):
-        return 1.0 / (1.0 + np.arange(d))
+    def parts(t, x):
+        """w, the Gaussian factor g and the phase theta, over the leading axes."""
+        w = 1.0 / (1.0 + np.arange(x.shape[-1]))
+        return w, np.exp(-0.5 * np.vecdot(x, x)), t + np.vecdot(x, w)
 
     def value(t, x):
-        w = w_of(x.shape[0])
-        return np.array([float(np.exp(-0.5 * x @ x) * np.cos(t + w @ x))])
+        _, g, theta = parts(t, x)
+        return (g * np.cos(theta))[..., None]
 
     def d_t(t, x):
-        w = w_of(x.shape[0])
-        return np.array([-float(np.exp(-0.5 * x @ x) * np.sin(t + w @ x))])
+        _, g, theta = parts(t, x)
+        return -(g * np.sin(theta))[..., None]
 
     def d_x(t, x):
-        w = w_of(x.shape[0])
-        g = float(np.exp(-0.5 * x @ x))
-        theta = t + float(w @ x)
-        return (-g * (x * np.cos(theta) + w * np.sin(theta)))[None, :]
+        w, g, theta = parts(t, x)
+        c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+        return (-g[..., None] * (x * c + w * s))[..., None, :]
 
     def d_xx(t, x):
-        d = x.shape[0]
-        w = w_of(d)
-        g = float(np.exp(-0.5 * x @ x))
-        theta = t + float(w @ x)
-        c, s = np.cos(theta), np.sin(theta)
+        w, g, theta = parts(t, x)
+        c, s = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
         h = (
-            np.outer(x, x) * c
-            + np.outer(x, w) * s
-            + np.outer(w, x) * s
+            _outer(x, x) * c
+            + _outer(x, w) * s
+            + _outer(w, x) * s
             - np.outer(w, w) * c
-            - np.eye(d) * c
+            - np.eye(x.shape[-1]) * c
         )
-        return (g * h)[None, :, :]
+        return (g[..., None, None] * h)[..., None, :, :]
 
     return SmoothFunction(
         name="gauss_cos", dim_value=1, value=value, d_t=d_t, d_x=d_x, d_xx=d_xx
@@ -244,52 +255,28 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
         raise ValueError(
             f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
         )
-    k_dim = f.dim_value
     n = path.grid.n_steps
-    dt = path.grid.dt
-    times = path.grid.times
-    # the continuous operator steps that price the compensator trace term;
-    # the realized variant reads stoch_cont instead
-    cont_steps = None
+    t, x = path.grid.times[:n], path.values[:n]
+    grad = f.d_x(t, x)
+    hess = f.d_xx(t, x)
     if trace_variant == "compensator":
-        cont_steps = _bracket_steps(path, "continuous", operator=True)
+        # the continuous operator steps S_k price the trace as 0.5 <hess, S_k>
+        steps = _bracket_steps(path, "continuous", operator=True)
+        trace = 0.5 * np.einsum("nkab,nab->k", hess, steps)
+    else:
+        s = path.stoch_cont
+        trace = 0.5 * np.einsum("nkab,na,nb->k", hess, s, s)
 
-    time_term = np.zeros(k_dim)
-    fv_term = np.zeros(k_dim)
-    stoch_term = np.zeros(k_dim)
-    trace_term = np.zeros(k_dim)
-    jump_term = np.zeros(k_dim)
-
-    for k in range(n):
-        t = float(times[k])
-        x = path.values[k]
-        time_term += f.d_t(t, x) * dt
-        grad = f.d_x(t, x)
-        if path.drift[k].any():
-            fv_term += grad @ path.drift[k]
-        stoch_term += grad @ path.stoch_cont[k]
-        hess = f.d_xx(t, x)
-        if cont_steps is None:
-            s = path.stoch_cont[k]
-            trace_term += 0.5 * np.einsum("qab,a,b->q", hess, s, s)
-        else:
-            trace_term += 0.5 * np.einsum("qab,ab->q", hess, cont_steps[k])
-
-    for rec in path.jumps:
-        tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
-        step_inc = f.d_x(tau, pre) @ dx
-        if rec["cell"] >= 0:
-            stoch_term += step_inc
-        else:
-            fv_term += step_inc
-        jump_term += f.value(tau, pre + dx) - f.value(tau, pre) - step_inc
-
+    rec = path.jumps
+    pre, dx = rec["pre"], rec["delta"]
+    inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
+    noise = rec["cell"] >= 0
     return ItoTerms(
-        time=time_term,
-        fv=fv_term,
-        stoch=stoch_term,
-        trace=trace_term,
-        jump=jump_term,
+        time=f.d_t(t, x).sum(axis=0) * path.grid.dt,
+        fv=np.einsum("nkd,nd->k", grad, path.drift) + inc[~noise].sum(axis=0),
+        stoch=np.einsum("nkd,nd->k", grad, path.stoch_cont) + inc[noise].sum(axis=0),
+        trace=trace,
+        jump=(f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc).sum(axis=0),
         variant=trace_variant,
     )
 
@@ -328,12 +315,8 @@ def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y, n_nodes: int 
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     s_vals = 0.5 * (nodes + 1.0)
     w_vals = 0.5 * weights
-    base = f.d_xx(t, x)
-    out = np.zeros(f.dim_value)
-    for s, w in zip(s_vals, w_vals):
-        diff = f.d_xx(t, x + s * d) - base
-        out += w * (1.0 - s) * np.einsum("qab,a,b->q", diff, d, d)
-    return out
+    diff = f.d_xx(t, x + s_vals[:, None] * d) - f.d_xx(t, x)
+    return np.einsum("s,sqab,a,b->q", w_vals * (1.0 - s_vals), diff, d, d)
 
 
 def gamma_estimate(

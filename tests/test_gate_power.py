@@ -30,6 +30,19 @@ def _hessian_off_by_one_percent(monkeypatch):
     monkeypatch.setattr(cmvm.ito, "_gauss_cos", mutant)
 
 
+def _realized_trace_doubled(monkeypatch):
+    """ito_terms with 1.0 in place of the 0.5 of the realized trace term."""
+    original = cmvm.ito.ito_terms
+
+    def mutant(path, f, trace_variant="compensator"):
+        terms = original(path, f, trace_variant)
+        if trace_variant != "realized":
+            return terms
+        return dataclasses.replace(terms, trace=2.0 * terms.trace)
+
+    monkeypatch.setattr(cmvm.ito, "ito_terms", mutant)
+
+
 def _compose_with_outer_value(monkeypatch):
     """compose_integrands as it was when the inner integrand was handed the
     composed integral's running value in place of its own."""
@@ -64,6 +77,12 @@ MUTANTS = {
         "verify-taylor",
         [],
         "derivatives-gauss_cos",
+    ),
+    "ito-realized-trace-x2": (
+        _realized_trace_doubled,
+        "verify-ito",
+        ["n_paths=20"],
+        "realized-residual-max-rel",
     ),
     "compose-with-outer-value": (
         _compose_with_outer_value,

@@ -340,3 +340,15 @@ def test_single_level_fails_convergence_gate(tmp_path, scenario, level):
     blob = json.loads((tmp_path / f"{scenario}.json").read_text())
     decreasing = next(c for c in blob["checks"] if c["name"].endswith("-strictly-decreasing"))
     assert decreasing["value"] is None and decreasing["passed"] is False
+
+
+def test_associativity_runs_on_a_one_dim_model(tmp_path):
+    """verify-associativity draws its inner operators with the model's
+    dimension as their input columns, so a one-cell 1-D model file runs
+    and passes."""
+    model = _model_file(tmp_path, "ONE_DIM_MODEL")
+    args = ["verify-associativity", "--set", f"preset={model}", "--set", "n_paths=10"]
+    assert main(["validate-config"] + args) == 0
+    assert main(["run"] + args + ["--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "verify-associativity.json").read_text())
+    assert [c["passed"] for c in payload["checks"]] == [True]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmvm.integrate import (
+    FVDriver,
     ItoProcessSpec,
     constant_integrand,
     deterministic_integrand,
@@ -25,8 +26,10 @@ from cmvm.ito import (
 )
 from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
+from cmvm.quadvar import _bracket_steps
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
+REGISTERED = ["quadratic", "linear:0.7", "norm_p:4", "norm_p:3", "gauss_cos"]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +50,7 @@ def _walk(spec, grid, integrand, *, seed, path_index, drift=None):
 # ---------------------------------------------------------------- registry
 
 
-@pytest.mark.parametrize("name", ["quadratic", "linear:0.7", "norm_p:4", "norm_p:3", "gauss_cos"])
+@pytest.mark.parametrize("name", REGISTERED)
 @pytest.mark.parametrize("point", [[0.4, -1.1], [2.0, 0.3]])
 def test_registry_derivatives_match_finite_differences(name, point):
     f = make_smooth(name)
@@ -55,6 +58,32 @@ def test_registry_derivatives_match_finite_differences(name, point):
     assert errs["d_t"] < FD_TOL
     assert errs["d_x"] < FD_TOL
     assert errs["d_xx"] < FD_TOL
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_smooth_functions_broadcast(name):
+    """A batch of points gives the stacked single-point results, an empty
+    batch gives empty stacks, and the origin (where norm_p's Hessian is a
+    limit) is one of the points. norm_p may differ in the last bits, since
+    numpy's array power and its scalar power may round differently."""
+    f = make_smooth(name)
+    rng = np.random.default_rng(11)
+    d = 3
+    t = rng.uniform(0.0, 1.0, 12)
+    x = rng.uniform(-1.5, 1.5, (12, d))
+    x[4] = 0.0
+    for attr, tail in (("value", ()), ("d_t", ()), ("d_x", (d,)), ("d_xx", (d, d))):
+        fn = getattr(f, attr)
+        batch = fn(t, x)
+        stacked = np.stack([fn(float(ti), xi) for ti, xi in zip(t, x)])
+        assert batch.shape == stacked.shape == (12, 1) + tail
+        assert np.all(np.isfinite(batch))
+        if name.startswith("norm_p"):
+            np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(batch, stacked)
+        assert fn(t.reshape(3, 4), x.reshape(3, 4, d)).shape == (3, 4, 1) + tail
+        assert fn(np.zeros(0), np.zeros((0, d))).shape == (0, 1) + tail
 
 
 def test_registry_rejects_unknown_and_shallow_powers():
@@ -161,6 +190,53 @@ def test_unknown_trace_variant_rejected(mixed, grid8):
     path = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
     with pytest.raises(ValueError, match="trace variant"):
         ito_terms(path, make_smooth("quadratic"), trace_variant="midpoint")
+
+
+def _loop_terms(path, f, trace_variant):
+    """The five terms by a per-step and per-jump-row loop of single-point
+    calls: the reference for ito_terms' array route."""
+    terms = {name: np.zeros(f.dim_value) for name in ("time", "fv", "stoch", "trace", "jump")}
+    cont = _bracket_steps(path, "continuous", operator=True)
+    for k in range(path.grid.n_steps):
+        t, x = float(path.grid.times[k]), path.values[k]
+        grad, hess = f.d_x(t, x), f.d_xx(t, x)
+        terms["time"] += f.d_t(t, x) * path.grid.dt
+        terms["fv"] += grad @ path.drift[k]
+        terms["stoch"] += grad @ path.stoch_cont[k]
+        if trace_variant == "realized":
+            s = path.stoch_cont[k]
+            terms["trace"] += 0.5 * np.einsum("qab,a,b->q", hess, s, s)
+        else:
+            terms["trace"] += 0.5 * np.einsum("qab,ab->q", hess, cont[k])
+    for rec in path.jumps:
+        tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
+        inc = f.d_x(tau, pre) @ dx
+        terms["stoch" if rec["cell"] >= 0 else "fv"] += inc
+        terms["jump"] += f.value(tau, pre + dx) - f.value(tau, pre) - inc
+    return terms
+
+
+@pytest.mark.parametrize("n_steps", [8, 64])
+@pytest.mark.parametrize("trace_variant", ["compensator", "realized"])
+def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
+    """Noise jumps and driver jumps (cell == -1) both land in the record
+    array; only the order of summation differs from the loop."""
+    driver = FVDriver([1, 5, n_steps - 1], [[0.3, -0.1], [-0.2, 0.4], [0.1, 0.1]])
+    proc = ItoProcessSpec(
+        state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2], driver=driver
+    )
+    grid = TimeGrid(1.0, n_steps)
+    cells = []
+    for idx in range(4):
+        path = simulate_ito_process(proc, sample_path(mixed, grid, seed=909, path_index=idx))
+        cells.extend(path.jumps["cell"].tolist())
+        for name in REGISTERED:
+            f = make_smooth(name)
+            got = ito_terms(path, f, trace_variant)
+            for term, want in _loop_terms(path, f, trace_variant).items():
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(getattr(got, term) - want).max() <= 1e-12 * scale, (name, term)
+    assert -1 in cells and max(cells) >= 0
 
 
 # -------------------------------------------------- cross-module routes
