@@ -44,9 +44,10 @@ from .integrate import (
     SimpleBlock,
     SimpleIntegrand,
     _mean_se,
+    _per_path,
+    _quartiles,
     _z_score,
     compose_integrands,
-    conditional_isometry_check,
     constant_integrand,
     decompose_integral,
     deterministic_integrand,
@@ -58,6 +59,7 @@ from .integrate import (
     state_linear_integrand,
 )
 from .ito import (
+    _TRACE_VARIANTS,
     FD_TOL,
     finite_difference_check,
     gamma_estimate,
@@ -66,9 +68,11 @@ from .ito import (
     taylor_remainder,
     taylor_remainder_quadrature,
 )
-from .noise import QV_FLAVORS, TimeGrid, load_noise_spec, normalize_spec, sample_path
+# sample_path is imported but not called here (paths come from integrate._per_path):
+# bench/test_bench.py checks that the tracer rebinds this module's name too
+from .noise import QV_FLAVORS, TimeGrid, load_noise_spec, normalize_spec, sample_path  # noqa: F401
 from .presets import make_preset, preset_names
-from .quadvar import optional_qv, predictable_qv, qv_refinement_study
+from .quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
 
 __all__ = [
     "ExperimentConfig",
@@ -223,6 +227,9 @@ def _build_config(data: dict) -> ExperimentConfig:
     n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
     if n_steps <= 0 or n_paths <= 0:
         raise ValueError("n_steps and n_paths must be positive")
+    for key, default in _PARAM_DEFAULTS.get(scenario, {}).items():
+        _check_param_type(key, params[key], default)
+    _check_param_values(params, n_steps)
     models = [fields["preset"]]
     if "continuous_preset" in params:
         models.append(params["continuous_preset"])
@@ -256,6 +263,50 @@ def _build_config(data: dict) -> ExperimentConfig:
         seed=seed,
         params=params,
     )
+
+
+def _check_param_type(key: str, value, default) -> None:
+    """A param takes the type of its default: an integer, a finite number, a
+    string, a list of strings, or a finite numeric list nested as deep."""
+    if isinstance(default, int):
+        _integer(f"params.{key}", value)
+        return
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    elif isinstance(default, str):
+        ok = isinstance(value, str)
+    elif isinstance(default[0], str):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, list)
+        if ok and not np.isfinite(_param_array({key: value}, key, np.ndim(default))).all():
+            raise ValueError(f"params.{key} must be finite, got {value!r}")
+    if not ok:
+        raise ValueError(f"params.{key} must have the type of its default {default!r}; got {value!r}")
+
+
+def _check_param_values(params: dict, n_steps: int) -> None:
+    """Names go through the lookup of the module that owns them; moment
+    orders, block counts, the conditioning step and the deltas must be in
+    range."""
+    for key, names in (("flavor", QV_FLAVORS), ("kind", _REFINEMENTS), ("variant", _TRACE_VARIANTS)):
+        if key in params and params[key] not in names:
+            raise ValueError(f"params.{key} must be one of {sorted(names)}, got {params[key]!r}")
+    functions = params.get("functions", []) + ([params["function"]] if "function" in params else [])
+    for name in functions:
+        try:
+            make_smooth(name)
+        except ValueError as err:
+            raise ValueError(f"smooth function {name!r} in params: {err}") from None
+    for key in ("p_closed", "p_empirical"):
+        if not all(order > 0 for order in params.get(key, [])):
+            raise ValueError(f"params.{key} must hold positive moment orders, got {params[key]!r}")
+    if params.get("max_blocks", 1) < 1:
+        raise ValueError(f"params.max_blocks must be at least 1, got {params['max_blocks']!r}")
+    if not 0 <= params.get("s_step", 0) < n_steps:
+        raise ValueError(f"params.s_step must lie in 0..{n_steps - 1}, got {params['s_step']!r}")
+    if params.get("deltas") == []:
+        raise ValueError("params.deltas must not be empty")
 
 
 def _param_array(params: dict, key: str, ndim: int) -> np.ndarray:
@@ -444,12 +495,13 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     integrand = constant_integrand(_phi_matrix(cfg.params))
-    target = float(lambda2_norm(integrand, spec, grid, cfg.params["flavor"]).value)
-    sq = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        path = integrate(integrand, sample_path(spec, grid, seed=cfg.seed, path_index=i))
-        sq[i] = float(path.terminal @ path.terminal)
-    mean, se = _mean_se(sq)
+    target = lambda2_norm(integrand, spec, grid, cfg.params["flavor"])
+
+    def measure(sample):
+        end = integrate(integrand, sample).terminal
+        return (float(end @ end),)
+
+    mean, se = _mean_se(_per_path(spec, grid, cfg.seed, cfg.n_paths, measure)[:, 0])
     z = _z_score(mean - target, se)
     rel = abs(mean - target) / target
     checks = [
@@ -468,40 +520,56 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
 
 
 def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
+    """Per event E decided at s: E[ |I_t - I_s|^2 - (<I>_t - <I>_s) ; E ] = 0.
+
+    Each path gives the squared increment, the realized predictable bracket
+    increment and one indicator per event. Adaptedness makes the paired
+    difference centered however the integrand feeds back on the path, so
+    its z is the gate; z is NaN (and the gate fails) without a positive
+    standard error, and an event that no path hits fails too.
+    """
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
     integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
+    ks, kt = int(p["s_step"]), cfg.n_steps
     events = {
-        "always": lambda path, ks: True,
-        "first-up": lambda path, ks: bool(path.values[1][0] > path.values[0][0]),
-        "first-down": lambda path, ks: bool(path.values[1][0] <= path.values[0][0]),
+        "always": lambda path: True,
+        "first-up": lambda path: bool(path.values[1][0] > path.values[0][0]),
+        "first-down": lambda path: bool(path.values[1][0] <= path.values[0][0]),
     }
-    results = conditional_isometry_check(
-        integrand,
-        spec,
-        grid,
-        s=float(grid.times[int(p["s_step"])]),
-        t=cfg.horizon,
-        events=events,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-    )
-    checks = [
-        _check(f"event-{c.name}-z", c.z, 0.0, p["z_max"], abs(c.z) <= p["z_max"] and c.event_rate > 0, z=c.z)
-        for c in results
-    ]
-    metrics = {
-        c.name: {
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "mean_diff": c.mean_diff,
-            "stderr": c.stderr,
-            "z": c.z,
-            "event_rate": c.event_rate,
+
+    def measure(sample):
+        path = integrate(integrand, sample)
+        inc = path.values[kt] - path.values[ks]
+        bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
+            path, "total", upto_step=ks
+        )
+        return (float(inc @ inc), bracket, *(float(event(path)) for event in events.values()))
+
+    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
+    sq, bracket = rows[:, 0], rows[:, 1]
+    checks, metrics = [], {}
+    for name, ind in zip(events, rows[:, 2:].T):
+        hit = ind == 1.0
+        mean, se = _mean_se(ind * (sq - bracket))
+        z = _z_score(mean, se)
+        rate = int(np.count_nonzero(hit)) / cfg.n_paths
+        # running sums over the hit paths, in path order
+        lhs, rhs = (
+            float(np.cumsum(np.where(hit, col, 0.0))[-1]) / cfg.n_paths for col in (sq, bracket)
+        )
+        checks.append(
+            _check(f"event-{name}-z", z, 0.0, p["z_max"], abs(z) <= p["z_max"] and rate > 0, z=z)
+        )
+        metrics[name] = {
+            "lhs": lhs,
+            "rhs": rhs,
+            "mean_diff": mean,
+            "stderr": se,
+            "z": z,
+            "event_rate": rate,
         }
-        for c in results
-    }
     metrics["stderr_reliable"] = cfg.n_paths >= 2
     return _checks_outcome(checks, metrics)
 
@@ -515,28 +583,27 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     mat_b = _phi_matrix(p, "phi_b")
     adapted = state_linear_integrand(mat_a, p["weight"], p["gain"])
     ia, ib, iab = (constant_integrand(m) for m in (mat_a, mat_b, mat_a + mat_b))
-    worst = {f"mass-{flavor}": 0.0 for flavor in QV_FLAVORS}
-    worst["optional-additivity"] = 0.0
-    worst["polarization"] = 0.0
-    for i in range(cfg.n_paths):
-        sample = sample_path(spec, grid, seed=cfg.seed, path_index=i)
+    names = [f"mass-{flavor}" for flavor in QV_FLAVORS] + ["optional-additivity", "polarization"]
+
+    def measure(sample):
         path = integrate(adapted, sample)
+        errors = []
         for flavor in QV_FLAVORS:
             pred = float(predictable_qv(path, flavor)[-1])
             real = realized_lambda2_mass(path, flavor)
-            worst[f"mass-{flavor}"] = max(
-                worst[f"mass-{flavor}"], abs(pred - real) / max(1.0, abs(pred))
-            )
+            errors.append(abs(pred - real) / max(1.0, abs(pred)))
         opt = float(optional_qv(path)[-1])
         cont = bracket_terminal(path, "continuous")
         jumps = bracket_terminal(path, "jumps")
-        worst["optional-additivity"] = max(
-            worst["optional-additivity"], abs(opt - (cont + jumps)) / max(1.0, opt)
-        )
+        errors.append(abs(opt - (cont + jumps)) / max(1.0, opt))
         pa, pb, pab = integrate(ia, sample), integrate(ib, sample), integrate(iab, sample)
         lhs = optional_qv(pab)[-1]
         rhs = optional_qv(pa)[-1] + 2.0 * optional_qv(pa, pb)[-1] + optional_qv(pb)[-1]
-        worst["polarization"] = max(worst["polarization"], abs(lhs - rhs) / max(1.0, abs(lhs)))
+        errors.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+        return errors
+
+    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
+    worst = {name: float(np.max(col)) for name, col in zip(names, rows.T)}
     checks = [
         _check(name, val, 0.0, tol, val <= tol) for name, val in sorted(worst.items())
     ]
@@ -565,29 +632,34 @@ def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
     integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
+    levels = [int(v) for v in p["levels"]]
+    partitions = _REFINEMENTS[p["kind"]](cfg.n_steps, levels)
 
-    def make_path(i: int):
-        return integrate(integrand, sample_path(spec, grid, seed=cfg.seed, path_index=i))
+    def measure(sample):
+        path = integrate(integrand, sample)
+        return qv_refinement_study(path, partitions(path)).ravel()
 
-    study = qv_refinement_study(
-        make_path, levels=[int(v) for v in p["levels"]], n_paths=cfg.n_paths, kind=p["kind"]
-    )
-    medians = [row.median_abs_err for row in study]
+    study = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
+    errors, meshes = study[:, : len(levels)], study[:, len(levels) :]
+    rows, medians = [], []
+    for j, level in enumerate(levels):
+        q25, median, q75 = _quartiles(errors[:, j])
+        medians.append(median)
+        mesh = float(np.mean(meshes[:, j]))
+        rows.append(
+            [
+                "qv-converge",
+                float(level),
+                mesh,
+                "median_rel_err",
+                median,
+                q25,
+                q75,
+                cfg.n_paths,
+                cfg.seed,
+            ]
+        )
     checks = _monotone_checks("median-rel-err", medians, p["finest_tol"], relative_to_first=False)
-    rows = [
-        [
-            "qv-converge",
-            row.level,
-            row.mesh,
-            "median_rel_err",
-            row.median_abs_err,
-            row.q25,
-            row.q75,
-            row.n_paths,
-            cfg.seed,
-        ]
-        for row in study
-    ]
     metrics = {"medians": medians, "finest_tol": p["finest_tol"]}
     return _Outcome(
         all(c["passed"] for c in checks), CONVERGENCE_HEADER, rows, checks, metrics
@@ -607,22 +679,23 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
             lambda k, t, j: mat * (1.0 + 0.5 * t * (1 + j)), mat.shape[0], mat.shape[1]
         ),
     }
-    worst = 0.0
-    comp = np.empty(cfg.n_paths * len(models))
-    idx = 0
-    for integrand in models.values():
-        proc = ItoProcessSpec(integrand)
-        for i in range(cfg.n_paths):
-            path = simulate_ito_process(
-                proc, sample_path(spec, grid, seed=cfg.seed, path_index=i)
-            )
+    procs = [ItoProcessSpec(integrand) for integrand in models.values()]
+
+    def measure(sample):
+        out = []  # per model: realized residual relative to the change, compensator residual
+        for proc in procs:
+            path = simulate_ito_process(proc, sample)
             change = abs(
                 float(f.value(cfg.horizon, path.values[-1])[0] - f.value(0.0, path.values[0])[0])
             )
             res = abs(float(ito_residual(path, f, trace_variant="realized")[0]))
-            worst = max(worst, res / max(1.0, change))
-            comp[idx] = float(ito_residual(path, f, trace_variant="compensator")[0])
-            idx += 1
+            comp = float(ito_residual(path, f, trace_variant="compensator")[0])
+            out += [res / max(1.0, change), comp]
+        return out
+
+    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
+    worst = float(np.max(rows[:, 0::2]))
+    comp = rows[:, 1::2].T.ravel()  # model by model, each in path order
     mean, se = _mean_se(comp)
     z = _z_score(mean, se)
     checks = [
@@ -640,17 +713,6 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
     return _checks_outcome(checks, metrics)
 
 
-def _quartiles(values: np.ndarray) -> list:
-    """Lower quartile, median and upper quartile, interpolated linearly
-    between order statistics as np.quantile does by default, or NaNs when a
-    value is NaN. np.quantile and np.median import numpy.ma on first use."""
-    s = np.sort(values)
-    if np.isnan(s[-1]):
-        return [math.nan] * 3
-    positions = np.array([0.25, 0.5, 0.75]) * (len(s) - 1)
-    return np.interp(positions, np.arange(len(s)), s).tolist()
-
-
 def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     p = cfg.params
@@ -659,16 +721,15 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     drift = np.array(p["drift"], dtype=np.float64)
     proc = ItoProcessSpec(integrand, drift_rate=drift)
     levels = [int(v) for v in p["levels"]]
+
+    def measure(sample):
+        path = simulate_ito_process(proc, sample)
+        return (abs(float(ito_residual(path, f, trace_variant=p["variant"])[0])),)
+
     rows, medians = [], []
     for level in levels:
         grid = TimeGrid(cfg.horizon, 2**level)
-        res = np.empty(cfg.n_paths)
-        for i in range(cfg.n_paths):
-            path = simulate_ito_process(
-                proc, sample_path(spec, grid, seed=cfg.seed, path_index=i)
-            )
-            res[i] = abs(float(ito_residual(path, f, trace_variant=p["variant"])[0]))
-        q25, median, q75 = _quartiles(res)
+        q25, median, q75 = _quartiles(_per_path(spec, grid, cfg.seed, cfg.n_paths, measure)[:, 0])
         medians.append(median)
         rows.append(
             [
@@ -698,17 +759,19 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     tol = float(p["tol"])
     integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
-    worst_sum = worst_mass = 0.0
-    for i in range(cfg.n_paths):
-        path = integrate(integrand, sample_path(spec, grid, seed=cfg.seed, path_index=i))
+
+    def measure(sample):
+        path = integrate(integrand, sample)
         cont, jump, fv = decompose_integral(path)
         gap = np.abs(cont + jump + fv - path.values).max()
-        worst_sum = max(worst_sum, gap / max(1.0, np.abs(path.values).max()))
         total = realized_lambda2_mass(path, "total")
         split = realized_lambda2_mass(path, "continuous") + realized_lambda2_mass(
             path, "discontinuous"
         )
-        worst_mass = max(worst_mass, abs(total - split) / max(1.0, total))
+        return gap / max(1.0, np.abs(path.values).max()), abs(total - split) / max(1.0, total)
+
+    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
+    worst_sum, worst_mass = (float(v) for v in np.max(rows, axis=0))
     tab = spec.tables
     total, parts = tab.flavor("total"), (tab.flavor("continuous"), tab.flavor("discontinuous"))
     worst_mix = 0.0
@@ -773,21 +836,22 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     tol = float(p["tol"])
     rng = np.random.default_rng(cfg.seed + 17)
-    worst = 0.0
-    for i in range(cfg.n_paths):
+
+    def measure(sample):  # paths are measured in order, so rng draws as a loop would
         inner, outer = _random_simple_pair(
             rng, cfg.n_steps, spec.n_cells, spec.dim, int(p["max_blocks"])
         )
         integrand = inner.as_general()
-        if i % 2:  # odd paths swap in an inner integrand that reads its own value
+        if sample.path_index % 2:  # odd paths swap in an inner integrand that reads its own value
             base = rng.uniform(-1.0, 1.0, size=(2, spec.dim))
             weight = rng.uniform(-1.0, 1.0, size=2)
             integrand = state_linear_integrand(base, weight, float(rng.uniform(0.0, 0.5)))
-        sample = sample_path(spec, grid, seed=cfg.seed, path_index=i)
         iterated = integrate_process(outer, integrate(integrand, sample), dim_out=2)
         fused = integrate(compose_integrands(outer, integrand, dim_out=2), sample).terminal
         scale = max(1.0, float(np.abs(iterated).max()))
-        worst = max(worst, float(np.abs(iterated - fused).max()) / scale)
+        return (float(np.abs(iterated - fused).max()) / scale,)
+
+    worst = float(np.max(_per_path(spec, grid, cfg.seed, cfg.n_paths, measure)))
     checks = [_check("iterated-vs-fused-max-rel", worst, 0.0, tol, worst <= tol)]
     return _checks_outcome(checks, {"max_rel_diff": worst, "tol": tol, "n_pairs": cfg.n_paths})
 
@@ -799,17 +863,17 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     worst, derivative_errors = {}, {}
     for name in p["functions"]:
         f = make_smooth(name)
-        gap = fd_err = 0.0
-        for _ in range(cfg.n_paths):
+        gaps, fd_errs = np.empty(cfg.n_paths), np.empty((cfg.n_paths, 3))
+        for i in range(cfg.n_paths):
             t = float(rng.uniform(0.0, cfg.horizon))
             x = rng.uniform(-1.5, 1.5, size=2)
             y = x + rng.uniform(-1.0, 1.0, size=2)
             direct = taylor_remainder(f, t, x, y)
             quad = taylor_remainder_quadrature(f, t, x, y)
-            gap = max(gap, float(np.abs(direct - quad).max()))
-            fd_err = max(fd_err, *finite_difference_check(f, t, x).values())
-        worst[name] = gap
-        derivative_errors[name] = fd_err
+            gaps[i] = np.abs(direct - quad).max()
+            fd_errs[i] = list(finite_difference_check(f, t, x).values())
+        worst[name] = float(np.max(gaps))
+        derivative_errors[name] = float(np.max(fd_errs))
     deltas = [float(d) for d in p["deltas"]]
     sups = gamma_estimate(
         make_smooth("norm_p:4"), deltas, dim=2, n_samples=max(cfg.n_paths, 100), seed=cfg.seed

@@ -19,6 +19,11 @@ Look-ahead discipline: evaluators receive the walk state and a guarded view
 of the past. Reading at or beyond the current step raises LookAheadError.
 An integrand that smuggles future increments in through a closure is not
 detectable here; the isometry checks exist to expose exactly that.
+
+Ensembles are measured by one private driver, ``_per_path``: it draws each
+path, hands it to a measuring function and writes that function's floats
+into one row of a per-path array. The statistics helpers beside it (mean
+with standard error, z-score, quartiles) reduce the columns of that array.
 """
 
 from __future__ import annotations
@@ -49,10 +54,7 @@ __all__ = [
     "integrate",
     "simulate_ito_process",
     "realized_lambda2_mass",
-    "Lambda2Result",
     "lambda2_norm",
-    "EventCheck",
-    "conditional_isometry_check",
     "decompose_integral",
     "integrate_process",
     "compose_integrands",
@@ -321,10 +323,6 @@ class FVDriver:
         object.__setattr__(self, "jump_steps", steps)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zero(cls, dim: int) -> "FVDriver":
-        return cls((), np.zeros((0, dim)))
-
 
 @dataclass(frozen=True, eq=False)
 class ItoProcessSpec:
@@ -503,6 +501,43 @@ def realized_lambda2_mass(
     return total
 
 
+def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "total") -> float:
+    """Squared norm of a deterministic integrand under the flavor's control
+    measure, integrated exactly. An adapted integrand's norm is random, and
+    estimating its mean is a Monte Carlo question for the caller, so it is
+    refused with ValueError."""
+    if flavor not in QV_FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
+    if not integrand.deterministic:
+        raise ValueError(f"lambda2_norm needs a deterministic integrand, got {integrand.name!r}")
+    # the walk's operators depend on the grid and the active cells only
+    path = integrate(integrand, sample_path(normalize_spec(spec), grid, 0, 0))
+    return realized_lambda2_mass(path, flavor)
+
+
+# ------------------------------------------------------------- ensembles
+
+
+def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure, first: int = 0) -> np.ndarray:
+    """The package's one Monte Carlo loop: measure paths first, ..., first +
+    n_paths - 1 of the ensemble into a float64 array, one row per path.
+
+    Row i measures the sample that ``sample_path`` draws for path index
+    first + i; measure(sample) walks what it needs and returns its floats,
+    k of them, which fill row i of an (n_paths, k) array ((0, 0) without
+    paths). Gates reduce its columns with the helpers below and np.max, so
+    a non-finite path reaches every reduction instead of being dropped by a
+    running maximum.
+    """
+    rows = np.empty((n_paths, 0))
+    for i in range(n_paths):
+        row = measure(sample_path(spec, grid, seed, first + i))
+        if i == 0:
+            rows = np.empty((n_paths, len(row)))
+        rows[i] = row
+    return rows
+
+
 def _mean_se(samples: np.ndarray):
     """Sample mean and its standard error; the error is NaN below two samples."""
     mean = float(samples.mean())
@@ -517,118 +552,15 @@ def _z_score(diff: float, se: float) -> float:
     return diff / se if np.isfinite(se) and se > 0.0 else float("nan")
 
 
-@dataclass(frozen=True)
-class Lambda2Result:
-    value: float
-    stderr: float
-    n_paths: int
-
-
-def lambda2_norm(
-    integrand: Integrand,
-    spec,
-    grid: TimeGrid,
-    flavor: str = "total",
-    *,
-    n_paths: int = 64,
-    seed: int = 0,
-) -> Lambda2Result:
-    """Squared norm of an integrand under the flavor's control measure.
-
-    Deterministic integrands are integrated exactly (stderr 0); adapted ones
-    are estimated over ``n_paths`` fresh walks (stderr NaN for one walk).
-    """
-    if flavor not in QV_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
-    spec = normalize_spec(spec)
-    if integrand.deterministic:
-        sample = sample_path(spec, grid, seed=seed, path_index=0)
-        path = integrate(integrand, sample)
-        return Lambda2Result(value=realized_lambda2_mass(path, flavor), stderr=0.0, n_paths=1)
-    masses = np.empty(n_paths)
-    for i in range(n_paths):
-        sample = sample_path(spec, grid, seed=seed, path_index=i)
-        masses[i] = realized_lambda2_mass(integrate(integrand, sample), flavor)
-    mean, se = _mean_se(masses)
-    return Lambda2Result(value=mean, stderr=se, n_paths=n_paths)
-
-
-@dataclass(frozen=True)
-class EventCheck:
-    """Paired-difference test of the conditional isometry on one event."""
-
-    name: str
-    n_paths: int
-    lhs: float
-    rhs: float
-    mean_diff: float
-    stderr: float
-    z: float
-    event_rate: float
-
-
-def conditional_isometry_check(
-    integrand: Integrand,
-    spec,
-    grid: TimeGrid,
-    s: float,
-    t: float,
-    events: dict,
-    *,
-    n_paths: int,
-    seed: int = 0,
-) -> list:
-    """Test E[ ||I_t - I_s||^2 - (bracket_t - bracket_s) ; E ] = 0 per event.
-
-    Each event must be decidable from the path's past at time s. Per path
-    the paired difference (squared increment minus realized predictable
-    bracket increment) is formed, weighted by the indicator; adaptedness
-    makes its mean zero regardless of how the integrand feeds back on the
-    path, so |z| is the headline number. z is NaN when the differences
-    have no positive standard error (one path, or an event never hit).
-    """
-    spec = normalize_spec(spec)
-    ks = grid.index_of(s)
-    kt = grid.index_of(t)
-    if ks >= kt:
-        raise ValueError(f"need s < t on the grid, got steps {ks} >= {kt}")
-    names = list(events)
-    diffs = {name: np.empty(n_paths) for name in names}
-    hits = {name: 0 for name in names}
-    sq_sum = {name: 0.0 for name in names}
-    br_sum = {name: 0.0 for name in names}
-    for i in range(n_paths):
-        sample = sample_path(spec, grid, seed=seed, path_index=i)
-        path = integrate(integrand, sample)
-        inc = path.values[kt] - path.values[ks]
-        sq = float(inc @ inc)
-        bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
-            path, "total", upto_step=ks
-        )
-        for name in names:
-            ind = 1.0 if events[name](path, ks) else 0.0
-            diffs[name][i] = ind * (sq - bracket)
-            if ind:
-                hits[name] += 1
-                sq_sum[name] += sq
-                br_sum[name] += bracket
-    out = []
-    for name in names:
-        mean, se = _mean_se(diffs[name])
-        z = _z_score(mean, se)
-        out.append(
-            EventCheck(
-                name=name,
-                n_paths=n_paths,
-                lhs=sq_sum[name] / n_paths,
-                rhs=br_sum[name] / n_paths,
-                mean_diff=mean,
-                stderr=se,
-                z=z,
-                event_rate=hits[name] / n_paths,
-            )
-        )
-    return out
+def _quartiles(values: np.ndarray) -> list:
+    """Lower quartile, median and upper quartile, interpolated linearly
+    between order statistics as np.quantile does by default, or NaNs when a
+    value is NaN. np.quantile and np.median import numpy.ma on first use."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return [float("nan")] * 3
+    positions = np.array([0.25, 0.5, 0.75]) * (len(s) - 1)
+    return np.interp(positions, np.arange(len(s)), s).tolist()
 
 
 def decompose_integral(path: ItoPath):

@@ -339,8 +339,8 @@ def gamma_estimate(
     rng = np.random.default_rng(seed)
     out = []
     for delta in deltas:
-        worst = 0.0
-        for _ in range(n_samples):
+        ratios = np.zeros(n_samples)
+        for i in range(n_samples):
             t = float(rng.uniform(0.0, t_max))
             x = rng.standard_normal(dim)
             x *= rng.uniform(0.0, radius) / max(np.linalg.norm(x), 1e-12)
@@ -350,7 +350,6 @@ def gamma_estimate(
             if r == 0.0:
                 continue
             y = x + r * v
-            h = taylor_remainder(f, t, x, y)
-            worst = max(worst, float(np.linalg.norm(h)) / r**2)
-        out.append(worst)
+            ratios[i] = float(np.linalg.norm(taylor_remainder(f, t, x, y))) / r**2
+        out.append(float(np.max(ratios, initial=0.0)))  # a NaN ratio stays NaN
     return out

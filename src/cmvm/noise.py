@@ -120,15 +120,6 @@ class SpatialPartition:
     def n_cells(self) -> int:
         return len(self.breaks) - 1
 
-    @property
-    def cells(self) -> tuple:
-        return tuple(zip(self.breaks[:-1], self.breaks[1:]))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Reference measure (length) of each cell."""
-        return np.diff(np.asarray(self.breaks))
-
     def validate_cells(self, cells: Sequence[int]) -> tuple:
         idx = tuple(int(j) for j in cells)
         if len(set(idx)) != len(idx):

@@ -39,7 +39,6 @@ __all__ = [
     "riemann_qv",
     "riemann_weighted_bilinear",
     "weighted_qv_target",
-    "RefinementRow",
     "qv_refinement_study",
 ]
 
@@ -240,60 +239,34 @@ def weighted_qv_target(path: ItoPath, form: Callable[[float, np.ndarray], np.nda
     return float(np.einsum("kab,kab->", forms, steps))
 
 
-@dataclass(frozen=True)
-class RefinementRow:
-    """One refinement level of a convergence study."""
-
-    level: float
-    mesh: float
-    median_abs_err: float
-    q25: float
-    q75: float
-    n_paths: int
+def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoPath], list]:
+    """2^level blocks per level; built once, since they do not depend on the path."""
+    partitions = [make_dyadic_partition(n_steps, int(level)) for level in levels]
+    return lambda path: partitions
 
 
-def qv_refinement_study(
-    make_path: Callable[[int], ItoPath],
-    levels,
-    *,
-    n_paths: int,
-    kind: str = "dyadic",
-    relative: bool = True,
-) -> list:
-    """Riemann-vs-optional-bracket error across refinement levels.
+def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoPath], list]:
+    """Resolution 2^-level per level; built on each path, whose stopping times they are."""
+    return lambda path: [make_adaptive_partition(path, 2.0 ** (-float(level))) for level in levels]
 
-    make_path(i) walks path i; each level builds its partition (dyadic with
-    2^level blocks, or adaptive at resolution 2^-level) and the per-path
-    error |riemann - optional| (relative by default). Rows report the
-    median and quartiles over paths.
+
+# the partition kinds of a refinement study: kind -> (n_steps, levels) -> a
+# function giving a path its partitions, one per level
+_REFINEMENTS = {"dyadic": _dyadic_levels, "adaptive": _adaptive_levels}
+
+
+def qv_refinement_study(path: ItoPath, partitions) -> np.ndarray:
+    """Riemann-vs-optional-bracket error of one path over refining partitions.
+
+    For each partition (one per refinement level, see ``_REFINEMENTS``) the
+    relative error |riemann - optional| / |optional| (absolute when the
+    bracket is 0) and the mesh. Returns shape (2, len(partitions)): the
+    errors, then the meshes.
     """
-    if kind not in ("dyadic", "adaptive"):
-        raise ValueError(f"unknown partition kind {kind!r}; expected dyadic or adaptive")
-    errors = {lv: [] for lv in levels}
-    meshes = {lv: [] for lv in levels}
-    for i in range(n_paths):
-        path = make_path(i)
-        target = float(optional_qv(path)[-1])
-        scale = abs(target) if relative and target != 0.0 else 1.0
-        for lv in levels:
-            if kind == "dyadic":
-                part = make_dyadic_partition(path.grid.n_steps, int(lv))
-            else:
-                part = make_adaptive_partition(path, 2.0 ** (-float(lv)))
-            err = abs(riemann_qv(path, part) - target) / scale
-            errors[lv].append(err)
-            meshes[lv].append(part.mesh(path.grid.dt))
-    rows = []
-    for lv in levels:
-        e = np.asarray(errors[lv])
-        rows.append(
-            RefinementRow(
-                level=float(lv),
-                mesh=float(np.mean(meshes[lv])),
-                median_abs_err=float(np.median(e)),
-                q25=float(np.percentile(e, 25)),
-                q75=float(np.percentile(e, 75)),
-                n_paths=n_paths,
-            )
-        )
-    return rows
+    target = float(optional_qv(path)[-1])
+    scale = abs(target) if target != 0.0 else 1.0
+    out = np.empty((2, len(partitions)))
+    for i, part in enumerate(partitions):
+        out[0, i] = abs(riemann_qv(path, part) - target) / scale
+        out[1, i] = part.mesh(path.grid.dt)
+    return out

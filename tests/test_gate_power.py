@@ -8,6 +8,7 @@ import pytest
 
 import cmvm.harness
 import cmvm.ito
+import cmvm.quadvar
 from cmvm.harness import apply_overrides, load_config, run
 from cmvm.integrate import Integrand
 from cmvm.noise import GaussianAmplitude, TwoPointAmplitude
@@ -58,6 +59,11 @@ def _compose_with_outer_value(monkeypatch):
     monkeypatch.setattr(cmvm.harness, "compose_integrands", mutant)
 
 
+def _jumps_left_out_of_brackets(monkeypatch):
+    """_add_jumps as a no-op: the optional bracket loses its jump part."""
+    monkeypatch.setattr(cmvm.quadvar, "_add_jumps", lambda steps, path, other: steps)
+
+
 # mutant -> (planting function, scenario, overrides, the gate that must fail)
 MUTANTS = {
     "jump-amplitudes-x3": (
@@ -71,6 +77,24 @@ MUTANTS = {
         "burkholder",
         ["n_paths=400"],
         "jump-terminal-equality-p2-z",
+    ),
+    "isometry-jump-amplitudes-x3": (
+        lambda mp: _amplitudes(mp, lambda amp: 3.0 * amp),
+        "verify-isometry",
+        ["n_paths=200"],
+        "second-moment-z",
+    ),
+    "isometry-jump-amplitudes-shifted": (
+        lambda mp: _amplitudes(mp, lambda amp: amp + 0.3),
+        "verify-isometry",
+        ["n_paths=400"],
+        "second-moment-z",
+    ),
+    "add-jumps-noop": (
+        _jumps_left_out_of_brackets,
+        "verify-qv",
+        ["n_paths=5"],
+        "optional-additivity",
     ),
     "gauss-cos-hessian-x1.01": (
         _hessian_off_by_one_percent,

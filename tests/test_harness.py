@@ -3,10 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cmvm.harness
+import cmvm.ito
 from cmvm.cli import main
 from cmvm.harness import (
     _build_config,
@@ -293,6 +296,22 @@ def _model_file(tmp_path, name):
         ("ito-converge", ["params.drift=[0.3, -0.2, 0.1]"]),
         ("verify-isometry", ["preset=SUBNORMAL_MODEL"]),
         ("verify-isometry", ["preset=UNDERFLOW_MODEL"]),
+        ("qv-converge", ["params.kind=bogus"]),
+        ("ito-converge", ["params.variant=bogus"]),
+        ("ito-converge", ["params.function=bogus"]),
+        ("verify-isometry", ["params.flavor=bogus"]),
+        ("verify-isometry", ['params.z_max="abc"']),
+        ("verify-taylor", ['params.functions=["bogus"]']),
+        ("verify-taylor", ['params.deltas=["a"]']),
+        ("burkholder", ['params.p_closed=["x"]']),
+        ("burkholder", ["params.p_closed=[0]"]),
+        ("verify-qv", ['params.tol="abc"']),
+        ("verify-associativity", ["params.max_blocks=0"]),
+        ("verify-conditional-isometry", ["n_steps=32", "params.s_step=32"]),
+        ("verify-conditional-isometry", ["n_steps=32", "params.s_step=100"]),
+        ("verify-conditional-isometry", ["n_steps=32", "params.s_step=-1"]),
+        ("verify-taylor", ["params.deltas=[]"]),
+        ("verify-isometry", ["params.phi=[[NaN, 0.0], [0.0, 1.0]]"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
@@ -352,3 +371,51 @@ def test_associativity_runs_on_a_one_dim_model(tmp_path):
     assert main(["run"] + args + ["--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "verify-associativity.json").read_text())
     assert [c["passed"] for c in payload["checks"]] == [True]
+
+
+def test_worst_case_gates_fail_on_non_finite_paths(tmp_path):
+    """At gain 1e200 every adapted path overflows to NaN. A worst-case gate
+    reduces its per-path column with np.max, so it fails with a null value
+    instead of passing on the finite paths; polarization walks constant
+    integrands only and still passes."""
+    expected = {
+        "verify-qv": {
+            "mass-total": False,
+            "mass-continuous": False,
+            "mass-discontinuous": False,
+            "optional-additivity": False,
+            "polarization": True,
+        },
+        "verify-decomposition": {"parts-sum-to-path": False, "flavor-mass-additivity": False},
+        "verify-ito": {"realized-residual-max-rel": False},
+    }
+    for scenario, verdicts in expected.items():
+        cfg = apply_overrides(load_config(scenario), ["params.gain=1e200", "n_paths=4"])
+        with np.errstate(all="ignore"):
+            res = run(cfg, str(tmp_path / scenario))
+        stored = json.loads((tmp_path / scenario / f"{scenario}.json").read_text())
+        checks = {c["name"]: c for c in stored["checks"]}
+        for name, passed in verdicts.items():
+            assert checks[name]["passed"] is passed, (scenario, checks[name])
+            if not passed:
+                assert checks[name]["value"] is None, (scenario, checks[name])
+        assert res.passed is False
+
+
+def test_taylor_worst_case_gates_fail_on_nan(tmp_path, monkeypatch):
+    """verify-taylor reduces its sampled points with np.max too: a remainder
+    or a derivative error that is NaN fails its gate with a null value, and
+    a NaN modulus cannot decay."""
+    nan_remainder = lambda f, t, x, y: np.full(f.dim_value, np.nan)
+    monkeypatch.setattr(cmvm.harness, "taylor_remainder", nan_remainder)
+    monkeypatch.setattr(cmvm.ito, "taylor_remainder", nan_remainder)
+    monkeypatch.setattr(
+        cmvm.harness, "finite_difference_check", lambda f, t, x: {"d_t": math.nan, "d_x": 0.0, "d_xx": 0.0}
+    )
+    cfg = apply_overrides(load_config("verify-taylor"), ["n_paths=4", 'params.functions=["quadratic"]'])
+    res = run(cfg, str(tmp_path))
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify-taylor.json").read_text())["checks"]}
+    for name in ("remainder-routes-quadratic", "derivatives-quadratic"):
+        assert checks[name]["passed"] is False and checks[name]["value"] is None, checks[name]
+    assert checks["modulus-decays"]["passed"] is False
+    assert res.passed is False

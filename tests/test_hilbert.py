@@ -27,11 +27,11 @@ def test_hs_weight_frozen():
     grid = TimeGrid(1.0, 4)
     # Q = I: ||diag(3, 4)||_HS^2 = 25, intensity 2
     spec = _one_cell(np.eye(2), 2.0)
-    got = lambda2_norm(constant_integrand([[3.0, 0.0], [0.0, 4.0]]), spec, grid).value
+    got = lambda2_norm(constant_integrand([[3.0, 0.0], [0.0, 4.0]]), spec, grid)
     assert got == pytest.approx(50.0)
     # Q = diag(1, 1/4): ||I Q^{1/2}||_HS^2 = trace Q = 1.25
     spec = _one_cell([[1.0, 0.0], [0.0, 0.25]], 1.0)
-    assert lambda2_norm(constant_integrand(np.eye(2)), spec, grid).value == pytest.approx(1.25)
+    assert lambda2_norm(constant_integrand(np.eye(2)), spec, grid) == pytest.approx(1.25)
 
 
 def test_op_norm_frozen():

@@ -19,8 +19,10 @@ from cmvm.integrate import (
     LookAheadError,
     SimpleBlock,
     SimpleIntegrand,
+    _mean_se,
+    _per_path,
+    _z_score,
     compose_integrands,
-    conditional_isometry_check,
     constant_integrand,
     decompose_integral,
     deterministic_integrand,
@@ -32,6 +34,7 @@ from cmvm.integrate import (
     simulate_ito_process,
     state_linear_integrand,
 )
+from cmvm.harness import apply_overrides, load_config
 from cmvm.noise import TimeGrid, evaluate, sample_path
 from cmvm.presets import make_preset
 
@@ -68,7 +71,7 @@ def test_integral_is_mean_zero(walked, grid8):
 
 def test_isometry_constant_integrand(walked, mixed, grid8):
     """E ||I_T||^2 against the exact squared integrand norm."""
-    target = lambda2_norm(constant_integrand(PHI), mixed, grid8).value
+    target = lambda2_norm(constant_integrand(PHI), mixed, grid8)
     sq = np.array([float(p.terminal @ p.terminal) for p in walked])
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - target) < 4.0 * se
@@ -234,49 +237,60 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
 
 
 def test_conditional_isometry_adapted_feedback(mixed, grid8):
+    """E[ |I_t - I_s|^2 - (<I>_t - <I>_s) ; E ] = 0 on events E decided at
+    s, with an integrand that feeds back on the path, measured through the
+    ensemble driver."""
     integrand = state_linear_integrand(PHI, [0.8, -0.3], 0.5)
     h = np.array([1.0, -0.2])
+    ks, kt = grid8.index_of(grid8.times[1]), grid8.n_steps
 
-    def first_sign(path, ks):
+    def first_sign(path):
         return evaluate(path.sample, 0.0, path.grid.times[1], [0, 1], h) >= 0.0
 
-    checks = conditional_isometry_check(
-        integrand,
-        mixed,
-        grid8,
-        s=grid8.times[1],
-        t=1.0,
-        events={"always": lambda path, ks: True, "first-sign": first_sign},
-        n_paths=1200,
-        seed=99,
-    )
-    by_name = {c.name: c for c in checks}
-    assert by_name["always"].event_rate == 1.0
-    assert 0.2 < by_name["first-sign"].event_rate < 0.8
-    for c in checks:
-        assert abs(c.z) < 4.0, f"event {c.name}: z={c.z}"
-        assert c.stderr > 0
+    events = {"always": lambda path: True, "first-sign": first_sign}
 
-
-def test_conditional_isometry_rejects_bad_window(mixed, grid8):
-    with pytest.raises(ValueError, match="s < t"):
-        conditional_isometry_check(
-            constant_integrand(PHI), mixed, grid8, s=0.5, t=0.5, events={}, n_paths=2
+    def measure(sample):
+        path = integrate(integrand, sample)
+        inc = path.values[kt] - path.values[ks]
+        bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
+            path, "total", upto_step=ks
         )
+        hits = [float(event(path)) for event in events.values()]
+        return hits + [ind * (float(inc @ inc) - bracket) for ind in hits]
+
+    rows = _per_path(mixed, grid8, 99, 1200, measure)
+    rates = dict(zip(events, rows[:, :2].mean(axis=0)))
+    assert rates["always"] == 1.0
+    assert 0.2 < rates["first-sign"] < 0.8
+    for name, diffs in zip(events, rows[:, 2:].T):
+        mean, se = _mean_se(diffs)
+        z = _z_score(mean, se)
+        assert abs(z) < 4.0, f"event {name}: z={z}"
+        assert se > 0
+
+
+def test_conditional_isometry_rejects_bad_window():
+    """The conditioning time s must come before t, the horizon: a config
+    whose s_step is the last grid step is refused when it is resolved."""
+    cfg = load_config("verify-conditional-isometry")
+    with pytest.raises(ValueError, match="s_step"):
+        apply_overrides(cfg, ["n_steps=8", "params.s_step=8"])
 
 
 def test_lambda2_norm_deterministic_vs_sampled(mixed, grid8):
+    """The norm of a deterministic integrand is exact; an adapted one's is a
+    random variable, which lambda2_norm refuses to estimate."""
     det = lambda2_norm(constant_integrand(PHI), mixed, grid8)
-    assert det.stderr == 0.0
-    # a state-feedback integrand with zero gain has the same norm, found by MC
-    sampled = lambda2_norm(
-        state_linear_integrand(PHI, [1.0, 0.0], 0.0), mixed, grid8, n_paths=8, seed=1
-    )
-    assert sampled.stderr == pytest.approx(0.0, abs=1e-12)
-    assert sampled.value == pytest.approx(det.value, rel=1e-12)
+    # a state-feedback integrand with zero gain has the same norm on every path
+    zero_gain = state_linear_integrand(PHI, [1.0, 0.0], 0.0)
+    masses = _per_path(mixed, grid8, 1, 8, lambda s: (realized_lambda2_mass(integrate(zero_gain, s)),))
+    mean, se = _mean_se(masses[:, 0])
+    assert se == pytest.approx(0.0, abs=1e-12)
+    assert mean == pytest.approx(det, rel=1e-12)
     # one sampled walk carries no spread estimate
-    single = lambda2_norm(state_linear_integrand(PHI, [1.0, 0.0], 0.4), mixed, grid8, n_paths=1)
-    assert np.isnan(single.stderr)
+    assert np.isnan(_mean_se(masses[:1, 0])[1])
+    with pytest.raises(ValueError, match="deterministic"):
+        lambda2_norm(zero_gain, mixed, grid8)
     with pytest.raises(ValueError, match="flavor"):
         lambda2_norm(constant_integrand(PHI), mixed, grid8, flavor="spicy")
 

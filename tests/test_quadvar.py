@@ -13,15 +13,19 @@ import pytest
 from cmvm.integrate import (
     FVDriver,
     ItoProcessSpec,
+    _per_path,
+    _quartiles,
     constant_integrand,
     integrate,
     realized_lambda2_mass,
     simulate_ito_process,
     state_linear_integrand,
 )
+from cmvm.harness import apply_overrides, load_config
 from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
+    _REFINEMENTS,
     _add_jumps,
     _bracket_steps,
     make_adaptive_partition,
@@ -214,18 +218,31 @@ def test_riemann_refinement_tightens(mixed):
     grid = TimeGrid(1.0, 64)
     integrand = constant_integrand(PHI)
 
-    def make_path(i):
-        return integrate(integrand, sample_path(mixed, grid, seed=909, path_index=i))
+    def study(levels, n_paths, kind):
+        """(mesh, q25, median, q75) of the relative errors at each level."""
+        partitions = _REFINEMENTS[kind](grid.n_steps, levels)
 
-    rows = qv_refinement_study(make_path, [1, 3, 5], n_paths=60, kind="dyadic")
-    assert [r.level for r in rows] == [1.0, 3.0, 5.0]
-    assert rows[0].mesh > rows[1].mesh > rows[2].mesh
-    assert rows[0].median_abs_err > rows[1].median_abs_err > rows[2].median_abs_err
-    assert all(r.q25 <= r.median_abs_err <= r.q75 for r in rows)
-    adaptive = qv_refinement_study(make_path, [1, 4], n_paths=30, kind="adaptive")
-    assert adaptive[0].median_abs_err > adaptive[1].median_abs_err
+        def measure(sample):
+            path = integrate(integrand, sample)
+            return qv_refinement_study(path, partitions(path)).ravel()
+
+        rows = _per_path(mixed, grid, 909, n_paths, measure)
+        errors, meshes = rows[:, : len(levels)], rows[:, len(levels) :]
+        return [(meshes[:, j].mean(), *_quartiles(errors[:, j])) for j in range(len(levels))]
+
+    path = integrate(integrand, sample_path(mixed, grid, 909, 0))
+    dyadic = _REFINEMENTS["dyadic"](grid.n_steps, [1, 3, 5])
+    assert [part.level for part in dyadic(path)] == [1.0, 3.0, 5.0]
+    assert dyadic(path) is dyadic(path)  # built once, shared by every path
+    assert qv_refinement_study(path, dyadic(path)).shape == (2, 3)  # errors, then meshes
+    rows = study([1, 3, 5], 60, "dyadic")
+    assert rows[0][0] > rows[1][0] > rows[2][0]
+    assert rows[0][2] > rows[1][2] > rows[2][2]
+    assert all(q25 <= median <= q75 for _, q25, median, q75 in rows)
+    adaptive = study([1, 4], 30, "adaptive")
+    assert adaptive[0][2] > adaptive[1][2]
     with pytest.raises(ValueError, match="kind"):
-        qv_refinement_study(make_path, [1], n_paths=2, kind="random")
+        apply_overrides(load_config("qv-converge"), ["params.kind=random"])
 
 
 def test_weighted_riemann_and_target(paths):
