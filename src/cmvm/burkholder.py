@@ -31,7 +31,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, _mean_se, _per_path, simulate_ito_process
+from .integrate import ItoPath, ItoProcessSpec, _mean_se, _per_path, _sample_by_sample
+from .integrate import simulate_ito_process
 # sample_path is not called here (walk_ensemble draws through integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
 from .noise import NoiseSpec, TimeGrid, normalize_spec, sample_path  # noqa: F401
@@ -136,7 +137,7 @@ def walk_ensemble(
     bracket column equals ``bracket_terminal`` of its flavor; the continuous
     and optional columns share one computation of the continuous steps."""
 
-    def measure(sample):
+    def row(sample):
         path = simulate_ito_process(process, sample)
         end = path.terminal
         cont = _bracket_steps(path, "continuous")
@@ -145,7 +146,7 @@ def walk_ensemble(
         brackets = (pred, float(np.cumsum(cont)[-1]), jumps, float(np.cumsum(opt)[-1]))
         return (path_running_sup(path), float(np.linalg.norm(end)), float(end @ end), *brackets)
 
-    rows = _per_path(spec, grid, seed, n_paths, measure, base_index)
+    rows = _per_path(spec, grid, seed, n_paths, _sample_by_sample(row), base_index)
     stats = np.empty(n_paths, _STATS_DTYPE)
     for name, column in zip(_STATS_DTYPE.names, rows.T):
         stats[name] = column

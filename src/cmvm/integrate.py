@@ -15,22 +15,31 @@ then any finite-variation driver jump (which sits at the step's right
 endpoint). Pre-jump values refer to this order, which is what makes
 telescoping identities hold exactly path by path.
 
+Evaluator protocol: the walk runs one step loop for a chunk of P paths of
+one noise model and grid. An adapted evaluator is called once per (step,
+cell) for the whole chunk; ``state.value`` has shape (P, dim_out), the
+history readers return one row per path, and the evaluator returns either
+one (dim_out, dim_in) operator for every path or a (P, dim_out, dim_in)
+stack. A single sample is walked as a chunk of one.
+
 Look-ahead discipline: evaluators receive the walk state and a guarded view
 of the past. Reading at or beyond the current step raises LookAheadError.
 An integrand that smuggles future increments in through a closure is not
 detectable here; the isometry checks exist to expose exactly that.
 
-Ensembles are measured by one private driver, ``_per_path``: it draws each
-path, hands it to a measuring function and writes that function's floats
-into one row of a per-path array. The statistics helpers beside it (mean
-with standard error, z-score, quartiles) reduce the columns of that array.
+Ensembles are measured by one private driver, ``_per_path``: it draws the
+paths in chunks, hands each chunk to a measuring function and writes the
+block of rows that function returns into a per-path array. The statistics
+helpers beside it (mean with standard error, z-score, quartiles) reduce the
+columns of that array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,18 +75,28 @@ class LookAheadError(ValueError):
 
 
 class PathHistory:
-    """Read-only view of a sample path up to the walk's current step.
+    """Read-only view of a chunk of sample paths up to the walk's current step.
 
     Increments of step k become visible once the walk has moved past k, i.e.
     while the walk evaluates step ``cursor`` only steps < cursor are
     readable. Integral values are visible up to and including the cursor
-    (the value at the step's left endpoint is known there).
+    (the value at the step's left endpoint is known there). Every reader
+    returns one row per path of the chunk: (P, dim) arrays, or (P,) for
+    ``noise_pairing``.
     """
 
-    def __init__(self, sample: SamplePath, values: np.ndarray):
-        self._sample = sample
-        self._values = values
+    def __init__(self, samples: Tuple[SamplePath, ...], values: np.ndarray):
+        self._samples = samples
+        self._values = values  # (n_steps + 1, P, dim), filled by the walk
         self._cursor = 0
+
+    @cached_property
+    def _gauss(self) -> np.ndarray:
+        return np.stack([s.gauss for s in self._samples])
+
+    @cached_property
+    def _jump_sums(self) -> np.ndarray:
+        return np.stack([s.jump_sums for s in self._samples])
 
     @property
     def step(self) -> int:
@@ -85,20 +104,20 @@ class PathHistory:
 
     def gauss_increment(self, k: int, cell: int) -> np.ndarray:
         self._check_past(k)
-        return self._sample.gauss[k, cell]
+        return self._gauss[:, k, cell]
 
     def jump_sum(self, k: int, cell: int) -> np.ndarray:
         self._check_past(k)
-        return self._sample.jump_sums[k, cell]
+        return self._jump_sums[:, k, cell]
 
-    def noise_pairing(self, s: float, t: float, cells: Sequence[int], h) -> float:
-        """<M((s, t] x cells), h> for a window that lies in the past."""
-        k1 = self._sample.grid.index_of(t)
+    def noise_pairing(self, s: float, t: float, cells: Sequence[int], h) -> np.ndarray:
+        """<M((s, t] x cells), h> of each path for a window that lies in the past."""
+        k1 = self._samples[0].grid.index_of(t)
         if k1 > self._cursor:
             raise LookAheadError(
                 f"window end t={t} is step {k1}, beyond the walk's step {self._cursor}"
             )
-        return evaluate(self._sample, s, t, cells, h)
+        return np.array([evaluate(sample, s, t, cells, h) for sample in self._samples])
 
     def value(self, k: int) -> np.ndarray:
         if k > self._cursor:
@@ -116,9 +135,10 @@ class PathHistory:
 class AdaptedState:
     """What an integrand may see when evaluated at a step's left endpoint.
 
-    ``value`` is the running integral at time ``time``. Deterministic
-    integrands are evaluated with value and history set to None, which makes
-    any accidental state dependence fail loudly.
+    ``value`` is the running integral of each path of the walked chunk at
+    time ``time``, shape (P, dim_out). Deterministic integrands are
+    evaluated with value and history set to None, which makes any
+    accidental state dependence fail loudly.
     """
 
     step: int
@@ -131,9 +151,13 @@ class AdaptedState:
 class Integrand:
     """Operator-valued integrand evaluated per (step, cell).
 
-    evaluator(state, cell) must return a (dim_out, dim_in) array using only
-    adapted information. ``deterministic`` declares that the value depends on
-    (step, time, cell) alone, which lets the walk precompute all operators.
+    evaluator(state, cell) is called once per (step, cell) for a chunk of P
+    paths and must use only adapted information: ``state.value`` has shape
+    (P, dim_out) and the history readers return (P, ...) rows. It returns
+    one (dim_out, dim_in) operator shared by every path of the chunk, or a
+    (P, dim_out, dim_in) stack. ``deterministic`` declares that the value
+    depends on (step, time, cell) alone, which lets the walk precompute all
+    operators, once per chunk, from a (dim_out, dim_in) return.
     ``constant_matrix`` short-circuits evaluation entirely.
     """
 
@@ -189,7 +213,7 @@ def state_linear_integrand(base, weight, gain: float, name: str = "state-linear"
         raise ValueError(f"weight must match the output dim {mat.shape[0]}")
 
     def _eval(state: AdaptedState, cell: int) -> np.ndarray:
-        return mat * (1.0 + gain * float(w @ state.value))
+        return mat * (1.0 + gain * (state.value * w).sum(-1))[:, None, None]
 
     return Integrand(
         evaluator=_eval, dim_out=mat.shape[0], dim_in=mat.shape[1], deterministic=False, name=name
@@ -226,7 +250,8 @@ class SimpleIntegrand:
         self.dim_in = dim_in
 
     def as_general(self) -> Integrand:
-        """The same integrand in per-(step, cell) evaluator form."""
+        """The same integrand in per-(step, cell) evaluator form; a gated
+        block's predicate is decided path by path on the history's samples."""
         blocks = self.blocks
         has_gates = any(b.predicate is not None for b in blocks)
 
@@ -234,8 +259,13 @@ class SimpleIntegrand:
             out = np.zeros((self.dim_out, self.dim_in))
             for b in blocks:
                 if b.start <= state.step < b.stop and cell in b.cells:
-                    if b.predicate is None or b.predicate(state.history._sample, b.start):
+                    if b.predicate is None:
                         out += b.matrix
+                        continue
+                    samples = state.history._samples
+                    if out.ndim == 2:
+                        out = np.repeat(out[None], len(samples), axis=0)
+                    out[np.array([b.predicate(x, b.start) for x in samples], dtype=bool)] += b.matrix
             return out
 
         return Integrand(
@@ -283,6 +313,7 @@ class ItoPath:
         values[k+1] == values[k] + drift[k] + stoch_cont[k] + sum of deltas
 
     holds exactly (bitwise) in the micro-order documented on the module.
+    A path walked in a chunk holds read-only views of the chunk's arrays.
     """
 
     sample: SamplePath
@@ -365,28 +396,35 @@ def _deterministic_phis(integrand: Integrand, sample: SamplePath, active) -> np.
     return phis
 
 
-def _checked_eval(integrand: Integrand, state: AdaptedState, cell: int) -> np.ndarray:
+def _checked_eval(integrand: Integrand, state: AdaptedState, cell: int, n_paths=None) -> np.ndarray:
+    """The evaluator's operator: (dim_out, dim_in), or a (n_paths, dim_out,
+    dim_in) stack when the walk passes its chunk size."""
     mat = np.asarray(integrand.evaluator(state, cell), dtype=np.float64)
-    if mat.shape != (integrand.dim_out, integrand.dim_in):
-        raise ValueError(
-            f"integrand returned shape {mat.shape}, expected ({integrand.dim_out}, {integrand.dim_in})"
-        )
+    shape = (integrand.dim_out, integrand.dim_in)
+    if mat.shape != shape and (n_paths is None or mat.shape != (n_paths, *shape)):
+        stacked = "" if n_paths is None else f" or ({n_paths}, {shape[0]}, {shape[1]})"
+        raise ValueError(f"integrand returned shape {mat.shape}, expected {shape}{stacked}")
     return mat
 
 
-def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
+def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[ItoPath, ...]:
+    """One step loop for a chunk of samples of one noise model and grid."""
+    if not samples:
+        raise ValueError("no sample to walk")
     integrand = process.integrand
-    spec = sample.spec
+    spec, grid = samples[0].spec, samples[0].grid
+    if any(s.spec is not spec or s.grid != grid for s in samples):
+        raise ValueError("the samples of one walk must share one noise model and grid")
     if integrand.dim_in != spec.dim:
         raise ValueError(f"integrand input dim {integrand.dim_in} != noise dim {spec.dim}")
-    grid = sample.grid
+    n_paths = len(samples)
     n = grid.n_steps
     m = spec.n_cells
-    dt = grid.dt
     times = grid.times
     total_rate = spec.tables.flavor("total").rate
     active = [j for j in range(m) if total_rate[j] > 0.0]
     d_out = integrand.dim_out
+    adapted = not integrand.deterministic
 
     driver = process.driver
     drv_steps = np.array(() if driver is None else driver.jump_steps, dtype=np.int64)
@@ -394,91 +432,129 @@ def _walk(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
         if not (0 <= k < n):
             raise ValueError(f"driver jump step {k} outside 0..{n - 1}")
 
-    values = np.zeros((n + 1, d_out))
+    # step-major while walking, so that a step's rows are one cheap index
+    values = np.zeros((n + 1, n_paths, d_out))
     values[0] = process.initial
     drift = np.zeros((n, d_out))
-    dr = process.drift_rate * dt
+    dr = process.drift_rate * grid.dt
     has_drift = bool(process.drift_rate.any())
+    if has_drift:
+        drift[:] = dr
 
-    noise = sample.jumps
-    delta = np.zeros((len(noise), d_out))
-    if integrand.deterministic:
-        phis = _deterministic_phis(integrand, sample, active)
-        # one einsum for the continuous contributions of every step, one
-        # stacked product for the deltas of every noise jump
-        stoch = np.einsum("kjab,kjb->ka", phis[:, active], sample.gauss[:, active])
-        if len(noise):
-            delta = (phis[noise["step"], noise["cell"]] @ noise["amp"][:, :, None])[:, :, 0]
-    else:
-        phis = np.zeros((n, m, d_out, integrand.dim_in))
-        stoch = np.zeros((n, d_out))
-        history = PathHistory(sample, values)
-
-    # jump rows in micro-order: a step's noise jumps by time, then its
-    # driver jumps in the driver's order
+    # the chunk's noise jumps, path-major, each path's rows sorted by (step,
+    # time); a lone sample's rows are used as they are, without a copy
+    counts = [len(s.jumps) for s in samples]
+    noise = samples[0].jumps if n_paths == 1 else np.concatenate([s.jumps for s in samples])
+    pid = np.repeat(np.arange(n_paths), counts)
     step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
+    delta = np.zeros((len(noise), d_out))
+    if adapted:
+        history = PathHistory(samples, values)
+        gauss = history._gauss
+        phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
+        stoch = np.zeros((n, n_paths, d_out))
+    else:
+        # operators, continuous contributions and noise-jump deltas of every
+        # step in array passes, path by path
+        phis = _deterministic_phis(integrand, samples[0], active)
+        cells = slice(None) if len(active) == m else active  # a slice copies nothing
+        stoch = np.empty((n, n_paths, d_out))
+        for p, sample in enumerate(samples):
+            np.einsum("kjab,kjb->ka", phis[:, cells], sample.gauss[:, cells], out=stoch[:, p])
+        if len(noise):
+            delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
+
+    # jump rows in each path's micro-order: a step's noise jumps by time,
+    # then its driver jumps in the driver's order
     if len(drv_steps):
-        pos = np.searchsorted(step, drv_steps, side="right")
-        step, time = np.insert(step, pos, drv_steps), np.insert(time, pos, times[drv_steps + 1])
-        cell, amp = np.insert(cell, pos, -1), np.insert(amp, pos, 0.0, axis=0)
-        delta = np.insert(delta, pos, driver.values, axis=0)
-    ends = np.searchsorted(step, np.arange(n), side="right").tolist()
-    cells = cell.tolist()
+        paths = np.repeat(np.arange(n_paths), len(drv_steps))
+        at = np.tile(drv_steps, n_paths)
+        pos = np.searchsorted(pid * n + step, paths * n + at, side="right")
+        pid, step = np.insert(pid, pos, paths), np.insert(step, pos, at)
+        time, cell = np.insert(time, pos, times[at + 1]), np.insert(cell, pos, -1)
+        amp = np.insert(amp, pos, 0.0, axis=0)
+        delta = np.insert(delta, pos, np.tile(driver.values, (n_paths, 1)), axis=0)
     pre = np.zeros((len(step), d_out))
+    # rows by step; the stable sort keeps each path's rows of a step in its
+    # micro-order, and paths never share a running value
+    order = np.argsort(step, kind="stable")
+    ends = np.searchsorted(step[order], np.arange(n), side="right").tolist()
+    row_path = list(zip(order.tolist(), pid[order].tolist()))
 
     hi = 0
     for k in range(n):
-        lo, hi = hi, ends[k]
-        v = values[k].copy()
-        if has_drift:
-            drift[k] = dr
-            v += dr
-        if not integrand.deterministic:
+        if adapted:
             history._cursor = k
             state = AdaptedState(step=k, time=times[k], value=values[k].copy(), history=history)
-            sc = np.zeros(d_out)
+            sc = np.zeros((n_paths, d_out))
             for j in active:
-                mat = _checked_eval(integrand, state, j)
-                phis[k, j] = mat
-                sc += mat @ sample.gauss[k, j]
+                mat = _checked_eval(integrand, state, j, n_paths)
+                phis[:, k, j] = mat
+                # elementwise products summed per row, so that each path's
+                # arithmetic does not depend on the chunk it is walked in
+                sc += (mat * gauss[:, k, j, None, :]).sum(-1)
             stoch[k] = sc
-            for i in range(lo, hi):
-                if cells[i] >= 0:
-                    delta[i] = phis[k, cells[i]] @ amp[i]
-        v += stoch[k]
-        for i in range(lo, hi):
-            pre[i] = v
-            v = v + delta[i]
+        if has_drift:
+            v = values[k] + dr
+            v += stoch[k]
+        else:
+            v = values[k] + stoch[k]
+        lo, hi = hi, ends[k]
+        if lo < hi:
+            if adapted:
+                rows = order[lo:hi]
+                rows = rows[cell[rows] >= 0]
+                delta[rows] = (phis[pid[rows], k, cell[rows]] * amp[rows, None, :]).sum(-1)
+            for i, p in row_path[lo:hi]:
+                running = v[p]
+                pre[i] = running
+                running += delta[i]
         values[k + 1] = v
 
     jumps = np.empty(len(step), _jump_dtype(d_out))
     for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
         jumps[name] = column
-    jumps.setflags(write=False)
-    values.setflags(write=False)
-    phis.setflags(write=False)
-    stoch.setflags(write=False)
-    drift.setflags(write=False)
-    return ItoPath(
-        sample=sample,
-        grid=grid,
-        initial=process.initial,
-        values=values,
-        phis=phis,
-        stoch_cont=stoch,
-        drift=drift,
-        jumps=jumps,
+    bounds = list(accumulate((c + len(drv_steps) for c in counts), initial=0))
+    values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
+    for array in (jumps, values, phis, stoch, drift):
+        array.setflags(write=False)
+    return tuple(
+        ItoPath(
+            sample=sample,
+            grid=grid,
+            initial=process.initial,
+            values=values[p],
+            phis=phis[p] if adapted else phis,
+            stoch_cont=stoch[p],
+            drift=drift,
+            jumps=jumps[bounds[p] : bounds[p + 1]],
+        )
+        for p, sample in enumerate(samples)
     )
 
 
-def integrate(integrand: Integrand, sample: SamplePath) -> ItoPath:
-    """Walk the stochastic integral of ``integrand`` against one noise path."""
-    return _walk(ItoProcessSpec(integrand), sample)
+_Samples = Union[SamplePath, Tuple[SamplePath, ...]]
 
 
-def simulate_ito_process(process: ItoProcessSpec, sample: SamplePath) -> ItoPath:
-    """Walk a process with drift and driver on top of the stochastic integral."""
-    return _walk(process, sample)
+def _walk_samples(process: ItoProcessSpec, sample: _Samples):
+    if isinstance(sample, SamplePath):
+        return _walk(process, (sample,))[0]
+    return _walk(process, tuple(sample))
+
+
+def integrate(integrand: Integrand, sample: _Samples) -> Union[ItoPath, Tuple[ItoPath, ...]]:
+    """Walk the stochastic integral of ``integrand`` against one noise path,
+    returning its ItoPath, or against each path of a tuple of samples of one
+    model and grid, returning a tuple of ItoPaths walked by one step loop."""
+    return _walk_samples(ItoProcessSpec(integrand), sample)
+
+
+def simulate_ito_process(
+    process: ItoProcessSpec, sample: _Samples
+) -> Union[ItoPath, Tuple[ItoPath, ...]]:
+    """Walk a process with drift and driver on top of the stochastic integral,
+    against one sample or a tuple of them as ``integrate`` does."""
+    return _walk_samples(process, sample)
 
 
 def realized_lambda2_mass(
@@ -518,24 +594,43 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
 # ------------------------------------------------------------- ensembles
 
 
+# Paths per chunk of _per_path: the chunk's walk arrays grow with it (about
+# 80 KB per 256-step path on a four-cell model), and the step loop's Python
+# cost is paid once per chunk.
+_CHUNK = 16
+
+
 def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure, first: int = 0) -> np.ndarray:
     """The package's one Monte Carlo loop: measure paths first, ..., first +
     n_paths - 1 of the ensemble into a float64 array, one row per path.
 
-    Row i measures the sample that ``sample_path`` draws for path index
-    first + i; measure(sample) walks what it needs and returns its floats,
-    k of them, which fill row i of an (n_paths, k) array ((0, 0) without
-    paths). Gates reduce its columns with the helpers below and np.max, so
-    a non-finite path reaches every reduction instead of being dropped by a
-    running maximum.
+    The samples that ``sample_path`` draws for those path indices are handed
+    to measure in chunks of at most ``_CHUNK``, as a tuple in path order;
+    measure(samples) walks what it needs and returns one row of k floats
+    per sample, a (len(samples), k) block, which fills the chunk's rows of
+    an (n_paths, k) array ((0, 0) without paths). Row i depends on path
+    first + i alone, not on the chunking. Gates reduce the columns with the
+    helpers below and np.max, so a non-finite path reaches every reduction
+    instead of being dropped by a running maximum.
     """
     rows = np.empty((n_paths, 0))
-    for i in range(n_paths):
-        row = measure(sample_path(spec, grid, seed, first + i))
-        if i == 0:
-            rows = np.empty((n_paths, len(row)))
-        rows[i] = row
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(n_paths, lo + _CHUNK)
+        block = np.asarray(
+            measure(tuple(sample_path(spec, grid, seed, first + i) for i in range(lo, hi))),
+            dtype=np.float64,
+        )
+        if lo == 0:
+            rows = np.empty((n_paths, block.shape[1]))
+        rows[lo:hi] = block
     return rows
+
+
+def _sample_by_sample(row):
+    """A measure for _per_path that walks its chunk one sample at a time,
+    row(sample) per path. The deterministic scenarios use it: chunking
+    their walks waits for the benchmark change of ROADMAP item 1."""
+    return lambda samples: [row(sample) for sample in samples]
 
 
 def _mean_se(samples: np.ndarray):
@@ -594,13 +689,17 @@ def integrate_process(
     """Left-frozen integral of an operator-valued map against a walked path.
 
     outer(step, time, value) is evaluated at each step's left endpoint with
-    the OUTER integral's running value and applied to the driver's whole
-    step increment. Used as the direct route in associativity checks.
+    the OUTER integral's running value, as a chunk of one path (shape (1,
+    dim_out), the protocol compose_integrands serves), and applied to the
+    driver's whole step increment. Used as the direct route in
+    associativity checks.
     """
     total = np.zeros(dim_out)
     times = driver.grid.times
     for k in range(driver.grid.n_steps):
-        mat = np.asarray(outer(k, float(times[k]), total))
+        mat = np.asarray(outer(k, float(times[k]), total[None]))
+        if mat.ndim == 3:
+            mat = mat[0]
         total = total + mat @ (driver.values[k + 1] - driver.values[k])
     return total
 
@@ -617,24 +716,29 @@ def compose_integrands(
 
     Walking the composition against the noise gives the same values as
     integrating ``outer`` against the walked inner integral, because the
-    walk is left-frozen in both routes. An adapted ``inner`` sees its own
-    running value, not the composition's: the closure restarts it at step 0
-    and, on entering step k, adds the operators inner returned in step k - 1
-    applied to that step's noise increments, which the left-frozen walk
-    makes exactly the inner integral at t_k.
+    walk is left-frozen in both routes. outer(step, time, value) receives
+    the chunk's running values, shape (P, dim_out), and returns one operator
+    or a (P, ...) stack. An adapted ``inner`` sees its own running value,
+    (P, inner.dim_out), not the composition's: the closure restarts it when
+    a walk begins (a new history) and, on entering step k, adds the
+    operators inner returned in step k - 1 applied to that step's noise
+    increments, which the left-frozen walk makes exactly the inner integral
+    at t_k.
     """
     inner_eval = inner.evaluator
     if not inner.deterministic:
-        step, value, mats = -1, None, {}
+        walk, step, value, mats = None, -1, None, {}
 
         def inner_eval(state: AdaptedState, cell: int) -> np.ndarray:
-            nonlocal step, value, mats
-            if state.step != step:
-                if state.step == 0:
-                    value, mats = np.zeros(inner.dim_out), {}
+            nonlocal walk, step, value, mats
+            if state.history is not walk:
+                walk, step, mats = state.history, state.step, {}
+                value = np.zeros((len(state.value), inner.dim_out))
+            elif state.step != step:
                 past, k = state.history, state.step - 1
                 for j, mat in mats.items():
-                    value = value + mat @ (past.gauss_increment(k, j) + past.jump_sum(k, j))
+                    increment = past.gauss_increment(k, j) + past.jump_sum(k, j)
+                    value = value + (mat * increment[:, None, :]).sum(-1)
                 step, mats = state.step, {}
             own = AdaptedState(state.step, state.time, value, state.history)
             mats[cell] = mat = np.asarray(inner.evaluator(own, cell), dtype=np.float64)

@@ -185,10 +185,12 @@ def make_smooth(name: str) -> SmoothFunction:
         return _quadratic()
     if name == "gauss_cos":
         return _gauss_cos()
-    if name.startswith("linear:"):
-        return _linear(float(name.split(":", 1)[1]))
-    if name.startswith("norm_p:"):
-        return _norm_power(float(name.split(":", 1)[1]))
+    if name.startswith(("linear:", "norm_p:")):
+        kind, text = name.split(":", 1)
+        param = float(text)
+        if not np.isfinite(param):
+            raise ValueError(f"{kind} needs a finite parameter, got {text!r}")
+        return (_linear if kind == "linear" else _norm_power)(param)
     raise ValueError(f"unknown smooth function {name!r}; expected one of {SMOOTH_NAMES}")
 
 

@@ -312,6 +312,9 @@ def _model_file(tmp_path, name):
         ("verify-conditional-isometry", ["n_steps=32", "params.s_step=-1"]),
         ("verify-taylor", ["params.deltas=[]"]),
         ("verify-isometry", ["params.phi=[[NaN, 0.0], [0.0, 1.0]]"]),
+        ("verify-taylor", ['params.functions=["linear:nan"]']),
+        ("verify-taylor", ['params.functions=["norm_p:inf"]']),
+        ("ito-converge", ['params.function="linear:-inf"']),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
@@ -359,6 +362,17 @@ def test_single_level_fails_convergence_gate(tmp_path, scenario, level):
     blob = json.loads((tmp_path / f"{scenario}.json").read_text())
     decreasing = next(c for c in blob["checks"] if c["name"].endswith("-strictly-decreasing"))
     assert decreasing["value"] is None and decreasing["passed"] is False
+
+
+def test_single_delta_fails_modulus_gate(tmp_path):
+    """One delta leaves no pair of moduli to compare, so modulus-decays must
+    fail with a null value instead of passing on an empty comparison."""
+    argv = ["run", "verify-taylor", "--set", "params.deltas=[0.5]", "--set", "n_paths=5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    blob = json.loads((tmp_path / "verify-taylor.json").read_text())
+    gate = next(c for c in blob["checks"] if c["name"] == "modulus-decays")
+    assert gate["value"] is None and gate["passed"] is False
+    assert blob["metrics"]["decays"] is False
 
 
 def test_associativity_runs_on_a_one_dim_model(tmp_path):

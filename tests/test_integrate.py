@@ -12,11 +12,15 @@ must blow the martingale test, and the guarded history must refuse it.
 import numpy as np
 import pytest
 
+import cmvm.harness
+import cmvm.integrate
 from cmvm.integrate import (
+    AdaptedState,
     FVDriver,
     Integrand,
     ItoProcessSpec,
     LookAheadError,
+    PathHistory,
     SimpleBlock,
     SimpleIntegrand,
     _mean_se,
@@ -34,7 +38,7 @@ from cmvm.integrate import (
     simulate_ito_process,
     state_linear_integrand,
 )
-from cmvm.harness import apply_overrides, load_config
+from cmvm.harness import apply_overrides, load_config, run
 from cmvm.noise import TimeGrid, evaluate, sample_path
 from cmvm.presets import make_preset
 
@@ -157,15 +161,15 @@ def test_lookahead_guard_raises(mixed, grid8):
     sample = sample_path(mixed, grid8, seed=3, path_index=0)
 
     def peeking(state, cell):
-        state.history.gauss_increment(state.step, cell)  # not yet revealed
-        return PHI
+        g = state.history.gauss_increment(state.step, cell)  # not yet revealed
+        return PHI * (1.0 + g.sum(-1))[:, None, None]
 
     with pytest.raises(LookAheadError):
         integrate(Integrand(peeking, 2, 2, deterministic=False, name="peek"), sample)
 
     def too_far_value(state, cell):
-        state.history.value(state.step + 1)
-        return PHI
+        ahead = state.history.value(state.step + 1)
+        return PHI * (1.0 + ahead.sum(-1))[:, None, None]
 
     with pytest.raises(LookAheadError):
         integrate(Integrand(too_far_value, 2, 2, deterministic=False, name="peek2"), sample)
@@ -178,13 +182,13 @@ def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
 
     def reads_to_cursor(state, cell):
         t = float(grid8.times[state.step])
-        seen[state.step, cell] = state.history.noise_pairing(0.0, t, [cell], h)
-        return PHI
+        seen[state.step, cell] = pairing = state.history.noise_pairing(0.0, t, [cell], h)
+        return PHI * (1.0 + 0.0 * pairing)[:, None, None]
 
     integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False, name="past"), sample)
     assert {k for k, _ in seen} == set(range(grid8.n_steps))
     for (k, cell), value in seen.items():
-        assert value == evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)
+        assert value.tolist() == [evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)]
 
     def reads_one_step_ahead(state, cell):
         state.history.noise_pairing(0.0, float(grid8.times[state.step + 1]), [cell], h)
@@ -219,14 +223,14 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
             if state.step == 0:
                 return PHI
             g = state.history.gauss_increment(state.step - 1, cell)
-            return PHI * (1.0 + 2.0 * float(w @ g))
+            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, None, None]
 
         return _eval
 
     def cheating(sample):
         def _eval(state, cell):
-            g = sample.gauss[state.step, cell]  # smuggled future
-            return PHI * (1.0 + 2.0 * float(w @ g))
+            g = sample.gauss[state.step, cell][None]  # smuggled future
+            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, None, None]
 
         return _eval
 
@@ -249,14 +253,16 @@ def test_conditional_isometry_adapted_feedback(mixed, grid8):
 
     events = {"always": lambda path: True, "first-sign": first_sign}
 
-    def measure(sample):
-        path = integrate(integrand, sample)
+    def row(path):
         inc = path.values[kt] - path.values[ks]
         bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
             path, "total", upto_step=ks
         )
         hits = [float(event(path)) for event in events.values()]
         return hits + [ind * (float(inc @ inc) - bracket) for ind in hits]
+
+    def measure(samples):
+        return [row(path) for path in integrate(integrand, samples)]
 
     rows = _per_path(mixed, grid8, 99, 1200, measure)
     rates = dict(zip(events, rows[:, :2].mean(axis=0)))
@@ -283,7 +289,9 @@ def test_lambda2_norm_deterministic_vs_sampled(mixed, grid8):
     det = lambda2_norm(constant_integrand(PHI), mixed, grid8)
     # a state-feedback integrand with zero gain has the same norm on every path
     zero_gain = state_linear_integrand(PHI, [1.0, 0.0], 0.0)
-    masses = _per_path(mixed, grid8, 1, 8, lambda s: (realized_lambda2_mass(integrate(zero_gain, s)),))
+    masses = _per_path(
+        mixed, grid8, 1, 8, lambda ss: [(realized_lambda2_mass(p),) for p in integrate(zero_gain, ss)]
+    )
     mean, se = _mean_se(masses[:, 0])
     assert se == pytest.approx(0.0, abs=1e-12)
     assert mean == pytest.approx(det, rel=1e-12)
@@ -379,8 +387,8 @@ def test_composition_with_state_dependent_outer(mixed, grid8):
     same left-frozen value, so the identity survives."""
     inner = constant_integrand(PHI)
 
-    def psi(step, time, value):
-        return np.eye(2) * (1.0 + 0.3 * float(np.tanh(value[0] if value is not None else 0.0)))
+    def psi(step, time, value):  # value: (P, 2), one running outer value per path
+        return np.eye(2) * (1.0 + 0.3 * np.tanh(value[:, 0]))[:, None, None]
 
     composed = compose_integrands(psi, inner, dim_out=2)
     for idx in range(25):
@@ -421,3 +429,178 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
         b = integrate(slow, sample)
         assert np.allclose(a.values, b.values, atol=1e-12)
         assert np.allclose(a.phis, b.phis, atol=0.0)
+
+
+# ------------------------------------------------ the chunked walk
+
+
+def _loop_walk(process, sample):
+    """The per-path step loop that the chunked walk replaced, kept as its
+    reference: one path, one evaluator call per (step, cell), each jump
+    applied on its own in micro-order. The evaluator sees the path as a
+    chunk of one. Returns values, phis, stoch_cont, drift, and the jump
+    rows' delta and pre."""
+    integrand = process.integrand
+    grid, spec = sample.grid, sample.spec
+    n, m, times = grid.n_steps, spec.n_cells, grid.times
+    total_rate = spec.tables.flavor("total").rate
+    active = [j for j in range(m) if total_rate[j] > 0.0]
+    d_out, d_in = integrand.dim_out, integrand.dim_in
+    driver = process.driver
+    drv_steps = np.array(() if driver is None else driver.jump_steps, dtype=np.int64)
+
+    values = np.zeros((n + 1, d_out))
+    values[0] = process.initial
+    drift = np.zeros((n, d_out))
+    dr = process.drift_rate * grid.dt
+    phis = np.zeros((n, m, d_out, d_in))
+    stoch = np.zeros((n, d_out))
+    history = PathHistory((sample,), values[:, None])
+    noise = sample.jumps
+    step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
+    delta = np.zeros((len(noise), d_out))
+    if len(drv_steps):
+        pos = np.searchsorted(step, drv_steps, side="right")
+        step, time = np.insert(step, pos, drv_steps), np.insert(time, pos, times[drv_steps + 1])
+        cell, amp = np.insert(cell, pos, -1), np.insert(amp, pos, 0.0, axis=0)
+        delta = np.insert(delta, pos, driver.values, axis=0)
+    ends = np.searchsorted(step, np.arange(n), side="right").tolist()
+    pre = np.zeros((len(step), d_out))
+
+    hi = 0
+    for k in range(n):
+        lo, hi = hi, ends[k]
+        v = values[k].copy()
+        if process.drift_rate.any():
+            drift[k] = dr
+            v += dr
+        history._cursor = k
+        state = AdaptedState(step=k, time=times[k], value=values[k][None].copy(), history=history)
+        sc = np.zeros(d_out)
+        for j in active:
+            mat = np.broadcast_to(integrand.evaluator(state, j), (1, d_out, d_in))[0]
+            phis[k, j] = mat
+            sc += mat @ sample.gauss[k, j]
+        stoch[k] = sc
+        for i in range(lo, hi):
+            if cell[i] >= 0:
+                delta[i] = phis[k, cell[i]] @ amp[i]
+        v += stoch[k]
+        for i in range(lo, hi):
+            pre[i] = v
+            v = v + delta[i]
+        values[k + 1] = v
+    return {"values": values, "phis": phis, "stoch_cont": stoch, "drift": drift, "delta": delta, "pre": pre}
+
+
+def _gated_simple():
+    """A simple integrand with one ungated block and two gated ones, each
+    gate decided at its window's left endpoint from the noise before it."""
+    h = np.array([1.0, -0.4])
+
+    def gate(sample, k0, _c=(0, 2)):
+        return evaluate(sample, 0.0, sample.grid.times[k0], _c, h) >= 0.0
+
+    return SimpleIntegrand(
+        [
+            SimpleBlock(0, 6, (0, 1), np.array([[1.0, 0.3], [0.0, 0.8]])),
+            SimpleBlock(2, 8, (1, 2, 3), np.array([[-0.4, 0.0], [0.2, 0.5]]), predicate=gate),
+            SimpleBlock(4, 7, (0, 3), np.array([[0.3, -0.6], [0.9, 0.1]]), predicate=gate),
+        ],
+        2,
+        2,
+    )
+
+
+def _chunk_processes():
+    linear = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
+    outer_mats = np.random.default_rng(5).uniform(-1.0, 1.0, size=(8, 2, 2))
+
+    def psi(step, time, value):  # reads the running outer value of each path
+        return outer_mats[step] * (1.0 + 0.3 * np.tanh(value[:, :1]))[:, None]
+
+    return {
+        "state-linear": ItoProcessSpec(linear),
+        "drift-and-driver": ItoProcessSpec(
+            state_linear_integrand(PHI, [1.0, -0.5], 0.4),
+            initial=[0.2, -0.1],
+            drift_rate=[0.3, -0.2],
+            driver=FVDriver([2, 5, 5], [[0.05, 0.0], [-0.02, 0.04], [0.01, 0.01]]),
+        ),
+        "gated-simple": ItoProcessSpec(_gated_simple().as_general()),
+        "composed": ItoProcessSpec(compose_integrands(psi, linear, dim_out=2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_chunk_processes()))
+def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
+    """One step loop over a chunk of paths reproduces the per-path loop on
+    every record, path by path, to 1e-12 relative."""
+    process = _chunk_processes()[name]
+    chunk = tuple(sample_path(mixed, grid8, seed=4100, path_index=i) for i in range(9))
+    walked = simulate_ito_process(process, chunk)
+    assert isinstance(walked, tuple) and len(walked) == len(chunk)
+    assert sum(len(s.jumps) for s in chunk) > 9
+    for sample, path in zip(chunk, walked):
+        assert path.sample is sample
+        want = _loop_walk(process, sample)
+        got = {"values": path.values, "phis": path.phis, "stoch_cont": path.stoch_cont,
+               "drift": path.drift, "delta": path.jumps["delta"], "pre": path.jumps["pre"]}
+        for field, ref in want.items():
+            assert got[field].shape == ref.shape, (name, field)
+            scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+            assert np.abs(got[field] - ref).max(initial=0.0) <= 1e-12 * scale, (name, field)
+
+
+def test_chunk_samples_must_share_model_and_grid(mixed, grid8):
+    other = sample_path(mixed, TimeGrid(1.0, 16), seed=1, path_index=0)
+    with pytest.raises(ValueError, match="share one noise model and grid"):
+        integrate(constant_integrand(PHI), (sample_path(mixed, grid8, seed=1), other))
+    with pytest.raises(ValueError, match="no sample"):
+        integrate(constant_integrand(PHI), ())
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("qv-converge", ["n_paths=7"]),
+        ("verify-conditional-isometry", ["n_paths=7", "n_steps=16"]),
+    ],
+)
+def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path, monkeypatch):
+    """The rows a scenario's measure writes are bitwise the same whether the
+    paths are walked one at a time, three at a time or all together."""
+    original = cmvm.harness._per_path
+    blocks = {}
+
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(cmvm.integrate, "_CHUNK", chunk)
+        seen = blocks[chunk] = []
+
+        def recorded(*args, _seen=seen, **kwargs):
+            rows = original(*args, **kwargs)
+            _seen.append(rows)
+            return rows
+
+        monkeypatch.setattr(cmvm.harness, "_per_path", recorded)
+        run(apply_overrides(load_config(scenario), overrides), str(tmp_path / str(chunk)))
+    assert len(blocks[1]) == 1 and blocks[1][0].shape[0] == 7
+    for chunk in (3, 7):
+        assert [b.tobytes() for b in blocks[chunk]] == [b.tobytes() for b in blocks[1]], chunk
+
+
+def test_composed_inner_restarts_with_each_walk(mixed):
+    """On a one-step grid every walk starts and ends at step 0; the adapted
+    inner integral must still restart for each walk, whatever its chunk."""
+    grid = TimeGrid(1.0, 1)
+    inner = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
+
+    def psi(step, time, value):
+        return np.array([[0.5, -0.2], [0.1, 0.9]])
+
+    composed = compose_integrands(psi, inner, dim_out=2)
+    for first, size in ((0, 3), (3, 2), (5, 1)):
+        chunk = tuple(sample_path(mixed, grid, seed=12, path_index=first + i) for i in range(size))
+        for sample, path in zip(chunk, integrate(composed, chunk)):
+            direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
+            assert np.allclose(path.terminal, direct, rtol=0.0, atol=1e-12)

@@ -222,9 +222,11 @@ def test_riemann_refinement_tightens(mixed):
         """(mesh, q25, median, q75) of the relative errors at each level."""
         partitions = _REFINEMENTS[kind](grid.n_steps, levels)
 
-        def measure(sample):
-            path = integrate(integrand, sample)
-            return qv_refinement_study(path, partitions(path)).ravel()
+        def measure(samples):
+            return [
+                qv_refinement_study(path, partitions(path)).ravel()
+                for path in integrate(integrand, samples)
+            ]
 
         rows = _per_path(mixed, grid, 909, n_paths, measure)
         errors, meshes = rows[:, : len(levels)], rows[:, len(levels) :]
