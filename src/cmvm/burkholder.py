@@ -25,9 +25,8 @@ bias is conservative for checking upper bounds and is left uncorrected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -189,25 +188,21 @@ class BurkholderReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def check(
     ensemble: Ensemble,
     p: float,
     flavor: str = "optional",
     moment: str = "sup",
-    constant: Optional[float] = None,
 ) -> BurkholderReport:
     """Measure E (moment)|I|^p against constant * E bracket^{p/2}.
 
-    moment is "sup" (running supremum) or "terminal". When no constant is
-    supplied, one is chosen by the rules in the module docstring, and
-    ``constant_source`` records the choice. ``satisfied`` allows three
-    combined standard errors of Monte Carlo slack on top of the bound; with
-    an empirical constant the inequality is the definition of the constant,
-    so ``satisfied`` only reports that both sides were finite and positive.
+    moment is "sup" (running supremum) or "terminal". The constant is chosen
+    by the rules in the module docstring, and ``constant_source`` records
+    the choice. ``satisfied`` allows three combined standard errors of Monte
+    Carlo slack on top of the bound; with an empirical constant the
+    inequality is the definition of the constant, so ``satisfied`` only
+    reports that both sides were finite and positive.
     """
     stats = ensemble.stats
     if not len(stats):
@@ -222,9 +217,7 @@ def check(
     rhs, rhs_se = _moment(stats[flavor], 0.5 * p)
 
     ratio = lhs / rhs if rhs > 0.0 else float("inf")
-    if constant is not None:
-        source = "supplied"
-    elif moment == "terminal" and p == 2.0:
+    if moment == "terminal" and p == 2.0:
         constant, source = 1.0, "closed-form"
     elif not ensemble.has_jumps:
         constant, source = continuous_constant(p), "closed-form"

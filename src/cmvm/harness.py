@@ -28,7 +28,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -97,78 +97,6 @@ _GLOBAL_DEFAULTS = {
     "seed": 0,
 }
 
-# per-scenario overrides of the globals, applied before user values
-_FIELD_DEFAULTS = {
-    "qv-converge": {"n_steps": 256, "n_paths": 400},
-    "ito-converge": {"n_paths": 200},
-    "verify-qv": {"n_paths": 200, "n_steps": 8},
-    "verify-decomposition": {"n_paths": 200, "n_steps": 8},
-    "verify-ito": {"n_paths": 400, "n_steps": 8},
-    "verify-associativity": {"n_paths": 200, "n_steps": 8},
-    "verify-taylor": {"n_paths": 200},
-    "burkholder": {"n_paths": 4000, "n_steps": 8},
-}
-
-_PARAM_DEFAULTS = {
-    "verify-isometry": {"phi": _PHI_DEFAULT, "flavor": "total", "rel_tol": 0.05, "z_max": 4.0},
-    "verify-conditional-isometry": {
-        "phi": _PHI_DEFAULT,
-        "weight": [0.6, -0.2],
-        "gain": 0.4,
-        "s_step": 1,
-        "z_max": 4.0,
-    },
-    "verify-qv": {
-        "phi": _PHI_DEFAULT,
-        "phi_b": [[0.2, -0.5], [0.7, 0.1]],
-        "weight": [0.6, -0.2],
-        "gain": 0.4,
-        "tol": 1e-12,
-    },
-    "qv-converge": {
-        "phi": _PHI_DEFAULT,
-        "weight": [0.6, -0.2],
-        "gain": 0.4,
-        "levels": [3, 4, 5, 6, 7],
-        "kind": "dyadic",
-        "finest_tol": 0.10,
-    },
-    "verify-ito": {
-        "phi": _PHI_DEFAULT,
-        "weight": [0.5, -0.3],
-        "gain": 0.4,
-        "path_tol": 1e-10,
-        "z_max": 4.0,
-    },
-    "ito-converge": {
-        "phi": _PHI_DEFAULT,
-        "drift": [0.3, -0.2],
-        "function": "gauss_cos",
-        "levels": [4, 5, 6, 7, 8],
-        "variant": "realized",
-        "final_ratio": 0.25,
-    },
-    "verify-decomposition": {
-        "phi": _PHI_DEFAULT,
-        "weight": [0.6, -0.2],
-        "gain": 0.4,
-        "tol": 1e-12,
-    },
-    "verify-associativity": {"tol": 1e-12, "max_blocks": 3},
-    "verify-taylor": {
-        "functions": ["quadratic", "linear:1.5", "norm_p:4", "gauss_cos"],
-        "tol": 1e-8,
-        "deltas": [1.0, 0.5, 0.25, 0.125],
-    },
-    "burkholder": {
-        "phi": _PHI_DEFAULT,
-        "continuous_preset": "gauss-default",
-        "p_closed": [1.0, 3.0, 4.0],
-        "p_empirical": [3.0, 4.0],
-        "z_max": 4.0,
-    },
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -183,26 +111,20 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "preset": self.preset,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
+        return dict(vars(self), params=dict(self.params))
 
 
 def _build_config(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"a config must be a JSON object, got {data!r}")
     if "scenario" not in data:
         raise ValueError("config needs a 'scenario' key")
     scenario = data["scenario"]
-    if scenario not in _SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {scenario_names()}")
-    fields = dict(_GLOBAL_DEFAULTS)
-    fields.update(_FIELD_DEFAULTS.get(scenario, {}))
-    params = dict(_PARAM_DEFAULTS.get(scenario, {}))
+    entry = _SCENARIOS[scenario]
+    fields = dict(_GLOBAL_DEFAULTS, **entry.fields)
+    params = dict(entry.params)
     for key, value in data.items():
         if key == "scenario":
             continue
@@ -228,7 +150,9 @@ def _build_config(data: dict) -> ExperimentConfig:
     n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
     if n_steps <= 0 or n_paths <= 0:
         raise ValueError("n_steps and n_paths must be positive")
-    for key, default in _PARAM_DEFAULTS.get(scenario, {}).items():
+    if seed < 0:  # the scenarios seed numpy generators with seed + small offsets
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    for key, default in entry.params.items():
         _check_param_type(key, params[key], default)
     _check_param_values(params, n_steps)
     models = [fields["preset"]]
@@ -255,15 +179,8 @@ def _build_config(data: dict) -> ExperimentConfig:
         finest = n_steps.bit_length() - 1  # 2^level blocks must not out-refine the grid
         if params.get("kind") == "dyadic" and not all(0 <= v <= finest for v in levels):
             raise ValueError(f"dyadic levels {levels} must lie in 0..{finest} for {n_steps} steps")
-    return ExperimentConfig(
-        scenario=scenario,
-        preset=fields["preset"],
-        horizon=float(horizon),
-        n_steps=n_steps,
-        n_paths=n_paths,
-        seed=seed,
-        params=params,
-    )
+    fields.update(horizon=float(horizon), n_steps=n_steps, n_paths=n_paths, seed=seed)
+    return ExperimentConfig(scenario=scenario, params=params, **fields)
 
 
 def _check_param_type(key: str, value, default) -> None:
@@ -361,15 +278,9 @@ def apply_overrides(cfg: ExperimentConfig, overrides: Sequence[str]) -> Experime
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        if key.startswith("params."):
-            name = key[len("params.") :]
-            if name not in data["params"]:
-                raise ValueError(
-                    f"unknown parameter {name!r} for {cfg.scenario}; "
-                    f"expected one of {sorted(data['params'])}"
-                )
-            data["params"][name] = value
-        elif key in ("scenario", "preset", "horizon", "n_steps", "n_paths", "seed"):
+        if key.startswith("params."):  # _build_config rejects an unknown name
+            data["params"][key[len("params.") :]] = value
+        elif key == "scenario" or key in _GLOBAL_DEFAULTS:
             data[key] = value
         else:
             raise ValueError(f"unknown override key {key!r}")
@@ -452,6 +363,12 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_definite(doc), fh, sort_keys=True, indent=2, default=_jsonify)
+        fh.write("\n")
+
+
 _CHECK_HEADER = ("check", "value", "target", "tolerance", "z", "passed")
 
 
@@ -471,31 +388,22 @@ def _check(name: str, value, target, tolerance, passed, z=None) -> dict:
 
 @dataclass(frozen=True)
 class _Outcome:
-    passed: bool
-    header: tuple
-    rows: list
+    """What a scenario measured; ``run`` derives the verdict from the checks
+    and, when ``rows`` is None, writes one CSV row per check."""
+
     checks: list
     metrics: dict
-
-
-def _checks_outcome(checks, metrics) -> _Outcome:
-    rows = [
-        (c["name"], c["value"], c["target"], c["tolerance"], c["z"], c["passed"]) for c in checks
-    ]
-    return _Outcome(all(c["passed"] for c in checks), _CHECK_HEADER, rows, checks, metrics)
+    header: tuple = _CHECK_HEADER
+    rows: Optional[list] = None
 
 
 # ------------------------------------------------------------- scenarios
 
 
-def _phi_matrix(params: dict, key: str = "phi") -> np.ndarray:
-    return np.array(params[key], dtype=np.float64)
-
-
 def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
-    integrand = constant_integrand(_phi_matrix(cfg.params))
+    integrand = constant_integrand(_param_array(cfg.params, "phi", 2))
     target = lambda2_norm(integrand, spec, grid, cfg.params["flavor"])
 
     def row(sample):
@@ -518,7 +426,7 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
         "z": z,
         "rel_err": rel,
     }
-    return _checks_outcome(checks, metrics)
+    return _Outcome(checks, metrics)
 
 
 def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
@@ -533,7 +441,7 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
+    integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
     ks, kt = int(p["s_step"]), cfg.n_steps
     events = {
         "always": lambda path: True,
@@ -575,7 +483,7 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
             "event_rate": rate,
         }
     metrics["stderr_reliable"] = cfg.n_paths >= 2
-    return _checks_outcome(checks, metrics)
+    return _Outcome(checks, metrics)
 
 
 def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
@@ -583,8 +491,8 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
     tol = float(p["tol"])
-    mat_a = _phi_matrix(p)
-    mat_b = _phi_matrix(p, "phi_b")
+    mat_a = _param_array(p, "phi", 2)
+    mat_b = _param_array(p, "phi_b", 2)
     adapted = state_linear_integrand(mat_a, p["weight"], p["gain"])
     ia, ib, iab = (constant_integrand(m) for m in (mat_a, mat_b, mat_a + mat_b))
     names = [f"mass-{flavor}" for flavor in QV_FLAVORS] + ["optional-additivity", "polarization"]
@@ -612,13 +520,22 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     checks = [
         _check(name, val, 0.0, tol, val <= tol) for name, val in sorted(worst.items())
     ]
-    return _checks_outcome(checks, {"max_rel_err": worst, "tol": tol})
+    return _Outcome(checks, {"max_rel_err": worst, "tol": tol})
 
 
-def _monotone_checks(prefix: str, medians, final_tol: float, relative_to_first: bool):
-    """Shared gate shape of the two convergence scenarios. A ratio over a
-    zero median is NaN, and a single level has no ratio; either way the
-    decreasing gate fails with a null value."""
+def _convergence(
+    cfg: ExperimentConfig, metric: str, levels, meshes, columns, final_tol: float,
+    relative_to_first: bool, metrics: dict,
+) -> _Outcome:
+    """Shared shape of the two convergence scenarios: one CONVERGENCE_HEADER
+    row per level from the quartiles of its per-path column, and two gates
+    on the medians. A ratio over a zero median is NaN, and a single level
+    has no ratio; either way the decreasing gate fails with a null value."""
+    rows, medians = [], []
+    for level, mesh, column in zip(levels, meshes, columns):
+        q25, median, q75 = _quartiles(column)
+        medians.append(median)
+        rows.append([cfg.scenario, level, mesh, metric, median, q25, q75, cfg.n_paths, cfg.seed])
 
     def ratio(b, a):
         return b / a if a > 0.0 else math.nan
@@ -626,17 +543,19 @@ def _monotone_checks(prefix: str, medians, final_tol: float, relative_to_first: 
     ratios = [ratio(b, a) for a, b in zip(medians, medians[1:])]
     worst_ratio = max(ratios) if ratios and not any(map(math.isnan, ratios)) else math.nan
     final = ratio(medians[-1], medians[0]) if relative_to_first else medians[-1]
-    return [
+    prefix = metric.replace("_", "-")
+    checks = [
         _check(f"{prefix}-strictly-decreasing", worst_ratio, 0.0, 1.0, worst_ratio < 1.0),
         _check(f"{prefix}-finest", final, 0.0, final_tol, final <= final_tol),
     ]
+    return _Outcome(checks, dict(metrics, medians=medians), CONVERGENCE_HEADER, rows)
 
 
 def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
+    integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
     levels = [int(v) for v in p["levels"]]
     partitions = _REFINEMENTS[p["kind"]](cfg.n_steps, levels)
 
@@ -648,28 +567,15 @@ def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
 
     study = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     errors, meshes = study[:, : len(levels)], study[:, len(levels) :]
-    rows, medians = [], []
-    for j, level in enumerate(levels):
-        q25, median, q75 = _quartiles(errors[:, j])
-        medians.append(median)
-        mesh = float(np.mean(meshes[:, j]))
-        rows.append(
-            [
-                "qv-converge",
-                float(level),
-                mesh,
-                "median_rel_err",
-                median,
-                q25,
-                q75,
-                cfg.n_paths,
-                cfg.seed,
-            ]
-        )
-    checks = _monotone_checks("median-rel-err", medians, p["finest_tol"], relative_to_first=False)
-    metrics = {"medians": medians, "finest_tol": p["finest_tol"]}
-    return _Outcome(
-        all(c["passed"] for c in checks), CONVERGENCE_HEADER, rows, checks, metrics
+    return _convergence(
+        cfg,
+        "median_rel_err",
+        [float(level) for level in levels],  # the CSV has 3.0 here, where ito-converge has 4
+        [float(np.mean(column)) for column in meshes.T],
+        errors.T,
+        p["finest_tol"],
+        relative_to_first=False,
+        metrics={"finest_tol": p["finest_tol"]},
     )
 
 
@@ -677,7 +583,7 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    mat = _phi_matrix(p)
+    mat = _param_array(p, "phi", 2)
     f = make_smooth("quadratic")
     models = {
         "constant": constant_integrand(mat),
@@ -719,14 +625,14 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
         "compensator_z": z,
         "models": list(models),
     }
-    return _checks_outcome(checks, metrics)
+    return _Outcome(checks, metrics)
 
 
 def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     p = cfg.params
     f = make_smooth(p["function"])
-    integrand = constant_integrand(_phi_matrix(p))
+    integrand = constant_integrand(_param_array(p, "phi", 2))
     drift = np.array(p["drift"], dtype=np.float64)
     proc = ItoProcessSpec(integrand, drift_rate=drift)
     levels = [int(v) for v in p["levels"]]
@@ -735,31 +641,19 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
         path = simulate_ito_process(proc, sample)
         return (abs(float(ito_residual(path, f, trace_variant=p["variant"])[0])),)
 
-    rows, medians = [], []
-    for level in levels:
-        grid = TimeGrid(cfg.horizon, 2**level)
-        residuals = _per_path(spec, grid, cfg.seed, cfg.n_paths, _sample_by_sample(row))
-        q25, median, q75 = _quartiles(residuals[:, 0])
-        medians.append(median)
-        rows.append(
-            [
-                "ito-converge",
-                level,
-                grid.dt,
-                "median_abs_residual",
-                median,
-                q25,
-                q75,
-                cfg.n_paths,
-                cfg.seed,
-            ]
-        )
-    checks = _monotone_checks(
-        "median-abs-residual", medians, p["final_ratio"], relative_to_first=True
-    )
-    metrics = {"levels": levels, "medians": medians}
-    return _Outcome(
-        all(c["passed"] for c in checks), CONVERGENCE_HEADER, rows, checks, metrics
+    grids = [TimeGrid(cfg.horizon, 2**level) for level in levels]
+    columns = [
+        _per_path(spec, grid, cfg.seed, cfg.n_paths, _sample_by_sample(row))[:, 0] for grid in grids
+    ]
+    return _convergence(
+        cfg,
+        "median_abs_residual",
+        levels,
+        [grid.dt for grid in grids],
+        columns,
+        p["final_ratio"],
+        relative_to_first=True,
+        metrics={"levels": levels},
     )
 
 
@@ -768,7 +662,7 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
     tol = float(p["tol"])
-    integrand = state_linear_integrand(_phi_matrix(p), p["weight"], p["gain"])
+    integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
 
     def row(path):
         cont, jump, fv = decompose_integral(path)
@@ -807,7 +701,7 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
         "covariance_mixture_max_frob": worst_mix,
         "tol": tol,
     }
-    return _checks_outcome(checks, metrics)
+    return _Outcome(checks, metrics)
 
 
 def _random_simple_pair(
@@ -865,7 +759,7 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
 
     worst = float(np.max(_per_path(spec, grid, cfg.seed, cfg.n_paths, _sample_by_sample(row))))
     checks = [_check("iterated-vs-fused-max-rel", worst, 0.0, tol, worst <= tol)]
-    return _checks_outcome(checks, {"max_rel_diff": worst, "tol": tol, "n_pairs": cfg.n_paths})
+    return _Outcome(checks, {"max_rel_diff": worst, "tol": tol, "n_pairs": cfg.n_paths})
 
 
 def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
@@ -909,7 +803,7 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
         "modulus": sups,
         "decays": decays,
     }
-    return _checks_outcome(checks, metrics)
+    return _Outcome(checks, metrics)
 
 
 _BURKHOLDER_HEADER = (
@@ -929,7 +823,7 @@ _BURKHOLDER_HEADER = (
 def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    proc = ItoProcessSpec(constant_integrand(_phi_matrix(p)))
+    proc = ItoProcessSpec(constant_integrand(_param_array(p, "phi", 2)))
     cont_name = p["continuous_preset"]
     cont = walk_ensemble(proc, _spec_for(cont_name), grid, cfg.n_paths, cfg.seed)
     jump = walk_ensemble(proc, _spec_for(cfg.preset), grid, cfg.n_paths, cfg.seed + 1)
@@ -979,49 +873,110 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
         "jump_terminal_gap_z": jump_gap_z,
         "stderr_reliable": cfg.n_paths >= 2,
     }
-    return _Outcome(all(c["passed"] for c in checks), _BURKHOLDER_HEADER, rows, checks, metrics)
+    return _Outcome(checks, metrics, _BURKHOLDER_HEADER, rows)
 
 
-_SCENARIOS: Dict[str, Tuple[Callable[[ExperimentConfig], _Outcome], str]] = {
-    "verify-isometry": (
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario's runner and description, its overrides of
+    ``_GLOBAL_DEFAULTS`` and its params, each default fixing the param's type."""
+
+    run: Callable[[ExperimentConfig], _Outcome]
+    description: str
+    fields: dict
+    params: dict
+
+
+_SCENARIOS: Dict[str, _Scenario] = {
+    "verify-isometry": _Scenario(
         _scn_verify_isometry,
         "terminal second moment of a constant-integrand integral vs its control-measure norm",
+        {},
+        {"phi": _PHI_DEFAULT, "flavor": "total", "rel_tol": 0.05, "z_max": 4.0},
     ),
-    "verify-conditional-isometry": (
+    "verify-conditional-isometry": _Scenario(
         _scn_verify_conditional,
         "paired increment-vs-bracket differences on past-measurable events",
+        {},
+        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4, "s_step": 1, "z_max": 4.0},
     ),
-    "verify-qv": (
+    "verify-qv": _Scenario(
         _scn_verify_qv,
         "per-path bracket identities: mass agreement, optional additivity, polarization",
+        {"n_paths": 200, "n_steps": 8},
+        {
+            "phi": _PHI_DEFAULT,
+            "phi_b": [[0.2, -0.5], [0.7, 0.1]],
+            "weight": [0.6, -0.2],
+            "gain": 0.4,
+            "tol": 1e-12,
+        },
     ),
-    "qv-converge": (
+    "qv-converge": _Scenario(
         _scn_qv_converge,
         "Riemann sums over refining partitions against the optional bracket",
+        {"n_steps": 256, "n_paths": 400},
+        {
+            "phi": _PHI_DEFAULT,
+            "weight": [0.6, -0.2],
+            "gain": 0.4,
+            "levels": [3, 4, 5, 6, 7],
+            "kind": "dyadic",
+            "finest_tol": 0.10,
+        },
     ),
-    "verify-ito": (
+    "verify-ito": _Scenario(
         _scn_verify_ito,
         "chain-rule residuals: exact for quadratic driftless, centered for compensator",
+        {"n_paths": 400, "n_steps": 8},
+        {"phi": _PHI_DEFAULT, "weight": [0.5, -0.3], "gain": 0.4, "path_tol": 1e-10, "z_max": 4.0},
     ),
-    "ito-converge": (
+    "ito-converge": _Scenario(
         _scn_ito_converge,
         "chain-rule residual of a smooth test function across mesh refinements",
+        {"n_paths": 200},
+        {
+            "phi": _PHI_DEFAULT,
+            "drift": [0.3, -0.2],
+            "function": "gauss_cos",
+            "levels": [4, 5, 6, 7, 8],
+            "variant": "realized",
+            "final_ratio": 0.25,
+        },
     ),
-    "verify-decomposition": (
+    "verify-decomposition": _Scenario(
         _scn_verify_decomposition,
         "path decomposition, flavor mass additivity and the covariance mixture identity",
+        {"n_paths": 200, "n_steps": 8},
+        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4, "tol": 1e-12},
     ),
-    "verify-associativity": (
+    "verify-associativity": _Scenario(
         _scn_verify_associativity,
         "iterated vs fused integration over gated simple and state-linear inner integrands",
+        {"n_paths": 200, "n_steps": 8},
+        {"tol": 1e-12, "max_blocks": 3},
     ),
-    "verify-taylor": (
+    "verify-taylor": _Scenario(
         _scn_verify_taylor,
         "Taylor remainder routes, modulus decay and coded derivatives vs finite differences",
+        {"n_paths": 200},
+        {
+            "functions": ["quadratic", "linear:1.5", "norm_p:4", "gauss_cos"],
+            "tol": 1e-8,
+            "deltas": [1.0, 0.5, 0.25, 0.125],
+        },
     ),
-    "burkholder": (
+    "burkholder": _Scenario(
         _scn_burkholder,
         "running-sup moment bounds and the terminal isometry, with and without jumps",
+        {"n_paths": 4000, "n_steps": 8},
+        {
+            "phi": _PHI_DEFAULT,
+            "continuous_preset": "gauss-default",
+            "p_closed": [1.0, 3.0, 4.0],
+            "p_empirical": [3.0, 4.0],
+            "z_max": 4.0,
+        },
     ),
 }
 
@@ -1031,7 +986,7 @@ def scenario_names() -> list:
 
 
 def scenario_description(name: str) -> str:
-    return _SCENARIOS[name][1]
+    return _SCENARIOS[name].description
 
 
 @dataclass(frozen=True)
@@ -1047,47 +1002,33 @@ class RunResult:
 
 def run(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     """Execute one scenario and write its three output files."""
-    runner, _ = _SCENARIOS[cfg.scenario]
     started = time.monotonic()
-    outcome = runner(cfg)
+    outcome = _SCENARIOS[cfg.scenario].run(cfg)
     elapsed = time.monotonic() - started
+    passed = all(c["passed"] for c in outcome.checks)
+    rows = outcome.rows
+    if rows is None:
+        rows = [tuple(c[key] for key in ("name",) + _CHECK_HEADER[1:]) for c in outcome.checks]
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{cfg.scenario}.csv")
-    json_path = os.path.join(out_dir, f"{cfg.scenario}.json")
+    csv_name, json_name = f"{cfg.scenario}.csv", f"{cfg.scenario}.json"
+    csv_path, json_path = os.path.join(out_dir, csv_name), os.path.join(out_dir, json_name)
     record_path = os.path.join(out_dir, "run-record.json")
 
-    _write_csv(csv_path, outcome.header, outcome.rows)
-    payload = _definite(
-        {
-            "scenario": cfg.scenario,
-            "passed": bool(outcome.passed),
-            "config": cfg.to_dict(),
-            "config_hash": config_hash(cfg),
-            "checks": outcome.checks,
-            "metrics": outcome.metrics,
-        }
-    )
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_jsonify)
-        fh.write("\n")
-    record = _definite(
-        {
-            "scenario": cfg.scenario,
-            "passed": bool(outcome.passed),
-            "config": cfg.to_dict(),
-            "config_hash": config_hash(cfg),
-            "package_version": __version__,
-            "wall_time_s": elapsed,
-            "checks": outcome.checks,
-            "outputs": {"csv": os.path.basename(csv_path), "json": os.path.basename(json_path)},
-        }
-    )
-    with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2, default=_jsonify)
-        fh.write("\n")
+    _write_csv(csv_path, outcome.header, rows)
+    shared = {
+        "scenario": cfg.scenario,
+        "passed": passed,
+        "config": cfg.to_dict(),
+        "config_hash": config_hash(cfg),
+        "checks": outcome.checks,
+    }
+    _write_json(json_path, dict(shared, metrics=outcome.metrics))
+    outputs = {"csv": csv_name, "json": json_name}
+    record = dict(shared, package_version=__version__, wall_time_s=elapsed, outputs=outputs)
+    _write_json(record_path, record)
     return RunResult(
         scenario=cfg.scenario,
-        passed=bool(outcome.passed),
+        passed=passed,
         csv_path=csv_path,
         json_path=json_path,
         record_path=record_path,

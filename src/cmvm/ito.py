@@ -302,19 +302,17 @@ def taylor_remainder(f: SmoothFunction, t: float, x, y) -> np.ndarray:
     )
 
 
-def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y, n_nodes: int = 16) -> np.ndarray:
+def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y) -> np.ndarray:
     """The same remainder in integral form.
 
     Integrates (1 - s) [f_xx(t, x + s(y - x)) - f_xx(t, x)](y - x, y - x) over
     s in [0, 1] with Gauss-Legendre nodes; 16 nodes are exact for any
     polynomial integrand the registered functions produce.
     """
-    if n_nodes < 16:
-        raise ValueError(f"use at least 16 quadrature nodes, got {n_nodes}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     d = y - x
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     s_vals = 0.5 * (nodes + 1.0)
     w_vals = 0.5 * weights
     diff = f.d_xx(t, x + s_vals[:, None] * d) - f.d_xx(t, x)
@@ -328,24 +326,23 @@ def gamma_estimate(
     dim: int,
     n_samples: int = 400,
     seed: int = 0,
-    t_max: float = 1.0,
-    radius: float = 2.0,
 ) -> list:
     """Sampled modulus sup |remainder| / |y - x|^2 at each displacement scale.
 
-    For each delta, draws base points in a ball and displacements up to
-    delta, and records the largest remainder-to-squared-displacement ratio.
-    A C^2 function's modulus must decay as delta shrinks; sampling
-    underestimates the true supremum, which is fine for a decay check.
+    For each delta, draws times in [0, 1], base points in the ball of radius
+    2 and displacements up to delta, and records the largest
+    remainder-to-squared-displacement ratio. A C^2 function's modulus must
+    decay as delta shrinks; sampling underestimates the true supremum, which
+    is fine for a decay check.
     """
     rng = np.random.default_rng(seed)
     out = []
     for delta in deltas:
         ratios = np.zeros(n_samples)
         for i in range(n_samples):
-            t = float(rng.uniform(0.0, t_max))
+            t = float(rng.uniform(0.0, 1.0))
             x = rng.standard_normal(dim)
-            x *= rng.uniform(0.0, radius) / max(np.linalg.norm(x), 1e-12)
+            x *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(x), 1e-12)
             v = rng.standard_normal(dim)
             v /= max(np.linalg.norm(v), 1e-12)
             r = float(rng.uniform(0.0, 1.0)) * delta

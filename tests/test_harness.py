@@ -1,5 +1,6 @@
 """Config handling, scenario outputs, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -315,6 +316,9 @@ def _model_file(tmp_path, name):
         ("verify-taylor", ['params.functions=["linear:nan"]']),
         ("verify-taylor", ['params.functions=["norm_p:inf"]']),
         ("ito-converge", ['params.function="linear:-inf"']),
+        ("verify-isometry", ['scenario=["verify-qv"]']),
+        ("verify-taylor", ["seed=-5"]),
+        ("verify-associativity", ["seed=-20"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
@@ -328,6 +332,47 @@ def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, ov
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_object_config_files_exit_two(tmp_path, capsys):
+    for text in ("5", "null"):
+        path = tmp_path / f"{text}.json"
+        path.write_text(text)
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["validate-config", str(path)], ["run", str(path)] + out):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "JSON object" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+class _ReadRecorder(dict):
+    """A params dict that records every key read through [] or get."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_scenario_table_holds_no_dead_default(scenario):
+    """Every param a scenario declares is read by its runner, and its field
+    overrides name only global config fields."""
+    entry = cmvm.harness._SCENARIOS[scenario]
+    assert set(entry.fields) <= set(cmvm.harness._GLOBAL_DEFAULTS)
+    cfg = apply_overrides(load_config(scenario), ["n_paths=2"])
+    params = _ReadRecorder(cfg.params)
+    with np.errstate(all="ignore"):
+        entry.run(dataclasses.replace(cfg, params=params))
+    assert params.read == set(entry.params)
 
 
 def test_integral_floats_still_resolve():

@@ -125,12 +125,6 @@ def test_taylor_routes_agree_on_registered_set(name):
         assert np.abs(taylor_remainder(f, 0.2, [1.0, -2.0], [0.5, 3.0])).max() < 1e-12
 
 
-def test_quadrature_node_floor():
-    f = make_smooth("gauss_cos")
-    with pytest.raises(ValueError, match="at least 16"):
-        taylor_remainder_quadrature(f, 0.0, [0.0, 0.0], [1.0, 1.0], n_nodes=8)
-
-
 def test_gamma_modulus_decays():
     f = make_smooth("norm_p:4")
     sups = gamma_estimate(f, [1.0, 0.5, 0.25, 0.125], dim=2, n_samples=300, seed=5)
