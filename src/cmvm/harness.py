@@ -594,19 +594,16 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
     }
     procs = [ItoProcessSpec(integrand) for integrand in models.values()]
 
-    def row(*paths):
-        out = []  # per model: realized residual relative to the change, compensator residual
-        for path in paths:
-            change = abs(
-                float(f.value(cfg.horizon, path.values[-1])[0] - f.value(0.0, path.values[0])[0])
-            )
-            res = abs(float(ito_residual(path, f, trace_variant="realized")[0]))
-            comp = float(ito_residual(path, f, trace_variant="compensator")[0])
-            out += [res / max(1.0, change), comp]
-        return out
-
     def measure(samples):
-        return list(map(row, *(simulate_ito_process(proc, samples) for proc in procs)))
+        out = []  # per model: realized residual relative to the change, compensator residual
+        for proc in procs:
+            paths = simulate_ito_process(proc, samples)
+            ends = np.stack([path.values[[0, -1]] for path in paths])
+            change = np.abs(f.value(cfg.horizon, ends[:, 1]) - f.value(0.0, ends[:, 0]))[:, 0]
+            res = np.abs(ito_residual(paths, f, trace_variant="realized")[:, 0])
+            comp = ito_residual(paths, f, trace_variant="compensator")[:, 0]
+            out += [res / np.maximum(1.0, change), comp]
+        return np.stack(out, axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     worst = float(np.max(rows[:, 0::2]))
@@ -637,14 +634,12 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     proc = ItoProcessSpec(integrand, drift_rate=drift)
     levels = [int(v) for v in p["levels"]]
 
-    def row(sample):
-        path = simulate_ito_process(proc, sample)
-        return (abs(float(ito_residual(path, f, trace_variant=p["variant"])[0])),)
+    def measure(samples):
+        paths = simulate_ito_process(proc, samples)
+        return np.abs(ito_residual(paths, f, trace_variant=p["variant"])[:, :1])
 
     grids = [TimeGrid(cfg.horizon, 2**level) for level in levels]
-    columns = [
-        _per_path(spec, grid, cfg.seed, cfg.n_paths, _sample_by_sample(row))[:, 0] for grid in grids
-    ]
+    columns = [_per_path(spec, grid, cfg.seed, cfg.n_paths, measure)[:, 0] for grid in grids]
     return _convergence(
         cfg,
         "median_abs_residual",

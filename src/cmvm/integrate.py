@@ -628,8 +628,14 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure, first: int
 
 def _sample_by_sample(row):
     """A measure for _per_path that walks its chunk one sample at a time,
-    row(sample) per path. The deterministic scenarios use it: chunking
-    their walks waits for the benchmark change of ROADMAP item 1."""
+    row(sample) per path. Its callers are verify-isometry,
+    verify-associativity and burkholder's walk_ensemble. Chunking the first
+    and the last waits for the benchmark change of ROADMAP item 1: the
+    bench self-test bounds the unattributed share of a 20-path traced run
+    below 0.10, and output writing has no span, so a faster run reads a
+    larger share. Chunked (with a re-keyed sampler), medians of 5 runs read
+    0.089-0.100 (isometry-sampling) and 0.092-0.104 (burkholder-ensemble).
+    Chunking verify-associativity is open under ROADMAP item 4."""
     return lambda samples: [row(sample) for sample in samples]
 
 

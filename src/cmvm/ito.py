@@ -22,18 +22,22 @@ The registered functions (``make_smooth``) carry hand-coded derivatives,
 which ``finite_difference_check`` compares with central differences; the
 p-th power of the norm is one of them, so its chain rule is ``ito_terms``
 with ``norm_p:<p>``. Each function and derivative broadcasts over leading
-axes of (t, x), so ``ito_terms`` prices a path in array passes: one call
-per derivative over the step-start points, and one over all jump rows at
-their pre- and post-jump values. The module also carries the
-integral-form Taylor remainder (the object whose smallness makes the trace
-term the right second-order price), evaluated at all quadrature nodes in
-one call, and a sampled modulus for it.
+axes of (t, x), so ``ito_terms`` prices a walked chunk at once: it takes
+one path or a tuple of paths on one grid, and makes one call per derivative
+over the (P, n, d) step-start points and one over the chunk's jump rows at
+their pre- and post-jump values, each row tagged with its path. One path is
+priced as a chunk of one, and a path's terms do not depend on its chunk;
+``verify-ito`` and ``ito-converge`` price each chunk they walk in one
+call. The module also carries the integral-form Taylor remainder (the
+object whose smallness makes the trace term the right second-order price),
+evaluated at all quadrature nodes in one call, and a sampled modulus for
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -231,7 +235,8 @@ _TRACE_VARIANTS = ("compensator", "realized")
 
 @dataclass(frozen=True)
 class ItoTerms:
-    """The five chain-rule terms of one path, each of shape (dim_value,)."""
+    """The five chain-rule terms of one path, each of shape (dim_value,),
+    or of a tuple of P paths, each of shape (P, dim_value)."""
 
     time: np.ndarray
     fv: np.ndarray
@@ -245,8 +250,31 @@ class ItoTerms:
         return self.time + self.fv + self.stoch + self.trace + self.jump
 
 
-def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
-    """Chain-rule decomposition of f along one walked path.
+_Paths = Union[ItoPath, Tuple[ItoPath, ...]]
+
+
+def _chunk_of(path: _Paths) -> Tuple[ItoPath, ...]:
+    """The paths of an ito_terms argument: one path as a chunk of one, or a
+    tuple of paths on one grid."""
+    paths = (path,) if isinstance(path, ItoPath) else tuple(path)
+    if not paths:
+        raise ValueError("no path to price")
+    if any(p.grid != paths[0].grid for p in paths):
+        raise ValueError("the paths of one call must share one grid")
+    return paths
+
+
+def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
+    """Sum the rows of each path in row order, (n_paths, *tail): a path's
+    sum does not depend on the other paths of its chunk."""
+    out = np.zeros((n_paths,) + rows.shape[1:])
+    np.add.at(out, pid, rows)
+    return out
+
+
+def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
+    """Chain-rule decomposition of f along one walked path, or along each
+    path of a tuple of paths on one grid, priced together.
 
     The trace term prices the continuous second-order variation either
     against the control measure ("compensator") or against the realized
@@ -257,36 +285,51 @@ def ito_terms(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensato
         raise ValueError(
             f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
         )
-    n = path.grid.n_steps
-    t, x = path.grid.times[:n], path.values[:n]
+    paths = _chunk_of(path)
+    grid = paths[0].grid
+    n, n_paths = grid.n_steps, len(paths)
+    # step-start points (P, n, d) against the times (n,)
+    t, x = grid.times[:n], np.stack([p.values[:n] for p in paths])
+    stoch = np.stack([p.stoch_cont for p in paths])
     grad = f.d_x(t, x)
     hess = f.d_xx(t, x)
     if trace_variant == "compensator":
         # the continuous operator steps S_k price the trace as 0.5 <hess, S_k>
-        steps = _bracket_steps(path, "continuous", operator=True)
-        trace = 0.5 * np.einsum("nkab,nab->k", hess, steps)
+        steps = np.stack([_bracket_steps(p, "continuous", operator=True) for p in paths])
+        trace = 0.5 * np.einsum("pnkab,pnab->pk", hess, steps)
     else:
-        s = path.stoch_cont
-        trace = 0.5 * np.einsum("nkab,na,nb->k", hess, s, s)
+        trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
-    rec = path.jumps
+    # the chunk's jump rows, each with the index of its path
+    rec = np.concatenate([p.jumps for p in paths])
+    pid = np.repeat(np.arange(n_paths), [len(p.jumps) for p in paths])
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
+    jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc
     noise = rec["cell"] >= 0
-    return ItoTerms(
-        time=f.d_t(t, x).sum(axis=0) * path.grid.dt,
-        fv=np.einsum("nkd,nd->k", grad, path.drift) + inc[~noise].sum(axis=0),
-        stoch=np.einsum("nkd,nd->k", grad, path.stoch_cont) + inc[noise].sum(axis=0),
-        trace=trace,
-        jump=(f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc).sum(axis=0),
-        variant=trace_variant,
-    )
+    drift = np.stack([p.drift for p in paths])
+    terms = {
+        "time": f.d_t(t, x).sum(axis=1) * grid.dt,
+        "fv": np.einsum("pnkd,pnd->pk", grad, drift)
+        + _sum_by_path(inc[~noise], pid[~noise], n_paths),
+        "stoch": np.einsum("pnkd,pnd->pk", grad, stoch)
+        + _sum_by_path(inc[noise], pid[noise], n_paths),
+        "trace": trace,
+        "jump": _sum_by_path(jump, pid, n_paths),
+    }
+    if isinstance(path, ItoPath):
+        terms = {name: value[0] for name, value in terms.items()}
+    return ItoTerms(**terms, variant=trace_variant)
 
 
-def ito_residual(path: ItoPath, f: SmoothFunction, trace_variant: str = "compensator") -> np.ndarray:
-    """f(T, X_T) - f(0, X_0) minus the five-term total."""
-    change = f.value(float(path.grid.horizon), path.values[-1]) - f.value(0.0, path.values[0])
-    return change - ito_terms(path, f, trace_variant).total
+def ito_residual(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> np.ndarray:
+    """f(T, X_T) - f(0, X_0) minus the five-term total: (dim_value,) for one
+    path, (P, dim_value) for a tuple of paths."""
+    paths = _chunk_of(path)
+    ends = np.stack([p.values[[0, -1]] for p in paths])
+    change = f.value(float(paths[0].grid.horizon), ends[:, 1]) - f.value(0.0, ends[:, 0])
+    residual = change - ito_terms(paths, f, trace_variant).total
+    return residual[0] if isinstance(path, ItoPath) else residual
 
 
 def taylor_remainder(f: SmoothFunction, t: float, x, y) -> np.ndarray:

@@ -108,6 +108,12 @@ MUTANTS = {
         ["n_paths=20"],
         "realized-residual-max-rel",
     ),
+    "ito-converge-realized-trace-x2": (
+        _realized_trace_doubled,
+        "ito-converge",
+        ["n_paths=40"],
+        "median-abs-residual-finest",
+    ),
     "compose-with-outer-value": (
         _compose_with_outer_value,
         "verify-associativity",

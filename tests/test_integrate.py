@@ -565,6 +565,8 @@ def test_chunk_samples_must_share_model_and_grid(mixed, grid8):
     [
         ("qv-converge", ["n_paths=7"]),
         ("verify-conditional-isometry", ["n_paths=7", "n_steps=16"]),
+        ("ito-converge", ["n_paths=7", "params.levels=[3,5]"]),
+        ("verify-ito", ["n_paths=7"]),
     ],
 )
 def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path, monkeypatch):
@@ -584,7 +586,7 @@ def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path
 
         monkeypatch.setattr(cmvm.harness, "_per_path", recorded)
         run(apply_overrides(load_config(scenario), overrides), str(tmp_path / str(chunk)))
-    assert len(blocks[1]) == 1 and blocks[1][0].shape[0] == 7
+    assert blocks[1] and all(b.shape[0] == 7 for b in blocks[1])
     for chunk in (3, 7):
         assert [b.tobytes() for b in blocks[chunk]] == [b.tobytes() for b in blocks[1]], chunk
 

@@ -213,24 +213,69 @@ def _loop_terms(path, f, trace_variant):
 @pytest.mark.parametrize("n_steps", [8, 64])
 @pytest.mark.parametrize("trace_variant", ["compensator", "realized"])
 def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
-    """Noise jumps and driver jumps (cell == -1) both land in the record
-    array; only the order of summation differs from the loop."""
+    """A tuple of paths priced in one call gives each path its loop terms,
+    and each path priced alone gives its row of the tuple bit for bit. Noise
+    jumps and driver jumps (cell == -1) both land in the record array; one
+    path has at least 8 jump rows, and one, walked on a continuous model on
+    the same grid, has none. Only the order of summation differs from the
+    loop."""
     driver = FVDriver([1, 5, n_steps - 1], [[0.3, -0.1], [-0.2, 0.4], [0.1, 0.1]])
     proc = ItoProcessSpec(
         state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2], driver=driver
     )
     grid = TimeGrid(1.0, n_steps)
-    cells = []
-    for idx in range(4):
-        path = simulate_ito_process(proc, sample_path(mixed, grid, seed=909, path_index=idx))
-        cells.extend(path.jumps["cell"].tolist())
-        for name in REGISTERED:
-            f = make_smooth(name)
-            got = ito_terms(path, f, trace_variant)
-            for term, want in _loop_terms(path, f, trace_variant).items():
-                scale = max(1.0, float(np.abs(want).max()))
-                assert np.abs(getattr(got, term) - want).max() <= 1e-12 * scale, (name, term)
+    walked = simulate_ito_process(
+        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in range(5))
+    )
+    quiet = _walk(
+        make_preset("gauss-default"), grid, constant_integrand(PHI), seed=909, path_index=0,
+        drift=[0.3, -0.2],
+    )
+    paths = walked[:2] + (quiet,) + walked[2:]
+    cells = np.concatenate([path.jumps["cell"] for path in paths])
+    rows = [len(path.jumps) for path in paths]
     assert -1 in cells and max(cells) >= 0
+    assert rows[2] == 0 and max(rows) >= 8
+    for name in REGISTERED:
+        f = make_smooth(name)
+        got = ito_terms(paths, f, trace_variant)
+        residual = ito_residual(paths, f, trace_variant)
+        assert residual.shape == (len(paths), f.dim_value)
+        for i, path in enumerate(paths):
+            alone = ito_terms(path, f, trace_variant)
+            for term, want in _loop_terms(path, f, trace_variant).items():
+                row = getattr(got, term)[i]
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(row - want).max() <= 1e-12 * scale, (name, term)
+                assert row.tobytes() == getattr(alone, term).tobytes(), (name, term)
+            assert residual[i].tobytes() == ito_residual(path, f, trace_variant).tobytes()
+
+
+def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
+    driver = FVDriver([2], [[0.3, -0.1]])
+    proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2], driver=driver)
+    path = simulate_ito_process(proc, sample_path(mixed, grid8, seed=31, path_index=4))
+    for name in REGISTERED:
+        f = make_smooth(name)
+        for variant in ("compensator", "realized"):
+            one, chunk = ito_terms(path, f, variant), ito_terms((path,), f, variant)
+            for term in ("time", "fv", "stoch", "trace", "jump", "total"):
+                a, b = getattr(one, term), getattr(chunk, term)
+                assert a.shape == (f.dim_value,) and b.shape == (1, f.dim_value)
+                assert a.tobytes() == b.tobytes(), (name, variant, term)
+            a, b = ito_residual(path, f, variant), ito_residual((path,), f, variant)
+            assert b.shape == (1, f.dim_value) and a.tobytes() == b.tobytes()
+
+
+def test_paths_on_mixed_grids_are_refused(mixed, grid8):
+    f = make_smooth("quadratic")
+    coarse = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
+    fine = _walk(mixed, TimeGrid(1.0, 16), constant_integrand(PHI), seed=1, path_index=0)
+    for price in (ito_terms, ito_residual):
+        with pytest.raises(ValueError, match="share one grid"):
+            price((coarse, fine), f)
+        with pytest.raises(ValueError, match="no path"):
+            price((), f)
 
 
 # -------------------------------------------------- cross-module routes
