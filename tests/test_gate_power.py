@@ -49,9 +49,9 @@ def _compose_with_outer_value(monkeypatch):
     composed integral's running value in place of its own."""
 
     def mutant(outer, inner, dim_out, *, outer_deterministic=False, name="composed"):
-        def _eval(state, cell):
+        def _eval(state, cells):
             mat = np.asarray(outer(state.step, state.time, state.value))
-            return mat @ inner.evaluator(state, cell)
+            return mat @ inner.evaluator(state, cells)
 
         deterministic = inner.deterministic and outer_deterministic
         return Integrand(_eval, dim_out, inner.dim_in, deterministic=deterministic, name=name)

@@ -9,6 +9,8 @@ negative control: the same functional form reading one step into the future
 must blow the martingale test, and the guarded history must refuse it.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,16 @@ from cmvm.integrate import (
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config, run
-from cmvm.noise import TimeGrid, evaluate, sample_path
+from cmvm.noise import (
+    CellNoise,
+    NoiseSpec,
+    SpatialPartition,
+    TimeGrid,
+    TwoPointAmplitude,
+    evaluate,
+    normalize_spec,
+    sample_path,
+)
 from cmvm.presets import make_preset
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
@@ -160,16 +171,16 @@ def test_jumps_are_read_only_record_arrays(mixed, grid8):
 def test_lookahead_guard_raises(mixed, grid8):
     sample = sample_path(mixed, grid8, seed=3, path_index=0)
 
-    def peeking(state, cell):
-        g = state.history.gauss_increment(state.step, cell)  # not yet revealed
-        return PHI * (1.0 + g.sum(-1))[:, None, None]
+    def peeking(state, cells):
+        g = state.history.gauss_increment(state.step, cells)  # not yet revealed
+        return PHI * (1.0 + g.sum(-1))[:, :, None, None]
 
     with pytest.raises(LookAheadError):
         integrate(Integrand(peeking, 2, 2, deterministic=False, name="peek"), sample)
 
-    def too_far_value(state, cell):
+    def too_far_value(state, cells):
         ahead = state.history.value(state.step + 1)
-        return PHI * (1.0 + ahead.sum(-1))[:, None, None]
+        return PHI * (1.0 + ahead.sum(-1))[:, None, None, None]
 
     with pytest.raises(LookAheadError):
         integrate(Integrand(too_far_value, 2, 2, deterministic=False, name="peek2"), sample)
@@ -180,18 +191,19 @@ def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
     h = [0.4, -1.0]
     seen = {}
 
-    def reads_to_cursor(state, cell):
+    def reads_to_cursor(state, cells):
         t = float(grid8.times[state.step])
-        seen[state.step, cell] = pairing = state.history.noise_pairing(0.0, t, [cell], h)
-        return PHI * (1.0 + 0.0 * pairing)[:, None, None]
+        for cell in cells:
+            seen[state.step, cell] = pairing = state.history.noise_pairing(0.0, t, [cell], h)
+        return PHI * (1.0 + 0.0 * pairing)[:, None, None, None]
 
     integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False, name="past"), sample)
     assert {k for k, _ in seen} == set(range(grid8.n_steps))
     for (k, cell), value in seen.items():
         assert value.tolist() == [evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)]
 
-    def reads_one_step_ahead(state, cell):
-        state.history.noise_pairing(0.0, float(grid8.times[state.step + 1]), [cell], h)
+    def reads_one_step_ahead(state, cells):
+        state.history.noise_pairing(0.0, float(grid8.times[state.step + 1]), cells, h)
         return PHI
 
     with pytest.raises(LookAheadError, match="beyond the walk's step 0"):
@@ -219,18 +231,18 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
         return np.abs(means.mean(axis=0)) / se
 
     def honest(sample):
-        def _eval(state, cell):
+        def _eval(state, cells):
             if state.step == 0:
                 return PHI
-            g = state.history.gauss_increment(state.step - 1, cell)
-            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, None, None]
+            g = state.history.gauss_increment(state.step - 1, cells)
+            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, :, None, None]
 
         return _eval
 
     def cheating(sample):
-        def _eval(state, cell):
-            g = sample.gauss[state.step, cell][None]  # smuggled future
-            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, None, None]
+        def _eval(state, cells):
+            g = sample.gauss[state.step, list(cells)][None]  # smuggled future
+            return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, :, None, None]
 
         return _eval
 
@@ -421,8 +433,11 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
         return PHI * np.cos(time) * (1.0 + 0.1 * cell)
 
     det = deterministic_integrand(fn, 2, 2)
-    slow = Integrand(lambda state, cell: fn(state.step, state.time, cell), 2, 2,
-                     deterministic=False, name="slow-twin")
+
+    def slow_eval(state, cells):
+        return np.stack([fn(state.step, state.time, j) for j in cells])[None]
+
+    slow = Integrand(slow_eval, 2, 2, deterministic=False, name="slow-twin")
     for idx in range(20):
         sample = sample_path(mixed, grid8, seed=66, path_index=idx)
         a = integrate(det, sample)
@@ -436,10 +451,10 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
 
 def _loop_walk(process, sample):
     """The per-path step loop that the chunked walk replaced, kept as its
-    reference: one path, one evaluator call per (step, cell), each jump
-    applied on its own in micro-order. The evaluator sees the path as a
-    chunk of one. Returns values, phis, stoch_cont, drift, and the jump
-    rows' delta and pre."""
+    reference: one path, one evaluator call per step, each cell's operator
+    applied on its own and each jump applied on its own in micro-order. The
+    evaluator sees the path as a chunk of one. Returns values, phis,
+    stoch_cont, drift, and the jump rows' delta and pre."""
     integrand = process.integrand
     grid, spec = sample.grid, sample.spec
     n, m, times = grid.n_steps, spec.n_cells, grid.times
@@ -477,8 +492,9 @@ def _loop_walk(process, sample):
         history._cursor = k
         state = AdaptedState(step=k, time=times[k], value=values[k][None].copy(), history=history)
         sc = np.zeros(d_out)
-        for j in active:
-            mat = np.broadcast_to(integrand.evaluator(state, j), (1, d_out, d_in))[0]
+        mats = integrand.evaluator(state, tuple(active))
+        mats = np.broadcast_to(mats, (1, len(active), d_out, d_in))
+        for j, mat in zip(active, mats[0]):
             phis[k, j] = mat
             sc += mat @ sample.gauss[k, j]
         stoch[k] = sc
@@ -558,6 +574,56 @@ def test_chunk_samples_must_share_model_and_grid(mixed, grid8):
         integrate(constant_integrand(PHI), (sample_path(mixed, grid8, seed=1), other))
     with pytest.raises(ValueError, match="no sample"):
         integrate(constant_integrand(PHI), ())
+
+
+def _with_dead_cell():
+    """Three cells, the middle one without noise: the walk's active cells
+    are (0, 2)."""
+    cells = [
+        CellNoise(diffusion_cov=np.eye(2), diffusion_intensity=1.0),
+        CellNoise(),
+        CellNoise(jump_rate=3.0, jump_amplitude=TwoPointAmplitude([0.8, -0.5])),
+    ]
+    return normalize_spec(NoiseSpec(2, SpatialPartition.uniform(3), cells))
+
+
+@pytest.mark.parametrize("model", ["mixed", "dead-cell"])
+def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model):
+    """One evaluator call per step hands the whole chunk every active cell
+    at once, in cell order, and the walk matches the per-path loop."""
+    spec = mixed if model == "mixed" else _with_dead_cell()
+    active = (0, 1, 2, 3) if model == "mixed" else (0, 2)
+    linear = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
+    calls = []
+
+    def counted(state, cells):
+        calls.append((state.step, cells, len(state.value)))
+        return linear.evaluator(state, cells)
+
+    process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False, name="counted"))
+    chunk = tuple(sample_path(spec, grid8, seed=21, path_index=i) for i in range(5))
+    walked = simulate_ito_process(process, chunk)
+    assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
+    for sample, path in zip(chunk, walked):
+        want = _loop_walk(process, sample)
+        for field in ("values", "phis"):
+            assert np.allclose(getattr(path, field), want[field], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, deterministic",
+    [((5, 2, 2), False), ((5, 3, 2, 2), False), ((2, 4, 2, 2), False), ((5, 4, 2, 3), False),
+     ((4, 2, 2), True), ((2, 4, 2, 2), True)],
+)
+def test_malformed_evaluator_return_names_the_accepted_shapes(mixed, grid8, shape, deterministic):
+    """A 3-D (P, dim_out, dim_in) stack, a wrong path or cell count and a
+    wrong operator shape are refused, naming what the walk accepts."""
+    bad = Integrand(lambda state, cells: np.ones(shape), 2, 2, deterministic=deterministic)
+    chunk = tuple(sample_path(mixed, grid8, seed=2, path_index=i) for i in range(5))
+    paths = 1 if deterministic else 5
+    accepted = f"shape {shape}, expected (2, 2) or a 4-D stack that broadcasts to ({paths}, 4, 2, 2)"
+    with pytest.raises(ValueError, match=re.escape(accepted)):
+        integrate(bad, chunk)
 
 
 @pytest.mark.parametrize(
