@@ -30,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, _mean_se, _per_path, _sample_by_sample
+from .integrate import ItoPath, ItoProcessSpec, _mean_se, _per_path
 from .integrate import simulate_ito_process
 # sample_path is not called here (walk_ensemble draws through integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
@@ -124,20 +124,14 @@ _STATS_DTYPE = np.dtype(
 
 
 def walk_ensemble(
-    process: ItoProcessSpec,
-    spec: NoiseSpec,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    base_index: int = 0,
+    process: ItoProcessSpec, spec: NoiseSpec, grid: TimeGrid, n_paths: int, seed: int
 ) -> Ensemble:
     """Walk the same process on n_paths independent driving samples and
     keep each path's statistics; the paths themselves are not kept. Each
     bracket column equals ``bracket_terminal`` of its flavor; the continuous
     and optional columns share one computation of the continuous steps."""
 
-    def row(sample):
-        path = simulate_ito_process(process, sample)
+    def row(path):
         end = path.terminal
         cont = _bracket_steps(path, "continuous")
         opt = _add_jumps(cont.copy(), path, path)
@@ -145,7 +139,10 @@ def walk_ensemble(
         brackets = (pred, float(np.cumsum(cont)[-1]), jumps, float(np.cumsum(opt)[-1]))
         return (path_running_sup(path), float(np.linalg.norm(end)), float(end @ end), *brackets)
 
-    rows = _per_path(spec, grid, seed, n_paths, _sample_by_sample(row), base_index)
+    def measure(samples):
+        return [row(path) for path in simulate_ito_process(process, samples)]
+
+    rows = _per_path(spec, grid, seed, n_paths, measure)
     stats = np.empty(n_paths, _STATS_DTYPE)
     for name, column in zip(_STATS_DTYPE.names, rows.T):
         stats[name] = column

@@ -30,9 +30,11 @@ detectable here; the isometry checks exist to expose exactly that.
 
 Ensembles are measured by one private driver, ``_per_path``: it draws the
 paths in chunks, hands each chunk to a measuring function and writes the
-block of rows that function returns into a per-path array. The statistics
-helpers beside it (mean with standard error, z-score, quartiles) reduce the
-columns of that array.
+block of rows that function returns into a per-path array. Every measure
+walks its chunk with one step loop, except verify-associativity's, which
+draws a fresh random integrand pair for each path and so walks its paths
+one at a time. The statistics helpers beside it (mean with standard error,
+z-score, quartiles) reduce the columns of that array.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ class Integrand:
         _check_dim(self.dim_in, "integrand input")
 
 
-def constant_integrand(matrix, name: str = "constant") -> Integrand:
+def constant_integrand(matrix) -> Integrand:
     mat = np.array(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"constant integrand needs a matrix, got shape {mat.shape}")
@@ -186,13 +188,13 @@ def constant_integrand(matrix, name: str = "constant") -> Integrand:
         dim_out=mat.shape[0],
         dim_in=mat.shape[1],
         deterministic=True,
-        name=name,
+        name="constant",
         constant_matrix=mat,
     )
 
 
 def deterministic_integrand(
-    fn: Callable[[int, float, int], np.ndarray], dim_out: int, dim_in: int, name: str = "deterministic"
+    fn: Callable[[int, float, int], np.ndarray], dim_out: int, dim_in: int
 ) -> Integrand:
     """Integrand from fn(step, time, cell), independent of the path; the
     evaluator stacks fn's operators over the cells."""
@@ -201,11 +203,11 @@ def deterministic_integrand(
         dim_out=dim_out,
         dim_in=dim_in,
         deterministic=True,
-        name=name,
+        name="deterministic",
     )
 
 
-def state_linear_integrand(base, weight, gain: float, name: str = "state-linear") -> Integrand:
+def state_linear_integrand(base, weight, gain: float) -> Integrand:
     """Adapted integrand base * (1 + gain * <weight, value>).
 
     Linear feedback from the running integral; with moderate gain over a
@@ -219,9 +221,7 @@ def state_linear_integrand(base, weight, gain: float, name: str = "state-linear"
     def _eval(state: AdaptedState, cells) -> np.ndarray:
         return mat * (1.0 + gain * (state.value * w).sum(-1))[:, None, None, None]
 
-    return Integrand(
-        evaluator=_eval, dim_out=mat.shape[0], dim_in=mat.shape[1], deterministic=False, name=name
-    )
+    return Integrand(_eval, mat.shape[0], mat.shape[1], deterministic=False, name="state-linear")
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,46 +610,32 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
 _CHUNK = 16
 
 
-def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure, first: int = 0) -> np.ndarray:
-    """The package's one Monte Carlo loop: measure paths first, ..., first +
-    n_paths - 1 of the ensemble into a float64 array, one row per path.
+def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndarray:
+    """The package's one Monte Carlo loop: measure paths 0, ..., n_paths - 1
+    of the ensemble into a float64 array, one row per path.
 
     The samples that ``sample_path`` draws for those path indices are handed
     to measure in chunks of at most ``_CHUNK``, as a tuple in path order;
-    measure(samples) walks what it needs and returns one row of k floats
-    per sample, a (len(samples), k) block, which fills the chunk's rows of
-    an (n_paths, k) array ((0, 0) without paths). Row i depends on path
-    first + i alone, not on the chunking. Gates reduce the columns with the
-    helpers below and np.max, so a non-finite path reaches every reduction
-    instead of being dropped by a running maximum.
+    measure(samples) walks the chunk, with one ``integrate`` or
+    ``simulate_ito_process`` call per integrand (verify-associativity's
+    integrands differ from path to path, so it walks each sample alone),
+    and returns one row of k floats per sample, a (len(samples), k) block,
+    which fills the chunk's rows of an (n_paths, k) array ((0, 0) without
+    paths). Row i depends on path i alone, not on the chunking. Gates
+    reduce the columns with the helpers below and np.max, so a non-finite
+    path reaches every reduction instead of being dropped by a running
+    maximum.
     """
     rows = np.empty((n_paths, 0))
     for lo in range(0, n_paths, _CHUNK):
         hi = min(n_paths, lo + _CHUNK)
         block = np.asarray(
-            measure(tuple(sample_path(spec, grid, seed, first + i) for i in range(lo, hi))),
-            dtype=np.float64,
+            measure(tuple(sample_path(spec, grid, seed, i) for i in range(lo, hi))), dtype=np.float64
         )
         if lo == 0:
             rows = np.empty((n_paths, block.shape[1]))
         rows[lo:hi] = block
     return rows
-
-
-def _sample_by_sample(row):
-    """A measure for _per_path that walks its chunk one sample at a time,
-    row(sample) per path. Its callers are verify-isometry,
-    verify-associativity and burkholder's walk_ensemble. Chunking the first
-    and the last waits for the benchmark change of ROADMAP item 1: the
-    bench self-test bounds the unattributed share of a 20-path traced run
-    below 0.10, and output writing has no span, so a faster run reads a
-    larger share. Chunked (with a re-keyed sampler), medians of 5 runs read
-    0.089-0.100 (isometry-sampling) and 0.092-0.104 (burkholder-ensemble).
-    Chunking verify-associativity is open under ROADMAP item 4: its odd
-    paths walk a state-linear integrand alone, 0.86-1.01 ms per path at 32
-    steps on a 2-core Xeon VM with the one evaluator call per step, against
-    2.09-2.39 ms with one call per (step, cell)."""
-    return lambda samples: [row(sample) for sample in samples]
 
 
 def _mean_se(samples: np.ndarray):
@@ -729,7 +715,6 @@ def compose_integrands(
     dim_out: int,
     *,
     outer_deterministic: bool = False,
-    name: str = "composed",
 ) -> Integrand:
     """Integrand (outer at the running value) composed with ``inner``.
 
@@ -777,5 +762,5 @@ def compose_integrands(
         dim_out=dim_out,
         dim_in=inner.dim_in,
         deterministic=inner.deterministic and outer_deterministic,
-        name=name,
+        name="composed",
     )

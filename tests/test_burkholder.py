@@ -138,11 +138,11 @@ def test_ensemble_rows_match_paths_walked_alone(grid8):
     its own; the rows are read-only and no path object is kept."""
     spec = make_preset("mixed-default")
     proc = ItoProcessSpec(constant_integrand(PHI))
-    ens = walk_ensemble(proc, spec, grid8, n_paths=6, seed=4503, base_index=10)
+    ens = walk_ensemble(proc, spec, grid8, n_paths=6, seed=4503)
     assert isinstance(ens, Ensemble) and len(ens.stats) == 6 and ens.has_jumps
     assert ens.stats.dtype.names == ("sup", "terminal", "terminal_sq") + BRACKET_FLAVORS
     for i, row in enumerate(ens.stats):
-        path = simulate_ito_process(proc, sample_path(spec, grid8, seed=4503, path_index=10 + i))
+        path = simulate_ito_process(proc, sample_path(spec, grid8, seed=4503, path_index=i))
         assert row["sup"] == path_running_sup(path)
         assert row["terminal"] == float(np.linalg.norm(path.terminal))
         assert row["terminal_sq"] == float(path.terminal @ path.terminal)
@@ -158,10 +158,8 @@ def test_jump_model_flag_survives_an_ensemble_without_jumps(grid8):
     jump ensemble that realized no jump still gets the jump-model policy."""
     spec = make_preset("jump-default")
     proc = ItoProcessSpec(constant_integrand(PHI))
-    idx = next(
-        i for i in range(500) if not len(sample_path(spec, grid8, seed=4504, path_index=i).jumps)
-    )
-    one = walk_ensemble(proc, spec, grid8, n_paths=1, seed=4504, base_index=idx)
+    seed = next(s for s in range(4504, 5004) if not len(sample_path(spec, grid8, seed=s).jumps))
+    one = walk_ensemble(proc, spec, grid8, n_paths=1, seed=seed)
     assert one.stats["jumps"][0] == 0.0
     assert one.has_jumps
     assert check(one, 1.0, flavor="predictable").constant_source == "heuristic"

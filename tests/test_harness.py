@@ -420,6 +420,25 @@ def test_single_delta_fails_modulus_gate(tmp_path):
     assert blob["metrics"]["decays"] is False
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [["preset=jump-default", "params.flavor=continuous"], ["params.phi=[[0,0],[0,0]]"]],
+)
+def test_zero_isometry_target_fails_relative_gate(tmp_path, overrides):
+    """A flavor no cell carries, or a zero phi, gives a control-measure norm
+    of 0: the relative-error gate must fail with a null value instead of
+    dividing by zero, and the run still writes its files."""
+    argv = ["run", "verify-isometry", "--set", "n_paths=20", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 1
+    blob = json.loads((tmp_path / "verify-isometry.json").read_text())
+    assert blob["metrics"]["control_measure_norm"] == 0.0
+    gate = next(c for c in blob["checks"] if c["name"] == "second-moment-rel-err")
+    assert gate["value"] is None and gate["passed"] is False
+    assert (tmp_path / "verify-isometry.csv").exists()
+
+
 def test_associativity_runs_on_a_one_dim_model(tmp_path):
     """verify-associativity draws its inner operators with the model's
     dimension as their input columns, so a one-cell 1-D model file runs

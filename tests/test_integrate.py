@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import cmvm.burkholder
 import cmvm.harness
 import cmvm.integrate
 from cmvm.integrate import (
@@ -102,8 +103,8 @@ def test_isometry_each_flavor_on_restricted_cells(walked, mixed, grid8):
 
 
 def test_linearity_per_path(mixed, grid8, samples):
-    a = constant_integrand(PHI, name="a")
-    b = constant_integrand(np.array([[0.1, -0.7], [0.4, 0.2]]), name="b")
+    a = constant_integrand(PHI)
+    b = constant_integrand(np.array([[0.1, -0.7], [0.4, 0.2]]))
     comb = constant_integrand(2.0 * PHI + np.array([[0.1, -0.7], [0.4, 0.2]]))
     for s in samples[:40]:
         lhs = integrate(comb, s).terminal
@@ -633,6 +634,11 @@ def test_malformed_evaluator_return_names_the_accepted_shapes(mixed, grid8, shap
         ("verify-conditional-isometry", ["n_paths=7", "n_steps=16"]),
         ("ito-converge", ["n_paths=7", "params.levels=[3,5]"]),
         ("verify-ito", ["n_paths=7"]),
+        ("verify-isometry", ["n_paths=7"]),
+        ("burkholder", ["n_paths=7"]),
+        ("verify-associativity", ["n_paths=7"]),
+        ("verify-qv", ["n_paths=7"]),
+        ("verify-decomposition", ["n_paths=7"]),
     ],
 )
 def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path, monkeypatch):
@@ -650,7 +656,9 @@ def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path
             _seen.append(rows)
             return rows
 
+        # burkholder's walk_ensemble calls _per_path by its own module's name
         monkeypatch.setattr(cmvm.harness, "_per_path", recorded)
+        monkeypatch.setattr(cmvm.burkholder, "_per_path", recorded)
         run(apply_overrides(load_config(scenario), overrides), str(tmp_path / str(chunk)))
     assert blocks[1] and all(b.shape[0] == 7 for b in blocks[1])
     for chunk in (3, 7):

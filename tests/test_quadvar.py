@@ -111,9 +111,9 @@ def test_optional_bracket_structure(paths):
 def test_optional_polarization(mixed, grid8):
     """[A + B] = [A] + 2[A, B] + [B], all walked on one driving sample."""
     mat_b = np.array([[0.2, -0.5], [0.7, 0.1]])
-    ia = constant_integrand(PHI, name="a")
-    ib = constant_integrand(mat_b, name="b")
-    iab = constant_integrand(PHI + mat_b, name="a+b")
+    ia = constant_integrand(PHI)
+    ib = constant_integrand(mat_b)
+    iab = constant_integrand(PHI + mat_b)
     for idx in range(25):
         sample = sample_path(mixed, grid8, seed=31, path_index=idx)
         pa, pb, pab = integrate(ia, sample), integrate(ib, sample), integrate(iab, sample)
