@@ -70,7 +70,7 @@ from .ito import (
 )
 # sample_path is imported but not called here (paths come from integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
-from .noise import QV_FLAVORS, TimeGrid, load_noise_spec, normalize_spec, sample_path  # noqa: F401
+from .noise import MAX_STEPS, QV_FLAVORS, TimeGrid, load_noise_spec, normalize_spec, sample_path  # noqa: F401
 from .presets import make_preset, preset_names
 from .quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
 
@@ -149,6 +149,8 @@ def _build_config(data: dict) -> ExperimentConfig:
     n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
     if n_steps <= 0 or n_paths <= 0:
         raise ValueError("n_steps and n_paths must be positive")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {n_steps}")
     if seed < 0:  # the scenarios seed numpy generators with seed + small offsets
         raise ValueError(f"seed must be non-negative, got {seed}")
     for key, default in entry.params.items():
@@ -173,8 +175,9 @@ def _build_config(data: dict) -> ExperimentConfig:
         if not isinstance(levels, list) or not levels:
             raise ValueError(f"params.levels must be a non-empty list, got {levels!r}")
         levels = [_integer("params.levels entry", v) for v in levels]
-        if scenario == "ito-converge" and min(levels) < 0:
-            raise ValueError(f"levels are log2 step counts and must be >= 0, got {levels}")
+        top = MAX_STEPS.bit_length() - 1
+        if scenario == "ito-converge" and not all(0 <= v <= top for v in levels):
+            raise ValueError(f"levels are log2 step counts and must lie in 0..{top}, got {levels}")
         finest = n_steps.bit_length() - 1  # 2^level blocks must not out-refine the grid
         if params.get("kind") == "dyadic" and not all(0 <= v <= finest for v in levels):
             raise ValueError(f"dyadic levels {levels} must lie in 0..{finest} for {n_steps} steps")

@@ -19,6 +19,9 @@ __all__ = ["MAX_DIM", "op_norm", "psd_sqrt"]
 # different backend, so constructors refuse them outright.
 MAX_DIM = 64
 
+# Relative tolerance of psd_sqrt's symmetry and negativity checks.
+_PSD_TOL = 1e-10
+
 
 def _check_dim(dim: int, name: str) -> None:
     if dim < 1 or dim > MAX_DIM:
@@ -44,16 +47,16 @@ def op_norm(op) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def psd_sqrt(op, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(op) -> np.ndarray:
     """Symmetric square root of a positive semidefinite operator.
 
-    Uses an eigendecomposition; eigenvalues in [-tol*scale, 0) are treated as
-    rounding noise and clipped to zero. Non-finite entries, asymmetry or
-    genuinely negative eigenvalues beyond the tolerance raise ValueError.
+    Uses an eigendecomposition; eigenvalues in [-_PSD_TOL*scale, 0) are
+    treated as rounding noise and clipped to zero. Non-finite entries,
+    asymmetry or genuinely negative eigenvalues beyond the tolerance raise
+    ValueError.
 
     Args:
         op: square symmetric PSD matrix.
-        tol: relative tolerance for the symmetry and negativity checks.
 
     Returns:
         Read-only array S with S @ S == op up to rounding.
@@ -63,14 +66,14 @@ def psd_sqrt(op, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     asym = float(np.abs(m - m.T).max(initial=0.0))
-    if asym > tol * scale:
+    if asym > _PSD_TOL * scale:
         raise ValueError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {tol:.1e}*{scale:.3e}"
+            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {_PSD_TOL:.1e}*{scale:.3e}"
         )
     sym = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     lam_scale = max(1.0, float(np.abs(eigvals).max(initial=0.0)))
-    if eigvals.min(initial=0.0) < -tol * lam_scale:
+    if eigvals.min(initial=0.0) < -_PSD_TOL * lam_scale:
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {eigvals.min():.3e}"
         )

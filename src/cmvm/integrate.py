@@ -10,10 +10,9 @@ refined pre-jump values, so that the quadratic-variation and chain-rule
 modules work from a finished path without re-walking it.
 
 Within one step the increments apply in a fixed micro-order: drift first,
-then the continuous block, then noise jumps sorted by their exact times,
-then any finite-variation driver jump (which sits at the step's right
-endpoint). Pre-jump values refer to this order, which is what makes
-telescoping identities hold exactly path by path.
+then the continuous block, then noise jumps sorted by their exact times.
+Pre-jump values refer to this order, which is what makes telescoping
+identities hold exactly path by path.
 
 Evaluator protocol: the walk runs one step loop for a chunk of P paths of
 one noise model and grid. An adapted evaluator is called once per step, as
@@ -61,7 +60,6 @@ __all__ = [
     "SimpleIntegrand",
     "integrate_simple",
     "ItoPath",
-    "FVDriver",
     "ItoProcessSpec",
     "integrate",
     "simulate_ito_process",
@@ -313,10 +311,9 @@ class ItoPath:
     values[k] is the path at t_k; phis[k, j] the operator used for cell j in
     step k; stoch_cont[k] the continuous stochastic increment; drift[k] the
     drift increment. jumps is a read-only structured array, one row per
-    jump in the walk's micro-order, with fields step (int64), time
-    (float64; t_{k+1} for a driver jump), cell (int64; -1 marks a jump of
-    the finite-variation driver), delta (float64, (dim_out,)) and pre, the
-    path value just before the jump. The identity
+    noise jump of ``sample`` in the walk's micro-order, with fields step
+    (int64), time (float64), cell (int64), delta (float64, (dim_out,)) and
+    pre, the path value just before the jump. The identity
 
         values[k+1] == values[k] + drift[k] + stoch_cont[k] + sum of deltas
 
@@ -343,49 +340,24 @@ class ItoPath:
 
 
 @dataclass(frozen=True, eq=False)
-class FVDriver:
-    """Deterministic pure-jump finite-variation driver.
-
-    Jump i of size values[i] lands at the right endpoint of step
-    jump_steps[i], after every noise increment of that step.
-    """
-
-    jump_steps: tuple
-    values: np.ndarray
-
-    def __init__(self, jump_steps: Sequence[int], values):
-        steps = tuple(int(k) for k in jump_steps)
-        vals = np.array(values, dtype=np.float64, ndmin=2)
-        if len(steps) != vals.shape[0]:
-            raise ValueError(f"{len(steps)} steps for {vals.shape[0]} jump values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "jump_steps", steps)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
 class ItoProcessSpec:
-    """X = initial + drift + FV driver + stochastic integral of ``integrand``."""
+    """X = initial + drift + stochastic integral of ``integrand``."""
 
     integrand: Integrand
     initial: np.ndarray
     drift_rate: np.ndarray
-    driver: Optional[FVDriver] = None
 
-    def __init__(self, integrand: Integrand, initial=None, drift_rate=None, driver=None):
+    def __init__(self, integrand: Integrand, initial=None, drift_rate=None):
         d = integrand.dim_out
         init = np.zeros(d) if initial is None else np.array(initial, dtype=np.float64)
         rate = np.zeros(d) if drift_rate is None else np.array(drift_rate, dtype=np.float64)
         if init.shape != (d,) or rate.shape != (d,):
             raise ValueError(f"initial and drift_rate must have shape ({d},)")
-        if driver is not None and driver.values.shape[1] != d:
-            raise ValueError(f"driver values must have dim {d}")
         init.setflags(write=False)
         rate.setflags(write=False)
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "drift_rate", rate)
-        object.__setattr__(self, "driver", driver)
 
 
 def _deterministic_phis(integrand: Integrand, sample: SamplePath, cells, sel) -> np.ndarray:
@@ -439,12 +411,6 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     d_out = integrand.dim_out
     adapted = not integrand.deterministic
 
-    driver = process.driver
-    drv_steps = np.array(() if driver is None else driver.jump_steps, dtype=np.int64)
-    for k in drv_steps.tolist():
-        if not (0 <= k < n):
-            raise ValueError(f"driver jump step {k} outside 0..{n - 1}")
-
     # step-major while walking, so that a step's rows are one cheap index
     values = np.zeros((n + 1, n_paths, d_out))
     values[0] = process.initial
@@ -476,17 +442,7 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
         if len(noise):
             delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
 
-    # jump rows in each path's micro-order: a step's noise jumps by time,
-    # then its driver jumps in the driver's order
-    if len(drv_steps):
-        paths = np.repeat(np.arange(n_paths), len(drv_steps))
-        at = np.tile(drv_steps, n_paths)
-        pos = np.searchsorted(pid * n + step, paths * n + at, side="right")
-        pid, step = np.insert(pid, pos, paths), np.insert(step, pos, at)
-        time, cell = np.insert(time, pos, times[at + 1]), np.insert(cell, pos, -1)
-        amp = np.insert(amp, pos, 0.0, axis=0)
-        delta = np.insert(delta, pos, np.tile(driver.values, (n_paths, 1)), axis=0)
-    pre = np.zeros((len(step), d_out))
+    pre = np.zeros((len(noise), d_out))
     # rows by step; the stable sort keeps each path's rows of a step in its
     # micro-order, and paths never share a running value
     order = np.argsort(step, kind="stable")
@@ -513,7 +469,6 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
         if lo < hi:
             if adapted:
                 rows = order[lo:hi]
-                rows = rows[cell[rows] >= 0]
                 delta[rows] = (phis[pid[rows], k, cell[rows]] * amp[rows, None, :]).sum(-1)
             for i, p in row_path[lo:hi]:
                 running = v[p]
@@ -521,10 +476,10 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
                 running += delta[i]
         values[k + 1] = v
 
-    jumps = np.empty(len(step), _jump_dtype(d_out))
+    jumps = np.empty(len(noise), _jump_dtype(d_out))
     for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
         jumps[name] = column
-    bounds = list(accumulate((c + len(drv_steps) for c in counts), initial=0))
+    bounds = list(accumulate(counts, initial=0))
     values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
     for array in (jumps, values, phis, stoch, drift):
         array.setflags(write=False)
@@ -562,8 +517,9 @@ def integrate(integrand: Integrand, sample: _Samples) -> Union[ItoPath, Tuple[It
 def simulate_ito_process(
     process: ItoProcessSpec, sample: _Samples
 ) -> Union[ItoPath, Tuple[ItoPath, ...]]:
-    """Walk a process with drift and driver on top of the stochastic integral,
-    against one sample or a tuple of them as ``integrate`` does."""
+    """Walk a process with an initial value and drift on top of the
+    stochastic integral, against one sample or a tuple of them as
+    ``integrate`` does."""
     return _walk_samples(process, sample)
 
 
@@ -669,21 +625,18 @@ def decompose_integral(path: ItoPath):
     All three come from the records of the same walk (no re-simulation), so
     continuous + jump + fv reproduces the path values to rounding. Returns
     (continuous, jump, fv) as (n_steps + 1, dim) arrays; the fv part carries
-    the initial value, drift and driver jumps.
+    the initial value and the drift.
     """
     n = path.grid.n_steps
     d = path.dim_out
     cont = np.zeros((n + 1, d))
     np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
     jump_steps = np.zeros((n, d))
-    fv_steps = np.zeros((n, d))
-    noise = path.jumps["cell"] >= 0
-    np.add.at(jump_steps, path.jumps["step"][noise], path.jumps["delta"][noise])
-    np.add.at(fv_steps, path.jumps["step"][~noise], path.jumps["delta"][~noise])
+    np.add.at(jump_steps, path.jumps["step"], path.jumps["delta"])
     jump = np.zeros((n + 1, d))
     np.cumsum(jump_steps, axis=0, out=jump[1:])
     fv = np.zeros((n + 1, d))
-    np.cumsum(path.drift + fv_steps, axis=0, out=fv[1:])
+    np.cumsum(path.drift, axis=0, out=fv[1:])
     fv += path.initial
     return cont, jump, fv
 
@@ -713,10 +666,9 @@ def compose_integrands(
     outer: Callable[[int, float, np.ndarray], np.ndarray],
     inner: Integrand,
     dim_out: int,
-    *,
-    outer_deterministic: bool = False,
 ) -> Integrand:
-    """Integrand (outer at the running value) composed with ``inner``.
+    """Integrand (outer at the running value) composed with ``inner``, an
+    adapted integrand whatever ``inner`` is.
 
     Walking the composition against the noise gives the same values as
     integrating ``outer`` against the walked inner integral, because the
@@ -761,6 +713,5 @@ def compose_integrands(
         evaluator=_eval,
         dim_out=dim_out,
         dim_in=inner.dim_in,
-        deterministic=inner.deterministic and outer_deterministic,
         name="composed",
     )

@@ -4,15 +4,14 @@ For a C^{1,2} function f and a walked path X the change f(T, X_T) - f(0, X_0)
 splits into five terms, each a sum over the walk's micro-increments:
 
 * time: left Riemann sum of the partial time derivative;
-* fv: the gradient paired with drift increments and with driver jumps
-  (at their refined pre-jump values);
+* fv: the gradient paired with the drift increments;
 * stoch: the gradient paired with the continuous stochastic increments and
-  with the noise jumps (again at pre-jump values);
+  with the noise jumps (at their refined pre-jump values);
 * trace: half the Hessian against the continuous covariance, either in
   compensator form (integrand against the control measure) or realized form
   (the actual squared continuous increments);
-* jump: the second-order jump correction f(post) - f(pre) - f_x(pre) dx,
-  over noise and driver jumps alike.
+* jump: the second-order jump correction f(post) - f(pre) - f_x(pre) dx
+  over the noise jumps.
 
 With the realized trace form, no drift and a quadratic f the five terms
 telescope and reproduce the change exactly, path by path; everything beyond
@@ -198,13 +197,14 @@ def make_smooth(name: str) -> SmoothFunction:
     raise ValueError(f"unknown smooth function {name!r}; expected one of {SMOOTH_NAMES}")
 
 
-# Bound on the finite-difference error of a correct derivative at the
-# default step: the registered functions stay below 1e-9, and a Hessian 1%
-# off reads about 1e-2.
+# Central-difference step, and the bound on the finite-difference error of
+# a correct derivative at that step: the registered functions stay below
+# 1e-9, and a Hessian 1% off reads about 1e-2.
+FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
-def finite_difference_check(f: SmoothFunction, t: float, x, step: float = 1e-5) -> dict:
+def finite_difference_check(f: SmoothFunction, t: float, x) -> dict:
     """Central-difference errors of the coded derivatives at one point.
 
     Returns absolute errors scaled by max(1, |derivative|); anything above
@@ -212,19 +212,19 @@ def finite_difference_check(f: SmoothFunction, t: float, x, step: float = 1e-5) 
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    dt_num = (f.value(t + step, x) - f.value(t - step, x)) / (2 * step)
+    dt_num = (f.value(t + FD_STEP, x) - f.value(t - FD_STEP, x)) / (2 * FD_STEP)
     errs = {"d_t": float(np.abs(dt_num - f.d_t(t, x)).max())}
     jac = np.zeros((f.dim_value, d))
     for i in range(d):
         e = np.zeros(d)
-        e[i] = step
-        jac[:, i] = (f.value(t, x + e) - f.value(t, x - e)) / (2 * step)
+        e[i] = FD_STEP
+        jac[:, i] = (f.value(t, x + e) - f.value(t, x - e)) / (2 * FD_STEP)
     errs["d_x"] = float(np.abs(jac - f.d_x(t, x)).max() / max(1.0, np.abs(jac).max()))
     hess = np.zeros((f.dim_value, d, d))
     for i in range(d):
         e = np.zeros(d)
-        e[i] = step
-        hess[:, :, i] = (f.d_x(t, x + e) - f.d_x(t, x - e)) / (2 * step)
+        e[i] = FD_STEP
+        hess[:, :, i] = (f.d_x(t, x + e) - f.d_x(t, x - e)) / (2 * FD_STEP)
     sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     errs["d_xx"] = float(np.abs(sym - f.d_xx(t, x)).max() / max(1.0, np.abs(sym).max()))
     return errs
@@ -306,14 +306,11 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
     jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc
-    noise = rec["cell"] >= 0
     drift = np.stack([p.drift for p in paths])
     terms = {
         "time": f.d_t(t, x).sum(axis=1) * grid.dt,
-        "fv": np.einsum("pnkd,pnd->pk", grad, drift)
-        + _sum_by_path(inc[~noise], pid[~noise], n_paths),
-        "stoch": np.einsum("pnkd,pnd->pk", grad, stoch)
-        + _sum_by_path(inc[noise], pid[noise], n_paths),
+        "fv": np.einsum("pnkd,pnd->pk", grad, drift),
+        "stoch": np.einsum("pnkd,pnd->pk", grad, stoch) + _sum_by_path(inc, pid, n_paths),
         "trace": trace,
         "jump": _sum_by_path(jump, pid, n_paths),
     }

@@ -34,6 +34,7 @@ import numpy as np
 from .hilbert import _check_dim, op_norm, psd_sqrt
 
 __all__ = [
+    "MAX_STEPS",
     "TimeGrid",
     "SpatialPartition",
     "TwoPointAmplitude",
@@ -60,10 +61,16 @@ _NORM_ATOL = 1e-12
 # Every positive rate, given or derived, must be at least this (see CellNoise).
 _TINY = float(np.finfo(np.float64).tiny)
 
+# Step cap of a time grid, as hilbert.MAX_DIM caps dimensions: a path's
+# arrays grow with the step count, and numpy refuses to allocate the largest
+# counts a config can name.
+MAX_STEPS = 2**16
+
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_n = horizon with step horizon/n."""
+    """Uniform grid 0 = t_0 < ... < t_n = horizon with step horizon/n, at
+    most MAX_STEPS steps."""
 
     horizon: float
     n_steps: int
@@ -71,8 +78,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must lie in 1..{MAX_STEPS}, got {self.n_steps}")
 
     @property
     def dt(self) -> float:
@@ -201,16 +208,19 @@ class GaussianAmplitude:
 
 AmplitudeModel = Union[TwoPointAmplitude, GaussianAmplitude]
 
-_AMPLITUDE_KINDS = {"two_point": TwoPointAmplitude, "gaussian": GaussianAmplitude}
+# amplitude kind -> (model, the params key its one argument is read from)
+_AMPLITUDE_KINDS = {
+    "two_point": (TwoPointAmplitude, "vector"),
+    "gaussian": (GaussianAmplitude, "cov"),
+}
 
 
 def amplitude_from_params(params: dict) -> AmplitudeModel:
     kind = params.get("kind")
-    if kind == "two_point":
-        return TwoPointAmplitude(params["vector"])
-    if kind == "gaussian":
-        return GaussianAmplitude(params["cov"])
-    raise ValueError(f"unknown amplitude kind {kind!r}; expected one of {sorted(_AMPLITUDE_KINDS)}")
+    if not isinstance(kind, str) or kind not in _AMPLITUDE_KINDS:
+        raise ValueError(f"unknown amplitude kind {kind!r}; expected one of {sorted(_AMPLITUDE_KINDS)}")
+    model, key = _AMPLITUDE_KINDS[kind]
+    return model(params[key])
 
 
 @dataclass(frozen=True, eq=False)

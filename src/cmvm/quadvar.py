@@ -105,7 +105,7 @@ def _check_pair(path: ItoPath, other: Optional[ItoPath]) -> ItoPath:
     ja, jb = path.jumps, other.jumps
     rows = ("step", "time", "cell")
     if len(ja) != len(jb) or not all(np.array_equal(ja[f], jb[f]) for f in rows):
-        raise ValueError("paths disagree on the jump sequence; different drivers?")
+        raise ValueError("paths disagree on the jump sequence")
     return other
 
 
@@ -113,10 +113,10 @@ def optional_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
     """Cumulative optional bracket [I]_{t_k} (or cross bracket [I, J]_{t_k}).
 
     The continuous part is the predictable bracket of the continuous flavor;
-    every realized jump (noise and driver alike) contributes the product of
-    its deltas at the step it happens in. A cross bracket requires the other
-    path to be walked on the same driving sample, with the same jumps at the
-    same steps, times and cells.
+    every realized jump contributes the product of its deltas at the step it
+    happens in. A cross bracket requires the other path to be walked on the
+    same driving sample, with the same jumps at the same steps, times and
+    cells.
     """
     other = _check_pair(path, other)
     return _cumulative(_add_jumps(_bracket_steps(path, "continuous", other), path, other))
@@ -145,10 +145,6 @@ class RandomPartition:
         # derived once: a dyadic partition serves every path of a study
         object.__setattr__(self, "_index", np.array(idx))
         object.__setattr__(self, "_longest_block", int(blocks.max()))
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.step_indices) - 1
 
     def mesh(self, dt: float) -> float:
         return float(self._longest_block * dt)

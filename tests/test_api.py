@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and every exported
-function is reached by a scenario run or is a named test reference."""
+function and class is reached by a scenario run or is a named test
+reference."""
 
 import importlib
 import inspect
@@ -32,6 +33,14 @@ ALLOWED_UNREACHED = {
     ("quadvar", "weighted_qv_target"),
 }
 
+# Exported classes none of whose own functions a scenario calls, each kept
+# for a named reason.
+ALLOWED_UNREACHED_CLASSES = {
+    # an exception with no code of its own; test_lookahead_guard_raises
+    # checks that the walk's guarded history raises it
+    ("integrate", "LookAheadError"),
+}
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_all_exports_resolve(module):
@@ -40,20 +49,37 @@ def test_all_exports_resolve(module):
     assert missing == []
 
 
-def _exported_functions():
+def _exports() -> dict:
+    """(module, name) -> object, for every name in a module's __all__."""
+    out = {}
     for module in MODULES:
         mod = importlib.import_module(f"cmvm.{module}")
         for name in getattr(mod, "__all__", ()):
-            obj = getattr(mod, name)
-            if inspect.isfunction(obj):
-                yield module, name, obj
+            out[module, name] = getattr(mod, name)
+    return out
 
 
-def test_every_exported_function_backs_a_scenario_or_is_allowed(tmp_path, capsys):
-    """Run every scenario at a tiny size, the two non-default convergence
-    variants, a noise-model file preset and list-scenarios under a call
-    recorder; each exported function must have been called or be on the
-    commented allow-list."""
+def _own_code(cls) -> set:
+    """Code objects of the Python functions a class defines itself: methods,
+    static and class methods, property and cached-property accessors, and
+    the methods a dataclass decorator generates. A decorator's wrapper is
+    unwrapped, since one wrapper's code can serve many classes (dataclass
+    reprs share one)."""
+    codes = set()
+    for attr in vars(cls).values():
+        wrapped = (getattr(attr, key, None) for key in ("__func__", "fget", "func"))
+        for fn in (attr, *wrapped):
+            if inspect.isfunction(fn):
+                codes.add(inspect.unwrap(fn).__code__)
+    return codes
+
+
+@pytest.fixture(scope="module")
+def called(tmp_path_factory) -> set:
+    """Code objects called while running every scenario at a tiny size, the
+    two non-default convergence variants, a noise-model file preset and
+    list-scenarios under a call recorder."""
+    tmp_path = tmp_path_factory.mktemp("api")
     model = tmp_path / "model.json"
     model.write_text(json.dumps(spec_to_json(make_preset("jump-default"))))
     runs = [[name, "--set", "n_paths=2"] for name in scenario_names()]
@@ -62,11 +88,11 @@ def test_every_exported_function_backs_a_scenario_or_is_allowed(tmp_path, capsys
         ["ito-converge", "--set", "n_paths=2", "--set", "params.variant=compensator"],
         ["verify-qv", "--set", "n_paths=2", "--set", f"preset={model}"],
     ]
-    called = set()
+    codes = set()
 
     def record(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            codes.add(frame.f_code)
 
     sys.setprofile(record)
     try:
@@ -75,9 +101,26 @@ def test_every_exported_function_backs_a_scenario_or_is_allowed(tmp_path, capsys
         assert main(["list-scenarios"]) == 0
     finally:
         sys.setprofile(None)
-    capsys.readouterr()
+    return codes
 
-    exported = {(module, name): fn for module, name, fn in _exported_functions()}
-    unreached = {key for key, fn in exported.items() if fn.__code__ not in called}
-    assert sorted(unreached - ALLOWED_UNREACHED) == [], "exported but never called"
-    assert sorted(ALLOWED_UNREACHED - set(exported)) == [], "allow-listed but no longer exported"
+
+def _assert_reached_or_allowed(exported: dict, called: set, allowed: set) -> None:
+    """Each exported name must have one of its code objects called or be on
+    the allow-list, and each allow-listed name must still be exported."""
+    unreached = {key for key, codes in exported.items() if not codes & called}
+    assert sorted(unreached - allowed) == [], "exported but never called"
+    assert sorted(allowed - set(exported)) == [], "allow-listed but no longer exported"
+
+
+def test_every_exported_function_backs_a_scenario_or_is_allowed(called):
+    """A function counts as reached when a scenario calls it."""
+    functions = {key: {obj.__code__} for key, obj in _exports().items() if inspect.isfunction(obj)}
+    _assert_reached_or_allowed(functions, called, ALLOWED_UNREACHED)
+
+
+def test_every_exported_class_backs_a_scenario_or_is_allowed(called):
+    """A class counts as reached when a scenario calls one of its own
+    functions; an exception or other class without code of its own must
+    be allow-listed."""
+    classes = {key: _own_code(obj) for key, obj in _exports().items() if inspect.isclass(obj)}
+    _assert_reached_or_allowed(classes, called, ALLOWED_UNREACHED_CLASSES)

@@ -48,13 +48,12 @@ def _compose_with_outer_value(monkeypatch):
     """compose_integrands as it was when the inner integrand was handed the
     composed integral's running value in place of its own."""
 
-    def mutant(outer, inner, dim_out, *, outer_deterministic=False):
+    def mutant(outer, inner, dim_out):
         def _eval(state, cells):
             mat = np.asarray(outer(state.step, state.time, state.value))
             return mat @ inner.evaluator(state, cells)
 
-        deterministic = inner.deterministic and outer_deterministic
-        return Integrand(_eval, dim_out, inner.dim_in, deterministic=deterministic, name="composed")
+        return Integrand(_eval, dim_out, inner.dim_in, name="composed")
 
     monkeypatch.setattr(cmvm.harness, "compose_integrands", mutant)
 

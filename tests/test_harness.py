@@ -21,7 +21,7 @@ from cmvm.harness import (
     scenario_description,
     scenario_names,
 )
-from cmvm.noise import spec_to_json
+from cmvm.noise import MAX_STEPS, spec_to_json
 from cmvm.presets import make_preset, preset_names
 
 ALL_SCENARIOS = [
@@ -332,6 +332,26 @@ def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, ov
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, above, at",
+    [
+        ("verify-isometry", f"n_steps={MAX_STEPS + 1}", f"n_steps={MAX_STEPS}"),
+        ("verify-isometry", f"n_steps={2**64}", f"n_steps={MAX_STEPS}"),
+        ("ito-converge", f"params.levels=[4, {MAX_STEPS.bit_length()}]",
+         f"params.levels=[4, {MAX_STEPS.bit_length() - 1}]"),
+    ],
+)
+def test_step_counts_above_the_cap_exit_two(capsys, scenario, above, at):
+    """A step count above MAX_STEPS, which numpy may refuse to allocate, or
+    an ito-converge level whose 2^level steps exceed it, exits 2 at resolve
+    time, and the cap itself resolves. Only validate-config runs: a run of
+    these sizes would allocate them."""
+    assert main(["validate-config", scenario, "--set", above]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert main(["validate-config", scenario, "--set", at]) == 0
 
 
 def test_non_object_config_files_exit_two(tmp_path, capsys):

@@ -19,7 +19,6 @@ import cmvm.harness
 import cmvm.integrate
 from cmvm.integrate import (
     AdaptedState,
-    FVDriver,
     Integrand,
     ItoProcessSpec,
     LookAheadError,
@@ -118,7 +117,6 @@ def test_walk_reconstructs_exactly(mixed, grid8):
         state_linear_integrand(PHI, [1.0, -0.5], 0.4),
         initial=[0.2, -0.1],
         drift_rate=[0.3, -0.2],
-        driver=FVDriver([2, 5], [[0.05, 0.0], [-0.02, 0.04]]),
     )
     sample = sample_path(mixed, grid8, seed=77, path_index=0)
     path = simulate_ito_process(proc, sample)
@@ -132,41 +130,25 @@ def test_walk_reconstructs_exactly(mixed, grid8):
             assert np.array_equal(rec["pre"], v)
             v = v + rec["delta"]
         assert np.array_equal(path.values[k + 1], v), f"step {k} does not tile"
-    # driver jumps land at right endpoints, after every noise jump of the step
-    driver = jumps["cell"] == -1
-    assert jumps["step"][driver].tolist() == [2, 5]
-    assert np.allclose(jumps["time"][driver], grid8.times[jumps["step"][driver] + 1])
-    for k in (2, 5):
-        in_step = jumps["cell"][jumps["step"] == k]
-        assert in_step[-1] == -1 and np.all(in_step[:-1] >= 0)
 
 
 def test_jumps_are_read_only_record_arrays(mixed, grid8):
-    """Sampled and walked jumps are structured arrays, one row per jump;
-    driver rows are marked by cell -1 at the right end of their step."""
+    """Sampled and walked jumps are structured arrays, one row per jump: the
+    walked rows are the sample's noise jumps, row for row."""
     sample = sample_path(mixed, grid8, seed=77, path_index=0)
-    proc = ItoProcessSpec(
-        constant_integrand(PHI), driver=FVDriver([2, 5], [[0.05, 0.0], [-0.02, 0.04]])
-    )
-    path = simulate_ito_process(proc, sample)
+    path = integrate(constant_integrand(PHI), sample)
     assert sample.jumps.dtype.names == ("step", "cell", "time", "amp")
     assert sample.jumps.dtype["amp"].shape == (2,)
     assert path.jumps.dtype.names == ("step", "time", "cell", "delta", "pre")
     assert path.jumps.dtype["delta"].shape == path.jumps.dtype["pre"].shape == (2,)
     assert len(sample.jumps) > 0
-    assert len(path.jumps) == len(sample.jumps) + 2
+    assert len(path.jumps) == len(sample.jumps)
     for jumps in (sample.jumps, path.jumps):
         assert isinstance(jumps, np.ndarray) and not jumps.flags.writeable
         with pytest.raises(ValueError):
             jumps["step"][0] = 0
-    noise = path.jumps["cell"] >= 0
     for field in ("step", "cell", "time"):
-        assert np.array_equal(path.jumps[field][noise], sample.jumps[field])
-    driver = path.jumps[~noise]
-    assert np.all(driver["cell"] == -1)
-    assert driver["step"].tolist() == [2, 5]
-    assert np.array_equal(driver["time"], grid8.times[driver["step"] + 1])
-    assert np.array_equal(driver["delta"], proc.driver.values)
+        assert np.array_equal(path.jumps[field], sample.jumps[field])
 
 
 def test_lookahead_guard_raises(mixed, grid8):
@@ -321,7 +303,6 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
         state_linear_integrand(PHI, [0.2, 0.9], 0.3),
         initial=[1.0, 2.0],
         drift_rate=[0.5, -0.1],
-        driver=FVDriver([3], [[0.1, -0.1]]),
     )
     for idx in range(25):
         sample = sample_path(mixed, grid8, seed=21, path_index=idx)
@@ -329,12 +310,11 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
         cont, jump, fv = decompose_integral(path)
         assert np.allclose(cont + jump + fv, path.values, atol=1e-12)
         # continuous part has continuous increments only; jump part is flat
-        # between noise jumps; fv carries initial, drift and driver
+        # between noise jumps; fv carries initial and drift
         assert np.allclose(cont[0], 0.0)
         assert np.allclose(jump[0], 0.0)
         assert np.allclose(fv[0], [1.0, 2.0])
-        noise_total = path.jumps["delta"][path.jumps["cell"] >= 0].sum(axis=0)
-        assert np.allclose(jump[-1], noise_total, atol=1e-12)
+        assert np.allclose(jump[-1], path.jumps["delta"].sum(axis=0), atol=1e-12)
 
 
 def test_simple_integrand_two_routes(mixed, grid8):
@@ -386,7 +366,7 @@ def test_composition_matches_direct_route(mixed, grid8):
         return psi_mats[0] if step < 4 else psi_mats[1]
 
     general = inner.as_general()
-    composed = compose_integrands(psi, general, dim_out=2, outer_deterministic=True)
+    composed = compose_integrands(psi, general, dim_out=2)
     for idx in range(40):
         sample = sample_path(mixed, grid8, seed=44, path_index=idx)
         inner_path = integrate(general, sample)
@@ -462,8 +442,6 @@ def _loop_walk(process, sample):
     total_rate = spec.tables.flavor("total").rate
     active = [j for j in range(m) if total_rate[j] > 0.0]
     d_out, d_in = integrand.dim_out, integrand.dim_in
-    driver = process.driver
-    drv_steps = np.array(() if driver is None else driver.jump_steps, dtype=np.int64)
 
     values = np.zeros((n + 1, d_out))
     values[0] = process.initial
@@ -473,15 +451,10 @@ def _loop_walk(process, sample):
     stoch = np.zeros((n, d_out))
     history = PathHistory((sample,), values[:, None])
     noise = sample.jumps
-    step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
+    step, cell, amp = noise["step"], noise["cell"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
-    if len(drv_steps):
-        pos = np.searchsorted(step, drv_steps, side="right")
-        step, time = np.insert(step, pos, drv_steps), np.insert(time, pos, times[drv_steps + 1])
-        cell, amp = np.insert(cell, pos, -1), np.insert(amp, pos, 0.0, axis=0)
-        delta = np.insert(delta, pos, driver.values, axis=0)
     ends = np.searchsorted(step, np.arange(n), side="right").tolist()
-    pre = np.zeros((len(step), d_out))
+    pre = np.zeros((len(noise), d_out))
 
     hi = 0
     for k in range(n):
@@ -500,8 +473,7 @@ def _loop_walk(process, sample):
             sc += mat @ sample.gauss[k, j]
         stoch[k] = sc
         for i in range(lo, hi):
-            if cell[i] >= 0:
-                delta[i] = phis[k, cell[i]] @ amp[i]
+            delta[i] = phis[k, cell[i]] @ amp[i]
         v += stoch[k]
         for i in range(lo, hi):
             pre[i] = v
@@ -538,11 +510,10 @@ def _chunk_processes():
 
     return {
         "state-linear": ItoProcessSpec(linear),
-        "drift-and-driver": ItoProcessSpec(
+        "drift": ItoProcessSpec(
             state_linear_integrand(PHI, [1.0, -0.5], 0.4),
             initial=[0.2, -0.1],
             drift_rate=[0.3, -0.2],
-            driver=FVDriver([2, 5, 5], [[0.05, 0.0], [-0.02, 0.04], [0.01, 0.01]]),
         ),
         "gated-simple": ItoProcessSpec(_gated_simple().as_general()),
         "composed": ItoProcessSpec(compose_integrands(psi, linear, dim_out=2)),

