@@ -70,7 +70,7 @@ from .ito import (
 )
 # sample_path is imported but not called here (paths come from integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
-from .noise import MAX_STEPS, QV_FLAVORS, TimeGrid, load_noise_spec, normalize_spec, sample_path  # noqa: F401
+from .noise import MAX_STEPS, QV_FLAVORS, TimeGrid, coarsen, load_noise_spec, normalize_spec, sample_path  # noqa: F401
 from .presets import make_preset, preset_names
 from .quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
 
@@ -159,7 +159,15 @@ def _build_config(data: dict) -> ExperimentConfig:
     models = [fields["preset"]]
     if "continuous_preset" in params:
         models.append(params["continuous_preset"])
-    dims = {name: _spec_for(name).dim for name in models}
+    specs = {name: _spec_for(name) for name in models}
+    dims = {name: spec.dim for name, spec in specs.items()}
+    if "continuous_preset" in params:  # burkholder: preset walks the jump ensemble
+        name = fields["preset"]
+        if not any(cell.has_jumps for cell in specs[name].cells):
+            raise ValueError(f"preset {name!r} has no jumps; {scenario} walks it as its jump ensemble")
+        name = params["continuous_preset"]
+        if any(cell.has_jumps for cell in specs[name].cells):
+            raise ValueError(f"params.continuous_preset {name!r} has jumps; it must be continuous")
     if "phi" in params:  # every phi-driven integrand maps model noise to len(phi) outputs
         rows = len(_param_array(params, "phi", 2))
         for key in [k for k in ("phi", "phi_b") if k in params]:
@@ -636,22 +644,34 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
     drift = np.array(p["drift"], dtype=np.float64)
     proc = ItoProcessSpec(integrand, drift_rate=drift)
     levels = [int(v) for v in p["levels"]]
+    finest = max(levels)
 
     def measure(samples):
-        paths = simulate_ito_process(proc, samples)
-        return np.abs(ito_residual(paths, f, trace_variant=p["variant"])[:, :1])
+        # one draw at the finest level, halved down to each coarser one
+        residuals = {}
+        for level in range(finest, min(levels) - 1, -1):
+            if level < finest:
+                samples = coarsen(samples)
+            if level in levels:
+                paths = simulate_ito_process(proc, samples)
+                residuals[level] = np.abs(ito_residual(paths, f, trace_variant=p["variant"])[:, 0])
+        return np.stack([residuals[level] for level in levels], axis=1)
 
-    grids = [TimeGrid(cfg.horizon, 2**level) for level in levels]
-    columns = [_per_path(spec, grid, cfg.seed, cfg.n_paths, measure)[:, 0] for grid in grids]
+    rows = _per_path(spec, TimeGrid(cfg.horizon, 2**finest), cfg.seed, cfg.n_paths, measure)
+    # each path's residual ratio between adjacent levels; NaN over a zero residual
+    ratios = [
+        _quartiles(np.divide(b, a, out=np.full_like(b, math.nan), where=a > 0.0))[1]
+        for a, b in zip(rows.T, rows.T[1:])
+    ]
     return _convergence(
         cfg,
         "median_abs_residual",
         levels,
-        [grid.dt for grid in grids],
-        columns,
+        [TimeGrid(cfg.horizon, 2**level).dt for level in levels],
+        rows.T,
         p["final_ratio"],
         relative_to_first=True,
-        metrics={"levels": levels},
+        metrics={"levels": levels, "median_path_ratios": ratios},
     )
 
 

@@ -46,7 +46,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .hilbert import _check_dim
-from .noise import QV_FLAVORS, SamplePath, TimeGrid, evaluate, normalize_spec, sample_path
+from .noise import QV_FLAVORS, SamplePath, TimeGrid, _concat_records, evaluate
+from .noise import normalize_spec, sample_path
 
 __all__ = [
     "LookAheadError",
@@ -423,7 +424,7 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     # the chunk's noise jumps, path-major, each path's rows sorted by (step,
     # time); a lone sample's rows are used as they are, without a copy
     counts = [len(s.jumps) for s in samples]
-    noise = samples[0].jumps if n_paths == 1 else np.concatenate([s.jumps for s in samples])
+    noise = samples[0].jumps if n_paths == 1 else _concat_records([s.jumps for s in samples])
     pid = np.repeat(np.arange(n_paths), counts)
     step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
     delta = np.zeros((len(noise), d_out))

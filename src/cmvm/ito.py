@@ -41,6 +41,7 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .integrate import ItoPath
+from .noise import _concat_records
 from .quadvar import _bracket_steps
 
 __all__ = [
@@ -301,7 +302,7 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
         trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
     # the chunk's jump rows, each with the index of its path
-    rec = np.concatenate([p.jumps for p in paths])
+    rec = _concat_records([p.jumps for p in paths])
     pid = np.repeat(np.arange(n_paths), [len(p.jumps) for p in paths])
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)

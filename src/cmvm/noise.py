@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from itertools import accumulate
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "normalize_spec",
     "substream",
     "sample_path",
+    "coarsen",
     "evaluate",
     "spec_to_json",
     "spec_from_json",
@@ -464,10 +466,10 @@ class SamplePath:
     gauss[k, j] is the Gaussian increment of cell j over step k. jumps is a
     read-only structured array, one row per jump event sorted by (step,
     time), with fields step and cell (int64), time (float64, in
-    (t_step, t_step+1]) and amp (float64, (dim,)); jump_sums[k, j] holds the
-    per-step per-cell amplitude totals. Every amplitude family is centered,
-    so the compensator of the jumps is zero and the raw jump sums are
-    already martingale increments.
+    (t_step, t_step+1]) and amp (float64, (dim,)). jump_sums[k, j], the
+    per-step per-cell amplitude totals, is built from the rows on first use.
+    Every amplitude family is centered, so the compensator of the jumps is
+    zero and the raw jump sums are already martingale increments.
     """
 
     spec: NoiseSpec
@@ -476,7 +478,13 @@ class SamplePath:
     path_index: int
     gauss: np.ndarray
     jumps: np.ndarray
-    jump_sums: np.ndarray
+
+    @cached_property
+    def jump_sums(self) -> np.ndarray:
+        sums = np.zeros(self.gauss.shape)
+        # rows in (step, time) order, so each block's amplitudes add up in time order
+        np.add.at(sums, (self.jumps["step"], self.jumps["cell"]), self.jumps["amp"])
+        return _frozen(sums)
 
 
 # Purpose slots inside one (seed, path, cell) stream family.
@@ -491,7 +499,6 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
     gauss = np.zeros((n, m, d))
-    jump_sums = np.zeros((n, m, d))
     parts = []  # per jumping cell: its step, cell, time and amplitude columns
     for j, cell in enumerate(spec.cells):
         if cell.has_diffusion:
@@ -517,10 +524,7 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
         jumps = np.empty(len(order), jumps.dtype)
         for name, column in zip(jumps.dtype.names, columns):
             jumps[name] = column[order]
-        # in (step, time) order, so each block's amplitudes add up in time order
-        np.add.at(jump_sums, (jumps["step"], jumps["cell"]), jumps["amp"])
     gauss.setflags(write=False)
-    jump_sums.setflags(write=False)
     jumps.setflags(write=False)
     return SamplePath(
         spec=spec,
@@ -529,7 +533,52 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
         path_index=int(path_index),
         gauss=gauss,
         jumps=jumps,
-        jump_sums=jump_sums,
+    )
+
+
+def _concat_records(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """A new writable array of the rows of record arrays of one structured
+    dtype, byte for byte what np.concatenate returns. It joins their raw
+    bytes, which skips numpy's per-field dtype promotion (most of
+    np.concatenate's cost on the jump rows of a chunk) and the per-array
+    view checks a concatenation of void views still pays."""
+    dtype = arrays[0].dtype
+    if any(a.dtype != dtype for a in arrays):
+        raise ValueError("record arrays of one concatenation must share one dtype")
+    return np.frombuffer(bytearray(b"".join([a.tobytes() for a in arrays])), dtype)
+
+
+def coarsen(samples: Tuple[SamplePath, ...]) -> Tuple[SamplePath, ...]:
+    """The same noise on the grid with half as many steps.
+
+    ``samples`` is a chunk: a tuple of paths of one model and grid with an
+    even step count. Coarse Gaussian increment k of a cell is fine[2k] +
+    fine[2k+1]. Every jump row keeps its cell, time and amplitude and moves
+    to step step // 2, which keeps the rows sorted by (step, time), so the
+    coarse jump_sums add up the rows in row order, as on a drawn path. A
+    coarse path depends on its own fine path alone, not on its chunk, and on
+    a grid of 2^L steps repeated halving gives every coarser level of one
+    draw: the multilevel coupling of Giles (Oper. Res. 56(3), 2008).
+    """
+    if not samples:
+        raise ValueError("no sample to coarsen")
+    spec, grid = samples[0].spec, samples[0].grid
+    if any(s.spec is not spec or (s.grid is not grid and s.grid != grid) for s in samples):
+        raise ValueError("the samples of one coarsening must share one noise model and grid")
+    if grid.n_steps % 2:
+        raise ValueError(f"cannot halve a grid of {grid.n_steps} steps")
+    n_paths, n = len(samples), grid.n_steps // 2
+    fine = np.concatenate([s.gauss for s in samples])
+    fine = fine.reshape(n_paths, n, 2, *fine.shape[1:])
+    gauss = _frozen(fine[:, :, 0] + fine[:, :, 1])
+    jumps = _concat_records([s.jumps for s in samples])
+    jumps["step"] //= 2
+    jumps.setflags(write=False)
+    coarse = TimeGrid(grid.horizon, n)
+    bounds = list(accumulate((len(s.jumps) for s in samples), initial=0))
+    return tuple(
+        SamplePath(spec, coarse, s.seed, s.path_index, g, jumps[lo:hi])
+        for s, g, lo, hi in zip(samples, gauss, bounds, bounds[1:])
     )
 
 

@@ -81,7 +81,7 @@ def test_criterion_03_quadratic_exactness(tmp_path, preset):
 
 
 def test_criterion_04_ito_mesh_convergence(tmp_path):
-    res = _run_scenario("ito-converge", tmp_path)  # defaults: levels 4..8, 200 paths/level
+    res = _run_scenario("ito-converge", tmp_path)  # levels 4..8, 200 paths, each drawn once
     assert res.passed, res.checks
     med = res.metrics["medians"]
     assert all(a > b for a, b in zip(med, med[1:]))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cmvm.harness
+import cmvm.integrate
 import cmvm.ito
 from cmvm.cli import main
 from cmvm.harness import (
@@ -21,7 +22,9 @@ from cmvm.harness import (
     scenario_description,
     scenario_names,
 )
-from cmvm.noise import MAX_STEPS, spec_to_json
+from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
+from cmvm.ito import ito_residual, make_smooth
+from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
 from cmvm.presets import make_preset, preset_names
 
 ALL_SCENARIOS = [
@@ -354,6 +357,25 @@ def test_step_counts_above_the_cap_exit_two(capsys, scenario, above, at):
     assert main(["validate-config", scenario, "--set", at]) == 0
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("preset=gauss-default", "preset 'gauss-default' has no jumps"),
+        ("params.continuous_preset=jump-default", "params.continuous_preset 'jump-default' has jumps"),
+        ("params.continuous_preset=mixed-default", "params.continuous_preset 'mixed-default' has jumps"),
+    ],
+)
+def test_burkholder_presets_of_the_wrong_kind_exit_two(capsys, override, field):
+    """burkholder walks its preset as the jump ensemble and its
+    continuous_preset as the continuous one. A jump-free preset or a
+    continuous preset with jumps would fail its gates in a run, so
+    validate-config refuses it, naming the field."""
+    assert main(["validate-config", "burkholder", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
+    assert main(["validate-config", "burkholder", "--set", "preset=jump-default"]) == 0
+
+
 def test_non_object_config_files_exit_two(tmp_path, capsys):
     for text in ("5", "null"):
         path = tmp_path / f"{text}.json"
@@ -427,6 +449,41 @@ def test_single_level_fails_convergence_gate(tmp_path, scenario, level):
     blob = json.loads((tmp_path / f"{scenario}.json").read_text())
     decreasing = next(c for c in blob["checks"] if c["name"].endswith("-strictly-decreasing"))
     assert decreasing["value"] is None and decreasing["passed"] is False
+
+
+def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
+    """ito-converge samples each path index once, on the grid of its finest
+    level, and prices every coarser level on halvings of that draw, with
+    the columns in config order. Its JSON reports, for each pair of
+    adjacent levels, the median over paths of their residual ratio."""
+    drawn, blocks = [], []
+    draw, per_path = cmvm.integrate.sample_path, cmvm.harness._per_path
+
+    def recorded_draw(spec, grid, seed, path_index=0):
+        drawn.append((grid.n_steps, path_index))
+        return draw(spec, grid, seed, path_index)
+
+    def recorded_rows(*args, **kwargs):
+        blocks.append(per_path(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(cmvm.integrate, "sample_path", recorded_draw)
+    monkeypatch.setattr(cmvm.harness, "_per_path", recorded_rows)
+    cfg = apply_overrides(load_config("ito-converge"), ["n_paths=5", "params.levels=[5,3,4]"])
+    res = run(cfg, str(tmp_path))
+    assert drawn == [(32, i) for i in range(5)]
+    [rows] = blocks
+
+    p = cfg.params
+    proc = ItoProcessSpec(constant_integrand(p["phi"]), drift_rate=p["drift"])
+    f = make_smooth(p["function"])
+    spec, grid = make_preset(cfg.preset), TimeGrid(cfg.horizon, 32)
+    fine = tuple(sample_path(spec, grid, cfg.seed, i) for i in range(5))
+    for column, samples in zip((0, 2, 1), (fine, coarsen(fine), coarsen(coarsen(fine)))):
+        residual = ito_residual(simulate_ito_process(proc, samples), f, trace_variant=p["variant"])
+        assert rows[:, column].tobytes() == np.abs(residual[:, 0]).tobytes()
+    want = [float(np.median(b / a)) for a, b in zip(rows.T, rows.T[1:])]
+    assert res.metrics["median_path_ratios"] == want
 
 
 def test_single_delta_fails_modulus_gate(tmp_path):

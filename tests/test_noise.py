@@ -27,6 +27,8 @@ from cmvm.noise import (
     SpatialPartition,
     TimeGrid,
     TwoPointAmplitude,
+    _concat_records,
+    coarsen,
     evaluate,
     load_noise_spec,
     normalize_spec,
@@ -475,3 +477,76 @@ def test_from_json_errors():
     }
     with pytest.raises(ValueError, match="cell 0"):
         spec_from_json(bad)
+
+
+@pytest.fixture(scope="module")
+def fine_chunk(mixed):
+    """Six paths on a 64-step grid whose step is not a power of two."""
+    return tuple(sample_path(mixed, TimeGrid(0.7, 64), seed=7, path_index=i) for i in range(6))
+
+
+def test_coarsen_sums_gaussian_pairs_exactly(fine_chunk):
+    for fine, half in zip(fine_chunk, coarsen(fine_chunk)):
+        assert half.grid == TimeGrid(0.7, 32)
+        assert (half.spec, half.seed, half.path_index) == (fine.spec, fine.seed, fine.path_index)
+        assert half.gauss.tobytes() == (fine.gauss[0::2] + fine.gauss[1::2]).tobytes()
+        assert not any(a.flags.writeable for a in (half.gauss, half.jumps, half.jump_sums))
+
+
+def test_coarsen_keeps_every_jump_row(fine_chunk):
+    """Cell, time and amplitude are bitwise unchanged, the step halves, and
+    each time lies in its coarse step (t_k, t_{k+1}]."""
+    assert sum(len(s.jumps) for s in fine_chunk) > 10  # not vacuous
+    for fine, half in zip(fine_chunk, coarsen(fine_chunk)):
+        for name in ("cell", "time", "amp"):
+            assert half.jumps[name].tobytes() == fine.jumps[name].tobytes()
+        assert np.array_equal(half.jumps["step"], fine.jumps["step"] // 2)
+        k, times = half.jumps["step"], half.grid.times
+        assert np.all(times[k] < half.jumps["time"]) and np.all(half.jumps["time"] <= times[k + 1])
+
+
+def test_jump_sums_add_the_rows_in_row_order(fine_chunk):
+    """Drawn and coarsened paths alike build jump_sums from their rows."""
+    for path in fine_chunk + coarsen(fine_chunk):
+        want = np.zeros_like(path.gauss)
+        for row in path.jumps:
+            want[row["step"], row["cell"]] += row["amp"]
+        assert path.jump_sums.tobytes() == want.tobytes()
+
+
+def test_coarsen_does_not_depend_on_the_chunk(fine_chunk):
+    """Halving a chunk gives each path bitwise what halving it alone gives,
+    at every level down to one step."""
+    chunk = fine_chunk
+    while chunk[0].grid.n_steps > 1:
+        together = coarsen(chunk)
+        for path, half in zip(chunk, together):
+            alone = coarsen((path,))[0]
+            for name in ("gauss", "jumps", "jump_sums"):
+                assert getattr(alone, name).tobytes() == getattr(half, name).tobytes()
+        chunk = together
+
+
+def test_coarsen_refuses_odd_grids_and_mixed_chunks(mixed, grid8):
+    with pytest.raises(ValueError, match="cannot halve a grid of 5 steps"):
+        coarsen((sample_path(mixed, TimeGrid(1.0, 5), 0, 0),))
+    gauss = make_preset("gauss-default")
+    for chunk in (
+        (sample_path(mixed, grid8, 0, 0), sample_path(mixed, TimeGrid(1.0, 16), 0, 1)),
+        (sample_path(mixed, grid8, 0, 0), sample_path(mixed, TimeGrid(2.0, 8), 0, 1)),
+        (sample_path(mixed, grid8, 0, 0), sample_path(gauss, grid8, 0, 1)),
+    ):
+        with pytest.raises(ValueError, match="one noise model and grid"):
+            coarsen(chunk)
+    with pytest.raises(ValueError, match="no sample"):
+        coarsen(())
+
+
+def test_concat_records_matches_numpy_and_refuses_mixed_dtypes(fine_chunk):
+    rows = [s.jumps for s in fine_chunk] + [fine_chunk[0].jumps[:0]]
+    joined = _concat_records(rows)
+    assert joined.dtype == rows[0].dtype and joined.flags.writeable
+    assert joined.tobytes() == np.concatenate(rows).tobytes()
+    other = np.zeros(2, [("step", "i8"), ("cell", "i8")])
+    with pytest.raises(ValueError, match="one dtype"):
+        _concat_records([rows[0], other])
