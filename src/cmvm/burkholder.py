@@ -5,9 +5,10 @@ returns the closed-form constant that works for continuous integrators:
 Lenglart domination below square power, the isometry at the square, and the
 bracket-domination route above it. ``walk_ensemble`` walks each path once
 and keeps only its statistics (running sup, terminal norm and every bracket
-flavor), one row per path; ``check`` estimates both sides from those
-columns and returns a report that says which constant was used and where it
-came from:
+flavor), one row per path: ``path_running_sup`` and ``bracket_terminal``
+take one path or a tuple of paths, and measure a walked chunk in one call.
+``check`` estimates both sides from those columns and returns a report that
+says which constant was used and where it came from:
 
 * "closed-form": a constant the continuous theory provides (also used for
   the terminal second moment, which is an identity for any integrator);
@@ -30,12 +31,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, _mean_se, _per_path
-from .integrate import simulate_ito_process
+from .integrate import ItoPath, ItoProcessSpec, _chunk_of, _chunk_rows, _mean_se, _Paths
+from .integrate import _per_path, _sum_by_path, simulate_ito_process
 # sample_path is not called here (walk_ensemble draws through integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
 from .noise import NoiseSpec, TimeGrid, normalize_spec, sample_path  # noqa: F401
-from .quadvar import _add_jumps, _bracket_steps, optional_qv, predictable_qv
+from .quadvar import optional_qv, predictable_qv
 
 __all__ = [
     "bracket_power_constant",
@@ -71,36 +72,40 @@ def continuous_constant(p: float) -> float:
     return bracket_power_constant(p) ** (0.5 * p)
 
 
-def path_running_sup(path: ItoPath) -> float:
-    """Largest norm the path attains at grid points and around its jumps."""
-    best = float(np.linalg.norm(path.values, axis=1).max())
-    if len(path.jumps):
-        pre = path.jumps["pre"]
-        for x in (pre, pre + path.jumps["delta"]):
-            best = max(best, float(np.sqrt(np.vecdot(x, x)).max()))
-    return best
+def path_running_sup(path: _Paths):
+    """Largest norm the path attains at grid points and around its jumps: a
+    float for one path, a (P,) array for a tuple of P paths on one grid."""
+    paths = _chunk_of(path)
+    best = np.linalg.norm(np.stack([p.values for p in paths]), axis=2).max(axis=1)
+    rows, pid = _chunk_rows([p.jumps for p in paths])
+    for x in (rows["pre"], rows["pre"] + rows["delta"]):
+        np.maximum.at(best, pid, np.sqrt(np.vecdot(x, x)))
+    return float(best[0]) if isinstance(path, ItoPath) else best
 
 
 BRACKET_FLAVORS = ("predictable", "continuous", "jumps", "optional")
 
 
-def bracket_terminal(path: ItoPath, flavor: str = "optional") -> float:
-    """Terminal bracket of one path in the requested flavor.
+def bracket_terminal(path: _Paths, flavor: str = "optional"):
+    """Terminal bracket in the requested flavor: a float for one path, a
+    (P,) array for a tuple of P paths on one grid.
 
     "predictable" and "continuous" are control-measure brackets (total and
     continuous-part); "jumps" is the realized sum of squared jumps;
     "optional" is continuous plus jumps.
     """
-    if flavor == "predictable":
-        return float(predictable_qv(path, "total")[-1])
-    if flavor == "continuous":
-        return float(predictable_qv(path, "continuous")[-1])
+    paths = _chunk_of(path)
     if flavor == "jumps":
-        dx = path.jumps["delta"]  # cumsum adds in jump order, as the bracket accumulates
-        return float(np.cumsum(np.vecdot(dx, dx))[-1]) if len(dx) else 0.0
-    if flavor == "optional":
-        return float(optional_qv(path)[-1])
-    raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
+        rows, pid = _chunk_rows([p.jumps for p in paths])
+        dx = rows["delta"]  # summed in jump order, as the bracket accumulates
+        terminal = _sum_by_path(np.vecdot(dx, dx), pid, len(paths))
+    elif flavor == "optional":
+        terminal = optional_qv(paths)[:, -1]
+    elif flavor in ("predictable", "continuous"):
+        terminal = predictable_qv(paths, "total" if flavor == "predictable" else flavor)[:, -1]
+    else:
+        raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
+    return float(terminal[0]) if isinstance(path, ItoPath) else terminal
 
 
 @dataclass(frozen=True)
@@ -127,20 +132,16 @@ def walk_ensemble(
     process: ItoProcessSpec, spec: NoiseSpec, grid: TimeGrid, n_paths: int, seed: int
 ) -> Ensemble:
     """Walk the same process on n_paths independent driving samples and
-    keep each path's statistics; the paths themselves are not kept. Each
-    bracket column equals ``bracket_terminal`` of its flavor; the continuous
-    and optional columns share one computation of the continuous steps."""
-
-    def row(path):
-        end = path.terminal
-        cont = _bracket_steps(path, "continuous")
-        opt = _add_jumps(cont.copy(), path, path)
-        pred, jumps = bracket_terminal(path, "predictable"), bracket_terminal(path, "jumps")
-        brackets = (pred, float(np.cumsum(cont)[-1]), jumps, float(np.cumsum(opt)[-1]))
-        return (path_running_sup(path), float(np.linalg.norm(end)), float(end @ end), *brackets)
+    keep each path's statistics; the paths themselves are not kept. One
+    call per statistic measures a walked chunk, so each column equals
+    ``path_running_sup`` or ``bracket_terminal`` of its flavor."""
 
     def measure(samples):
-        return [row(path) for path in simulate_ito_process(process, samples)]
+        paths = simulate_ito_process(process, samples)
+        end = np.stack([path.terminal for path in paths])
+        square = np.vecdot(end, end)
+        brackets = [bracket_terminal(paths, flavor) for flavor in BRACKET_FLAVORS]
+        return np.stack([path_running_sup(paths), np.sqrt(square), square, *brackets], axis=1)
 
     rows = _per_path(spec, grid, seed, n_paths, measure)
     stats = np.empty(n_paths, _STATS_DTYPE)

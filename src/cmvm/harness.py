@@ -454,21 +454,15 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
     ks, kt = int(p["s_step"]), cfg.n_steps
-    events = {
-        "always": lambda path: True,
-        "first-up": lambda path: bool(path.values[1][0] > path.values[0][0]),
-        "first-down": lambda path: bool(path.values[1][0] <= path.values[0][0]),
-    }
-
-    def row(path):
-        inc = path.values[kt] - path.values[ks]
-        bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
-            path, "total", upto_step=ks
-        )
-        return (float(inc @ inc), bracket, *(float(event(path)) for event in events.values()))
+    events = ("always", "first-up", "first-down")  # by the first coordinate's first step
 
     def measure(samples):
-        return [row(path) for path in integrate(integrand, samples)]
+        paths = integrate(integrand, samples)
+        values = np.stack([path.values for path in paths])
+        inc, (start, first) = values[:, kt] - values[:, ks], (values[:, 0, 0], values[:, 1, 0])
+        bracket = predictable_qv(paths)
+        hits = (np.ones(len(paths)), first > start, first <= start)
+        return np.stack([np.vecdot(inc, inc), bracket[:, kt] - bracket[:, ks], *hits], axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     sq, bracket = rows[:, 0], rows[:, 1]
@@ -508,23 +502,21 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     ia, ib, iab = (constant_integrand(m) for m in (mat_a, mat_b, mat_a + mat_b))
     names = [f"mass-{flavor}" for flavor in QV_FLAVORS] + ["optional-additivity", "polarization"]
 
-    def row(path, pa, pb, pab):
+    def measure(samples):
+        paths, pa, pb, pab = (integrate(i, samples) for i in (adapted, ia, ib, iab))
         errors = []
         for flavor in QV_FLAVORS:
-            pred = float(predictable_qv(path, flavor)[-1])
-            real = realized_lambda2_mass(path, flavor)
-            errors.append(abs(pred - real) / max(1.0, abs(pred)))
-        opt = float(optional_qv(path)[-1])
-        cont = bracket_terminal(path, "continuous")
-        jumps = bracket_terminal(path, "jumps")
-        errors.append(abs(opt - (cont + jumps)) / max(1.0, opt))
-        lhs = optional_qv(pab)[-1]
-        rhs = optional_qv(pa)[-1] + 2.0 * optional_qv(pa, pb)[-1] + optional_qv(pb)[-1]
-        errors.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return errors
-
-    def measure(samples):
-        return list(map(row, *(integrate(i, samples) for i in (adapted, ia, ib, iab))))
+            pred = predictable_qv(paths, flavor)[:, -1]
+            # the reference formula prices one path at a time
+            real = np.array([realized_lambda2_mass(path, flavor) for path in paths])
+            errors.append(np.abs(pred - real) / np.maximum(1.0, np.abs(pred)))
+        opt = optional_qv(paths)[:, -1]
+        cont, jumps = (bracket_terminal(paths, flavor) for flavor in ("continuous", "jumps"))
+        errors.append(np.abs(opt - (cont + jumps)) / np.maximum(1.0, opt))
+        lhs = optional_qv(pab)[:, -1]
+        rhs = optional_qv(pa)[:, -1] + 2.0 * optional_qv(pa, pb)[:, -1] + optional_qv(pb)[:, -1]
+        errors.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
+        return np.stack(errors, axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     worst = {name: float(np.max(col)) for name, col in zip(names, rows.T)}
@@ -685,10 +677,8 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     def row(path):
         cont, jump, fv = decompose_integral(path)
         gap = np.abs(cont + jump + fv - path.values).max()
-        total = realized_lambda2_mass(path, "total")
-        split = realized_lambda2_mass(path, "continuous") + realized_lambda2_mass(
-            path, "discontinuous"
-        )
+        total, cont_mass, jump_mass = (realized_lambda2_mass(path, f) for f in QV_FLAVORS)
+        split = cont_mass + jump_mass
         return gap / max(1.0, np.abs(path.values).max()), abs(total - split) / max(1.0, total)
 
     def measure(samples):
@@ -698,16 +688,12 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     worst_sum, worst_mass = (float(v) for v in np.max(rows, axis=0))
     tab = spec.tables
     total, parts = tab.flavor("total"), (tab.flavor("continuous"), tab.flavor("discontinuous"))
-    worst_mix = 0.0
-    for j in range(spec.n_cells):
-        if total.rate[j] <= 0:
-            continue
-        lhs = total.field[j] * total.rate[j]
-        rhs = np.zeros_like(lhs)
-        for part in parts:
-            if part.rate[j] > 0:
-                rhs = rhs + part.rate[j] * part.field[j]
-        worst_mix = max(worst_mix, float(np.linalg.norm(lhs - rhs)))
+    # each charged cell's total field against its flavors' rate-weighted mixture
+    mixtures = (
+        (total.field[j] * total.rate[j], sum(q.rate[j] * q.field[j] for q in parts if q.rate[j] > 0))
+        for j in range(spec.n_cells) if total.rate[j] > 0
+    )
+    worst_mix = max(float(np.linalg.norm(lhs - rhs)) for lhs, rhs in mixtures)
     checks = [
         _check("parts-sum-to-path", worst_sum, 0.0, tol, worst_sum <= tol),
         _check("flavor-mass-additivity", worst_mass, 0.0, tol, worst_mass <= tol),

@@ -340,6 +340,33 @@ class ItoPath:
         return self.values[-1]
 
 
+_Paths = Union[ItoPath, Tuple[ItoPath, ...]]
+
+
+def _chunk_of(path: _Paths) -> Tuple[ItoPath, ...]:
+    """The paths a measure (a bracket, a running sup, the chain-rule terms)
+    prices with a leading path axis: one path as a chunk of one, or a tuple."""
+    paths = (path,) if isinstance(path, ItoPath) else tuple(path)
+    if not paths or any(p.grid != paths[0].grid for p in paths):
+        raise ValueError("the paths of one call must share one grid" if paths else "no path to price")
+    return paths
+
+
+def _chunk_rows(records: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """One record array per path joined in path order (a single path's
+    array as it is, without a copy), and the index of each row's path."""
+    if len(records) == 1:
+        return records[0], np.zeros(len(records[0]), np.intp)
+    return _concat_records(records), np.repeat(np.arange(len(records)), [len(r) for r in records])
+
+
+def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
+    """Each path's rows summed in row order, (n_paths, *tail), whatever its chunk."""
+    out = np.zeros((n_paths,) + rows.shape[1:])
+    np.add.at(out, pid, rows)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ItoProcessSpec:
     """X = initial + drift + stochastic integral of ``integrand``."""
@@ -421,11 +448,8 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     if has_drift:
         drift[:] = dr
 
-    # the chunk's noise jumps, path-major, each path's rows sorted by (step,
-    # time); a lone sample's rows are used as they are, without a copy
-    counts = [len(s.jumps) for s in samples]
-    noise = samples[0].jumps if n_paths == 1 else _concat_records([s.jumps for s in samples])
-    pid = np.repeat(np.arange(n_paths), counts)
+    # the chunk's noise jumps, path-major, each path's rows sorted by (step, time)
+    noise, pid = _chunk_rows([s.jumps for s in samples])
     step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
     if adapted:
@@ -480,7 +504,7 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     jumps = np.empty(len(noise), _jump_dtype(d_out))
     for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
         jumps[name] = column
-    bounds = list(accumulate(counts, initial=0))
+    bounds = list(accumulate((len(s.jumps) for s in samples), initial=0))
     values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
     for array in (jumps, values, phis, stoch, drift):
         array.setflags(write=False)
@@ -532,15 +556,17 @@ def realized_lambda2_mass(
     ``root_j`` is the square root of the flavor's normalized covariance on
     cell j and mass_kj the flavor's measure of the step-cell block. For a
     deterministic integrand this IS the squared norm of the integrand over
-    the window; for adapted integrands it is one sample of it.
+    the window; for adapted integrands it is one sample of it. ``upto_step``
+    (0..n_steps) ends the window early; any other value raises ValueError.
     """
     table = path.sample.spec.tables.flavor(flavor)
     n = path.grid.n_steps if upto_step is None else upto_step
-    dt = path.grid.dt
+    if not 0 <= n <= path.grid.n_steps:
+        raise ValueError(f"upto_step must lie in 0..{path.grid.n_steps}, got {upto_step}")
     total = 0.0
     for j in np.nonzero(table.rate)[0]:
         prods = path.phis[:n, j] @ table.root[j]
-        total += float(np.sum(prods * prods)) * table.rate[j] * dt
+        total += float(np.sum(prods * prods)) * table.rate[j] * path.grid.dt
     return total
 
 
@@ -628,18 +654,14 @@ def decompose_integral(path: ItoPath):
     (continuous, jump, fv) as (n_steps + 1, dim) arrays; the fv part carries
     the initial value and the drift.
     """
-    n = path.grid.n_steps
-    d = path.dim_out
-    cont = np.zeros((n + 1, d))
-    np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
-    jump_steps = np.zeros((n, d))
+    jump_steps = np.zeros((path.grid.n_steps, path.dim_out))
     np.add.at(jump_steps, path.jumps["step"], path.jumps["delta"])
-    jump = np.zeros((n + 1, d))
-    np.cumsum(jump_steps, axis=0, out=jump[1:])
-    fv = np.zeros((n + 1, d))
-    np.cumsum(path.drift, axis=0, out=fv[1:])
-    fv += path.initial
-    return cont, jump, fv
+    origin = np.zeros((1, path.dim_out))
+    cont, jump, fv = (
+        np.cumsum(np.concatenate([origin, steps]), axis=0)
+        for steps in (path.stoch_cont, jump_steps, path.drift)
+    )
+    return cont, jump, fv + path.initial
 
 
 def integrate_process(

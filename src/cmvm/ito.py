@@ -36,12 +36,11 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import ItoPath
-from .noise import _concat_records
+from .integrate import ItoPath, _chunk_of, _chunk_rows, _Paths, _sum_by_path
 from .quadvar import _bracket_steps
 
 __all__ = [
@@ -251,28 +250,6 @@ class ItoTerms:
         return self.time + self.fv + self.stoch + self.trace + self.jump
 
 
-_Paths = Union[ItoPath, Tuple[ItoPath, ...]]
-
-
-def _chunk_of(path: _Paths) -> Tuple[ItoPath, ...]:
-    """The paths of an ito_terms argument: one path as a chunk of one, or a
-    tuple of paths on one grid."""
-    paths = (path,) if isinstance(path, ItoPath) else tuple(path)
-    if not paths:
-        raise ValueError("no path to price")
-    if any(p.grid != paths[0].grid for p in paths):
-        raise ValueError("the paths of one call must share one grid")
-    return paths
-
-
-def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
-    """Sum the rows of each path in row order, (n_paths, *tail): a path's
-    sum does not depend on the other paths of its chunk."""
-    out = np.zeros((n_paths,) + rows.shape[1:])
-    np.add.at(out, pid, rows)
-    return out
-
-
 def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
     """Chain-rule decomposition of f along one walked path, or along each
     path of a tuple of paths on one grid, priced together.
@@ -296,14 +273,13 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
     hess = f.d_xx(t, x)
     if trace_variant == "compensator":
         # the continuous operator steps S_k price the trace as 0.5 <hess, S_k>
-        steps = np.stack([_bracket_steps(p, "continuous", operator=True) for p in paths])
+        steps = _bracket_steps(paths, "continuous", operator=True)
         trace = 0.5 * np.einsum("pnkab,pnab->pk", hess, steps)
     else:
         trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
     # the chunk's jump rows, each with the index of its path
-    rec = _concat_records([p.jumps for p in paths])
-    pid = np.repeat(np.arange(n_paths), [len(p.jumps) for p in paths])
+    rec, pid = _chunk_rows([p.jumps for p in paths])
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
     jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc

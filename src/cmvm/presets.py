@@ -8,6 +8,8 @@ horizon carries order-one quadratic-variation mass in every cell.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .noise import (
@@ -82,9 +84,12 @@ def preset_names() -> list:
 
 
 def make_preset(name: str) -> NoiseSpec:
-    """Build a named preset, already normalized."""
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown noise preset {name!r}; expected one of {preset_names()}") from None
-    return normalize_spec(factory())
+    """A named preset, normalized, built once and shared: specs are read-only."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown noise preset {name!r}; expected one of {preset_names()}")
+    return _built(name)
+
+
+@lru_cache(maxsize=None)
+def _built(name: str) -> NoiseSpec:
+    return normalize_spec(PRESETS[name]())

@@ -18,7 +18,8 @@ re-simulation:
 Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
 products. The continuous/discontinuous flavors add up to the total exactly;
-tests lean on that identity.
+tests lean on that identity. The kernel and the brackets take one path, or
+a tuple of P paths on one grid with a leading (P, ...) axis on the result.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrate import ItoPath
+from .integrate import ItoPath, _chunk_of, _chunk_rows, _Paths
 
 __all__ = [
     "predictable_qv",
@@ -44,46 +45,52 @@ __all__ = [
 
 
 def _bracket_steps(
-    path: ItoPath, flavor: str, other: Optional[ItoPath] = None, operator: bool = False
+    path: _Paths, flavor: str, other: Optional[_Paths] = None, operator: bool = False
 ) -> np.ndarray:
     """Per-step increments sum_j rate_j dt * phi_kj Q_j psi_kj^T of the
     flavor's control-measure bracket, over its active cells.
 
     psi is ``other``'s integrand (``path``'s own by default). Returns the
-    operators, shape (n_steps, d, d), or their traces, shape (n_steps,).
+    operators, shape (n_steps, d, d), or their traces, shape (n_steps,),
+    with a leading (P, ...) axis for a tuple of P paths on one grid.
     """
-    other = path if other is None else other
-    table = path.sample.spec.tables.flavor(flavor)
-    n, d, dt = path.grid.n_steps, path.dim_out, path.grid.dt
-    steps = np.zeros((n, d, d) if operator else n)
-    subscripts = "kab,bc,kdc->kad" if operator else "kab,bc,kac->k"
+    paths = _chunk_of(path)
+    others = paths if other is None or other is path else _chunk_of(other)
+    if any(p.sample.spec is not paths[0].sample.spec for p in paths):  # several noise models
+        return np.stack([_bracket_steps(p, flavor, q, operator) for p, q in zip(paths, others)])
+    phi = np.stack([p.phis for p in paths]) if len(paths) > 1 else paths[0].phis[None]
+    psi = phi if others is paths else np.stack([p.phis for p in others])
+    table = paths[0].sample.spec.tables.flavor(flavor)
+    grid, d = paths[0].grid, paths[0].dim_out
+    steps = np.zeros((len(paths), grid.n_steps) + ((d, d) if operator else ()))
+    subscripts = "pkab,bc,pkdc->pkad" if operator else "pkab,bc,pkac->pk"
     for j, rate in enumerate(table.rate):
         if rate > 0.0:
-            phi, psi = path.phis[:, j], other.phis[:, j]
-            steps += np.einsum(subscripts, phi, table.field[j], psi) * (rate * dt)
-    return steps
+            steps += np.einsum(subscripts, phi[:, :, j], table.field[j], psi[:, :, j]) * (rate * grid.dt)
+    return steps[0] if isinstance(path, ItoPath) else steps
 
 
-def _add_jumps(steps: np.ndarray, path: ItoPath, other: ItoPath) -> np.ndarray:
+def _add_jumps(steps: np.ndarray, path: _Paths, other: _Paths) -> np.ndarray:
     """Add each realized jump's delta product (inner product into trace
-    steps, outer product into operator steps) to the step it happens in."""
-    jumps = path.jumps
-    if len(jumps):  # a path without jumps skips the numpy calls
-        da, db = jumps["delta"], other.jumps["delta"]
-        prods = np.vecdot(da, db) if steps.ndim == 1 else da[:, :, None] * db[:, None, :]
-        np.add.at(steps, jumps["step"], prods)
+    steps, outer product into operator steps) to the step it happens in, in
+    place; ``steps`` are shaped as ``_bracket_steps`` returns them."""
+    rows, pid = _chunk_rows([p.jumps for p in _chunk_of(path)])
+    da = rows["delta"]
+    db = da if other is path else _chunk_rows([p.jumps for p in _chunk_of(other)])[0]["delta"]
+    chunk = steps[None] if isinstance(path, ItoPath) else steps
+    prods = da[:, :, None] * db[:, None, :] if chunk.ndim == 4 else np.vecdot(da, db)
+    np.add.at(chunk, (pid, rows["step"]), prods)
     return steps
 
 
 def _cumulative(steps: np.ndarray) -> np.ndarray:
-    """Running sums of the steps, starting from zero at the origin."""
-    out = np.zeros((len(steps) + 1,) + steps.shape[1:])
-    np.cumsum(steps, axis=0, out=out[1:])
-    return out
+    """Running sums of trace steps over the last axis, from zero at the origin."""
+    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), np.cumsum(steps, axis=-1)], axis=-1)
 
 
-def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
-    """Cumulative predictable bracket <I>_{t_k} for k = 0..n_steps.
+def predictable_qv(path: _Paths, flavor: str = "total") -> np.ndarray:
+    """Cumulative predictable bracket <I>_{t_k} for k = 0..n_steps: shape
+    (n_steps + 1,) for one path, (P, n_steps + 1) for a tuple of P paths.
 
     Step k adds sum_j trace(phi_kj Q_j phi_kj^T) * mass_kj over the flavor's
     active cells. Nondecreasing, zero at the origin.
@@ -91,32 +98,34 @@ def predictable_qv(path: ItoPath, flavor: str = "total") -> np.ndarray:
     return _cumulative(_bracket_steps(path, flavor))
 
 
-def _check_pair(path: ItoPath, other: Optional[ItoPath]) -> ItoPath:
-    """The second path of a bracket: ``path`` itself, or a cross partner
-    walked on the same driving sample with the same jump rows."""
+def _check_pair(path: _Paths, other: Optional[_Paths]) -> _Paths:
+    """The second argument of a bracket: ``path`` itself, or a cross partner
+    path by path walked on the same driving sample with the same jump rows."""
     if other is None:
         return path
-    a, b = path.sample, other.sample
-    if (a.seed, a.path_index, a.grid, a.spec) != (b.seed, b.path_index, b.grid, b.spec):
+    pa, pb = _chunk_of(path), _chunk_of(other)
+    a, b = ([(p.sample.seed, p.sample.path_index, p.grid, p.sample.spec) for p in c] for c in (pa, pb))
+    if a != b or isinstance(path, ItoPath) != isinstance(other, ItoPath):
         raise ValueError(
-            "cross bracket needs both paths walked on the same driving sample; "
-            f"got seeds {a.seed}/{b.seed}, path indices {a.path_index}/{b.path_index}"
+            "cross bracket needs both paths walked on the same driving sample; got (seed, "
+            f"path index) {[key[:2] for key in a]} and {[key[:2] for key in b]}"
         )
-    ja, jb = path.jumps, other.jumps
+    (ja, ia), (jb, ib) = _chunk_rows([p.jumps for p in pa]), _chunk_rows([p.jumps for p in pb])
     rows = ("step", "time", "cell")
-    if len(ja) != len(jb) or not all(np.array_equal(ja[f], jb[f]) for f in rows):
+    if not np.array_equal(ia, ib) or not all(np.array_equal(ja[f], jb[f]) for f in rows):
         raise ValueError("paths disagree on the jump sequence")
     return other
 
 
-def optional_qv(path: ItoPath, other: Optional[ItoPath] = None) -> np.ndarray:
-    """Cumulative optional bracket [I]_{t_k} (or cross bracket [I, J]_{t_k}).
+def optional_qv(path: _Paths, other: Optional[_Paths] = None) -> np.ndarray:
+    """Cumulative optional bracket [I]_{t_k} (or cross bracket [I, J]_{t_k}),
+    shaped as ``predictable_qv``.
 
     The continuous part is the predictable bracket of the continuous flavor;
     every realized jump contributes the product of its deltas at the step it
-    happens in. A cross bracket requires the other path to be walked on the
-    same driving sample, with the same jumps at the same steps, times and
-    cells.
+    happens in. A cross bracket requires each other path to be walked on the
+    same driving sample as its partner, with the same jumps at the same
+    steps, times and cells.
     """
     other = _check_pair(path, other)
     return _cumulative(_add_jumps(_bracket_steps(path, "continuous", other), path, other))

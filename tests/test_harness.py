@@ -186,6 +186,44 @@ def test_noise_model_file_as_preset(tmp_path):
     assert res.passed
 
 
+# a two-cell 1-d model: a mixed cell and a jump-only cell
+_ONE_D_MODEL = {
+    "dim": 1,
+    "partition": [0.0, 0.5, 1.0],
+    "cells": [
+        {
+            "diffusion": {"cov": [[0.8]], "intensity": 1.2},
+            "jump": {"rate": 1.5, "amplitude": {"kind": "two_point", "vector": [0.6]}},
+        },
+        {"diffusion": None, "jump": {"rate": 2.0, "amplitude": {"kind": "gaussian", "cov": [[0.3]]}}},
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", ["verify-decomposition", "verify-qv"])
+@pytest.mark.parametrize("shape", ["3x2", "1x1"])
+def test_exact_gates_hold_on_other_shapes(scenario, shape, tmp_path):
+    """The exact per-path gates on shapes other than 2x2, where the bracket
+    kernel's chunk einsums run with dim_out != dim_in or on a 1-d model:
+    phi 3x2 on mixed-default, and phi 1x1 on a two-cell 1-d model file."""
+    if shape == "3x2":
+        params = {"phi": [[0.9, 0.2], [-0.3, 1.1], [0.4, 0.5]], "weight": [0.6, -0.2, 0.3]}
+        params["phi_b"] = [[0.2, -0.5], [0.7, 0.1], [-0.4, 0.3]]
+        preset = "mixed-default"
+    else:
+        params = {"phi": [[0.9]], "weight": [0.6], "phi_b": [[-0.4]]}
+        model = tmp_path / "one-d.json"
+        model.write_text(json.dumps(_ONE_D_MODEL))
+        preset = str(model)
+    if scenario == "verify-decomposition":
+        del params["phi_b"]
+    overrides = [f"preset={preset}", "n_paths=40"]
+    overrides += [f"params.{key}={json.dumps(value)}" for key, value in params.items()]
+    res = run(apply_overrides(load_config(scenario), overrides), str(tmp_path / "out"))
+    assert res.passed, res.checks
+    assert all(c["value"] <= 1e-12 for c in res.checks)
+
+
 def test_cli_list_and_validate(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out

@@ -12,16 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cmvm.burkholder import BRACKET_FLAVORS, bracket_terminal, path_running_sup
 from cmvm.integrate import (
     _per_path,
     _quartiles,
     constant_integrand,
+    deterministic_integrand,
     integrate,
     realized_lambda2_mass,
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
-from cmvm.noise import TimeGrid, sample_path
+from cmvm.noise import QV_FLAVORS, TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
     _REFINEMENTS,
@@ -132,6 +134,86 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
     assert len(p0.jumps) > 0
     with pytest.raises(ValueError, match="jump sequence"):
         optional_qv(p0, replace(p0, jumps=p0.jumps[1:]))
+
+
+def test_realized_mass_window_must_lie_on_the_grid(paths):
+    """upto_step runs over 0..n_steps; a negative or too large step would
+    slice a different window without a word, so it raises."""
+    p = paths[0]
+    assert realized_lambda2_mass(p, upto_step=0) == 0.0
+    assert realized_lambda2_mass(p, upto_step=8) == realized_lambda2_mass(p)
+    for bad in (-1, 9, 99):
+        with pytest.raises(ValueError, match="upto_step"):
+            realized_lambda2_mass(p, "total", upto_step=bad)
+
+
+# a chunk of paths with and without jump rows, on a short horizon where
+# about a third of the paths of a jump model draw no jump
+_SHORT = TimeGrid(0.25, 8)
+_INTEGRANDS = {
+    "time-varying": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
+    "state-linear": state_linear_integrand(PHI, [0.6, -0.2], 0.4),
+}
+
+
+def _mixed_chunk(spec, seed):
+    """Three paths with jump rows and three without, in path order (only
+    the three without on a continuous model)."""
+    samples = [sample_path(spec, _SHORT, seed=seed, path_index=i) for i in range(40)]
+    busy = [s for s in samples if len(s.jumps)][:3]
+    quiet = [s for s in samples if not len(s.jumps)][:3]
+    return tuple(sorted(busy + quiet, key=lambda s: s.path_index))
+
+
+@pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("preset", ["gauss-default", "jump-default", "mixed-default"])
+def test_chunk_gives_each_path_its_bits_alone(preset, integrand):
+    """Every bracket measure priced on a chunk gives each path the bytes it
+    gets priced alone: the predictable bracket in every flavor, the
+    optional and cross brackets, the terminal bracket in every flavor, the
+    running sup and the operator steps."""
+    spec = make_preset(preset)
+    samples = _mixed_chunk(spec, seed=61)
+    if any(cell.has_jumps for cell in spec.cells):
+        assert 0 < sum(1 for s in samples if len(s.jumps)) < len(samples)
+    chunk = integrate(_INTEGRANDS[integrand], samples)
+    partner = integrate(constant_integrand([[0.2, -0.5], [0.7, 0.1]]), samples)
+    n = _SHORT.n_steps
+
+    def same_rows(block, alone, shape):
+        assert block.shape == (len(chunk), *shape)
+        for i, path in enumerate(chunk):
+            assert block[i].tobytes() == alone(path, partner[i]).tobytes()
+
+    for flavor in QV_FLAVORS:
+        same_rows(predictable_qv(chunk, flavor), lambda p, q: predictable_qv(p, flavor), (n + 1,))
+        steps = _bracket_steps(chunk, flavor, operator=True)
+        same_rows(steps, lambda p, q: _bracket_steps(p, flavor, operator=True), (n, 2, 2))
+    same_rows(optional_qv(chunk), lambda p, q: optional_qv(p), (n + 1,))
+    same_rows(optional_qv(chunk, partner), lambda p, q: optional_qv(p, q), (n + 1,))
+    steps = _add_jumps(_bracket_steps(chunk, "continuous", operator=True), chunk, chunk)
+    alone = lambda p, q: _add_jumps(_bracket_steps(p, "continuous", operator=True), p, p)
+    same_rows(steps, alone, (n, 2, 2))
+    for flavor in BRACKET_FLAVORS:
+        terminal = bracket_terminal(chunk, flavor)
+        same_rows(terminal, lambda p, q: np.float64(bracket_terminal(p, flavor)), ())
+        assert isinstance(bracket_terminal(chunk[0], flavor), float)
+    same_rows(path_running_sup(chunk), lambda p, q: np.float64(path_running_sup(p)), ())
+
+
+def test_cross_bracket_of_chunks_checks_every_pair(mixed):
+    """Two chunks whose paths pair up except in one place are refused, and
+    so is a chunk paired with a single path."""
+    samples = _mixed_chunk(mixed, seed=61)
+    ia = constant_integrand(PHI)
+    chunk = integrate(ia, samples)
+    swapped = samples[:2] + (sample_path(mixed, _SHORT, seed=61, path_index=99),) + samples[3:]
+    with pytest.raises(ValueError, match="same driving sample"):
+        optional_qv(chunk, integrate(ia, swapped))
+    with pytest.raises(ValueError, match="same driving sample"):
+        optional_qv(chunk, chunk[0])
+    with pytest.raises(ValueError, match="same driving sample"):
+        optional_qv(chunk, chunk[:-1])
 
 
 def test_realized_variance_is_unbiased(paths):
