@@ -74,7 +74,8 @@ def continuous_constant(p: float) -> float:
 
 def path_running_sup(path: _Paths):
     """Largest norm the path attains at grid points and around its jumps: a
-    float for one path, a (P,) array for a tuple of P paths on one grid."""
+    float for one path, a (P,) array for a tuple of P paths of one noise
+    model and grid."""
     paths = _chunk_of(path)
     best = np.linalg.norm(np.stack([p.values for p in paths]), axis=2).max(axis=1)
     rows, pid = _chunk_rows([p.jumps for p in paths])
@@ -88,7 +89,7 @@ BRACKET_FLAVORS = ("predictable", "continuous", "jumps", "optional")
 
 def bracket_terminal(path: _Paths, flavor: str = "optional"):
     """Terminal bracket in the requested flavor: a float for one path, a
-    (P,) array for a tuple of P paths on one grid.
+    (P,) array for a tuple of P paths of one noise model and grid.
 
     "predictable" and "continuous" are control-measure brackets (total and
     continuous-part); "jumps" is the realized sum of squared jumps;

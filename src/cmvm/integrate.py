@@ -345,10 +345,14 @@ _Paths = Union[ItoPath, Tuple[ItoPath, ...]]
 
 def _chunk_of(path: _Paths) -> Tuple[ItoPath, ...]:
     """The paths a measure (a bracket, a running sup, the chain-rule terms)
-    prices with a leading path axis: one path as a chunk of one, or a tuple."""
+    prices with a leading path axis: one path as a chunk of one, or a tuple
+    of paths walked on one grid against one noise model, as ``_walk`` makes."""
     paths = (path,) if isinstance(path, ItoPath) else tuple(path)
-    if not paths or any(p.grid != paths[0].grid for p in paths):
-        raise ValueError("the paths of one call must share one grid" if paths else "no path to price")
+    if not paths:
+        raise ValueError("no path to price")
+    first = paths[0]
+    if any(p.grid != first.grid or p.sample.spec is not first.sample.spec for p in paths):
+        raise ValueError("the paths of one call must share one grid and one noise model")
     return paths
 
 
@@ -561,12 +565,13 @@ def realized_lambda2_mass(
     """
     table = path.sample.spec.tables.flavor(flavor)
     n = path.grid.n_steps if upto_step is None else upto_step
+    dt = path.grid.dt
     if not 0 <= n <= path.grid.n_steps:
         raise ValueError(f"upto_step must lie in 0..{path.grid.n_steps}, got {upto_step}")
     total = 0.0
     for j in np.nonzero(table.rate)[0]:
         prods = path.phis[:n, j] @ table.root[j]
-        total += float(np.sum(prods * prods)) * table.rate[j] * path.grid.dt
+        total += float(np.sum(prods * prods)) * table.rate[j] * dt
     return total
 
 
@@ -654,14 +659,18 @@ def decompose_integral(path: ItoPath):
     (continuous, jump, fv) as (n_steps + 1, dim) arrays; the fv part carries
     the initial value and the drift.
     """
-    jump_steps = np.zeros((path.grid.n_steps, path.dim_out))
+    n = path.grid.n_steps
+    d = path.dim_out
+    cont = np.zeros((n + 1, d))
+    np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
+    jump_steps = np.zeros((n, d))
     np.add.at(jump_steps, path.jumps["step"], path.jumps["delta"])
-    origin = np.zeros((1, path.dim_out))
-    cont, jump, fv = (
-        np.cumsum(np.concatenate([origin, steps]), axis=0)
-        for steps in (path.stoch_cont, jump_steps, path.drift)
-    )
-    return cont, jump, fv + path.initial
+    jump = np.zeros((n + 1, d))
+    np.cumsum(jump_steps, axis=0, out=jump[1:])
+    fv = np.zeros((n + 1, d))
+    np.cumsum(path.drift, axis=0, out=fv[1:])
+    fv += path.initial
+    return cont, jump, fv
 
 
 def integrate_process(

@@ -22,15 +22,15 @@ which ``finite_difference_check`` compares with central differences; the
 p-th power of the norm is one of them, so its chain rule is ``ito_terms``
 with ``norm_p:<p>``. Each function and derivative broadcasts over leading
 axes of (t, x), so ``ito_terms`` prices a walked chunk at once: it takes
-one path or a tuple of paths on one grid, and makes one call per derivative
-over the (P, n, d) step-start points and one over the chunk's jump rows at
-their pre- and post-jump values, each row tagged with its path. One path is
-priced as a chunk of one, and a path's terms do not depend on its chunk;
-``verify-ito`` and ``ito-converge`` price each chunk they walk in one
-call. The module also carries the integral-form Taylor remainder (the
-object whose smallness makes the trace term the right second-order price),
-evaluated at all quadrature nodes in one call, and a sampled modulus for
-it.
+one path or a tuple of paths of one noise model and grid, and makes one
+call per derivative over the (P, n, d) step-start points and one over the
+chunk's jump rows at their pre- and post-jump values, each row tagged
+with its path. One path is priced as a chunk of one, and a path's terms do
+not depend on its chunk; ``verify-ito`` and ``ito-converge`` price each
+chunk they walk in one call. The module also carries the integral-form
+Taylor remainder (the object whose smallness makes the trace term the
+right second-order price), evaluated at all quadrature nodes in one call,
+and a sampled modulus for it.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ class ItoTerms:
 
 def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
     """Chain-rule decomposition of f along one walked path, or along each
-    path of a tuple of paths on one grid, priced together.
+    path of a tuple of paths of one noise model and grid, priced together.
 
     The trace term prices the continuous second-order variation either
     against the control measure ("compensator") or against the realized

@@ -19,7 +19,8 @@ Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
 products. The continuous/discontinuous flavors add up to the total exactly;
 tests lean on that identity. The kernel and the brackets take one path, or
-a tuple of P paths on one grid with a leading (P, ...) axis on the result.
+a tuple of P paths of one noise model and grid with a leading (P, ...)
+axis on the result.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ def _bracket_steps(
 
     psi is ``other``'s integrand (``path``'s own by default). Returns the
     operators, shape (n_steps, d, d), or their traces, shape (n_steps,),
-    with a leading (P, ...) axis for a tuple of P paths on one grid.
+    with a leading (P, ...) axis for a tuple of P paths of one noise model
+    and grid.
     """
     paths = _chunk_of(path)
     others = paths if other is None or other is path else _chunk_of(other)
-    if any(p.sample.spec is not paths[0].sample.spec for p in paths):  # several noise models
-        return np.stack([_bracket_steps(p, flavor, q, operator) for p, q in zip(paths, others)])
     phi = np.stack([p.phis for p in paths]) if len(paths) > 1 else paths[0].phis[None]
     psi = phi if others is paths else np.stack([p.phis for p in others])
     table = paths[0].sample.spec.tables.flavor(flavor)

@@ -215,17 +215,18 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
     """A tuple of paths priced in one call gives each path its loop terms,
     and each path priced alone gives its row of the tuple bit for bit. The
     chunk holds the first path with at least 8 jump rows, and one path,
-    walked on a continuous model on the same grid, has none. Only the order
-    of summation differs from the loop."""
+    walked with another integrand on the first sample that draws no jump,
+    has none. Only the order of summation differs from the loop."""
     proc = ItoProcessSpec(state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2])
     grid = TimeGrid(1.0, n_steps)
-    busy = next(i for i in range(5, 500) if len(sample_path(mixed, grid, seed=909, path_index=i).jumps) >= 8)
+    jumps = lambda i: len(sample_path(mixed, grid, seed=909, path_index=i).jumps)
+    busy = next(i for i in range(5, 500) if jumps(i) >= 8)
     walked = simulate_ito_process(
         proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in (*range(5), busy))
     )
     quiet = _walk(
-        make_preset("gauss-default"), grid, constant_integrand(PHI), seed=909, path_index=0,
-        drift=[0.3, -0.2],
+        mixed, grid, constant_integrand(PHI), seed=909,
+        path_index=next(i for i in range(5, 500) if jumps(i) == 0), drift=[0.3, -0.2],
     )
     paths = walked[:2] + (quiet,) + walked[2:]
     rows = [len(path.jumps) for path in paths]

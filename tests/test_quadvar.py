@@ -23,6 +23,7 @@ from cmvm.integrate import (
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
+from cmvm.ito import ito_residual, ito_terms, make_smooth
 from cmvm.noise import QV_FLAVORS, TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
@@ -214,6 +215,19 @@ def test_cross_bracket_of_chunks_checks_every_pair(mixed):
         optional_qv(chunk, chunk[0])
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, chunk[:-1])
+
+
+def test_chunk_of_two_noise_models_is_refused(mixed):
+    """A walk never makes a tuple that spans noise models, and every chunk
+    measure refuses one as the walk refuses its samples."""
+    ia = constant_integrand(PHI)
+    other = integrate(ia, sample_path(make_preset("gauss-default"), _SHORT, seed=61))
+    chunk = (integrate(ia, sample_path(mixed, _SHORT, seed=61)), other)
+    f = make_smooth("quadratic")
+    for price in (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
+                  lambda c: ito_terms(c, f), lambda c: ito_residual(c, f)):
+        with pytest.raises(ValueError, match="share one grid and one noise model"):
+            price(chunk)
 
 
 def test_realized_variance_is_unbiased(paths):
