@@ -6,7 +6,7 @@ Lenglart domination below square power, the isometry at the square, and the
 bracket-domination route above it. ``walk_ensemble`` walks each path once
 and keeps only its statistics (running sup, terminal norm and every bracket
 flavor), one row per path: ``path_running_sup`` and ``bracket_terminal``
-take one path or a tuple of paths, and measure a walked chunk in one call.
+take one ``ItoPath`` or an ``ItoChunk``, and measure a chunk in one call.
 ``check`` estimates both sides from those columns and returns a report that
 says which constant was used and where it came from:
 
@@ -31,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, _chunk_of, _chunk_rows, _mean_se, _Paths
+from .integrate import ItoPath, ItoProcessSpec, _chunk_of, _mean_se, _Paths
 from .integrate import _per_path, _sum_by_path, simulate_ito_process
 # sample_path is not called here (walk_ensemble draws through integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
@@ -74,13 +74,12 @@ def continuous_constant(p: float) -> float:
 
 def path_running_sup(path: _Paths):
     """Largest norm the path attains at grid points and around its jumps: a
-    float for one path, a (P,) array for a tuple of P paths of one noise
-    model and grid."""
-    paths = _chunk_of(path)
-    best = np.linalg.norm(np.stack([p.values for p in paths]), axis=2).max(axis=1)
-    rows, pid = _chunk_rows([p.jumps for p in paths])
+    float for one path, a (P,) array for a chunk of P paths."""
+    chunk = _chunk_of(path)
+    best = np.linalg.norm(chunk.values, axis=2).max(axis=1)
+    rows = chunk.jumps
     for x in (rows["pre"], rows["pre"] + rows["delta"]):
-        np.maximum.at(best, pid, np.sqrt(np.vecdot(x, x)))
+        np.maximum.at(best, chunk.pid, np.sqrt(np.vecdot(x, x)))
     return float(best[0]) if isinstance(path, ItoPath) else best
 
 
@@ -89,21 +88,20 @@ BRACKET_FLAVORS = ("predictable", "continuous", "jumps", "optional")
 
 def bracket_terminal(path: _Paths, flavor: str = "optional"):
     """Terminal bracket in the requested flavor: a float for one path, a
-    (P,) array for a tuple of P paths of one noise model and grid.
+    (P,) array for a chunk of P paths.
 
     "predictable" and "continuous" are control-measure brackets (total and
     continuous-part); "jumps" is the realized sum of squared jumps;
     "optional" is continuous plus jumps.
     """
-    paths = _chunk_of(path)
+    chunk = _chunk_of(path)
     if flavor == "jumps":
-        rows, pid = _chunk_rows([p.jumps for p in paths])
-        dx = rows["delta"]  # summed in jump order, as the bracket accumulates
-        terminal = _sum_by_path(np.vecdot(dx, dx), pid, len(paths))
+        dx = chunk.jumps["delta"]  # summed in jump order, as the bracket accumulates
+        terminal = _sum_by_path(np.vecdot(dx, dx), chunk.pid, len(chunk))
     elif flavor == "optional":
-        terminal = optional_qv(paths)[:, -1]
+        terminal = optional_qv(chunk)[:, -1]
     elif flavor in ("predictable", "continuous"):
-        terminal = predictable_qv(paths, "total" if flavor == "predictable" else flavor)[:, -1]
+        terminal = predictable_qv(chunk, "total" if flavor == "predictable" else flavor)[:, -1]
     else:
         raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
     return float(terminal[0]) if isinstance(path, ItoPath) else terminal
@@ -138,11 +136,11 @@ def walk_ensemble(
     ``path_running_sup`` or ``bracket_terminal`` of its flavor."""
 
     def measure(samples):
-        paths = simulate_ito_process(process, samples)
-        end = np.stack([path.terminal for path in paths])
+        chunk = simulate_ito_process(process, samples)
+        end = chunk.values[:, -1]
         square = np.vecdot(end, end)
-        brackets = [bracket_terminal(paths, flavor) for flavor in BRACKET_FLAVORS]
-        return np.stack([path_running_sup(paths), np.sqrt(square), square, *brackets], axis=1)
+        brackets = [bracket_terminal(chunk, flavor) for flavor in BRACKET_FLAVORS]
+        return np.stack([path_running_sup(chunk), np.sqrt(square), square, *brackets], axis=1)
 
     rows = _per_path(spec, grid, seed, n_paths, measure)
     stats = np.empty(n_paths, _STATS_DTYPE)

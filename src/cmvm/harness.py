@@ -417,7 +417,8 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
     target = lambda2_norm(integrand, spec, grid, cfg.params["flavor"])
 
     def measure(samples):
-        return [(float(path.terminal @ path.terminal),) for path in integrate(integrand, samples)]
+        end = integrate(integrand, samples).values[:, -1]
+        return np.vecdot(end, end)[:, None]
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     mean, se = _mean_se(rows[:, 0])
@@ -458,7 +459,7 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
 
     def measure(samples):
         paths = integrate(integrand, samples)
-        values = np.stack([path.values for path in paths])
+        values = paths.values
         inc, (start, first) = values[:, kt] - values[:, ks], (values[:, 0, 0], values[:, 1, 0])
         bracket = predictable_qv(paths)
         hits = (np.ones(len(paths)), first > start, first <= start)
@@ -563,10 +564,8 @@ def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
     partitions = _REFINEMENTS[p["kind"]](cfg.n_steps, levels)
 
     def measure(samples):
-        return [
-            qv_refinement_study(path, partitions(path)).ravel()
-            for path in integrate(integrand, samples)
-        ]
+        study = qv_refinement_study(integrate(integrand, samples), partitions)
+        return study.reshape(len(samples), -1)  # errors, then meshes
 
     study = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     errors, meshes = study[:, : len(levels)], study[:, len(levels) :]
@@ -601,7 +600,7 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
         out = []  # per model: realized residual relative to the change, compensator residual
         for proc in procs:
             paths = simulate_ito_process(proc, samples)
-            ends = np.stack([path.values[[0, -1]] for path in paths])
+            ends = paths.values[:, [0, -1]]
             change = np.abs(f.value(cfg.horizon, ends[:, 1]) - f.value(0.0, ends[:, 0]))[:, 0]
             res = np.abs(ito_residual(paths, f, trace_variant="realized")[:, 0])
             comp = ito_residual(paths, f, trace_variant="compensator")[:, 0]

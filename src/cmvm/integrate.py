@@ -20,7 +20,9 @@ evaluator(state, cells), for the whole chunk and the tuple of the C cells
 with positive mass, in cell order; ``state.value`` has shape (P, dim_out)
 and the history readers return one row per path. It returns one (dim_out,
 dim_in) operator for every path and cell, or a 4-D stack that broadcasts
-to (P, C, dim_out, dim_in). A single sample is walked as a chunk of one.
+to (P, C, dim_out, dim_in). The walked chunk is one ItoChunk of path-axis
+arrays, which every measure takes as it is; a single sample is walked as a
+chunk of one and returned as its ItoPath.
 
 Look-ahead discipline: evaluators receive the walk state and a guarded view
 of the past. Reading at or beyond the current step raises LookAheadError.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from operator import index
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,6 +63,7 @@ __all__ = [
     "SimpleIntegrand",
     "integrate_simple",
     "ItoPath",
+    "ItoChunk",
     "ItoProcessSpec",
     "integrate",
     "simulate_ito_process",
@@ -91,11 +94,8 @@ class PathHistory:
     def __init__(self, samples: Tuple[SamplePath, ...], values: np.ndarray):
         self._samples = samples
         self._values = values  # (n_steps + 1, P, dim), filled by the walk
+        self._gauss = np.stack([s.gauss for s in samples])  # (P, n_steps, n_cells, dim)
         self._cursor = 0
-
-    @cached_property
-    def _gauss(self) -> np.ndarray:
-        return np.stack([s.gauss for s in self._samples])
 
     @cached_property
     def _jump_sums(self) -> np.ndarray:
@@ -319,7 +319,7 @@ class ItoPath:
         values[k+1] == values[k] + drift[k] + stoch_cont[k] + sum of deltas
 
     holds exactly (bitwise) in the micro-order documented on the module.
-    A path walked in a chunk holds read-only views of the chunk's arrays.
+    A path taken from a chunk holds read-only views of the chunk's arrays.
     """
 
     sample: SamplePath
@@ -332,36 +332,58 @@ class ItoPath:
     jumps: np.ndarray
 
     @property
-    def dim_out(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
 
 
-_Paths = Union[ItoPath, Tuple[ItoPath, ...]]
+@dataclass(frozen=True, eq=False)
+class ItoChunk:
+    """The P paths one walk made from a tuple of samples, as read-only
+    arrays of ``ItoPath``'s records with a leading path axis: values (P,
+    n_steps + 1, dim_out), phis (P, n_steps, n_cells, dim_out, dim_in; a
+    deterministic integrand's, broadcast) and stoch_cont (P, n_steps,
+    dim_out). drift (n_steps, dim_out) is shared; jumps holds every path's
+    rows in path order, pid[i] the path of row i. ``chunk[p]`` is path p as
+    an ``ItoPath`` of views, so ``len`` and iteration work as on a tuple.
+    """
+
+    samples: Tuple[SamplePath, ...]
+    grid: TimeGrid
+    initial: np.ndarray
+    values: np.ndarray
+    phis: np.ndarray
+    stoch_cont: np.ndarray
+    drift: np.ndarray
+    jumps: np.ndarray
+    pid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, p: int) -> ItoPath:
+        p = range(len(self.samples))[index(p)]
+        lo, hi = np.searchsorted(self.pid, (p, p + 1))
+        return ItoPath(
+            self.samples[p], self.grid, self.initial, self.values[p], self.phis[p],
+            self.stoch_cont[p], self.drift, self.jumps[lo:hi],
+        )
 
 
-def _chunk_of(path: _Paths) -> Tuple[ItoPath, ...]:
+_Paths = Union[ItoPath, ItoChunk]
+
+
+def _chunk_of(path: _Paths) -> ItoChunk:
     """The paths a measure (a bracket, a running sup, the chain-rule terms)
-    prices with a leading path axis: one path as a chunk of one, or a tuple
-    of paths walked on one grid against one noise model, as ``_walk`` makes."""
-    paths = (path,) if isinstance(path, ItoPath) else tuple(path)
-    if not paths:
-        raise ValueError("no path to price")
-    first = paths[0]
-    if any(p.grid != first.grid or p.sample.spec is not first.sample.spec for p in paths):
-        raise ValueError("the paths of one call must share one grid and one noise model")
-    return paths
-
-
-def _chunk_rows(records: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """One record array per path joined in path order (a single path's
-    array as it is, without a copy), and the index of each row's path."""
-    if len(records) == 1:
-        return records[0], np.zeros(len(records[0]), np.intp)
-    return _concat_records(records), np.repeat(np.arange(len(records)), [len(r) for r in records])
+    prices with a leading path axis: a chunk as it is, one path as a chunk
+    of one."""
+    if isinstance(path, ItoChunk):
+        return path
+    if not isinstance(path, ItoPath):
+        raise TypeError(f"expected an ItoPath or an ItoChunk, got {type(path).__name__}")
+    return ItoChunk(
+        (path.sample,), path.grid, path.initial, path.values[None], path.phis[None],
+        path.stoch_cont[None], path.drift, path.jumps, np.zeros(len(path.jumps), np.intp),
+    )
 
 
 def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
@@ -423,8 +445,14 @@ def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int
     return mats
 
 
-def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[ItoPath, ...]:
-    """One step loop for a chunk of samples of one noise model and grid."""
+_Samples = Union[SamplePath, Tuple[SamplePath, ...]]
+
+
+def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
+    """One step loop for a chunk of samples of one noise model and grid; one
+    sample is walked as a chunk of one and returned as its ItoPath."""
+    if isinstance(samples, SamplePath):
+        return _walk(process, (samples,))[0]
     if not samples:
         raise ValueError("no sample to walk")
     integrand = process.integrand
@@ -453,21 +481,20 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
         drift[:] = dr
 
     # the chunk's noise jumps, path-major, each path's rows sorted by (step, time)
-    noise, pid = _chunk_rows([s.jumps for s in samples])
+    noise = _concat_records([s.jumps for s in samples])
+    pid = np.repeat(np.arange(n_paths), [len(s.jumps) for s in samples])
     step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
+    history = PathHistory(samples, values)
+    gauss = history._gauss[:, :, sel]  # (P, n, C, dim_in)
     if adapted:
-        history = PathHistory(samples, values)
-        gauss = history._gauss[:, :, sel, None, :]  # (P, n, C, 1, dim_in)
         phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
         stoch = np.zeros((n, n_paths, d_out))
     else:
-        # operators, continuous contributions and noise-jump deltas of every
-        # step in array passes, path by path
+        # operators, continuous contributions and jump deltas in array passes;
+        # einsum lays its output out path-major, as gauss, and the loop reads steps
         phis = _deterministic_phis(integrand, samples[0], cells, sel)
-        stoch = np.empty((n, n_paths, d_out))
-        for p, sample in enumerate(samples):
-            np.einsum("kjab,kjb->ka", phis[:, sel], sample.gauss[:, sel], out=stoch[:, p])
+        stoch = np.ascontiguousarray(np.einsum("kjab,pkjb->kpa", phis[:, sel], gauss))
         if len(noise):
             delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
 
@@ -488,7 +515,7 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
             # elementwise products summed over the input axis, then over the
             # cells in cell order (accumulate adds strictly in sequence), so
             # that each path's arithmetic does not depend on its chunk
-            stoch[k] += np.add.accumulate((mats * gauss[:, k]).sum(-1), axis=1)[:, -1]
+            stoch[k] += np.add.accumulate((mats * gauss[:, k, :, None]).sum(-1), axis=1)[:, -1]
         if has_drift:
             v = values[k] + dr
             v += stoch[k]
@@ -508,48 +535,26 @@ def _walk(process: ItoProcessSpec, samples: Tuple[SamplePath, ...]) -> Tuple[Ito
     jumps = np.empty(len(noise), _jump_dtype(d_out))
     for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
         jumps[name] = column
-    bounds = list(accumulate((len(s.jumps) for s in samples), initial=0))
     values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
-    for array in (jumps, values, phis, stoch, drift):
+    for array in (jumps, values, phis, stoch, drift, pid):
         array.setflags(write=False)
-    return tuple(
-        ItoPath(
-            sample=sample,
-            grid=grid,
-            initial=process.initial,
-            values=values[p],
-            phis=phis[p] if adapted else phis,
-            stoch_cont=stoch[p],
-            drift=drift,
-            jumps=jumps[bounds[p] : bounds[p + 1]],
-        )
-        for p, sample in enumerate(samples)
-    )
+    if not adapted:
+        phis = np.broadcast_to(phis, (n_paths,) + phis.shape)
+    return ItoChunk(tuple(samples), grid, process.initial, values, phis, stoch, drift, jumps, pid)
 
 
-_Samples = Union[SamplePath, Tuple[SamplePath, ...]]
-
-
-def _walk_samples(process: ItoProcessSpec, sample: _Samples):
-    if isinstance(sample, SamplePath):
-        return _walk(process, (sample,))[0]
-    return _walk(process, tuple(sample))
-
-
-def integrate(integrand: Integrand, sample: _Samples) -> Union[ItoPath, Tuple[ItoPath, ...]]:
+def integrate(integrand: Integrand, sample: _Samples) -> _Paths:
     """Walk the stochastic integral of ``integrand`` against one noise path,
     returning its ItoPath, or against each path of a tuple of samples of one
-    model and grid, returning a tuple of ItoPaths walked by one step loop."""
-    return _walk_samples(ItoProcessSpec(integrand), sample)
+    model and grid, returning their ItoChunk walked by one step loop."""
+    return _walk(ItoProcessSpec(integrand), sample)
 
 
-def simulate_ito_process(
-    process: ItoProcessSpec, sample: _Samples
-) -> Union[ItoPath, Tuple[ItoPath, ...]]:
+def simulate_ito_process(process: ItoProcessSpec, sample: _Samples) -> _Paths:
     """Walk a process with an initial value and drift on top of the
     stochastic integral, against one sample or a tuple of them as
     ``integrate`` does."""
-    return _walk_samples(process, sample)
+    return _walk(process, sample)
 
 
 def realized_lambda2_mass(
@@ -660,7 +665,7 @@ def decompose_integral(path: ItoPath):
     the initial value and the drift.
     """
     n = path.grid.n_steps
-    d = path.dim_out
+    d = path.values.shape[1]
     cont = np.zeros((n + 1, d))
     np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
     jump_steps = np.zeros((n, d))

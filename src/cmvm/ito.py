@@ -22,15 +22,15 @@ which ``finite_difference_check`` compares with central differences; the
 p-th power of the norm is one of them, so its chain rule is ``ito_terms``
 with ``norm_p:<p>``. Each function and derivative broadcasts over leading
 axes of (t, x), so ``ito_terms`` prices a walked chunk at once: it takes
-one path or a tuple of paths of one noise model and grid, and makes one
-call per derivative over the (P, n, d) step-start points and one over the
-chunk's jump rows at their pre- and post-jump values, each row tagged
-with its path. One path is priced as a chunk of one, and a path's terms do
-not depend on its chunk; ``verify-ito`` and ``ito-converge`` price each
-chunk they walk in one call. The module also carries the integral-form
-Taylor remainder (the object whose smallness makes the trace term the
-right second-order price), evaluated at all quadrature nodes in one call,
-and a sampled modulus for it.
+one ``ItoPath`` or an ``ItoChunk``, and makes one call per derivative over
+the chunk's (P, n, d) step-start points and one over its jump rows at
+their pre- and post-jump values, each row tagged with its path. One path
+is priced as a chunk of one, and a path's terms do not depend on its
+chunk; ``verify-ito`` and ``ito-converge`` price each chunk they walk in
+one call. The module also carries the integral-form Taylor remainder (the
+object whose smallness makes the trace term the right second-order
+price), evaluated at all quadrature nodes in one call, and a sampled
+modulus for it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import ItoPath, _chunk_of, _chunk_rows, _Paths, _sum_by_path
+from .integrate import ItoPath, _chunk_of, _Paths, _sum_by_path
 from .quadvar import _bracket_steps
 
 __all__ = [
@@ -236,7 +236,7 @@ _TRACE_VARIANTS = ("compensator", "realized")
 @dataclass(frozen=True)
 class ItoTerms:
     """The five chain-rule terms of one path, each of shape (dim_value,),
-    or of a tuple of P paths, each of shape (P, dim_value)."""
+    or of a chunk of P paths, each of shape (P, dim_value)."""
 
     time: np.ndarray
     fv: np.ndarray
@@ -252,7 +252,7 @@ class ItoTerms:
 
 def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
     """Chain-rule decomposition of f along one walked path, or along each
-    path of a tuple of paths of one noise model and grid, priced together.
+    path of a walked chunk, priced together.
 
     The trace term prices the continuous second-order variation either
     against the control measure ("compensator") or against the realized
@@ -263,30 +263,28 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
         raise ValueError(
             f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
         )
-    paths = _chunk_of(path)
-    grid = paths[0].grid
-    n, n_paths = grid.n_steps, len(paths)
+    chunk = _chunk_of(path)
+    grid = chunk.grid
+    n, n_paths = grid.n_steps, len(chunk)
     # step-start points (P, n, d) against the times (n,)
-    t, x = grid.times[:n], np.stack([p.values[:n] for p in paths])
-    stoch = np.stack([p.stoch_cont for p in paths])
+    t, x, stoch = grid.times[:n], chunk.values[:, :n], chunk.stoch_cont
     grad = f.d_x(t, x)
     hess = f.d_xx(t, x)
     if trace_variant == "compensator":
         # the continuous operator steps S_k price the trace as 0.5 <hess, S_k>
-        steps = _bracket_steps(paths, "continuous", operator=True)
+        steps = _bracket_steps(chunk, "continuous", operator=True)
         trace = 0.5 * np.einsum("pnkab,pnab->pk", hess, steps)
     else:
         trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
     # the chunk's jump rows, each with the index of its path
-    rec, pid = _chunk_rows([p.jumps for p in paths])
+    rec, pid = chunk.jumps, chunk.pid
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
     jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc
-    drift = np.stack([p.drift for p in paths])
     terms = {
         "time": f.d_t(t, x).sum(axis=1) * grid.dt,
-        "fv": np.einsum("pnkd,pnd->pk", grad, drift),
+        "fv": np.einsum("pnkd,nd->pk", grad, chunk.drift),
         "stoch": np.einsum("pnkd,pnd->pk", grad, stoch) + _sum_by_path(inc, pid, n_paths),
         "trace": trace,
         "jump": _sum_by_path(jump, pid, n_paths),
@@ -298,11 +296,11 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
 
 def ito_residual(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> np.ndarray:
     """f(T, X_T) - f(0, X_0) minus the five-term total: (dim_value,) for one
-    path, (P, dim_value) for a tuple of paths."""
-    paths = _chunk_of(path)
-    ends = np.stack([p.values[[0, -1]] for p in paths])
-    change = f.value(float(paths[0].grid.horizon), ends[:, 1]) - f.value(0.0, ends[:, 0])
-    residual = change - ito_terms(paths, f, trace_variant).total
+    path, (P, dim_value) for a chunk."""
+    chunk = _chunk_of(path)
+    ends = chunk.values[:, [0, -1]]
+    change = f.value(float(chunk.grid.horizon), ends[:, 1]) - f.value(0.0, ends[:, 0])
+    residual = change - ito_terms(chunk, f, trace_variant).total
     return residual[0] if isinstance(path, ItoPath) else residual
 
 

@@ -18,9 +18,9 @@ re-simulation:
 Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
 products. The continuous/discontinuous flavors add up to the total exactly;
-tests lean on that identity. The kernel and the brackets take one path, or
-a tuple of P paths of one noise model and grid with a leading (P, ...)
-axis on the result.
+tests lean on that identity. The kernel, the brackets and the refinement
+study take one ``ItoPath``, or an ``ItoChunk`` of P paths with a leading
+(P, ...) axis on the result.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrate import ItoPath, _chunk_of, _chunk_rows, _Paths
+from .integrate import ItoPath, _chunk_of, _Paths
 
 __all__ = [
     "predictable_qv",
@@ -53,16 +53,14 @@ def _bracket_steps(
 
     psi is ``other``'s integrand (``path``'s own by default). Returns the
     operators, shape (n_steps, d, d), or their traces, shape (n_steps,),
-    with a leading (P, ...) axis for a tuple of P paths of one noise model
-    and grid.
+    with a leading (P, ...) axis for a chunk of P paths.
     """
-    paths = _chunk_of(path)
-    others = paths if other is None or other is path else _chunk_of(other)
-    phi = np.stack([p.phis for p in paths]) if len(paths) > 1 else paths[0].phis[None]
-    psi = phi if others is paths else np.stack([p.phis for p in others])
-    table = paths[0].sample.spec.tables.flavor(flavor)
-    grid, d = paths[0].grid, paths[0].dim_out
-    steps = np.zeros((len(paths), grid.n_steps) + ((d, d) if operator else ()))
+    chunk = _chunk_of(path)
+    phi = chunk.phis
+    psi = phi if other is None or other is path else _chunk_of(other).phis
+    table = chunk.samples[0].spec.tables.flavor(flavor)
+    grid, d = chunk.grid, chunk.values.shape[-1]
+    steps = np.zeros((len(chunk), grid.n_steps) + ((d, d) if operator else ()))
     subscripts = "pkab,bc,pkdc->pkad" if operator else "pkab,bc,pkac->pk"
     for j, rate in enumerate(table.rate):
         if rate > 0.0:
@@ -74,12 +72,12 @@ def _add_jumps(steps: np.ndarray, path: _Paths, other: _Paths) -> np.ndarray:
     """Add each realized jump's delta product (inner product into trace
     steps, outer product into operator steps) to the step it happens in, in
     place; ``steps`` are shaped as ``_bracket_steps`` returns them."""
-    rows, pid = _chunk_rows([p.jumps for p in _chunk_of(path)])
-    da = rows["delta"]
-    db = da if other is path else _chunk_rows([p.jumps for p in _chunk_of(other)])[0]["delta"]
-    chunk = steps[None] if isinstance(path, ItoPath) else steps
-    prods = da[:, :, None] * db[:, None, :] if chunk.ndim == 4 else np.vecdot(da, db)
-    np.add.at(chunk, (pid, rows["step"]), prods)
+    chunk = _chunk_of(path)
+    da = chunk.jumps["delta"]
+    db = da if other is path else _chunk_of(other).jumps["delta"]
+    block = steps[None] if isinstance(path, ItoPath) else steps
+    prods = da[:, :, None] * db[:, None, :] if block.ndim == 4 else np.vecdot(da, db)
+    np.add.at(block, (chunk.pid, chunk.jumps["step"]), prods)
     return steps
 
 
@@ -90,7 +88,7 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
 
 def predictable_qv(path: _Paths, flavor: str = "total") -> np.ndarray:
     """Cumulative predictable bracket <I>_{t_k} for k = 0..n_steps: shape
-    (n_steps + 1,) for one path, (P, n_steps + 1) for a tuple of P paths.
+    (n_steps + 1,) for one path, (P, n_steps + 1) for a chunk of P paths.
 
     Step k adds sum_j trace(phi_kj Q_j phi_kj^T) * mass_kj over the flavor's
     active cells. Nondecreasing, zero at the origin.
@@ -103,16 +101,15 @@ def _check_pair(path: _Paths, other: Optional[_Paths]) -> _Paths:
     path by path walked on the same driving sample with the same jump rows."""
     if other is None:
         return path
-    pa, pb = _chunk_of(path), _chunk_of(other)
-    a, b = ([(p.sample.seed, p.sample.path_index, p.grid, p.sample.spec) for p in c] for c in (pa, pb))
-    if a != b or isinstance(path, ItoPath) != isinstance(other, ItoPath):
+    a, b = _chunk_of(path), _chunk_of(other)
+    ka, kb = ([(s.seed, s.path_index) for s in c.samples] for c in (a, b))
+    if ka != kb or a.grid != b.grid or a.samples[0].spec is not b.samples[0].spec:
         raise ValueError(
             "cross bracket needs both paths walked on the same driving sample; got (seed, "
-            f"path index) {[key[:2] for key in a]} and {[key[:2] for key in b]}"
+            f"path index) {ka} and {kb}"
         )
-    (ja, ia), (jb, ib) = _chunk_rows([p.jumps for p in pa]), _chunk_rows([p.jumps for p in pb])
-    rows = ("step", "time", "cell")
-    if not np.array_equal(ia, ib) or not all(np.array_equal(ja[f], jb[f]) for f in rows):
+    rows = ["step", "time", "cell"]
+    if not np.array_equal(a.pid, b.pid) or not np.array_equal(a.jumps[rows], b.jumps[rows]):
         raise ValueError("paths disagree on the jump sequence")
     return other
 
@@ -264,18 +261,21 @@ def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoPath], list]:
 _REFINEMENTS = {"dyadic": _dyadic_levels, "adaptive": _adaptive_levels}
 
 
-def qv_refinement_study(path: ItoPath, partitions) -> np.ndarray:
-    """Riemann-vs-optional-bracket error of one path over refining partitions.
+def qv_refinement_study(path: _Paths, partitions: Callable[[ItoPath], list]) -> np.ndarray:
+    """Riemann-vs-optional-bracket error of each path over refining partitions.
 
-    For each partition (one per refinement level, see ``_REFINEMENTS``) the
-    relative error |riemann - optional| / |optional| (absolute when the
-    bracket is 0) and the mesh. Returns shape (2, len(partitions)): the
-    errors, then the meshes.
+    partitions(path) gives a path its partitions, one per refinement level
+    (see ``_REFINEMENTS``). For each, the relative error |riemann -
+    optional| / |optional| (absolute when the bracket is 0) and the mesh.
+    Returns shape (2, L) for one path, the errors, then the meshes, and (P,
+    2, L) for a chunk, whose optional-bracket targets are priced in one call.
     """
-    target = float(optional_qv(path)[-1])
-    scale = abs(target) if target != 0.0 else 1.0
-    out = np.empty((2, len(partitions)))
-    for i, part in enumerate(partitions):
-        out[0, i] = abs(riemann_qv(path, part) - target) / scale
-        out[1, i] = part.mesh(path.grid.dt)
-    return out
+    chunk = _chunk_of(path)
+    blocks = []
+    for one, target in zip(chunk, optional_qv(chunk)[:, -1].tolist()):
+        scale = abs(target) if target != 0.0 else 1.0
+        parts = partitions(one)
+        errors = [abs(riemann_qv(one, part) - target) / scale for part in parts]
+        blocks.append([errors, [part.mesh(chunk.grid.dt) for part in parts]])
+    out = np.array(blocks, dtype=np.float64)
+    return out[0] if isinstance(path, ItoPath) else out

@@ -20,6 +20,8 @@ import cmvm.integrate
 from cmvm.integrate import (
     AdaptedState,
     Integrand,
+    ItoChunk,
+    ItoPath,
     ItoProcessSpec,
     LookAheadError,
     PathHistory,
@@ -52,6 +54,7 @@ from cmvm.noise import (
     sample_path,
 )
 from cmvm.presets import make_preset
+from cmvm.quadvar import optional_qv
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
 
@@ -527,7 +530,7 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
     process = _chunk_processes()[name]
     chunk = tuple(sample_path(mixed, grid8, seed=4100, path_index=i) for i in range(9))
     walked = simulate_ito_process(process, chunk)
-    assert isinstance(walked, tuple) and len(walked) == len(chunk)
+    assert isinstance(walked, ItoChunk) and len(walked) == len(chunk)
     assert sum(len(s.jumps) for s in chunk) > 9
     for sample, path in zip(chunk, walked):
         assert path.sample is sample
@@ -538,6 +541,35 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
             assert got[field].shape == ref.shape, (name, field)
             scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
             assert np.abs(got[field] - ref).max(initial=0.0) <= 1e-12 * scale, (name, field)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "adapted"])
+def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
+    """chunk[p] is, bit for bit, the read-only path its sample gives walked
+    alone; a negative index counts from the end, an index past the end
+    raises IndexError, and a measure refuses a tuple of paths."""
+    integrand = {
+        "deterministic": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
+        "adapted": state_linear_integrand(PHI, [0.6, -0.2], 0.8),
+    }[kind]
+    samples = tuple(sample_path(mixed, grid8, seed=4100, path_index=i) for i in range(5))
+    chunk = integrate(integrand, samples)
+    assert isinstance(chunk, ItoChunk) and len(chunk) == len(samples)
+    assert 0 < len(chunk.jumps) == sum(len(s.jumps) for s in samples)
+    assert [path.sample for path in chunk] == list(samples)
+    for i, sample in enumerate(samples):
+        alone = integrate(integrand, sample)
+        for path in (chunk[i], chunk[i - len(chunk)]):
+            assert isinstance(path, ItoPath) and path.sample is sample
+            for field in ("values", "phis", "stoch_cont", "drift", "jumps"):
+                got, want = getattr(path, field), getattr(alone, field)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+                assert not got.flags.writeable, field
+    for past_end in (len(chunk), -len(chunk) - 1):
+        with pytest.raises(IndexError):
+            chunk[past_end]
+    with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk, got tuple"):
+        optional_qv(tuple(chunk))
 
 
 def test_chunk_samples_must_share_model_and_grid(mixed, grid8):

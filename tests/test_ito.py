@@ -212,23 +212,20 @@ def _loop_terms(path, f, trace_variant):
 @pytest.mark.parametrize("n_steps", [8, 64])
 @pytest.mark.parametrize("trace_variant", ["compensator", "realized"])
 def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
-    """A tuple of paths priced in one call gives each path its loop terms,
-    and each path priced alone gives its row of the tuple bit for bit. The
-    chunk holds the first path with at least 8 jump rows, and one path,
-    walked with another integrand on the first sample that draws no jump,
-    has none. Only the order of summation differs from the loop."""
+    """A chunk priced in one call gives each path its loop terms, and each
+    path priced alone gives its row of the chunk bit for bit. The chunk
+    holds the first path with at least 8 jump rows and, third, the first
+    path (from index 5 on) that draws no jump. Only the order of summation
+    differs from the loop."""
     proc = ItoProcessSpec(state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2])
     grid = TimeGrid(1.0, n_steps)
     jumps = lambda i: len(sample_path(mixed, grid, seed=909, path_index=i).jumps)
     busy = next(i for i in range(5, 500) if jumps(i) >= 8)
-    walked = simulate_ito_process(
-        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in (*range(5), busy))
+    quiet = next(i for i in range(5, 500) if jumps(i) == 0)
+    order = (0, 1, quiet, 2, 3, 4, busy)
+    paths = simulate_ito_process(
+        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in order)
     )
-    quiet = _walk(
-        mixed, grid, constant_integrand(PHI), seed=909,
-        path_index=next(i for i in range(5, 500) if jumps(i) == 0), drift=[0.3, -0.2],
-    )
-    paths = walked[:2] + (quiet,) + walked[2:]
     rows = [len(path.jumps) for path in paths]
     assert rows[2] == 0 and max(rows) >= 8
     for name in REGISTERED:
@@ -248,28 +245,32 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
 
 def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
     proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2])
-    path = simulate_ito_process(proc, sample_path(mixed, grid8, seed=31, path_index=4))
+    sample = sample_path(mixed, grid8, seed=31, path_index=4)
+    path, walked = simulate_ito_process(proc, sample), simulate_ito_process(proc, (sample,))
     for name in REGISTERED:
         f = make_smooth(name)
         for variant in ("compensator", "realized"):
-            one, chunk = ito_terms(path, f, variant), ito_terms((path,), f, variant)
+            one, chunk = ito_terms(path, f, variant), ito_terms(walked, f, variant)
             for term in ("time", "fv", "stoch", "trace", "jump", "total"):
                 a, b = getattr(one, term), getattr(chunk, term)
                 assert a.shape == (f.dim_value,) and b.shape == (1, f.dim_value)
                 assert a.tobytes() == b.tobytes(), (name, variant, term)
-            a, b = ito_residual(path, f, variant), ito_residual((path,), f, variant)
+            a, b = ito_residual(path, f, variant), ito_residual(walked, f, variant)
             assert b.shape == (1, f.dim_value) and a.tobytes() == b.tobytes()
 
 
 def test_paths_on_mixed_grids_are_refused(mixed, grid8):
+    """No chunk spans two grids, since the walk refuses such samples, and a
+    tuple of paths walked on two grids is not a chunk."""
     f = make_smooth("quadratic")
-    coarse = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
-    fine = _walk(mixed, TimeGrid(1.0, 16), constant_integrand(PHI), seed=1, path_index=0)
+    grids = (grid8, TimeGrid(1.0, 16))
+    with pytest.raises(ValueError, match="share one noise model and grid"):
+        integrate(constant_integrand(PHI), tuple(sample_path(mixed, g, seed=1) for g in grids))
+    paths = tuple(_walk(mixed, g, constant_integrand(PHI), seed=1, path_index=0) for g in grids)
     for price in (ito_terms, ito_residual):
-        with pytest.raises(ValueError, match="share one grid"):
-            price((coarse, fine), f)
-        with pytest.raises(ValueError, match="no path"):
-            price((), f)
+        for chunk in (paths, ()):
+            with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk"):
+                price(chunk, f)
 
 
 # -------------------------------------------------- cross-module routes

@@ -204,7 +204,8 @@ def test_chunk_gives_each_path_its_bits_alone(preset, integrand):
 
 def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     """Two chunks whose paths pair up except in one place are refused, and
-    so is a chunk paired with a single path."""
+    so are a chunk paired with a single path and one paired with a shorter
+    chunk."""
     samples = _mixed_chunk(mixed, seed=61)
     ia = constant_integrand(PHI)
     chunk = integrate(ia, samples)
@@ -214,20 +215,24 @@ def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, chunk[0])
     with pytest.raises(ValueError, match="same driving sample"):
-        optional_qv(chunk, chunk[:-1])
+        optional_qv(chunk, integrate(ia, samples[:-1]))
 
 
 def test_chunk_of_two_noise_models_is_refused(mixed):
-    """A walk never makes a tuple that spans noise models, and every chunk
-    measure refuses one as the walk refuses its samples."""
+    """A walk refuses samples of two noise models, so no chunk spans them,
+    and every chunk measure refuses a tuple of paths walked on each."""
     ia = constant_integrand(PHI)
-    other = integrate(ia, sample_path(make_preset("gauss-default"), _SHORT, seed=61))
-    chunk = (integrate(ia, sample_path(mixed, _SHORT, seed=61)), other)
-    f = make_smooth("quadratic")
+    gauss = make_preset("gauss-default")
+    samples = tuple(sample_path(spec, _SHORT, seed=61) for spec in (mixed, gauss))
+    with pytest.raises(ValueError, match="share one noise model and grid"):
+        integrate(ia, samples)
+    paths = tuple(integrate(ia, s) for s in samples)
+    f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](_SHORT.n_steps, [1, 2])
     for price in (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
-                  lambda c: ito_terms(c, f), lambda c: ito_residual(c, f)):
-        with pytest.raises(ValueError, match="share one grid and one noise model"):
-            price(chunk)
+                  lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
+                  lambda c: qv_refinement_study(c, dyadic)):
+        with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk, got tuple"):
+            price(paths)
 
 
 def test_realized_variance_is_unbiased(paths):
@@ -311,10 +316,8 @@ def test_riemann_refinement_tightens(mixed):
         partitions = _REFINEMENTS[kind](grid.n_steps, levels)
 
         def measure(samples):
-            return [
-                qv_refinement_study(path, partitions(path)).ravel()
-                for path in integrate(integrand, samples)
-            ]
+            chunk = integrate(integrand, samples)
+            return qv_refinement_study(chunk, partitions).reshape(len(chunk), -1)
 
         rows = _per_path(mixed, grid, 909, n_paths, measure)
         errors, meshes = rows[:, : len(levels)], rows[:, len(levels) :]
@@ -324,7 +327,7 @@ def test_riemann_refinement_tightens(mixed):
     dyadic = _REFINEMENTS["dyadic"](grid.n_steps, [1, 3, 5])
     assert [part.level for part in dyadic(path)] == [1.0, 3.0, 5.0]
     assert dyadic(path) is dyadic(path)  # built once, shared by every path
-    assert qv_refinement_study(path, dyadic(path)).shape == (2, 3)  # errors, then meshes
+    assert qv_refinement_study(path, dyadic).shape == (2, 3)  # errors, then meshes
     rows = study([1, 3, 5], 60, "dyadic")
     assert rows[0][0] > rows[1][0] > rows[2][0]
     assert rows[0][2] > rows[1][2] > rows[2][2]
