@@ -79,7 +79,7 @@ def path_running_sup(path: _Paths):
     best = np.linalg.norm(chunk.values, axis=2).max(axis=1)
     rows = chunk.jumps
     for x in (rows["pre"], rows["pre"] + rows["delta"]):
-        np.maximum.at(best, chunk.pid, np.sqrt(np.vecdot(x, x)))
+        np.maximum.at(best, chunk.samples.pid, np.sqrt(np.vecdot(x, x)))
     return float(best[0]) if isinstance(path, ItoPath) else best
 
 
@@ -97,7 +97,7 @@ def bracket_terminal(path: _Paths, flavor: str = "optional"):
     chunk = _chunk_of(path)
     if flavor == "jumps":
         dx = chunk.jumps["delta"]  # summed in jump order, as the bracket accumulates
-        terminal = _sum_by_path(np.vecdot(dx, dx), chunk.pid, len(chunk))
+        terminal = _sum_by_path(np.vecdot(dx, dx), chunk.samples.pid, len(chunk))
     elif flavor == "optional":
         terminal = optional_qv(chunk)[:, -1]
     elif flavor in ("predictable", "continuous"):

@@ -14,8 +14,8 @@ then the continuous block, then noise jumps sorted by their exact times.
 Pre-jump values refer to this order, which is what makes telescoping
 identities hold exactly path by path.
 
-Evaluator protocol: the walk runs one step loop for a chunk of P paths of
-one noise model and grid. An adapted evaluator is called once per step, as
+Evaluator protocol: the walk runs one step loop for a ``SampleChunk`` of P
+paths. An adapted evaluator is called once per step, as
 evaluator(state, cells), for the whole chunk and the tuple of the C cells
 with positive mass, in cell order; ``state.value`` has shape (P, dim_out)
 and the history readers return one row per path. It returns one (dim_out,
@@ -30,7 +30,7 @@ An integrand that smuggles future increments in through a closure is not
 detectable here; the isometry checks exist to expose exactly that.
 
 Ensembles are measured by one private driver, ``_per_path``: it draws the
-paths in chunks, hands each chunk to a measuring function and writes the
+paths as ``SampleChunk``s, hands each to a measuring function and writes the
 block of rows that function returns into a per-path array. Every measure
 walks its chunk with one step loop, except verify-associativity's, which
 draws a fresh random integrand pair for each path and so walks its paths
@@ -41,15 +41,15 @@ z-score, quartiles) reduce the columns of that array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import index
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .hilbert import _check_dim
-from .noise import QV_FLAVORS, SamplePath, TimeGrid, _concat_records, evaluate
-from .noise import normalize_spec, sample_path
+from .noise import QV_FLAVORS, SampleChunk, SamplePath, TimeGrid, _join, evaluate
+from .noise import normalize_spec, sample_chunk, sample_path
 
 __all__ = [
     "LookAheadError",
@@ -91,15 +91,10 @@ class PathHistory:
     ``value`` a (P, dim) array and ``noise_pairing`` a (P,) array.
     """
 
-    def __init__(self, samples: Tuple[SamplePath, ...], values: np.ndarray):
+    def __init__(self, samples: SampleChunk, values: np.ndarray):
         self._samples = samples
         self._values = values  # (n_steps + 1, P, dim), filled by the walk
-        self._gauss = np.stack([s.gauss for s in samples])  # (P, n_steps, n_cells, dim)
         self._cursor = 0
-
-    @cached_property
-    def _jump_sums(self) -> np.ndarray:
-        return np.stack([s.jump_sums for s in self._samples])
 
     @property
     def step(self) -> int:
@@ -107,15 +102,15 @@ class PathHistory:
 
     def gauss_increment(self, k: int, cells: Sequence[int]) -> np.ndarray:
         self._check_past(k)
-        return self._gauss[:, k, list(cells)]
+        return self._samples.gauss[:, k, list(cells)]
 
     def jump_sum(self, k: int, cells: Sequence[int]) -> np.ndarray:
         self._check_past(k)
-        return self._jump_sums[:, k, list(cells)]
+        return self._samples.jump_sums[:, k, list(cells)]
 
     def noise_pairing(self, s: float, t: float, cells: Sequence[int], h) -> np.ndarray:
         """<M((s, t] x cells), h> of each path for a window that lies in the past."""
-        k1 = self._samples[0].grid.index_of(t)
+        k1 = self._samples.grid.index_of(t)
         if k1 > self._cursor:
             raise LookAheadError(
                 f"window end t={t} is step {k1}, beyond the walk's step {self._cursor}"
@@ -338,16 +333,15 @@ class ItoPath:
 
 @dataclass(frozen=True, eq=False)
 class ItoChunk:
-    """The P paths one walk made from a tuple of samples, as read-only
+    """The P paths one walk made from a ``SampleChunk``, as read-only
     arrays of ``ItoPath``'s records with a leading path axis: values (P,
     n_steps + 1, dim_out), phis (P, n_steps, n_cells, dim_out, dim_in; a
     deterministic integrand's, broadcast) and stoch_cont (P, n_steps,
-    dim_out). drift (n_steps, dim_out) is shared; jumps holds every path's
-    rows in path order, pid[i] the path of row i. ``chunk[p]`` is path p as
-    an ``ItoPath`` of views, so ``len`` and iteration work as on a tuple.
-    """
+    dim_out). drift (n_steps, dim_out) is shared; jumps has one row per jump
+    row of ``samples``, whose pid gives its path. ``chunk[p]`` is path p as
+    an ``ItoPath`` of views, so ``len`` and iteration work as on a tuple."""
 
-    samples: Tuple[SamplePath, ...]
+    samples: SampleChunk
     grid: TimeGrid
     initial: np.ndarray
     values: np.ndarray
@@ -355,14 +349,13 @@ class ItoChunk:
     stoch_cont: np.ndarray
     drift: np.ndarray
     jumps: np.ndarray
-    pid: np.ndarray
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def __getitem__(self, p: int) -> ItoPath:
         p = range(len(self.samples))[index(p)]
-        lo, hi = np.searchsorted(self.pid, (p, p + 1))
+        lo, hi = np.searchsorted(self.samples.pid, (p, p + 1))
         return ItoPath(
             self.samples[p], self.grid, self.initial, self.values[p], self.phis[p],
             self.stoch_cont[p], self.drift, self.jumps[lo:hi],
@@ -381,8 +374,8 @@ def _chunk_of(path: _Paths) -> ItoChunk:
     if not isinstance(path, ItoPath):
         raise TypeError(f"expected an ItoPath or an ItoChunk, got {type(path).__name__}")
     return ItoChunk(
-        (path.sample,), path.grid, path.initial, path.values[None], path.phis[None],
-        path.stoch_cont[None], path.drift, path.jumps, np.zeros(len(path.jumps), np.intp),
+        _join((path.sample,)), path.grid, path.initial, path.values[None], path.phis[None],
+        path.stoch_cont[None], path.drift, path.jumps,
     )
 
 
@@ -414,15 +407,15 @@ class ItoProcessSpec:
         object.__setattr__(self, "drift_rate", rate)
 
 
-def _deterministic_phis(integrand: Integrand, sample: SamplePath, cells, sel) -> np.ndarray:
+def _deterministic_phis(integrand: Integrand, samples: SampleChunk, cells, sel) -> np.ndarray:
     """Evaluate a path-independent integrand on the whole step-cell grid;
     ``sel`` selects the active ``cells`` from all of them."""
-    n = sample.grid.n_steps
-    phis = np.zeros((n, sample.spec.n_cells, integrand.dim_out, integrand.dim_in))
+    n = samples.grid.n_steps
+    phis = np.zeros((n, samples.spec.n_cells, integrand.dim_out, integrand.dim_in))
     if integrand.constant_matrix is not None:
         phis[:, sel] = integrand.constant_matrix
     else:
-        times = sample.grid.times
+        times = samples.grid.times
         for k in range(n):
             state = AdaptedState(step=k, time=times[k], value=None, history=None)
             mats = _checked_eval(integrand, state, cells, 1)
@@ -445,20 +438,18 @@ def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int
     return mats
 
 
-_Samples = Union[SamplePath, Tuple[SamplePath, ...]]
+_Samples = Union[SamplePath, SampleChunk]
 
 
 def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
-    """One step loop for a chunk of samples of one noise model and grid; one
-    sample is walked as a chunk of one and returned as its ItoPath."""
+    """One step loop for a chunk of samples; one sample is walked as a chunk
+    of one and returned as its ItoPath."""
     if isinstance(samples, SamplePath):
-        return _walk(process, (samples,))[0]
-    if not samples:
-        raise ValueError("no sample to walk")
+        return _walk(process, _join((samples,)))[0]
+    if not isinstance(samples, SampleChunk):
+        raise TypeError(f"expected a SamplePath or a SampleChunk, got {type(samples).__name__}")
     integrand = process.integrand
-    spec, grid = samples[0].spec, samples[0].grid
-    if any(s.spec is not spec or s.grid != grid for s in samples):
-        raise ValueError("the samples of one walk must share one noise model and grid")
+    spec, grid = samples.spec, samples.grid
     if integrand.dim_in != spec.dim:
         raise ValueError(f"integrand input dim {integrand.dim_in} != noise dim {spec.dim}")
     n_paths = len(samples)
@@ -481,19 +472,18 @@ def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
         drift[:] = dr
 
     # the chunk's noise jumps, path-major, each path's rows sorted by (step, time)
-    noise = _concat_records([s.jumps for s in samples])
-    pid = np.repeat(np.arange(n_paths), [len(s.jumps) for s in samples])
+    noise, pid = samples.jumps, samples.pid
     step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
     history = PathHistory(samples, values)
-    gauss = history._gauss[:, :, sel]  # (P, n, C, dim_in)
+    gauss = samples.gauss[:, :, sel]  # (P, n, C, dim_in)
     if adapted:
         phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
         stoch = np.zeros((n, n_paths, d_out))
     else:
         # operators, continuous contributions and jump deltas in array passes;
         # einsum lays its output out path-major, as gauss, and the loop reads steps
-        phis = _deterministic_phis(integrand, samples[0], cells, sel)
+        phis = _deterministic_phis(integrand, samples, cells, sel)
         stoch = np.ascontiguousarray(np.einsum("kjab,pkjb->kpa", phis[:, sel], gauss))
         if len(noise):
             delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
@@ -536,23 +526,23 @@ def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
     for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
         jumps[name] = column
     values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
-    for array in (jumps, values, phis, stoch, drift, pid):
+    for array in (jumps, values, phis, stoch, drift):
         array.setflags(write=False)
     if not adapted:
         phis = np.broadcast_to(phis, (n_paths,) + phis.shape)
-    return ItoChunk(tuple(samples), grid, process.initial, values, phis, stoch, drift, jumps, pid)
+    return ItoChunk(samples, grid, process.initial, values, phis, stoch, drift, jumps)
 
 
 def integrate(integrand: Integrand, sample: _Samples) -> _Paths:
     """Walk the stochastic integral of ``integrand`` against one noise path,
-    returning its ItoPath, or against each path of a tuple of samples of one
-    model and grid, returning their ItoChunk walked by one step loop."""
+    returning its ItoPath, or against each path of a SampleChunk, returning
+    their ItoChunk walked by one step loop; anything else raises TypeError."""
     return _walk(ItoProcessSpec(integrand), sample)
 
 
 def simulate_ito_process(process: ItoProcessSpec, sample: _Samples) -> _Paths:
     """Walk a process with an initial value and drift on top of the
-    stochastic integral, against one sample or a tuple of them as
+    stochastic integral, against one sample or a chunk of them as
     ``integrate`` does."""
     return _walk(process, sample)
 
@@ -607,8 +597,8 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     """The package's one Monte Carlo loop: measure paths 0, ..., n_paths - 1
     of the ensemble into a float64 array, one row per path.
 
-    The samples that ``sample_path`` draws for those path indices are handed
-    to measure in chunks of at most ``_CHUNK``, as a tuple in path order;
+    Those paths are drawn by ``sample_chunk`` and handed to measure in
+    ``SampleChunk``s of at most ``_CHUNK`` paths, in path order;
     measure(samples) walks the chunk, with one ``integrate`` or
     ``simulate_ito_process`` call per integrand (verify-associativity's
     integrands differ from path to path, so it walks each sample alone),
@@ -622,9 +612,7 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     rows = np.empty((n_paths, 0))
     for lo in range(0, n_paths, _CHUNK):
         hi = min(n_paths, lo + _CHUNK)
-        block = np.asarray(
-            measure(tuple(sample_path(spec, grid, seed, i) for i in range(lo, hi))), dtype=np.float64
-        )
+        block = np.asarray(measure(sample_chunk(spec, grid, seed, range(lo, hi))), dtype=np.float64)
         if lo == 0:
             rows = np.empty((n_paths, block.shape[1]))
         rows[lo:hi] = block

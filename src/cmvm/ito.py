@@ -278,7 +278,7 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
         trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
     # the chunk's jump rows, each with the index of its path
-    rec, pid = chunk.jumps, chunk.pid
+    rec, pid = chunk.jumps, chunk.samples.pid
     pre, dx = rec["pre"], rec["delta"]
     inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
     jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc

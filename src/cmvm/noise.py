@@ -25,10 +25,9 @@ arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,10 +42,12 @@ __all__ = [
     "CellNoise",
     "NoiseSpec",
     "SamplePath",
+    "SampleChunk",
     "QV_FLAVORS",
     "normalize_spec",
     "substream",
     "sample_path",
+    "sample_chunk",
     "coarsen",
     "evaluate",
     "spec_to_json",
@@ -487,6 +488,43 @@ class SamplePath:
         return _frozen(sums)
 
 
+@dataclass(frozen=True, eq=False)
+class SampleChunk:
+    """P paths of one model and grid, path p being path_index[p] of the
+    ensemble of ``seed``: ``SamplePath``'s read-only arrays with a leading
+    path axis, the jump rows joined in path order with pid[i] the path of
+    row i. ``chunk[p]`` is path p as a ``SamplePath`` of views, built for
+    every path on first use, so ``len`` and iteration work as on a tuple."""
+
+    spec: NoiseSpec
+    grid: TimeGrid
+    seed: int
+    path_index: tuple
+    gauss: np.ndarray
+    jumps: np.ndarray
+    pid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.path_index)
+
+    def __getitem__(self, p: int) -> SamplePath:
+        return self._paths[p]
+
+    @cached_property
+    def _paths(self) -> tuple:
+        ends = np.searchsorted(self.pid, np.arange(len(self) + 1)).tolist()
+        return tuple(
+            SamplePath(self.spec, self.grid, self.seed, i, g, self.jumps[lo:hi])
+            for i, g, lo, hi in zip(self.path_index, self.gauss, ends, ends[1:])
+        )
+
+    @cached_property
+    def jump_sums(self) -> np.ndarray:
+        sums, rows = np.zeros(self.gauss.shape), self.jumps
+        np.add.at(sums, (self.pid, rows["step"], rows["cell"]), rows["amp"])
+        return _frozen(sums)
+
+
 # Purpose slots inside one (seed, path, cell) stream family.
 _SLOT_GAUSS, _SLOT_COUNTS, _SLOT_TIMES, _SLOT_AMPS = range(4)
 
@@ -548,38 +586,44 @@ def _concat_records(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.frombuffer(bytearray(b"".join([a.tobytes() for a in arrays])), dtype)
 
 
-def coarsen(samples: Tuple[SamplePath, ...]) -> Tuple[SamplePath, ...]:
+def _join(paths: Sequence[SamplePath]) -> SampleChunk:
+    """Paths of one model, grid and seed, in the given order, as one chunk."""
+    if not paths:
+        raise ValueError("no path to join")
+    pid = _frozen(np.repeat(np.arange(len(paths)), [len(s.jumps) for s in paths]))
+    gauss = _frozen(np.array([s.gauss for s in paths]))  # np.stack's bytes, faster
+    jumps = _frozen(_concat_records([s.jumps for s in paths]))
+    indices = tuple(s.path_index for s in paths)
+    return SampleChunk(paths[0].spec, paths[0].grid, paths[0].seed, indices, gauss, jumps, pid)
+
+
+def sample_chunk(spec: NoiseSpec, grid: TimeGrid, seed: int, path_indices) -> SampleChunk:
+    """The ensemble's paths path_indices, drawn as one chunk: path p is, bit
+    for bit, sample_path(spec, grid, seed, path_indices[p])."""
+    return _join([sample_path(spec, grid, seed, i) for i in path_indices])
+
+
+def coarsen(chunk: SampleChunk) -> SampleChunk:
     """The same noise on the grid with half as many steps.
 
-    ``samples`` is a chunk: a tuple of paths of one model and grid with an
-    even step count. Coarse Gaussian increment k of a cell is fine[2k] +
-    fine[2k+1]. Every jump row keeps its cell, time and amplitude and moves
-    to step step // 2, which keeps the rows sorted by (step, time), so the
-    coarse jump_sums add up the rows in row order, as on a drawn path. A
-    coarse path depends on its own fine path alone, not on its chunk, and on
-    a grid of 2^L steps repeated halving gives every coarser level of one
-    draw: the multilevel coupling of Giles (Oper. Res. 56(3), 2008).
+    The chunk's grid must have an even step count. Coarse Gaussian increment
+    k of a cell is fine[2k] + fine[2k+1]. Every jump row keeps its path,
+    cell, time and amplitude and moves to step step // 2, which keeps each
+    path's rows sorted by (step, time), as jump_sums needs. A coarse path
+    depends on its own fine path alone, not on its chunk, and on a grid of
+    2^L steps repeated halving gives every coarser level of one draw: the
+    multilevel coupling of Giles (Oper. Res. 56(3), 2008).
     """
-    if not samples:
-        raise ValueError("no sample to coarsen")
-    spec, grid = samples[0].spec, samples[0].grid
-    if any(s.spec is not spec or (s.grid is not grid and s.grid != grid) for s in samples):
-        raise ValueError("the samples of one coarsening must share one noise model and grid")
-    if grid.n_steps % 2:
-        raise ValueError(f"cannot halve a grid of {grid.n_steps} steps")
-    n_paths, n = len(samples), grid.n_steps // 2
-    fine = np.concatenate([s.gauss for s in samples])
-    fine = fine.reshape(n_paths, n, 2, *fine.shape[1:])
-    gauss = _frozen(fine[:, :, 0] + fine[:, :, 1])
-    jumps = _concat_records([s.jumps for s in samples])
+    if not isinstance(chunk, SampleChunk):
+        raise TypeError(f"expected a SampleChunk, got {type(chunk).__name__}")
+    if chunk.grid.n_steps % 2:
+        raise ValueError(f"cannot halve a grid of {chunk.grid.n_steps} steps")
+    grid = TimeGrid(chunk.grid.horizon, chunk.grid.n_steps // 2)
+    fine = chunk.gauss.reshape(len(chunk), grid.n_steps, 2, *chunk.gauss.shape[2:])
+    jumps = chunk.jumps.copy()
     jumps["step"] //= 2
-    jumps.setflags(write=False)
-    coarse = TimeGrid(grid.horizon, n)
-    bounds = list(accumulate((len(s.jumps) for s in samples), initial=0))
-    return tuple(
-        SamplePath(spec, coarse, s.seed, s.path_index, g, jumps[lo:hi])
-        for s, g, lo, hi in zip(samples, gauss, bounds, bounds[1:])
-    )
+    gauss = _frozen(fine[:, :, 0] + fine[:, :, 1])
+    return replace(chunk, grid=grid, gauss=gauss, jumps=_frozen(jumps))
 
 
 def evaluate(path: SamplePath, s: float, t: float, cells: Sequence[int], h: Sequence[float]) -> float:

@@ -58,7 +58,7 @@ def _bracket_steps(
     chunk = _chunk_of(path)
     phi = chunk.phis
     psi = phi if other is None or other is path else _chunk_of(other).phis
-    table = chunk.samples[0].spec.tables.flavor(flavor)
+    table = chunk.samples.spec.tables.flavor(flavor)
     grid, d = chunk.grid, chunk.values.shape[-1]
     steps = np.zeros((len(chunk), grid.n_steps) + ((d, d) if operator else ()))
     subscripts = "pkab,bc,pkdc->pkad" if operator else "pkab,bc,pkac->pk"
@@ -77,7 +77,7 @@ def _add_jumps(steps: np.ndarray, path: _Paths, other: _Paths) -> np.ndarray:
     db = da if other is path else _chunk_of(other).jumps["delta"]
     block = steps[None] if isinstance(path, ItoPath) else steps
     prods = da[:, :, None] * db[:, None, :] if block.ndim == 4 else np.vecdot(da, db)
-    np.add.at(block, (chunk.pid, chunk.jumps["step"]), prods)
+    np.add.at(block, (chunk.samples.pid, chunk.jumps["step"]), prods)
     return steps
 
 
@@ -102,14 +102,15 @@ def _check_pair(path: _Paths, other: Optional[_Paths]) -> _Paths:
     if other is None:
         return path
     a, b = _chunk_of(path), _chunk_of(other)
-    ka, kb = ([(s.seed, s.path_index) for s in c.samples] for c in (a, b))
-    if ka != kb or a.grid != b.grid or a.samples[0].spec is not b.samples[0].spec:
+    ka, kb = ((c.samples.seed, c.samples.path_index) for c in (a, b))
+    if ka != kb or a.grid != b.grid or a.samples.spec is not b.samples.spec:
         raise ValueError(
             "cross bracket needs both paths walked on the same driving sample; got (seed, "
             f"path index) {ka} and {kb}"
         )
     rows = ["step", "time", "cell"]
-    if not np.array_equal(a.pid, b.pid) or not np.array_equal(a.jumps[rows], b.jumps[rows]):
+    same = np.array_equal(a.samples.pid, b.samples.pid)
+    if not same or not np.array_equal(a.jumps[rows], b.jumps[rows]):
         raise ValueError("paths disagree on the jump sequence")
     return other
 

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cmvm.harness
-import cmvm.integrate
 import cmvm.ito
+import cmvm.noise
 from cmvm.cli import main
 from cmvm.harness import (
     _build_config,
@@ -24,7 +24,7 @@ from cmvm.harness import (
 )
 from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
 from cmvm.ito import ito_residual, make_smooth
-from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
+from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_chunk, spec_to_json
 from cmvm.presets import make_preset, preset_names
 
 ALL_SCENARIOS = [
@@ -495,7 +495,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     the columns in config order. Its JSON reports, for each pair of
     adjacent levels, the median over paths of their residual ratio."""
     drawn, blocks = [], []
-    draw, per_path = cmvm.integrate.sample_path, cmvm.harness._per_path
+    draw, per_path = cmvm.noise.sample_path, cmvm.harness._per_path
 
     def recorded_draw(spec, grid, seed, path_index=0):
         drawn.append((grid.n_steps, path_index))
@@ -505,7 +505,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
         blocks.append(per_path(*args, **kwargs))
         return blocks[-1]
 
-    monkeypatch.setattr(cmvm.integrate, "sample_path", recorded_draw)
+    monkeypatch.setattr(cmvm.noise, "sample_path", recorded_draw)
     monkeypatch.setattr(cmvm.harness, "_per_path", recorded_rows)
     cfg = apply_overrides(load_config("ito-converge"), ["n_paths=5", "params.levels=[5,3,4]"])
     res = run(cfg, str(tmp_path))
@@ -516,7 +516,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     proc = ItoProcessSpec(constant_integrand(p["phi"]), drift_rate=p["drift"])
     f = make_smooth(p["function"])
     spec, grid = make_preset(cfg.preset), TimeGrid(cfg.horizon, 32)
-    fine = tuple(sample_path(spec, grid, cfg.seed, i) for i in range(5))
+    fine = sample_chunk(spec, grid, cfg.seed, range(5))
     for column, samples in zip((0, 2, 1), (fine, coarsen(fine), coarsen(coarsen(fine)))):
         residual = ito_residual(simulate_ito_process(proc, samples), f, trace_variant=p["variant"])
         assert rows[:, column].tobytes() == np.abs(residual[:, 0]).tobytes()

@@ -42,7 +42,9 @@ from cmvm.integrate import (
     simulate_ito_process,
     state_linear_integrand,
 )
+from cmvm.burkholder import bracket_terminal, path_running_sup
 from cmvm.harness import apply_overrides, load_config, run
+from cmvm.ito import ito_residual, ito_terms, make_smooth
 from cmvm.noise import (
     CellNoise,
     NoiseSpec,
@@ -51,10 +53,11 @@ from cmvm.noise import (
     TwoPointAmplitude,
     evaluate,
     normalize_spec,
+    sample_chunk,
     sample_path,
 )
 from cmvm.presets import make_preset
-from cmvm.quadvar import optional_qv
+from cmvm.quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
 
@@ -452,7 +455,8 @@ def _loop_walk(process, sample):
     dr = process.drift_rate * grid.dt
     phis = np.zeros((n, m, d_out, d_in))
     stoch = np.zeros((n, d_out))
-    history = PathHistory((sample,), values[:, None])
+    one = sample_chunk(spec, grid, sample.seed, [sample.path_index])
+    history = PathHistory(one, values[:, None])
     noise = sample.jumps
     step, cell, amp = noise["step"], noise["cell"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
@@ -528,13 +532,13 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
     """One step loop over a chunk of paths reproduces the per-path loop on
     every record, path by path, to 1e-12 relative."""
     process = _chunk_processes()[name]
-    chunk = tuple(sample_path(mixed, grid8, seed=4100, path_index=i) for i in range(9))
+    chunk = sample_chunk(mixed, grid8, 4100, range(9))
     walked = simulate_ito_process(process, chunk)
     assert isinstance(walked, ItoChunk) and len(walked) == len(chunk)
-    assert sum(len(s.jumps) for s in chunk) > 9
-    for sample, path in zip(chunk, walked):
-        assert path.sample is sample
-        want = _loop_walk(process, sample)
+    assert walked.samples is chunk and len(chunk.jumps) > 9
+    for i, path in enumerate(walked):
+        assert path.sample is chunk[i] and path.sample.path_index == i
+        want = _loop_walk(process, sample_path(mixed, grid8, seed=4100, path_index=i))
         got = {"values": path.values, "phis": path.phis, "stoch_cont": path.stoch_cont,
                "drift": path.drift, "delta": path.jumps["delta"], "pre": path.jumps["pre"]}
         for field, ref in want.items():
@@ -547,20 +551,22 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
 def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
     """chunk[p] is, bit for bit, the read-only path its sample gives walked
     alone; a negative index counts from the end, an index past the end
-    raises IndexError, and a measure refuses a tuple of paths."""
+    raises IndexError, and the walks and every chunk measure refuse a tuple
+    of samples or of paths."""
     integrand = {
         "deterministic": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
         "adapted": state_linear_integrand(PHI, [0.6, -0.2], 0.8),
     }[kind]
-    samples = tuple(sample_path(mixed, grid8, seed=4100, path_index=i) for i in range(5))
+    samples = sample_chunk(mixed, grid8, 4100, range(5))
     chunk = integrate(integrand, samples)
     assert isinstance(chunk, ItoChunk) and len(chunk) == len(samples)
-    assert 0 < len(chunk.jumps) == sum(len(s.jumps) for s in samples)
+    assert 0 < len(chunk.jumps) == len(samples.jumps) and chunk.samples is samples
     assert [path.sample for path in chunk] == list(samples)
-    for i, sample in enumerate(samples):
-        alone = integrate(integrand, sample)
+    for i in range(5):
+        alone = integrate(integrand, sample_path(mixed, grid8, seed=4100, path_index=i))
         for path in (chunk[i], chunk[i - len(chunk)]):
-            assert isinstance(path, ItoPath) and path.sample is sample
+            assert isinstance(path, ItoPath) and path.sample is samples[i]
+            assert path.sample.gauss.tobytes() == alone.sample.gauss.tobytes()
             for field in ("values", "phis", "stoch_cont", "drift", "jumps"):
                 got, want = getattr(path, field), getattr(alone, field)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
@@ -568,16 +574,16 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
     for past_end in (len(chunk), -len(chunk) - 1):
         with pytest.raises(IndexError):
             chunk[past_end]
-    with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk, got tuple"):
-        optional_qv(tuple(chunk))
-
-
-def test_chunk_samples_must_share_model_and_grid(mixed, grid8):
-    other = sample_path(mixed, TimeGrid(1.0, 16), seed=1, path_index=0)
-    with pytest.raises(ValueError, match="share one noise model and grid"):
-        integrate(constant_integrand(PHI), (sample_path(mixed, grid8, seed=1), other))
-    with pytest.raises(ValueError, match="no sample"):
-        integrate(constant_integrand(PHI), ())
+    f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](grid8.n_steps, [1, 2])
+    measures = (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
+                lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
+                lambda c: qv_refinement_study(c, dyadic))
+    process = ItoProcessSpec(integrand)
+    walks = (lambda s: integrate(integrand, s), lambda s: simulate_ito_process(process, s))
+    refusals = [(m, tuple(chunk)) for m in measures] + [(w, tuple(samples)) for w in walks]
+    for refused, given in refusals:
+        with pytest.raises(TypeError, match=r"expected an? \w+ or an? \w+, got tuple"):
+            refused(given)
 
 
 def _with_dead_cell():
@@ -605,11 +611,10 @@ def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model
         return linear.evaluator(state, cells)
 
     process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False, name="counted"))
-    chunk = tuple(sample_path(spec, grid8, seed=21, path_index=i) for i in range(5))
-    walked = simulate_ito_process(process, chunk)
+    walked = simulate_ito_process(process, sample_chunk(spec, grid8, 21, range(5)))
     assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
-    for sample, path in zip(chunk, walked):
-        want = _loop_walk(process, sample)
+    for i, path in enumerate(walked):
+        want = _loop_walk(process, sample_path(spec, grid8, seed=21, path_index=i))
         for field in ("values", "phis"):
             assert np.allclose(getattr(path, field), want[field], rtol=0.0, atol=1e-12)
 
@@ -623,7 +628,7 @@ def test_malformed_evaluator_return_names_the_accepted_shapes(mixed, grid8, shap
     """A 3-D (P, dim_out, dim_in) stack, a wrong path or cell count and a
     wrong operator shape are refused, naming what the walk accepts."""
     bad = Integrand(lambda state, cells: np.ones(shape), 2, 2, deterministic=deterministic)
-    chunk = tuple(sample_path(mixed, grid8, seed=2, path_index=i) for i in range(5))
+    chunk = sample_chunk(mixed, grid8, 2, range(5))
     paths = 1 if deterministic else 5
     accepted = f"shape {shape}, expected (2, 2) or a 4-D stack that broadcasts to ({paths}, 4, 2, 2)"
     with pytest.raises(ValueError, match=re.escape(accepted)):
@@ -679,7 +684,8 @@ def test_composed_inner_restarts_with_each_walk(mixed):
 
     composed = compose_integrands(psi, inner, dim_out=2)
     for first, size in ((0, 3), (3, 2), (5, 1)):
-        chunk = tuple(sample_path(mixed, grid, seed=12, path_index=first + i) for i in range(size))
-        for sample, path in zip(chunk, integrate(composed, chunk)):
-            direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
+        chunk = sample_chunk(mixed, grid, 12, range(first, first + size))
+        for i, path in enumerate(integrate(composed, chunk), first):
+            alone = integrate(inner, sample_path(mixed, grid, seed=12, path_index=i))
+            direct = integrate_process(psi, alone, dim_out=2)
             assert np.allclose(path.terminal, direct, rtol=0.0, atol=1e-12)

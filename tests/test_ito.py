@@ -23,7 +23,7 @@ from cmvm.ito import (
     taylor_remainder,
     taylor_remainder_quadrature,
 )
-from cmvm.noise import TimeGrid, sample_path
+from cmvm.noise import TimeGrid, sample_chunk, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import _bracket_steps
 
@@ -223,9 +223,7 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
     busy = next(i for i in range(5, 500) if jumps(i) >= 8)
     quiet = next(i for i in range(5, 500) if jumps(i) == 0)
     order = (0, 1, quiet, 2, 3, 4, busy)
-    paths = simulate_ito_process(
-        proc, tuple(sample_path(mixed, grid, seed=909, path_index=i) for i in order)
-    )
+    paths = simulate_ito_process(proc, sample_chunk(mixed, grid, 909, order))
     rows = [len(path.jumps) for path in paths]
     assert rows[2] == 0 and max(rows) >= 8
     for name in REGISTERED:
@@ -244,9 +242,11 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
 
 
 def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
+    """One sample walked alone is its chunk of one, without the path axis."""
     proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2])
     sample = sample_path(mixed, grid8, seed=31, path_index=4)
-    path, walked = simulate_ito_process(proc, sample), simulate_ito_process(proc, (sample,))
+    one = sample_chunk(mixed, grid8, 31, [4])
+    path, walked = simulate_ito_process(proc, sample), simulate_ito_process(proc, one)
     for name in REGISTERED:
         f = make_smooth(name)
         for variant in ("compensator", "realized"):
@@ -257,20 +257,6 @@ def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
                 assert a.tobytes() == b.tobytes(), (name, variant, term)
             a, b = ito_residual(path, f, variant), ito_residual(walked, f, variant)
             assert b.shape == (1, f.dim_value) and a.tobytes() == b.tobytes()
-
-
-def test_paths_on_mixed_grids_are_refused(mixed, grid8):
-    """No chunk spans two grids, since the walk refuses such samples, and a
-    tuple of paths walked on two grids is not a chunk."""
-    f = make_smooth("quadratic")
-    grids = (grid8, TimeGrid(1.0, 16))
-    with pytest.raises(ValueError, match="share one noise model and grid"):
-        integrate(constant_integrand(PHI), tuple(sample_path(mixed, g, seed=1) for g in grids))
-    paths = tuple(_walk(mixed, g, constant_integrand(PHI), seed=1, path_index=0) for g in grids)
-    for price in (ito_terms, ito_residual):
-        for chunk in (paths, ()):
-            with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk"):
-                price(chunk, f)
 
 
 # -------------------------------------------------- cross-module routes

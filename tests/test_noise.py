@@ -32,6 +32,7 @@ from cmvm.noise import (
     evaluate,
     load_noise_spec,
     normalize_spec,
+    sample_chunk,
     sample_path,
     spec_from_json,
     spec_to_json,
@@ -482,7 +483,31 @@ def test_from_json_errors():
 @pytest.fixture(scope="module")
 def fine_chunk(mixed):
     """Six paths on a 64-step grid whose step is not a power of two."""
-    return tuple(sample_path(mixed, TimeGrid(0.7, 64), seed=7, path_index=i) for i in range(6))
+    return sample_chunk(mixed, TimeGrid(0.7, 64), 7, range(6))
+
+
+@pytest.mark.parametrize("indices", [range(5), (3, 0, 4, 1, 2), (6,)])
+def test_chunk_path_is_the_path_drawn_alone(mixed, indices):
+    """Path p of a drawn chunk is, bit for bit, the path its index draws
+    alone, in any index order, and the chunk's jump_sums row p is that
+    path's jump_sums."""
+    grid = TimeGrid(0.7, 64)
+    chunk = sample_chunk(mixed, grid, 7, indices)
+    assert len(chunk) == len(indices) and chunk.path_index == tuple(indices)
+    assert 0 < len(chunk.jumps) == sum(len(path.jumps) for path in chunk)
+    for p, i in enumerate(indices):
+        path, alone = chunk[p], sample_path(mixed, grid, 7, i)
+        assert path is chunk[p - len(chunk)]
+        assert (path.seed, path.path_index, path.grid) == (7, i, grid)
+        for name in ("gauss", "jumps", "jump_sums"):
+            got, want = getattr(path, name), getattr(alone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert chunk.jump_sums[p].tobytes() == alone.jump_sums.tobytes()
+    arrays = (chunk.gauss, chunk.jumps, chunk.pid, chunk.jump_sums)
+    assert not any(a.flags.writeable for a in arrays)
+    for past_end in (len(chunk), -len(chunk) - 1):
+        with pytest.raises(IndexError):
+            chunk[past_end]
 
 
 def test_coarsen_sums_gaussian_pairs_exactly(fine_chunk):
@@ -507,39 +532,38 @@ def test_coarsen_keeps_every_jump_row(fine_chunk):
 
 def test_jump_sums_add_the_rows_in_row_order(fine_chunk):
     """Drawn and coarsened paths alike build jump_sums from their rows."""
-    for path in fine_chunk + coarsen(fine_chunk):
+    for path in (*fine_chunk, *coarsen(fine_chunk)):
         want = np.zeros_like(path.gauss)
         for row in path.jumps:
             want[row["step"], row["cell"]] += row["amp"]
         assert path.jump_sums.tobytes() == want.tobytes()
 
 
-def test_coarsen_does_not_depend_on_the_chunk(fine_chunk):
+def test_coarsen_does_not_depend_on_the_chunk(mixed, fine_chunk):
     """Halving a chunk gives each path bitwise what halving it alone gives,
     at every level down to one step."""
     chunk = fine_chunk
-    while chunk[0].grid.n_steps > 1:
-        together = coarsen(chunk)
-        for path, half in zip(chunk, together):
-            alone = coarsen((path,))[0]
+    alone = [sample_chunk(mixed, chunk.grid, 7, [i]) for i in chunk.path_index]
+    while chunk.grid.n_steps > 1:
+        chunk, alone = coarsen(chunk), [coarsen(one) for one in alone]
+        assert chunk.pid is fine_chunk.pid
+        for half, one in zip(chunk, alone):
             for name in ("gauss", "jumps", "jump_sums"):
-                assert getattr(alone, name).tobytes() == getattr(half, name).tobytes()
-        chunk = together
+                assert getattr(one[0], name).tobytes() == getattr(half, name).tobytes()
 
 
 def test_coarsen_refuses_odd_grids_and_mixed_chunks(mixed, grid8):
+    """An odd grid cannot be halved, and a tuple of paths, of one model and
+    grid or mixed, is not a chunk."""
     with pytest.raises(ValueError, match="cannot halve a grid of 5 steps"):
-        coarsen((sample_path(mixed, TimeGrid(1.0, 5), 0, 0),))
+        coarsen(sample_chunk(mixed, TimeGrid(1.0, 5), 0, [0]))
     gauss = make_preset("gauss-default")
-    for chunk in (
-        (sample_path(mixed, grid8, 0, 0), sample_path(mixed, TimeGrid(1.0, 16), 0, 1)),
-        (sample_path(mixed, grid8, 0, 0), sample_path(mixed, TimeGrid(2.0, 8), 0, 1)),
+    for paths in (
+        (sample_path(mixed, grid8, 0, 0), sample_path(mixed, grid8, 0, 1)),
         (sample_path(mixed, grid8, 0, 0), sample_path(gauss, grid8, 0, 1)),
     ):
-        with pytest.raises(ValueError, match="one noise model and grid"):
-            coarsen(chunk)
-    with pytest.raises(ValueError, match="no sample"):
-        coarsen(())
+        with pytest.raises(TypeError, match="expected a SampleChunk, got tuple"):
+            coarsen(paths)
 
 
 def test_concat_records_matches_numpy_and_refuses_mixed_dtypes(fine_chunk):

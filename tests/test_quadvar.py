@@ -23,8 +23,7 @@ from cmvm.integrate import (
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
-from cmvm.ito import ito_residual, ito_terms, make_smooth
-from cmvm.noise import QV_FLAVORS, TimeGrid, sample_path
+from cmvm.noise import QV_FLAVORS, TimeGrid, sample_chunk, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
     _REFINEMENTS,
@@ -161,9 +160,9 @@ def _mixed_chunk(spec, seed):
     """Three paths with jump rows and three without, in path order (only
     the three without on a continuous model)."""
     samples = [sample_path(spec, _SHORT, seed=seed, path_index=i) for i in range(40)]
-    busy = [s for s in samples if len(s.jumps)][:3]
-    quiet = [s for s in samples if not len(s.jumps)][:3]
-    return tuple(sorted(busy + quiet, key=lambda s: s.path_index))
+    busy = [s.path_index for s in samples if len(s.jumps)][:3]
+    quiet = [s.path_index for s in samples if not len(s.jumps)][:3]
+    return sample_chunk(spec, _SHORT, seed, sorted(busy + quiet))
 
 
 @pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
@@ -209,30 +208,14 @@ def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     samples = _mixed_chunk(mixed, seed=61)
     ia = constant_integrand(PHI)
     chunk = integrate(ia, samples)
-    swapped = samples[:2] + (sample_path(mixed, _SHORT, seed=61, path_index=99),) + samples[3:]
+    indices = samples.path_index
+    swapped = sample_chunk(mixed, _SHORT, 61, indices[:2] + (99,) + indices[3:])
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, integrate(ia, swapped))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, chunk[0])
     with pytest.raises(ValueError, match="same driving sample"):
-        optional_qv(chunk, integrate(ia, samples[:-1]))
-
-
-def test_chunk_of_two_noise_models_is_refused(mixed):
-    """A walk refuses samples of two noise models, so no chunk spans them,
-    and every chunk measure refuses a tuple of paths walked on each."""
-    ia = constant_integrand(PHI)
-    gauss = make_preset("gauss-default")
-    samples = tuple(sample_path(spec, _SHORT, seed=61) for spec in (mixed, gauss))
-    with pytest.raises(ValueError, match="share one noise model and grid"):
-        integrate(ia, samples)
-    paths = tuple(integrate(ia, s) for s in samples)
-    f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](_SHORT.n_steps, [1, 2])
-    for price in (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
-                  lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
-                  lambda c: qv_refinement_study(c, dyadic)):
-        with pytest.raises(TypeError, match="expected an ItoPath or an ItoChunk, got tuple"):
-            price(paths)
+        optional_qv(chunk, integrate(ia, sample_chunk(mixed, _SHORT, 61, indices[:-1])))
 
 
 def test_realized_variance_is_unbiased(paths):
