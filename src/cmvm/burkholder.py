@@ -6,7 +6,7 @@ Lenglart domination below square power, the isometry at the square, and the
 bracket-domination route above it. ``walk_ensemble`` walks each path once
 and keeps only its statistics (running sup, terminal norm and every bracket
 flavor), one row per path: ``path_running_sup`` and ``bracket_terminal``
-take one ``ItoPath`` or an ``ItoChunk``, and measure a chunk in one call.
+take an ``ItoChunk`` (a path is a chunk of one) and measure it in one call.
 ``check`` estimates both sides from those columns and returns a report that
 says which constant was used and where it came from:
 
@@ -31,8 +31,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .integrate import ItoPath, ItoProcessSpec, _chunk_of, _mean_se, _Paths
+from .integrate import ItoChunk, ItoProcessSpec, _mean_se
 from .integrate import _per_path, _sum_by_path, simulate_ito_process
+from .noise import _checked
 # sample_path is not called here (walk_ensemble draws through integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
 from .noise import NoiseSpec, TimeGrid, normalize_spec, sample_path  # noqa: F401
@@ -72,39 +73,34 @@ def continuous_constant(p: float) -> float:
     return bracket_power_constant(p) ** (0.5 * p)
 
 
-def path_running_sup(path: _Paths):
-    """Largest norm the path attains at grid points and around its jumps: a
-    float for one path, a (P,) array for a chunk of P paths."""
-    chunk = _chunk_of(path)
-    best = np.linalg.norm(chunk.values, axis=2).max(axis=1)
+def path_running_sup(chunk: ItoChunk) -> np.ndarray:
+    """Largest norm each path attains at grid points and around its jumps, (P,)."""
+    best = np.linalg.norm(_checked(chunk, ItoChunk).values, axis=2).max(axis=1)
     rows = chunk.jumps
     for x in (rows["pre"], rows["pre"] + rows["delta"]):
         np.maximum.at(best, chunk.samples.pid, np.sqrt(np.vecdot(x, x)))
-    return float(best[0]) if isinstance(path, ItoPath) else best
+    return best
 
 
 BRACKET_FLAVORS = ("predictable", "continuous", "jumps", "optional")
 
 
-def bracket_terminal(path: _Paths, flavor: str = "optional"):
-    """Terminal bracket in the requested flavor: a float for one path, a
-    (P,) array for a chunk of P paths.
+def bracket_terminal(chunk: ItoChunk, flavor: str = "optional") -> np.ndarray:
+    """Terminal bracket of each path in the requested flavor, (P,).
 
     "predictable" and "continuous" are control-measure brackets (total and
     continuous-part); "jumps" is the realized sum of squared jumps;
     "optional" is continuous plus jumps.
     """
-    chunk = _chunk_of(path)
+    _checked(chunk, ItoChunk)
     if flavor == "jumps":
         dx = chunk.jumps["delta"]  # summed in jump order, as the bracket accumulates
-        terminal = _sum_by_path(np.vecdot(dx, dx), chunk.samples.pid, len(chunk))
-    elif flavor == "optional":
-        terminal = optional_qv(chunk)[:, -1]
-    elif flavor in ("predictable", "continuous"):
-        terminal = predictable_qv(chunk, "total" if flavor == "predictable" else flavor)[:, -1]
-    else:
-        raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
-    return float(terminal[0]) if isinstance(path, ItoPath) else terminal
+        return _sum_by_path(np.vecdot(dx, dx), chunk.samples.pid, len(chunk))
+    if flavor == "optional":
+        return optional_qv(chunk)[:, -1]
+    if flavor in ("predictable", "continuous"):
+        return predictable_qv(chunk, "total" if flavor == "predictable" else flavor)[:, -1]
+    raise ValueError(f"unknown bracket flavor {flavor!r}; expected one of {BRACKET_FLAVORS}")
 
 
 @dataclass(frozen=True)

@@ -508,8 +508,7 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
         errors = []
         for flavor in QV_FLAVORS:
             pred = predictable_qv(paths, flavor)[:, -1]
-            # the reference formula prices one path at a time
-            real = np.array([realized_lambda2_mass(path, flavor) for path in paths])
+            real = realized_lambda2_mass(paths, flavor)
             errors.append(np.abs(pred - real) / np.maximum(1.0, np.abs(pred)))
         opt = optional_qv(paths)[:, -1]
         cont, jumps = (bracket_terminal(paths, flavor) for flavor in ("continuous", "jumps"))
@@ -673,17 +672,18 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     tol = float(p["tol"])
     integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
 
-    def row(path):
-        cont, jump, fv = decompose_integral(path)
-        gap = np.abs(cont + jump + fv - path.values).max()
-        total = realized_lambda2_mass(path, "total")
-        split = realized_lambda2_mass(path, "continuous") + realized_lambda2_mass(
-            path, "discontinuous"
-        )
-        return gap / max(1.0, np.abs(path.values).max()), abs(total - split) / max(1.0, total)
-
     def measure(samples):
-        return [row(path) for path in integrate(integrand, samples)]
+        paths = integrate(integrand, samples)
+        n_paths, values = len(paths), paths.values
+        cont, jump, fv = decompose_integral(paths)
+        gap = np.abs(cont + jump + fv - values).reshape(n_paths, -1).max(axis=1)
+        size = np.abs(values).reshape(n_paths, -1).max(axis=1)
+        total = realized_lambda2_mass(paths, "total")
+        split = realized_lambda2_mass(paths, "continuous") + realized_lambda2_mass(
+            paths, "discontinuous"
+        )
+        mass = np.abs(total - split) / np.maximum(1.0, total)
+        return np.stack([gap / np.maximum(1.0, size), mass], axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     worst_sum, worst_mass = (float(v) for v in np.max(rows, axis=0))
@@ -730,8 +730,8 @@ def _random_simple_pair(
             if start > 0 and rng.random() < 0.5:
                 comp = int(rng.integers(0, dim))
 
-                def predicate(sample, start_step, _c=comp):
-                    return bool(sample.gauss[: start_step].sum(axis=(0, 1))[_c] > 0.0)
+                def predicate(samples, start_step, _c=comp):
+                    return samples.gauss[:, :start_step].sum(axis=(1, 2))[:, _c] > 0.0
 
             blocks.append(SimpleBlock(start, stop, cells, matrix, predicate))
         return blocks
@@ -757,17 +757,21 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
             rng, cfg.n_steps, spec.n_cells, spec.dim, int(p["max_blocks"])
         )
         integrand = inner.as_general()
-        if sample.path_index % 2:  # odd paths swap in an inner integrand that reads its own value
+        if sample.path_index[0] % 2:  # odd paths swap in an inner integrand that reads its own value
             base = rng.uniform(-1.0, 1.0, size=(2, spec.dim))
             weight = rng.uniform(-1.0, 1.0, size=2)
             integrand = state_linear_integrand(base, weight, float(rng.uniform(0.0, 0.5)))
-        iterated = integrate_process(outer, integrate(integrand, sample), dim_out=2)
-        fused = integrate(compose_integrands(outer, integrand, dim_out=2), sample).terminal
+        iterated = integrate_process(outer, integrate(integrand, sample), dim_out=2)[0]
+        fused = integrate(compose_integrands(outer, integrand, dim_out=2), sample).values[0, -1]
         scale = max(1.0, float(np.abs(iterated).max()))
         return (float(np.abs(iterated - fused).max()) / scale,)
 
-    # each path draws its own integrand pair, so the measure walks its paths one at a time
-    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, lambda samples: [row(s) for s in samples])
+    # each path draws its own integrand pair, so the measure walks its paths
+    # one at a time, each as a chunk of one
+    def measure(samples):
+        return [row(samples[p]) for p in range(len(samples))]
+
+    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     worst = float(np.max(rows))
     checks = [_check("iterated-vs-fused-max-rel", worst, 0.0, tol, worst <= tol)]
     return _Outcome(checks, {"max_rel_diff": worst, "tol": tol, "n_pairs": cfg.n_paths})

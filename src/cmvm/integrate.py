@@ -5,24 +5,28 @@ integrand gives one operator per (time step, spatial cell), evaluated from
 information available at the step's left endpoint, then applied to every
 increment the cell produces inside the step. The walk keeps enough
 per-step data (evaluated integrand operators, the continuous stochastic
-increment, drift) and one record array of the path's jumps with their
+increment, drift) and one record array of the paths' jumps with their
 refined pre-jump values, so that the quadratic-variation and chain-rule
-modules work from a finished path without re-walking it.
+modules work from a finished walk without re-walking it.
 
 Within one step the increments apply in a fixed micro-order: drift first,
 then the continuous block, then noise jumps sorted by their exact times.
 Pre-jump values refer to this order, which is what makes telescoping
 identities hold exactly path by path.
 
-Evaluator protocol: the walk runs one step loop for a ``SampleChunk`` of P
-paths. An adapted evaluator is called once per step, as
-evaluator(state, cells), for the whole chunk and the tuple of the C cells
-with positive mass, in cell order; ``state.value`` has shape (P, dim_out)
-and the history readers return one row per path. It returns one (dim_out,
-dim_in) operator for every path and cell, or a 4-D stack that broadcasts
-to (P, C, dim_out, dim_in). The walked chunk is one ItoChunk of path-axis
-arrays, which every measure takes as it is; a single sample is walked as a
-chunk of one and returned as its ItoPath.
+A path is a chunk of one: the walk takes a ``SampleChunk`` of P paths and
+returns one ``ItoChunk`` of path-axis arrays, and every measure here and in
+the bracket, chain-rule and moment modules takes that chunk as it is and
+returns one row per path, with a leading (P, ...) axis. Anything else
+raises TypeError.
+
+Evaluator protocol: the walk runs one step loop for the whole chunk. An
+adapted evaluator is called once per step, as evaluator(state, cells), for
+the whole chunk and the tuple of the C cells with positive mass, in cell
+order; ``state.value`` has shape (P, dim_out) and the history readers
+return one row per path. It returns one (dim_out, dim_in) operator for
+every path and cell, or a 4-D stack that broadcasts to (P, C, dim_out,
+dim_in).
 
 Look-ahead discipline: evaluators receive the walk state and a guarded view
 of the past. Reading at or beyond the current step raises LookAheadError.
@@ -42,13 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hilbert import _check_dim
-from .noise import QV_FLAVORS, SampleChunk, SamplePath, TimeGrid, _join, evaluate
+from .noise import QV_FLAVORS, SampleChunk, TimeGrid, _checked, evaluate
 from .noise import normalize_spec, sample_chunk, sample_path
 
 __all__ = [
@@ -62,7 +65,6 @@ __all__ = [
     "SimpleBlock",
     "SimpleIntegrand",
     "integrate_simple",
-    "ItoPath",
     "ItoChunk",
     "ItoProcessSpec",
     "integrate",
@@ -115,7 +117,7 @@ class PathHistory:
             raise LookAheadError(
                 f"window end t={t} is step {k1}, beyond the walk's step {self._cursor}"
             )
-        return np.array([evaluate(sample, s, t, cells, h) for sample in self._samples])
+        return evaluate(self._samples, s, t, cells, h)
 
     def value(self, k: int) -> np.ndarray:
         if k > self._cursor:
@@ -222,15 +224,16 @@ def state_linear_integrand(base, weight, gain: float) -> Integrand:
 class SimpleBlock:
     """One block of a simple integrand: a fixed operator on a step window
     and a cell set, optionally gated by a predicate decided at the window's
-    left endpoint. The predicate sees (sample, start_step) and must only use
-    increments of steps before start_step; the dual-route equality tests are
-    the enforcement."""
+    left endpoint. The predicate sees (samples, start_step), a chunk of P
+    paths, and returns (P,) bools; it must only use increments of steps
+    before start_step, and the dual-route equality tests are the
+    enforcement."""
 
     start: int
     stop: int
     cells: tuple
     matrix: np.ndarray
-    predicate: Optional[Callable[[SamplePath, int], bool]] = None
+    predicate: Optional[Callable[[SampleChunk, int], np.ndarray]] = None
 
 
 class SimpleIntegrand:
@@ -250,7 +253,8 @@ class SimpleIntegrand:
     def as_general(self) -> Integrand:
         """The same integrand in evaluator form: each block live at the step
         adds its matrix to the cells of its cell set, and a gated block's
-        predicate is decided path by path on the history's samples."""
+        predicate is decided for every path of the history's samples in one
+        call."""
         blocks = self.blocks
         has_gates = any(b.predicate is not None for b in blocks)
 
@@ -266,7 +270,7 @@ class SimpleIntegrand:
                 samples = state.history._samples
                 if len(out) != len(samples):
                     out = np.repeat(out, len(samples), axis=0)
-                gate = np.array([b.predicate(x, b.start) for x in samples], dtype=bool)
+                gate = np.asarray(b.predicate(samples, b.start), dtype=bool)
                 out[np.ix_(gate, in_block)] += b.matrix
             return out
 
@@ -275,22 +279,25 @@ class SimpleIntegrand:
         )
 
 
-def integrate_simple(simple: SimpleIntegrand, sample: SamplePath) -> np.ndarray:
-    """Terminal value of a simple integrand by the block-sum formula.
+def integrate_simple(simple: SimpleIntegrand, samples: SampleChunk) -> np.ndarray:
+    """Terminal value of a simple integrand on each path by the block-sum
+    formula, (P, dim_out).
 
     Each block contributes gate * matrix @ M(window x cells) directly, with
     no step walk; this is the independent route the walk is tested against.
     """
-    total = np.zeros(simple.dim_out)
-    increments = sample.gauss + sample.jump_sums
-    n = sample.grid.n_steps
+    samples = _checked(samples, SampleChunk)
+    total = np.zeros((len(samples), simple.dim_out))
+    increments = samples.gauss + samples.jump_sums
+    n = samples.grid.n_steps
     for b in simple.blocks:
         if b.start >= n:
             continue
-        if b.predicate is not None and not b.predicate(sample, b.start):
-            continue
-        window = increments[b.start : min(b.stop, n)][:, list(b.cells), :].sum(axis=(0, 1))
-        total += np.asarray(b.matrix) @ window
+        gate = slice(None)
+        if b.predicate is not None:
+            gate = np.asarray(b.predicate(samples, b.start), dtype=bool)
+        window = increments[gate, b.start : min(b.stop, n)][:, :, list(b.cells)].sum(axis=(1, 2))
+        total[gate] += (np.asarray(b.matrix) @ window[..., None])[..., 0]
     return total
 
 
@@ -301,45 +308,24 @@ def _jump_dtype(dim: int) -> np.dtype:
 
 
 @dataclass(frozen=True, eq=False)
-class ItoPath:
-    """A walked integral/process path with its per-step records.
+class ItoChunk:
+    """The P paths one walk made from a ``SampleChunk`` (a single path is a
+    chunk of one), as read-only arrays with a leading path axis.
 
-    values[k] is the path at t_k; phis[k, j] the operator used for cell j in
-    step k; stoch_cont[k] the continuous stochastic increment; drift[k] the
+    values[p, k] is path p at t_k, shape (P, n_steps + 1, dim_out);
+    phis[p, k, j] the operator used for cell j in step k (a deterministic
+    integrand's one array, broadcast over the paths); stoch_cont[p, k] the
+    continuous stochastic increment; drift[k], shared by the paths, the
     drift increment. jumps is a read-only structured array, one row per
-    noise jump of ``sample`` in the walk's micro-order, with fields step
-    (int64), time (float64), cell (int64), delta (float64, (dim_out,)) and
-    pre, the path value just before the jump. The identity
+    jump row of ``samples`` (whose pid gives its path) in the walk's
+    micro-order, with fields step (int64), time (float64), cell (int64),
+    delta (float64, (dim_out,)) and pre, the path value just before the
+    jump. The identity
 
-        values[k+1] == values[k] + drift[k] + stoch_cont[k] + sum of deltas
+        values[p, k+1] == values[p, k] + drift[k] + stoch_cont[p, k] + sum of p's deltas in k
 
     holds exactly (bitwise) in the micro-order documented on the module.
-    A path taken from a chunk holds read-only views of the chunk's arrays.
     """
-
-    sample: SamplePath
-    grid: TimeGrid
-    initial: np.ndarray
-    values: np.ndarray
-    phis: np.ndarray
-    stoch_cont: np.ndarray
-    drift: np.ndarray
-    jumps: np.ndarray
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class ItoChunk:
-    """The P paths one walk made from a ``SampleChunk``, as read-only
-    arrays of ``ItoPath``'s records with a leading path axis: values (P,
-    n_steps + 1, dim_out), phis (P, n_steps, n_cells, dim_out, dim_in; a
-    deterministic integrand's, broadcast) and stoch_cont (P, n_steps,
-    dim_out). drift (n_steps, dim_out) is shared; jumps has one row per jump
-    row of ``samples``, whose pid gives its path. ``chunk[p]`` is path p as
-    an ``ItoPath`` of views, so ``len`` and iteration work as on a tuple."""
 
     samples: SampleChunk
     grid: TimeGrid
@@ -352,31 +338,6 @@ class ItoChunk:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __getitem__(self, p: int) -> ItoPath:
-        p = range(len(self.samples))[index(p)]
-        lo, hi = np.searchsorted(self.samples.pid, (p, p + 1))
-        return ItoPath(
-            self.samples[p], self.grid, self.initial, self.values[p], self.phis[p],
-            self.stoch_cont[p], self.drift, self.jumps[lo:hi],
-        )
-
-
-_Paths = Union[ItoPath, ItoChunk]
-
-
-def _chunk_of(path: _Paths) -> ItoChunk:
-    """The paths a measure (a bracket, a running sup, the chain-rule terms)
-    prices with a leading path axis: a chunk as it is, one path as a chunk
-    of one."""
-    if isinstance(path, ItoChunk):
-        return path
-    if not isinstance(path, ItoPath):
-        raise TypeError(f"expected an ItoPath or an ItoChunk, got {type(path).__name__}")
-    return ItoChunk(
-        _join((path.sample,)), path.grid, path.initial, path.values[None], path.phis[None],
-        path.stoch_cont[None], path.drift, path.jumps,
-    )
 
 
 def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
@@ -438,16 +399,9 @@ def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int
     return mats
 
 
-_Samples = Union[SamplePath, SampleChunk]
-
-
-def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
-    """One step loop for a chunk of samples; one sample is walked as a chunk
-    of one and returned as its ItoPath."""
-    if isinstance(samples, SamplePath):
-        return _walk(process, _join((samples,)))[0]
-    if not isinstance(samples, SampleChunk):
-        raise TypeError(f"expected a SamplePath or a SampleChunk, got {type(samples).__name__}")
+def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
+    """One step loop for a chunk of samples."""
+    _checked(samples, SampleChunk)
     integrand = process.integrand
     spec, grid = samples.spec, samples.grid
     if integrand.dim_in != spec.dim:
@@ -533,24 +487,24 @@ def _walk(process: ItoProcessSpec, samples: _Samples) -> _Paths:
     return ItoChunk(samples, grid, process.initial, values, phis, stoch, drift, jumps)
 
 
-def integrate(integrand: Integrand, sample: _Samples) -> _Paths:
-    """Walk the stochastic integral of ``integrand`` against one noise path,
-    returning its ItoPath, or against each path of a SampleChunk, returning
-    their ItoChunk walked by one step loop; anything else raises TypeError."""
-    return _walk(ItoProcessSpec(integrand), sample)
+def integrate(integrand: Integrand, samples: SampleChunk) -> ItoChunk:
+    """Walk the stochastic integral of ``integrand`` against each path of a
+    SampleChunk, returning their ItoChunk walked by one step loop; anything
+    else raises TypeError."""
+    return _walk(ItoProcessSpec(integrand), samples)
 
 
-def simulate_ito_process(process: ItoProcessSpec, sample: _Samples) -> _Paths:
+def simulate_ito_process(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
     """Walk a process with an initial value and drift on top of the
-    stochastic integral, against one sample or a chunk of them as
-    ``integrate`` does."""
-    return _walk(process, sample)
+    stochastic integral, against a chunk of samples as ``integrate`` does."""
+    return _walk(process, samples)
 
 
 def realized_lambda2_mass(
-    path: ItoPath, flavor: str = "total", upto_step: Optional[int] = None
-) -> float:
-    """Realized weight sum_{k,j} ||phi_kj root_j||_HS^2 * mass_kj of one walk.
+    chunk: ItoChunk, flavor: str = "total", upto_step: Optional[int] = None
+) -> np.ndarray:
+    """Realized weight sum_{k,j} ||phi_kj root_j||_HS^2 * mass_kj of each
+    walked path, (P,).
 
     ``root_j`` is the square root of the flavor's normalized covariance on
     cell j and mass_kj the flavor's measure of the step-cell block. For a
@@ -558,15 +512,17 @@ def realized_lambda2_mass(
     the window; for adapted integrands it is one sample of it. ``upto_step``
     (0..n_steps) ends the window early; any other value raises ValueError.
     """
-    table = path.sample.spec.tables.flavor(flavor)
-    n = path.grid.n_steps if upto_step is None else upto_step
-    dt = path.grid.dt
-    if not 0 <= n <= path.grid.n_steps:
-        raise ValueError(f"upto_step must lie in 0..{path.grid.n_steps}, got {upto_step}")
-    total = 0.0
+    chunk = _checked(chunk, ItoChunk)
+    table = chunk.samples.spec.tables.flavor(flavor)
+    n = chunk.grid.n_steps if upto_step is None else upto_step
+    dt = chunk.grid.dt
+    if not 0 <= n <= chunk.grid.n_steps:
+        raise ValueError(f"upto_step must lie in 0..{chunk.grid.n_steps}, got {upto_step}")
+    total = np.zeros(len(chunk))
     for j in np.nonzero(table.rate)[0]:
-        prods = path.phis[:n, j] @ table.root[j]
-        total += float(np.sum(prods * prods)) * table.rate[j] * dt
+        prods = chunk.phis[:, :n, j] @ table.root[j]
+        # each path's products summed as one flat array, as np.sum sums one path's
+        total += (prods * prods).reshape(len(chunk), -1).sum(axis=1) * table.rate[j] * dt
     return total
 
 
@@ -581,7 +537,7 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
         raise ValueError(f"lambda2_norm needs a deterministic integrand, got {integrand.name!r}")
     # the walk's operators depend on the grid and the active cells only
     path = integrate(integrand, sample_path(normalize_spec(spec), grid, 0, 0))
-    return realized_lambda2_mass(path, flavor)
+    return float(realized_lambda2_mass(path, flavor)[0])
 
 
 # ------------------------------------------------------------- ensembles
@@ -601,7 +557,8 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     ``SampleChunk``s of at most ``_CHUNK`` paths, in path order;
     measure(samples) walks the chunk, with one ``integrate`` or
     ``simulate_ito_process`` call per integrand (verify-associativity's
-    integrands differ from path to path, so it walks each sample alone),
+    integrands differ from path to path, so it walks each path
+    ``samples[p]`` as a chunk of one),
     and returns one row of k floats per sample, a (len(samples), k) block,
     which fills the chunk's rows of an (n_paths, k) array ((0, 0) without
     paths). Row i depends on path i alone, not on the chunking. Gates
@@ -644,46 +601,45 @@ def _quartiles(values: np.ndarray) -> list:
     return np.interp(positions, np.arange(len(s)), s).tolist()
 
 
-def decompose_integral(path: ItoPath):
-    """Split one walked path into continuous, jump and finite-variation parts.
+def decompose_integral(chunk: ItoChunk):
+    """Split each walked path into continuous, jump and finite-variation parts.
 
     All three come from the records of the same walk (no re-simulation), so
     continuous + jump + fv reproduces the path values to rounding. Returns
-    (continuous, jump, fv) as (n_steps + 1, dim) arrays; the fv part carries
-    the initial value and the drift.
+    (continuous, jump, fv) as (P, n_steps + 1, dim) arrays; the fv part
+    carries the initial value and the drift.
     """
-    n = path.grid.n_steps
-    d = path.values.shape[1]
-    cont = np.zeros((n + 1, d))
-    np.cumsum(path.stoch_cont, axis=0, out=cont[1:])
-    jump_steps = np.zeros((n, d))
-    np.add.at(jump_steps, path.jumps["step"], path.jumps["delta"])
-    jump = np.zeros((n + 1, d))
-    np.cumsum(jump_steps, axis=0, out=jump[1:])
-    fv = np.zeros((n + 1, d))
-    np.cumsum(path.drift, axis=0, out=fv[1:])
-    fv += path.initial
+    chunk = _checked(chunk, ItoChunk)
+    shape = chunk.values.shape
+    cont, jump, fv = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    np.cumsum(chunk.stoch_cont, axis=1, out=cont[:, 1:])
+    jump_steps = np.zeros(chunk.stoch_cont.shape)
+    # each path's deltas added in row order, its micro-order
+    np.add.at(jump_steps, (chunk.samples.pid, chunk.jumps["step"]), chunk.jumps["delta"])
+    np.cumsum(jump_steps, axis=1, out=jump[:, 1:])
+    fv[:, 1:] = np.cumsum(chunk.drift, axis=0)
+    fv += chunk.initial
     return cont, jump, fv
 
 
 def integrate_process(
-    outer: Callable[[int, float, np.ndarray], np.ndarray], driver: ItoPath, dim_out: int
+    outer: Callable[[int, float, np.ndarray], np.ndarray], driver: ItoChunk, dim_out: int
 ) -> np.ndarray:
-    """Left-frozen integral of an operator-valued map against a walked path.
+    """Left-frozen integral of an operator-valued map against each walked
+    path of a chunk, (P, dim_out).
 
     outer(step, time, value) is evaluated at each step's left endpoint with
-    the OUTER integral's running value, as a chunk of one path (shape (1,
-    dim_out), the protocol compose_integrands serves), and applied to the
-    driver's whole step increment. Used as the direct route in
-    associativity checks.
+    the OUTER integral's running values, shape (P, dim_out), the protocol
+    compose_integrands serves, and returns one operator or a (P, ...) stack,
+    applied to each driver path's whole step increment. Used as the direct
+    route in associativity checks.
     """
-    total = np.zeros(dim_out)
-    times = driver.grid.times
+    driver = _checked(driver, ItoChunk)
+    values, times = driver.values, driver.grid.times
+    total = np.zeros((len(driver), dim_out))
     for k in range(driver.grid.n_steps):
-        mat = np.asarray(outer(k, float(times[k]), total[None]))
-        if mat.ndim == 3:
-            mat = mat[0]
-        total = total + mat @ (driver.values[k + 1] - driver.values[k])
+        mat = np.asarray(outer(k, float(times[k]), total))
+        total = total + (mat @ (values[:, k + 1] - values[:, k])[..., None])[..., 0]
     return total
 
 

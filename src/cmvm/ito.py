@@ -21,16 +21,15 @@ The registered functions (``make_smooth``) carry hand-coded derivatives,
 which ``finite_difference_check`` compares with central differences; the
 p-th power of the norm is one of them, so its chain rule is ``ito_terms``
 with ``norm_p:<p>``. Each function and derivative broadcasts over leading
-axes of (t, x), so ``ito_terms`` prices a walked chunk at once: it takes
-one ``ItoPath`` or an ``ItoChunk``, and makes one call per derivative over
-the chunk's (P, n, d) step-start points and one over its jump rows at
-their pre- and post-jump values, each row tagged with its path. One path
-is priced as a chunk of one, and a path's terms do not depend on its
-chunk; ``verify-ito`` and ``ito-converge`` price each chunk they walk in
-one call. The module also carries the integral-form Taylor remainder (the
-object whose smallness makes the trace term the right second-order
-price), evaluated at all quadrature nodes in one call, and a sampled
-modulus for it.
+axes of (t, x), so ``ito_terms`` prices a walked chunk at once (a path is
+a chunk of one): it takes an ``ItoChunk``, and makes one call per
+derivative over the chunk's (P, n, d) step-start points and one over its
+jump rows at their pre- and post-jump values, each row tagged with its
+path. A path's terms do not depend on its chunk; ``verify-ito`` and
+``ito-converge`` price each chunk they walk in one call. The module also
+carries the integral-form Taylor remainder (the object whose smallness
+makes the trace term the right second-order price), evaluated at all
+quadrature nodes in one call, and a sampled modulus for it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import ItoPath, _chunk_of, _Paths, _sum_by_path
+from .integrate import ItoChunk, _sum_by_path
+from .noise import _checked
 from .quadvar import _bracket_steps
 
 __all__ = [
@@ -235,8 +235,8 @@ _TRACE_VARIANTS = ("compensator", "realized")
 
 @dataclass(frozen=True)
 class ItoTerms:
-    """The five chain-rule terms of one path, each of shape (dim_value,),
-    or of a chunk of P paths, each of shape (P, dim_value)."""
+    """The five chain-rule terms of each path of a chunk of P paths, each of
+    shape (P, dim_value)."""
 
     time: np.ndarray
     fv: np.ndarray
@@ -250,9 +250,9 @@ class ItoTerms:
         return self.time + self.fv + self.stoch + self.trace + self.jump
 
 
-def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
-    """Chain-rule decomposition of f along one walked path, or along each
-    path of a walked chunk, priced together.
+def ito_terms(chunk: ItoChunk, f: SmoothFunction, trace_variant: str = "compensator") -> ItoTerms:
+    """Chain-rule decomposition of f along each path of a walked chunk,
+    priced together.
 
     The trace term prices the continuous second-order variation either
     against the control measure ("compensator") or against the realized
@@ -263,8 +263,7 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
         raise ValueError(
             f"unknown trace variant {trace_variant!r}; expected one of {_TRACE_VARIANTS}"
         )
-    chunk = _chunk_of(path)
-    grid = chunk.grid
+    grid = _checked(chunk, ItoChunk).grid
     n, n_paths = grid.n_steps, len(chunk)
     # step-start points (P, n, d) against the times (n,)
     t, x, stoch = grid.times[:n], chunk.values[:, :n], chunk.stoch_cont
@@ -289,19 +288,16 @@ def ito_terms(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator
         "trace": trace,
         "jump": _sum_by_path(jump, pid, n_paths),
     }
-    if isinstance(path, ItoPath):
-        terms = {name: value[0] for name, value in terms.items()}
     return ItoTerms(**terms, variant=trace_variant)
 
 
-def ito_residual(path: _Paths, f: SmoothFunction, trace_variant: str = "compensator") -> np.ndarray:
-    """f(T, X_T) - f(0, X_0) minus the five-term total: (dim_value,) for one
-    path, (P, dim_value) for a chunk."""
-    chunk = _chunk_of(path)
-    ends = chunk.values[:, [0, -1]]
+def ito_residual(
+    chunk: ItoChunk, f: SmoothFunction, trace_variant: str = "compensator"
+) -> np.ndarray:
+    """f(T, X_T) - f(0, X_0) minus the five-term total of each path, (P, dim_value)."""
+    ends = _checked(chunk, ItoChunk).values[:, [0, -1]]
     change = f.value(float(chunk.grid.horizon), ends[:, 1]) - f.value(0.0, ends[:, 0])
-    residual = change - ito_terms(chunk, f, trace_variant).total
-    return residual[0] if isinstance(path, ItoPath) else residual
+    return change - ito_terms(chunk, f, trace_variant).total
 
 
 def taylor_remainder(f: SmoothFunction, t: float, x, y) -> np.ndarray:

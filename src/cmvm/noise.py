@@ -12,7 +12,9 @@ components:
 
 Cells are sampled from separate counter-based random streams, so increments
 over disjoint cells are independent and a path's content does not depend on
-how many other paths an ensemble draws.
+how many other paths an ensemble draws. A path is a chunk of one: every
+draw is a ``SampleChunk`` of P paths with a leading path axis, and
+``sample_path`` draws a chunk of one path.
 
 All quadratic-variation bookkeeping is done against the normalized form of a
 specification (covariance operators of unit operator norm, magnitudes folded
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +44,6 @@ __all__ = [
     "GaussianAmplitude",
     "CellNoise",
     "NoiseSpec",
-    "SamplePath",
     "SampleChunk",
     "QV_FLAVORS",
     "normalize_spec",
@@ -337,6 +339,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked(value, kind: type):
+    """value, when it is a ``kind``; anything else raises TypeError."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class _FlavorTable:
     """One quadratic-variation flavor of a normalized spec, per cell.
@@ -461,40 +470,21 @@ def _jump_dtype(dim: int) -> np.dtype:
 
 
 @dataclass(frozen=True, eq=False)
-class SamplePath:
-    """One realization of the noise field on a grid.
-
-    gauss[k, j] is the Gaussian increment of cell j over step k. jumps is a
-    read-only structured array, one row per jump event sorted by (step,
-    time), with fields step and cell (int64), time (float64, in
-    (t_step, t_step+1]) and amp (float64, (dim,)). jump_sums[k, j], the
-    per-step per-cell amplitude totals, is built from the rows on first use.
-    Every amplitude family is centered, so the compensator of the jumps is
-    zero and the raw jump sums are already martingale increments.
-    """
-
-    spec: NoiseSpec
-    grid: TimeGrid
-    seed: int
-    path_index: int
-    gauss: np.ndarray
-    jumps: np.ndarray
-
-    @cached_property
-    def jump_sums(self) -> np.ndarray:
-        sums = np.zeros(self.gauss.shape)
-        # rows in (step, time) order, so each block's amplitudes add up in time order
-        np.add.at(sums, (self.jumps["step"], self.jumps["cell"]), self.jumps["amp"])
-        return _frozen(sums)
-
-
-@dataclass(frozen=True, eq=False)
 class SampleChunk:
     """P paths of one model and grid, path p being path_index[p] of the
-    ensemble of ``seed``: ``SamplePath``'s read-only arrays with a leading
-    path axis, the jump rows joined in path order with pid[i] the path of
-    row i. ``chunk[p]`` is path p as a ``SamplePath`` of views, built for
-    every path on first use, so ``len`` and iteration work as on a tuple."""
+    ensemble of ``seed``; a single path is a chunk of one.
+
+    gauss[p, k, j] is the Gaussian increment of cell j over step k of path
+    p. jumps is a read-only structured array, one row per jump event, each
+    path's rows sorted by (step, time) and the paths in chunk order, with
+    fields step and cell (int64), time (float64, in (t_step, t_step+1]) and
+    amp (float64, (dim,)); pid[i] is the path of row i. jump_sums[p, k, j],
+    the per-step per-cell amplitude totals, is built from the rows on first
+    use. Every amplitude family is centered, so the compensator of the
+    jumps is zero and the raw jump sums are already martingale increments.
+    ``chunk[p]`` is path p as a chunk of one whose gauss and jumps are
+    read-only views of the chunk's.
+    """
 
     spec: NoiseSpec
     grid: TimeGrid
@@ -507,20 +497,19 @@ class SampleChunk:
     def __len__(self) -> int:
         return len(self.path_index)
 
-    def __getitem__(self, p: int) -> SamplePath:
-        return self._paths[p]
-
-    @cached_property
-    def _paths(self) -> tuple:
-        ends = np.searchsorted(self.pid, np.arange(len(self) + 1)).tolist()
-        return tuple(
-            SamplePath(self.spec, self.grid, self.seed, i, g, self.jumps[lo:hi])
-            for i, g, lo, hi in zip(self.path_index, self.gauss, ends, ends[1:])
+    def __getitem__(self, p: int) -> "SampleChunk":
+        p = range(len(self))[index(p)]
+        lo, hi = np.searchsorted(self.pid, (p, p + 1))
+        pid = _frozen(np.zeros(hi - lo, np.int64))
+        return replace(
+            self, path_index=(self.path_index[p],), gauss=self.gauss[p : p + 1],
+            jumps=self.jumps[lo:hi], pid=pid,
         )
 
     @cached_property
     def jump_sums(self) -> np.ndarray:
         sums, rows = np.zeros(self.gauss.shape), self.jumps
+        # rows in (step, time) order, so each block's amplitudes add up in time order
         np.add.at(sums, (self.pid, rows["step"], rows["cell"]), rows["amp"])
         return _frozen(sums)
 
@@ -529,20 +518,21 @@ class SampleChunk:
 _SLOT_GAUSS, _SLOT_COUNTS, _SLOT_TIMES, _SLOT_AMPS = range(4)
 
 
-def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0) -> SamplePath:
-    """Draw one path of the noise field, deterministically in (seed, path_index)."""
+def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0) -> SampleChunk:
+    """Draw one path of the noise field, deterministically in (seed,
+    path_index), as a chunk of one."""
     spec = normalize_spec(spec)
     tab = spec.tables
     n, m, d = grid.n_steps, spec.n_cells, spec.dim
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
-    gauss = np.zeros((n, m, d))
+    gauss = np.zeros((1, n, m, d))
     parts = []  # per jumping cell: its step, cell, time and amplitude columns
     for j, cell in enumerate(spec.cells):
         if cell.has_diffusion:
             rg = substream(seed, path_index, 4 * j + _SLOT_GAUSS)
             z = rg.standard_normal((n, d))
-            gauss[:, j, :] = sqrt_dt * (z @ tab.gauss_factor[j].T)
+            gauss[0, :, j, :] = sqrt_dt * (z @ tab.gauss_factor[j].T)
         if cell.has_jumps:
             rg_counts = substream(seed, path_index, 4 * j + _SLOT_COUNTS)
             counts = rg_counts.poisson(cell.jump_rate * dt, size=n)
@@ -562,16 +552,9 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
         jumps = np.empty(len(order), jumps.dtype)
         for name, column in zip(jumps.dtype.names, columns):
             jumps[name] = column[order]
-    gauss.setflags(write=False)
-    jumps.setflags(write=False)
-    return SamplePath(
-        spec=spec,
-        grid=grid,
-        seed=int(seed),
-        path_index=int(path_index),
-        gauss=gauss,
-        jumps=jumps,
-    )
+    pid = np.zeros(len(jumps), np.int64)
+    gauss, jumps, pid = map(_frozen, (gauss, jumps, pid))
+    return SampleChunk(spec, grid, int(seed), (int(path_index),), gauss, jumps, pid)
 
 
 def _concat_records(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -586,20 +569,21 @@ def _concat_records(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.frombuffer(bytearray(b"".join([a.tobytes() for a in arrays])), dtype)
 
 
-def _join(paths: Sequence[SamplePath]) -> SampleChunk:
-    """Paths of one model, grid and seed, in the given order, as one chunk."""
+def _join(paths: Sequence[SampleChunk]) -> SampleChunk:
+    """Chunks of one path, of one model, grid and seed, in the given order,
+    as one chunk."""
     if not paths:
         raise ValueError("no path to join")
     pid = _frozen(np.repeat(np.arange(len(paths)), [len(s.jumps) for s in paths]))
-    gauss = _frozen(np.array([s.gauss for s in paths]))  # np.stack's bytes, faster
+    gauss = _frozen(np.concatenate([s.gauss for s in paths]))
     jumps = _frozen(_concat_records([s.jumps for s in paths]))
-    indices = tuple(s.path_index for s in paths)
+    indices = tuple(s.path_index[0] for s in paths)
     return SampleChunk(paths[0].spec, paths[0].grid, paths[0].seed, indices, gauss, jumps, pid)
 
 
 def sample_chunk(spec: NoiseSpec, grid: TimeGrid, seed: int, path_indices) -> SampleChunk:
     """The ensemble's paths path_indices, drawn as one chunk: path p is, bit
-    for bit, sample_path(spec, grid, seed, path_indices[p])."""
+    for bit, the chunk of one sample_path(spec, grid, seed, path_indices[p])."""
     return _join([sample_path(spec, grid, seed, i) for i in path_indices])
 
 
@@ -614,8 +598,7 @@ def coarsen(chunk: SampleChunk) -> SampleChunk:
     2^L steps repeated halving gives every coarser level of one draw: the
     multilevel coupling of Giles (Oper. Res. 56(3), 2008).
     """
-    if not isinstance(chunk, SampleChunk):
-        raise TypeError(f"expected a SampleChunk, got {type(chunk).__name__}")
+    _checked(chunk, SampleChunk)
     if chunk.grid.n_steps % 2:
         raise ValueError(f"cannot halve a grid of {chunk.grid.n_steps} steps")
     grid = TimeGrid(chunk.grid.horizon, chunk.grid.n_steps // 2)
@@ -626,24 +609,27 @@ def coarsen(chunk: SampleChunk) -> SampleChunk:
     return replace(chunk, grid=grid, gauss=gauss, jumps=_frozen(jumps))
 
 
-def evaluate(path: SamplePath, s: float, t: float, cells: Sequence[int], h: Sequence[float]) -> float:
-    """Pairing <M((s, t], A), h> of the field with a direction h.
+def evaluate(
+    chunk: SampleChunk, s: float, t: float, cells: Sequence[int], h: Sequence[float]
+) -> np.ndarray:
+    """Pairing <M((s, t], A), h> of each path's field with a direction h, (P,).
 
     A is the union of the given partition cells; s and t must be grid times
     with s <= t. The value is additive in the cell set and linear in h.
     """
-    k0 = path.grid.index_of(s)
-    k1 = path.grid.index_of(t)
+    _checked(chunk, SampleChunk)
+    k0 = chunk.grid.index_of(s)
+    k1 = chunk.grid.index_of(t)
     if k0 > k1:
         raise ValueError(f"window is reversed: s={s} > t={t}")
-    idx = path.spec.partition.validate_cells(cells)
+    idx = chunk.spec.partition.validate_cells(cells)
     hv = np.asarray(h, dtype=np.float64)
-    if hv.shape != (path.spec.dim,):
-        raise ValueError(f"direction must have dim {path.spec.dim}, got shape {hv.shape}")
+    if hv.shape != (chunk.spec.dim,):
+        raise ValueError(f"direction must have dim {chunk.spec.dim}, got shape {hv.shape}")
     if k0 == k1 or not idx:
-        return 0.0
-    block = path.gauss[k0:k1, idx, :] + path.jump_sums[k0:k1, idx, :]
-    return float(block.sum(axis=(0, 1)) @ hv)
+        return np.zeros(len(chunk))
+    block = chunk.gauss[:, k0:k1, idx, :] + chunk.jump_sums[:, k0:k1, idx, :]
+    return np.vecdot(block.sum(axis=(1, 2)), hv)
 
 
 # ---------------------------------------------------------------------------

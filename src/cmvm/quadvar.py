@@ -18,19 +18,20 @@ re-simulation:
 Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
 products. The continuous/discontinuous flavors add up to the total exactly;
-tests lean on that identity. The kernel, the brackets and the refinement
-study take one ``ItoPath``, or an ``ItoChunk`` of P paths with a leading
-(P, ...) axis on the result.
+tests lean on that identity. A path is a chunk of one: every function here
+takes an ``ItoChunk`` of P paths and returns one row per path, with a
+leading (P, ...) axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .integrate import ItoPath, _chunk_of, _Paths
+from .integrate import ItoChunk
+from .noise import _checked
 
 __all__ = [
     "predictable_qv",
@@ -46,18 +47,16 @@ __all__ = [
 
 
 def _bracket_steps(
-    path: _Paths, flavor: str, other: Optional[_Paths] = None, operator: bool = False
+    chunk: ItoChunk, flavor: str, other: Optional[ItoChunk] = None, operator: bool = False
 ) -> np.ndarray:
     """Per-step increments sum_j rate_j dt * phi_kj Q_j psi_kj^T of the
-    flavor's control-measure bracket, over its active cells.
+    flavor's control-measure bracket of each path, over its active cells.
 
-    psi is ``other``'s integrand (``path``'s own by default). Returns the
-    operators, shape (n_steps, d, d), or their traces, shape (n_steps,),
-    with a leading (P, ...) axis for a chunk of P paths.
+    psi is ``other``'s integrand (``chunk``'s own by default). Returns the
+    operators, shape (P, n_steps, d, d), or their traces, shape (P, n_steps).
     """
-    chunk = _chunk_of(path)
-    phi = chunk.phis
-    psi = phi if other is None or other is path else _chunk_of(other).phis
+    phi = _checked(chunk, ItoChunk).phis
+    psi = phi if other is None or other is chunk else _checked(other, ItoChunk).phis
     table = chunk.samples.spec.tables.flavor(flavor)
     grid, d = chunk.grid, chunk.values.shape[-1]
     steps = np.zeros((len(chunk), grid.n_steps) + ((d, d) if operator else ()))
@@ -65,19 +64,17 @@ def _bracket_steps(
     for j, rate in enumerate(table.rate):
         if rate > 0.0:
             steps += np.einsum(subscripts, phi[:, :, j], table.field[j], psi[:, :, j]) * (rate * grid.dt)
-    return steps[0] if isinstance(path, ItoPath) else steps
+    return steps
 
 
-def _add_jumps(steps: np.ndarray, path: _Paths, other: _Paths) -> np.ndarray:
+def _add_jumps(steps: np.ndarray, chunk: ItoChunk, other: ItoChunk) -> np.ndarray:
     """Add each realized jump's delta product (inner product into trace
     steps, outer product into operator steps) to the step it happens in, in
     place; ``steps`` are shaped as ``_bracket_steps`` returns them."""
-    chunk = _chunk_of(path)
     da = chunk.jumps["delta"]
-    db = da if other is path else _chunk_of(other).jumps["delta"]
-    block = steps[None] if isinstance(path, ItoPath) else steps
-    prods = da[:, :, None] * db[:, None, :] if block.ndim == 4 else np.vecdot(da, db)
-    np.add.at(block, (chunk.samples.pid, chunk.jumps["step"]), prods)
+    db = da if other is chunk else other.jumps["delta"]
+    prods = da[:, :, None] * db[:, None, :] if steps.ndim == 4 else np.vecdot(da, db)
+    np.add.at(steps, (chunk.samples.pid, chunk.jumps["step"]), prods)
     return steps
 
 
@@ -86,22 +83,22 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), np.cumsum(steps, axis=-1)], axis=-1)
 
 
-def predictable_qv(path: _Paths, flavor: str = "total") -> np.ndarray:
-    """Cumulative predictable bracket <I>_{t_k} for k = 0..n_steps: shape
-    (n_steps + 1,) for one path, (P, n_steps + 1) for a chunk of P paths.
+def predictable_qv(chunk: ItoChunk, flavor: str = "total") -> np.ndarray:
+    """Cumulative predictable bracket <I>_{t_k} of each path for k =
+    0..n_steps, shape (P, n_steps + 1).
 
     Step k adds sum_j trace(phi_kj Q_j phi_kj^T) * mass_kj over the flavor's
     active cells. Nondecreasing, zero at the origin.
     """
-    return _cumulative(_bracket_steps(path, flavor))
+    return _cumulative(_bracket_steps(chunk, flavor))
 
 
-def _check_pair(path: _Paths, other: Optional[_Paths]) -> _Paths:
-    """The second argument of a bracket: ``path`` itself, or a cross partner
+def _check_pair(chunk: ItoChunk, other: Optional[ItoChunk]) -> ItoChunk:
+    """The second argument of a bracket: ``chunk`` itself, or a cross partner
     path by path walked on the same driving sample with the same jump rows."""
     if other is None:
-        return path
-    a, b = _chunk_of(path), _chunk_of(other)
+        return chunk
+    a, b = _checked(chunk, ItoChunk), _checked(other, ItoChunk)
     ka, kb = ((c.samples.seed, c.samples.path_index) for c in (a, b))
     if ka != kb or a.grid != b.grid or a.samples.spec is not b.samples.spec:
         raise ValueError(
@@ -115,9 +112,9 @@ def _check_pair(path: _Paths, other: Optional[_Paths]) -> _Paths:
     return other
 
 
-def optional_qv(path: _Paths, other: Optional[_Paths] = None) -> np.ndarray:
-    """Cumulative optional bracket [I]_{t_k} (or cross bracket [I, J]_{t_k}),
-    shaped as ``predictable_qv``.
+def optional_qv(chunk: ItoChunk, other: Optional[ItoChunk] = None) -> np.ndarray:
+    """Cumulative optional bracket [I]_{t_k} (or cross bracket [I, J]_{t_k})
+    of each path, shaped as ``predictable_qv``.
 
     The continuous part is the predictable bracket of the continuous flavor;
     every realized jump contributes the product of its deltas at the step it
@@ -125,8 +122,8 @@ def optional_qv(path: _Paths, other: Optional[_Paths] = None) -> np.ndarray:
     same driving sample as its partner, with the same jumps at the same
     steps, times and cells.
     """
-    other = _check_pair(path, other)
-    return _cumulative(_add_jumps(_bracket_steps(path, "continuous", other), path, other))
+    other = _check_pair(chunk, other)
+    return _cumulative(_add_jumps(_bracket_steps(chunk, "continuous", other), chunk, other))
 
 
 @dataclass(frozen=True)
@@ -168,115 +165,146 @@ def make_dyadic_partition(n_steps: int, level: int) -> RandomPartition:
     return RandomPartition(step_indices=idx, kind="dyadic", level=float(level))
 
 
-def make_adaptive_partition(path: ItoPath, delta: float) -> RandomPartition:
-    """Refinement points chosen by the path itself, at resolution ``delta``.
+def make_adaptive_partition(chunk: ItoChunk, delta: float) -> list:
+    """Refinement points chosen by each path itself, at resolution ``delta``:
+    one partition per path of the chunk.
 
     Starting from the last refinement point, the next one is placed at the
     first grid time where any of these crosses delta: elapsed time, the
     path's displacement (pre-jump values included), the continuous-flavor
     bracket mass, or the accumulated drift. Each trigger is computed from
-    the step just completed, so refinement points are stopping times.
+    the step just completed, so refinement points are stopping times. The
+    continuous bracket steps are priced once for the chunk.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n = path.grid.n_steps
-    dt = path.grid.dt
+    n = _checked(chunk, ItoChunk).grid.n_steps
+    dt = chunk.grid.dt
     max_steps = max(1, int(np.floor(delta / dt)))
-    cont_steps = _bracket_steps(path, "continuous")
-    # each jump's pre- and post-jump values, with per-step row ranges
-    around = np.stack([path.jumps["pre"], path.jumps["pre"] + path.jumps["delta"]], axis=1)
-    ends = np.searchsorted(path.jumps["step"], np.arange(n), side="right").tolist()
-    idx = [0]
-    last = lo = 0
-    anchor = path.values[0]
-    cont_mass = 0.0
-    drift_var = 0.0
-    for k in range(n):
-        cont_mass += cont_steps[k]
-        drift_var += float(np.linalg.norm(path.drift[k]))
-        moved = float(np.linalg.norm(path.values[k + 1] - anchor))
-        if ends[k] > lo:
-            x = around[lo : ends[k]] - anchor
-            moved = max(moved, float(np.sqrt(np.vecdot(x, x)).max()))
-            lo = ends[k]
-        if (k + 1 - last) >= max_steps or moved >= delta or cont_mass >= delta or drift_var >= delta:
-            idx.append(k + 1)
-            last = k + 1
-            anchor = path.values[k + 1]
-            cont_mass = 0.0
-            drift_var = 0.0
-    if idx[-1] != n:
-        idx.append(n)
-    return RandomPartition(step_indices=tuple(idx), kind="adaptive", level=delta)
+    cont_steps = _bracket_steps(chunk, "continuous")
+    drift_norms = [float(np.linalg.norm(step)) for step in chunk.drift]
+    rows = chunk.jumps
+    # each jump's pre- and post-jump values, with per-path, per-step row ranges
+    around = np.stack([rows["pre"], rows["pre"] + rows["delta"]], axis=1)
+    bounds = np.searchsorted(chunk.samples.pid, np.arange(len(chunk) + 1))
+    partitions = []
+    for p, values in enumerate(chunk.values):
+        lo, hi = bounds[p], bounds[p + 1]
+        ends = (lo + np.searchsorted(rows["step"][lo:hi], np.arange(n), side="right")).tolist()
+        idx = [0]
+        last = 0
+        anchor = values[0]
+        cont_mass = 0.0
+        drift_var = 0.0
+        for k in range(n):
+            cont_mass += cont_steps[p, k]
+            drift_var += drift_norms[k]
+            moved = float(np.linalg.norm(values[k + 1] - anchor))
+            if ends[k] > lo:
+                x = around[lo : ends[k]] - anchor
+                moved = max(moved, float(np.sqrt(np.vecdot(x, x)).max()))
+                lo = ends[k]
+            if (k + 1 - last) >= max_steps or moved >= delta or cont_mass >= delta or drift_var >= delta:
+                idx.append(k + 1)
+                last = k + 1
+                anchor = values[k + 1]
+                cont_mass = 0.0
+                drift_var = 0.0
+        if idx[-1] != n:
+            idx.append(n)
+        partitions.append(RandomPartition(step_indices=tuple(idx), kind="adaptive", level=delta))
+    return partitions
 
 
-def riemann_qv(path: ItoPath, partition: RandomPartition) -> float:
-    """Sum of squared path increments over the partition blocks."""
-    pts = path.values[partition._index]
-    diffs = pts[1:] - pts[:-1]
-    return float(np.sum(diffs * diffs))
+def riemann_qv(chunk: ItoChunk, partitions: Sequence[RandomPartition]) -> np.ndarray:
+    """Sum of squared path increments over the partition blocks, (P,).
+
+    ``partitions`` gives each path its partition; paths that share one
+    partition are priced together in one array pass.
+    """
+    chunk = _checked(chunk, ItoChunk)
+    if len(partitions) != len(chunk):
+        raise ValueError(f"{len(partitions)} partitions for {len(chunk)} paths")
+    shared = {}
+    for p, part in enumerate(partitions):
+        shared.setdefault(part, []).append(p)
+    out = np.empty(len(chunk))
+    for part, paths in shared.items():
+        pts = chunk.values[np.ix_(paths, part._index)]
+        diffs = pts[:, 1:] - pts[:, :-1]
+        # each path's squares summed as one flat array, as np.sum sums one path's
+        out[paths] = (diffs * diffs).reshape(len(paths), -1).sum(axis=1)
+    return out
 
 
 def riemann_weighted_bilinear(
-    path: ItoPath, partition: RandomPartition, form: Callable[[float, np.ndarray], np.ndarray]
-) -> float:
-    """Riemann sum sum_i <dX_i, F(s_i, X_{s_i}) dX_i> with F frozen at each
-    block's left endpoint."""
-    total = 0.0
-    times = path.grid.times
-    for a, b in zip(partition.step_indices, partition.step_indices[1:]):
-        x = path.values[a]
-        d = path.values[b] - x
-        f = np.asarray(form(float(times[a]), x))
-        total += float(d @ f @ d)
-    return total
+    chunk: ItoChunk, partition: RandomPartition, form: Callable[[float, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Riemann sum sum_i <dX_i, F(s_i, X_{s_i}) dX_i> of each path, (P,),
+    with F frozen at each block's left endpoint. F takes one point, so each
+    path is summed on its own."""
+    times = _checked(chunk, ItoChunk).grid.times
+    out = np.zeros(len(chunk))
+    for p, values in enumerate(chunk.values):
+        for a, b in zip(partition.step_indices, partition.step_indices[1:]):
+            x = values[a]
+            d = values[b] - x
+            out[p] += float(d @ np.asarray(form(float(times[a]), x)) @ d)
+    return out
 
 
-def weighted_qv_target(path: ItoPath, form: Callable[[float, np.ndarray], np.ndarray]) -> float:
-    """The limit the weighted Riemann sums approach on this path.
+def weighted_qv_target(
+    chunk: ItoChunk, form: Callable[[float, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The limit the weighted Riemann sums approach on each path, (P,).
 
     Integrates F against the optional bracket: sum_k <F(t_k, X_{t_k}), S_k>,
     where the operator step S_k carries the continuous control-measure
     increment and the outer product of every jump delta in step k, so each
-    jump sees F frozen at the left endpoint of its step.
+    jump sees F frozen at the left endpoint of its step. The steps are
+    priced once for the chunk; F takes one point, so it is called path by
+    path.
     """
-    times = path.grid.times
-    forms = np.array([form(float(times[k]), path.values[k]) for k in range(path.grid.n_steps)])
-    steps = _add_jumps(_bracket_steps(path, "continuous", operator=True), path, path)
-    return float(np.einsum("kab,kab->", forms, steps))
+    times = _checked(chunk, ItoChunk).grid.times
+    steps = _add_jumps(_bracket_steps(chunk, "continuous", operator=True), chunk, chunk)
+    out = np.zeros(len(chunk))
+    for p, values in enumerate(chunk.values):
+        forms = np.array([form(float(times[k]), values[k]) for k in range(chunk.grid.n_steps)])
+        out[p] = np.einsum("kab,kab->", forms, steps[p])
+    return out
 
 
-def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoPath], list]:
-    """2^level blocks per level; built once, since they do not depend on the path."""
+def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
+    """2^level blocks per level; built once and shared by every path, since
+    they do not depend on the path."""
     partitions = [make_dyadic_partition(n_steps, int(level)) for level in levels]
-    return lambda path: partitions
+    return lambda chunk: [[part] * len(chunk) for part in partitions]
 
 
-def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoPath], list]:
+def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
     """Resolution 2^-level per level; built on each path, whose stopping times they are."""
-    return lambda path: [make_adaptive_partition(path, 2.0 ** (-float(level))) for level in levels]
+    return lambda chunk: [make_adaptive_partition(chunk, 2.0 ** (-float(level))) for level in levels]
 
 
 # the partition kinds of a refinement study: kind -> (n_steps, levels) -> a
-# function giving a path its partitions, one per level
+# function giving a chunk its partitions, per level one for each path
 _REFINEMENTS = {"dyadic": _dyadic_levels, "adaptive": _adaptive_levels}
 
 
-def qv_refinement_study(path: _Paths, partitions: Callable[[ItoPath], list]) -> np.ndarray:
+def qv_refinement_study(chunk: ItoChunk, partitions: Callable[[ItoChunk], list]) -> np.ndarray:
     """Riemann-vs-optional-bracket error of each path over refining partitions.
 
-    partitions(path) gives a path its partitions, one per refinement level
-    (see ``_REFINEMENTS``). For each, the relative error |riemann -
-    optional| / |optional| (absolute when the bracket is 0) and the mesh.
-    Returns shape (2, L) for one path, the errors, then the meshes, and (P,
-    2, L) for a chunk, whose optional-bracket targets are priced in one call.
+    partitions(chunk) gives, per refinement level, one partition for each
+    path (see ``_REFINEMENTS``). For each level, the relative error
+    |riemann - optional| / |optional| (absolute when the bracket is 0) and
+    the mesh. Returns shape (P, 2, L), the errors, then the meshes; the
+    optional-bracket targets are priced in one call and each level's
+    Riemann sums in another.
     """
-    chunk = _chunk_of(path)
-    blocks = []
-    for one, target in zip(chunk, optional_qv(chunk)[:, -1].tolist()):
-        scale = abs(target) if target != 0.0 else 1.0
-        parts = partitions(one)
-        errors = [abs(riemann_qv(one, part) - target) / scale for part in parts]
-        blocks.append([errors, [part.mesh(chunk.grid.dt) for part in parts]])
-    out = np.array(blocks, dtype=np.float64)
-    return out[0] if isinstance(path, ItoPath) else out
+    targets = optional_qv(_checked(chunk, ItoChunk))[:, -1]
+    scale = np.where(targets != 0.0, np.abs(targets), 1.0)
+    errors, meshes = [], []
+    for parts in partitions(chunk):
+        errors.append(np.abs(riemann_qv(chunk, parts) - targets) / scale)
+        meshes.append([part.mesh(chunk.grid.dt) for part in parts])
+    return np.stack([np.transpose(errors), np.transpose(meshes)], axis=1)

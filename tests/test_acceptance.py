@@ -22,7 +22,7 @@ from cmvm.integrate import (
     integrate,
     realized_lambda2_mass,
 )
-from cmvm.noise import TimeGrid, sample_path
+from cmvm.noise import TimeGrid, sample_chunk
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
     make_dyadic_partition,
@@ -105,15 +105,13 @@ def test_criterion_05_riemann_qv_convergence(tmp_path):
         return np.array([[1.0 + 0.5 * t, 0.2], [0.2, 2.0 + np.tanh(x[1])]])
 
     levels = (3, 4, 5, 6, 7)
-    errs = {lv: [] for lv in levels}
-    for i in range(200):
-        path = integrate(integrand, sample_path(spec, grid, seed=515_05, path_index=i))
-        target = weighted_qv_target(path, form)
-        for lv in levels:
-            part = make_dyadic_partition(grid.n_steps, lv)
-            approx = riemann_weighted_bilinear(path, part, form)
-            errs[lv].append(abs(approx - target) / abs(target))
-    wmed = [float(np.median(errs[lv])) for lv in levels]
+    paths = integrate(integrand, sample_chunk(spec, grid, 515_05, range(200)))
+    target = weighted_qv_target(paths, form)
+    wmed = []
+    for lv in levels:
+        part = make_dyadic_partition(grid.n_steps, lv)
+        approx = riemann_weighted_bilinear(paths, part, form)
+        wmed.append(float(np.median(np.abs(approx - target) / np.abs(target))))
     assert all(a > b for a, b in zip(wmed, wmed[1:]))
     assert wmed[-1] < 0.10
     _verdict(
@@ -139,14 +137,14 @@ def test_criterion_06_decomposition_and_additivity(tmp_path):
         deterministic_integrand(lambda k, t, j: PHI * (1.0 + 0.3 * t + 0.1 * j), 2, 2),
     ]
     worst = 0.0
+    samples = sample_chunk(spec, grid, 606, range(50))
     for integrand in det_models:
-        for i in range(50):
-            path = integrate(integrand, sample_path(spec, grid, seed=606, path_index=i))
-            total = realized_lambda2_mass(path, "total")
-            split = realized_lambda2_mass(path, "continuous") + realized_lambda2_mass(
-                path, "discontinuous"
-            )
-            worst = max(worst, abs(total - split) / max(1.0, total))
+        paths = integrate(integrand, samples)
+        total = realized_lambda2_mass(paths, "total")
+        split = realized_lambda2_mass(paths, "continuous") + realized_lambda2_mass(
+            paths, "discontinuous"
+        )
+        worst = max(worst, float(np.max(np.abs(total - split) / np.maximum(1.0, total))))
     assert worst <= 1e-12
     _verdict(
         6,

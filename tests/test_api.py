@@ -1,11 +1,13 @@
-"""The public surface: every exported name resolves, and every exported
+"""The public surface: every exported name resolves, every exported
 function and class is reached by a scenario run or is a named test
-reference."""
+reference, and the README's Python examples run."""
 
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import re
 import sys
 
 import pytest
@@ -124,3 +126,14 @@ def test_every_exported_class_backs_a_scenario_or_is_allowed(called):
     be allow-listed."""
     classes = {key: _own_code(obj) for key, obj in _exports().items() if inspect.isclass(obj)}
     _assert_reached_or_allowed(classes, called, ALLOWED_UNREACHED_CLASSES)
+
+
+def test_readme_python_examples_run(capsys):
+    """Each ```python block of README.md runs as it is written."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

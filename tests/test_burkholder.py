@@ -18,7 +18,7 @@ from cmvm.burkholder import (
     walk_ensemble,
 )
 from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
-from cmvm.noise import TimeGrid, sample_path
+from cmvm.noise import TimeGrid, sample_chunk, sample_path
 from cmvm.presets import make_preset
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
@@ -135,7 +135,8 @@ def test_unknown_bracket_flavor(grid8, mixed_paths):
 
 def test_ensemble_rows_match_paths_walked_alone(grid8):
     """Each row holds the statistics of the same (seed, index) path walked on
-    its own; the rows are read-only and no path object is kept."""
+    its own, as a chunk of one; the rows are read-only and no path object
+    is kept."""
     spec = make_preset("mixed-default")
     proc = ItoProcessSpec(constant_integrand(PHI))
     ens = walk_ensemble(proc, spec, grid8, n_paths=6, seed=4503)
@@ -143,11 +144,12 @@ def test_ensemble_rows_match_paths_walked_alone(grid8):
     assert ens.stats.dtype.names == ("sup", "terminal", "terminal_sq") + BRACKET_FLAVORS
     for i, row in enumerate(ens.stats):
         path = simulate_ito_process(proc, sample_path(spec, grid8, seed=4503, path_index=i))
-        assert row["sup"] == path_running_sup(path)
-        assert row["terminal"] == float(np.linalg.norm(path.terminal))
-        assert row["terminal_sq"] == float(path.terminal @ path.terminal)
+        end = path.values[0, -1]
+        assert [row["sup"]] == path_running_sup(path).tolist()
+        assert row["terminal"] == float(np.linalg.norm(end))
+        assert row["terminal_sq"] == float(end @ end)
         for flavor in BRACKET_FLAVORS:
-            assert row[flavor] == bracket_terminal(path, flavor)
+            assert [row[flavor]] == bracket_terminal(path, flavor).tolist()
     assert not ens.stats.flags.writeable
     with pytest.raises(ValueError):
         ens.stats["sup"][0] = 0.0
@@ -190,11 +192,8 @@ def test_sup_includes_refined_jump_positions(grid8):
     report that excursion, not just the grid values."""
     spec = make_preset("jump-default")
     proc = ItoProcessSpec(constant_integrand(PHI))
-    found = False
-    for idx in range(200):
-        path = simulate_ito_process(proc, sample_path(spec, grid8, seed=6800, path_index=idx))
-        grid_sup = float(np.linalg.norm(path.values, axis=1).max())
-        if path_running_sup(path) > grid_sup + 1e-12:
-            found = True
-            break
-    assert found
+    paths = simulate_ito_process(proc, sample_chunk(spec, grid8, 6800, range(200)))
+    grid_sup = np.linalg.norm(paths.values, axis=2).max(axis=1)
+    sup = path_running_sup(paths)
+    assert np.all(sup >= grid_sup)
+    assert np.any(sup > grid_sup + 1e-12)

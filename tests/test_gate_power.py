@@ -2,12 +2,15 @@
 planted defect (a mutant) replaces one function of the package."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 import cmvm.harness
 import cmvm.ito
+import cmvm.noise
+import cmvm.presets
 import cmvm.quadvar
 from cmvm.harness import apply_overrides, load_config, run
 from cmvm.integrate import Integrand
@@ -63,6 +66,30 @@ def _jumps_left_out_of_brackets(monkeypatch):
     monkeypatch.setattr(cmvm.quadvar, "_add_jumps", lambda steps, path, other: steps)
 
 
+def _rate_shifted_to_jumps(monkeypatch):
+    """Flavor tables that move 20% of each mixed cell's continuous rate into
+    its discontinuous rate. The sampler reads the Gaussian factors and the
+    jump rates, which stay as they were. Specs cache their tables and the
+    presets are built once per process, so the presets are rebuilt after
+    the mutant is in place."""
+    tables = cmvm.noise._NoiseTables
+    original, table = tables.__init__, cmvm.noise._FlavorTable
+
+    def mutant(self, spec):
+        original(self, spec)
+        cont, disc = self.flavors["continuous"], self.flavors["discontinuous"]
+        moved = np.where((cont.rate > 0.0) & (disc.rate > 0.0), 0.2 * cont.rate, 0.0)
+        self.flavors = dict(
+            self.flavors,
+            continuous=table(cont.rate - moved, cont.field),
+            discontinuous=table(disc.rate + moved, disc.field),
+        )
+
+    monkeypatch.setattr(tables, "__init__", mutant)
+    rebuilt = functools.lru_cache(maxsize=None)(cmvm.presets._built.__wrapped__)
+    monkeypatch.setattr(cmvm.presets, "_built", rebuilt)
+
+
 # mutant -> (planting function, scenario, overrides, the gate that must fail)
 MUTANTS = {
     "jump-amplitudes-x3": (
@@ -112,6 +139,12 @@ MUTANTS = {
         "ito-converge",
         ["n_paths=40"],
         "median-abs-residual-finest",
+    ),
+    "rate-shift-to-jumps": (
+        _rate_shifted_to_jumps,
+        "verify-decomposition",
+        ["n_paths=5"],
+        "flavor-mass-additivity",
     ),
     "compose-with-outer-value": (
         _compose_with_outer_value,

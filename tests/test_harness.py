@@ -201,17 +201,20 @@ _ONE_D_MODEL = {
 
 
 @pytest.mark.parametrize("scenario", ["verify-decomposition", "verify-qv"])
-@pytest.mark.parametrize("shape", ["3x2", "1x1"])
+@pytest.mark.parametrize("shape", ["3x2", "1x1", "2x1"])
 def test_exact_gates_hold_on_other_shapes(scenario, shape, tmp_path):
     """The exact per-path gates on shapes other than 2x2, where the bracket
-    kernel's chunk einsums run with dim_out != dim_in or on a 1-d model:
-    phi 3x2 on mixed-default, and phi 1x1 on a two-cell 1-d model file."""
+    kernel's chunk einsums and the batched readers run with dim_out !=
+    dim_in or on a 1-d model: phi 3x2 on mixed-default, and phi 1x1 and 2x1
+    on a two-cell 1-d model file."""
     if shape == "3x2":
         params = {"phi": [[0.9, 0.2], [-0.3, 1.1], [0.4, 0.5]], "weight": [0.6, -0.2, 0.3]}
         params["phi_b"] = [[0.2, -0.5], [0.7, 0.1], [-0.4, 0.3]]
         preset = "mixed-default"
     else:
         params = {"phi": [[0.9]], "weight": [0.6], "phi_b": [[-0.4]]}
+        if shape == "2x1":
+            params = {"phi": [[0.9], [-0.5]], "weight": [0.6, -0.2], "phi_b": [[-0.4], [0.3]]}
         model = tmp_path / "one-d.json"
         model.write_text(json.dumps(_ONE_D_MODEL))
         preset = str(model)

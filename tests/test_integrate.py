@@ -21,7 +21,6 @@ from cmvm.integrate import (
     AdaptedState,
     Integrand,
     ItoChunk,
-    ItoPath,
     ItoProcessSpec,
     LookAheadError,
     PathHistory,
@@ -57,7 +56,16 @@ from cmvm.noise import (
     sample_path,
 )
 from cmvm.presets import make_preset
-from cmvm.quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
+from cmvm.quadvar import (
+    _REFINEMENTS,
+    make_adaptive_partition,
+    optional_qv,
+    predictable_qv,
+    qv_refinement_study,
+    riemann_qv,
+    riemann_weighted_bilinear,
+    weighted_qv_target,
+)
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
 
@@ -74,18 +82,17 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def samples(mixed, grid8):
-    return [sample_path(mixed, grid8, seed=515, path_index=i) for i in range(3000)]
+    return sample_chunk(mixed, grid8, 515, range(3000))
 
 
 @pytest.fixture(scope="module")
 def walked(samples):
-    phi = constant_integrand(PHI)
-    return [integrate(phi, s) for s in samples]
+    return integrate(constant_integrand(PHI), samples)
 
 
 def test_integral_is_mean_zero(walked, grid8):
     for k in (2, 4, 6, 8):
-        vals = np.stack([p.values[k] for p in walked])
+        vals = walked.values[:, k]
         se = vals.std(axis=0, ddof=1) / np.sqrt(len(vals))
         assert np.all(np.abs(vals.mean(axis=0)) < 4.0 * se), f"bias at step {k}"
 
@@ -93,7 +100,8 @@ def test_integral_is_mean_zero(walked, grid8):
 def test_isometry_constant_integrand(walked, mixed, grid8):
     """E ||I_T||^2 against the exact squared integrand norm."""
     target = lambda2_norm(constant_integrand(PHI), mixed, grid8)
-    sq = np.array([float(p.terminal @ p.terminal) for p in walked])
+    end = walked.values[:, -1]
+    sq = np.vecdot(end, end)
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - target) < 4.0 * se
 
@@ -101,41 +109,42 @@ def test_isometry_constant_integrand(walked, mixed, grid8):
 def test_isometry_each_flavor_on_restricted_cells(walked, mixed, grid8):
     """Second moment of the integral restricted (by the model) decomposes as
     the flavor masses; checked through the additivity of the realized weight."""
-    for p in walked[:100]:
-        tot = realized_lambda2_mass(p, "total")
-        parts = realized_lambda2_mass(p, "continuous") + realized_lambda2_mass(p, "discontinuous")
-        assert tot == pytest.approx(parts, rel=1e-12)
+    tot = realized_lambda2_mass(walked, "total")
+    parts = realized_lambda2_mass(walked, "continuous") + realized_lambda2_mass(walked, "discontinuous")
+    assert tot.shape == (len(walked),)
+    np.testing.assert_allclose(tot, parts, rtol=1e-12)
 
 
 def test_linearity_per_path(mixed, grid8, samples):
     a = constant_integrand(PHI)
     b = constant_integrand(np.array([[0.1, -0.7], [0.4, 0.2]]))
     comb = constant_integrand(2.0 * PHI + np.array([[0.1, -0.7], [0.4, 0.2]]))
-    for s in samples[:40]:
-        lhs = integrate(comb, s).terminal
-        rhs = 2.0 * integrate(a, s).terminal + integrate(b, s).terminal
-        assert np.allclose(lhs, rhs, atol=1e-12)
+    lhs = integrate(comb, samples).values[:, -1]
+    rhs = 2.0 * integrate(a, samples).values[:, -1] + integrate(b, samples).values[:, -1]
+    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_walk_reconstructs_exactly(mixed, grid8):
-    """values, drift, stoch_cont and the jump records tile each step exactly."""
+    """values, drift, stoch_cont and the jump records tile each step of
+    each path exactly."""
     proc = ItoProcessSpec(
         state_linear_integrand(PHI, [1.0, -0.5], 0.4),
         initial=[0.2, -0.1],
         drift_rate=[0.3, -0.2],
     )
-    sample = sample_path(mixed, grid8, seed=77, path_index=0)
-    path = simulate_ito_process(proc, sample)
-    assert len(sample.jumps) > 0
-    jumps = path.jumps
-    for k in range(grid8.n_steps):
-        v = path.values[k].copy()
-        v += path.drift[k]
-        v += path.stoch_cont[k]
-        for rec in jumps[jumps["step"] == k]:
-            assert np.array_equal(rec["pre"], v)
-            v = v + rec["delta"]
-        assert np.array_equal(path.values[k + 1], v), f"step {k} does not tile"
+    samples = sample_chunk(mixed, grid8, 77, range(4))
+    paths = simulate_ito_process(proc, samples)
+    assert len(samples[0].jumps) > 0
+    jumps, pid = paths.jumps, samples.pid
+    for p in range(len(paths)):
+        for k in range(grid8.n_steps):
+            v = paths.values[p, k].copy()
+            v += paths.drift[k]
+            v += paths.stoch_cont[p, k]
+            for rec in jumps[(pid == p) & (jumps["step"] == k)]:
+                assert np.array_equal(rec["pre"], v)
+                v = v + rec["delta"]
+            assert np.array_equal(paths.values[p, k + 1], v), f"path {p} step {k} does not tile"
 
 
 def test_jumps_are_read_only_record_arrays(mixed, grid8):
@@ -176,7 +185,7 @@ def test_lookahead_guard_raises(mixed, grid8):
 
 
 def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
-    sample = sample_path(mixed, grid8, seed=3, path_index=0)
+    sample = sample_chunk(mixed, grid8, 3, range(4))
     h = [0.4, -1.0]
     seen = {}
 
@@ -189,7 +198,8 @@ def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
     integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False, name="past"), sample)
     assert {k for k, _ in seen} == set(range(grid8.n_steps))
     for (k, cell), value in seen.items():
-        assert value.tolist() == [evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)]
+        want = evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)
+        assert value.shape == (4,) and value.tobytes() == want.tobytes()
 
     def reads_one_step_ahead(state, cells):
         state.history.noise_pairing(0.0, float(grid8.times[state.step + 1]), cells, h)
@@ -211,11 +221,9 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
     n_paths = 1500
 
     def run(make_eval):
-        means = np.zeros((n_paths, 2))
-        for i in range(n_paths):
-            sample = sample_path(mixed, grid8, seed=808, path_index=i)
-            integrand = Integrand(make_eval(sample), 2, 2, deterministic=False, name="ctl")
-            means[i] = integrate(integrand, sample).terminal
+        samples = sample_chunk(mixed, grid8, 808, range(n_paths))
+        integrand = Integrand(make_eval(samples), 2, 2, deterministic=False, name="ctl")
+        means = integrate(integrand, samples).values[:, -1]
         se = means.std(axis=0, ddof=1) / np.sqrt(n_paths)
         return np.abs(means.mean(axis=0)) / se
 
@@ -230,7 +238,7 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
 
     def cheating(sample):
         def _eval(state, cells):
-            g = sample.gauss[state.step, list(cells)][None]  # smuggled future
+            g = sample.gauss[:, state.step, list(cells)]  # smuggled future
             return PHI * (1.0 + 2.0 * (g * w).sum(-1))[:, :, None, None]
 
         return _eval
@@ -249,21 +257,19 @@ def test_conditional_isometry_adapted_feedback(mixed, grid8):
     h = np.array([1.0, -0.2])
     ks, kt = grid8.index_of(grid8.times[1]), grid8.n_steps
 
-    def first_sign(path):
-        return evaluate(path.sample, 0.0, path.grid.times[1], [0, 1], h) >= 0.0
+    def first_sign(paths):
+        return evaluate(paths.samples, 0.0, paths.grid.times[1], [0, 1], h) >= 0.0
 
-    events = {"always": lambda path: True, "first-sign": first_sign}
-
-    def row(path):
-        inc = path.values[kt] - path.values[ks]
-        bracket = realized_lambda2_mass(path, "total", upto_step=kt) - realized_lambda2_mass(
-            path, "total", upto_step=ks
-        )
-        hits = [float(event(path)) for event in events.values()]
-        return hits + [ind * (float(inc @ inc) - bracket) for ind in hits]
+    events = {"always": lambda paths: np.ones(len(paths), bool), "first-sign": first_sign}
 
     def measure(samples):
-        return [row(path) for path in integrate(integrand, samples)]
+        paths = integrate(integrand, samples)
+        inc = paths.values[:, kt] - paths.values[:, ks]
+        bracket = realized_lambda2_mass(paths, "total", upto_step=kt) - realized_lambda2_mass(
+            paths, "total", upto_step=ks
+        )
+        hits = [event(paths).astype(float) for event in events.values()]
+        return np.stack(hits + [ind * (np.vecdot(inc, inc) - bracket) for ind in hits], axis=1)
 
     rows = _per_path(mixed, grid8, 99, 1200, measure)
     rates = dict(zip(events, rows[:, :2].mean(axis=0)))
@@ -291,7 +297,7 @@ def test_lambda2_norm_deterministic_vs_sampled(mixed, grid8):
     # a state-feedback integrand with zero gain has the same norm on every path
     zero_gain = state_linear_integrand(PHI, [1.0, 0.0], 0.0)
     masses = _per_path(
-        mixed, grid8, 1, 8, lambda ss: [(realized_lambda2_mass(p),) for p in integrate(zero_gain, ss)]
+        mixed, grid8, 1, 8, lambda ss: realized_lambda2_mass(integrate(zero_gain, ss))[:, None]
     )
     mean, se = _mean_se(masses[:, 0])
     assert se == pytest.approx(0.0, abs=1e-12)
@@ -310,17 +316,25 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
         initial=[1.0, 2.0],
         drift_rate=[0.5, -0.1],
     )
-    for idx in range(25):
-        sample = sample_path(mixed, grid8, seed=21, path_index=idx)
-        path = simulate_ito_process(proc, sample)
-        cont, jump, fv = decompose_integral(path)
-        assert np.allclose(cont + jump + fv, path.values, atol=1e-12)
-        # continuous part has continuous increments only; jump part is flat
-        # between noise jumps; fv carries initial and drift
-        assert np.allclose(cont[0], 0.0)
-        assert np.allclose(jump[0], 0.0)
-        assert np.allclose(fv[0], [1.0, 2.0])
-        assert np.allclose(jump[-1], path.jumps["delta"].sum(axis=0), atol=1e-12)
+    samples = sample_chunk(mixed, grid8, 21, range(25))
+    paths = simulate_ito_process(proc, samples)
+    parts = decompose_integral(paths)
+    cont, jump, fv = parts
+    assert cont.shape == jump.shape == fv.shape == paths.values.shape
+    assert np.allclose(cont + jump + fv, paths.values, atol=1e-12)
+    # continuous part has continuous increments only; jump part is flat
+    # between noise jumps; fv carries initial and drift
+    assert np.allclose(cont[:, 0], 0.0)
+    assert np.allclose(jump[:, 0], 0.0)
+    assert np.allclose(fv[:, 0], [1.0, 2.0])
+    jump_totals = np.zeros((len(paths), 2))
+    np.add.at(jump_totals, samples.pid, paths.jumps["delta"])
+    assert np.allclose(jump[:, -1], jump_totals, atol=1e-12)
+    # each path's parts are, bit for bit, those of the path walked alone
+    for p in (0, 7, 24):
+        alone = decompose_integral(simulate_ito_process(proc, samples[p]))
+        for part, one in zip(parts, alone):
+            assert one.shape == (1, grid8.n_steps + 1, 2) and one.tobytes() == part[p : p + 1].tobytes()
 
 
 def test_simple_integrand_two_routes(mixed, grid8):
@@ -334,16 +348,17 @@ def test_simple_integrand_two_routes(mixed, grid8):
             cells = tuple(rng.choice(4, size=rng.integers(1, 4), replace=False).tolist())
             matrix = rng.standard_normal((2, 2))
             if rng.random() < 0.5 and start > 0:
-                def gate(sample, k0, _c=tuple(cells), _t=float(rng.normal(0, 0.2))):
-                    return evaluate(sample, 0.0, sample.grid.times[k0], _c, h) >= _t
+                def gate(samples, k0, _c=tuple(cells), _t=float(rng.normal(0, 0.2))):
+                    return evaluate(samples, 0.0, samples.grid.times[k0], _c, h) >= _t
             else:
                 gate = None
             blocks.append(SimpleBlock(start, stop, cells, matrix, gate))
         simple = SimpleIntegrand(blocks, 2, 2)
-        sample = sample_path(mixed, grid8, seed=33, path_index=trial)
-        direct = integrate_simple(simple, sample)
-        walked_path = integrate(simple.as_general(), sample)
-        assert np.allclose(direct, walked_path.terminal, atol=1e-12), f"trial {trial}"
+        samples = sample_chunk(mixed, grid8, 33, range(trial, trial + 4))
+        direct = integrate_simple(simple, samples)
+        walked = integrate(simple.as_general(), samples)
+        assert direct.shape == (4, 2)
+        assert np.allclose(direct, walked.values[:, -1], atol=1e-12), f"trial {trial}"
 
 
 def test_simple_block_validation():
@@ -360,8 +375,8 @@ def test_composition_matches_direct_route(mixed, grid8):
         [
             SimpleBlock(0, 5, (0, 1), np.array([[1.0, 0.3], [0.0, 0.8]])),
             SimpleBlock(2, 8, (2, 3), np.array([[-0.4, 0.0], [0.2, 0.5]]),
-                        predicate=lambda sample, k0: evaluate(
-                            sample, 0.0, sample.grid.times[k0], [0], [1.0, 0.0]) >= 0.0),
+                        predicate=lambda samples, k0: evaluate(
+                            samples, 0.0, samples.grid.times[k0], [0], [1.0, 0.0]) >= 0.0),
         ],
         2,
         2,
@@ -373,12 +388,11 @@ def test_composition_matches_direct_route(mixed, grid8):
 
     general = inner.as_general()
     composed = compose_integrands(psi, general, dim_out=2)
-    for idx in range(40):
-        sample = sample_path(mixed, grid8, seed=44, path_index=idx)
-        inner_path = integrate(general, sample)
-        direct = integrate_process(psi, inner_path, dim_out=2)
-        fused = integrate(composed, sample).terminal
-        assert np.allclose(direct, fused, atol=1e-12), f"path {idx}"
+    samples = sample_chunk(mixed, grid8, 44, range(40))
+    direct = integrate_process(psi, integrate(general, samples), dim_out=2)
+    fused = integrate(composed, samples).values[:, -1]
+    assert direct.shape == (40, 2)
+    assert np.allclose(direct, fused, atol=1e-12)
 
 
 def test_composition_with_state_dependent_outer(mixed, grid8):
@@ -390,11 +404,10 @@ def test_composition_with_state_dependent_outer(mixed, grid8):
         return np.eye(2) * (1.0 + 0.3 * np.tanh(value[:, 0]))[:, None, None]
 
     composed = compose_integrands(psi, inner, dim_out=2)
-    for idx in range(25):
-        sample = sample_path(mixed, grid8, seed=55, path_index=idx)
-        direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
-        fused = integrate(composed, sample).terminal
-        assert np.allclose(direct, fused, atol=1e-12)
+    samples = sample_chunk(mixed, grid8, 55, range(25))
+    direct = integrate_process(psi, integrate(inner, samples), dim_out=2)
+    fused = integrate(composed, samples).values[:, -1]
+    assert np.allclose(direct, fused, atol=1e-12)
 
 
 def test_composition_with_adapted_inner(mixed, grid8):
@@ -407,11 +420,11 @@ def test_composition_with_adapted_inner(mixed, grid8):
         return outer_mats[step]
 
     composed = compose_integrands(psi, inner, dim_out=2)
-    for idx in range(40):
-        sample = sample_path(mixed, grid8, seed=0, path_index=idx)
-        direct = integrate_process(psi, integrate(inner, sample), dim_out=2)
-        fused = integrate(composed, sample).terminal
-        assert np.allclose(direct, fused, rtol=0.0, atol=1e-12 * max(1.0, np.abs(direct).max()))
+    samples = sample_chunk(mixed, grid8, 0, range(40))
+    direct = integrate_process(psi, integrate(inner, samples), dim_out=2)
+    fused = integrate(composed, samples).values[:, -1]
+    scale = np.maximum(1.0, np.abs(direct).max(axis=1, keepdims=True))
+    assert np.all(np.abs(direct - fused) <= 1e-12 * scale)
 
 
 def test_deterministic_integrand_time_dependence(mixed, grid8):
@@ -425,12 +438,11 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
         return np.stack([fn(state.step, state.time, j) for j in cells])[None]
 
     slow = Integrand(slow_eval, 2, 2, deterministic=False, name="slow-twin")
-    for idx in range(20):
-        sample = sample_path(mixed, grid8, seed=66, path_index=idx)
-        a = integrate(det, sample)
-        b = integrate(slow, sample)
-        assert np.allclose(a.values, b.values, atol=1e-12)
-        assert np.allclose(a.phis, b.phis, atol=0.0)
+    samples = sample_chunk(mixed, grid8, 66, range(20))
+    a = integrate(det, samples)
+    b = integrate(slow, samples)
+    assert np.allclose(a.values, b.values, atol=1e-12)
+    assert np.allclose(a.phis, b.phis, atol=0.0)
 
 
 # ------------------------------------------------ the chunked walk
@@ -438,10 +450,10 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
 
 def _loop_walk(process, sample):
     """The per-path step loop that the chunked walk replaced, kept as its
-    reference: one path, one evaluator call per step, each cell's operator
-    applied on its own and each jump applied on its own in micro-order. The
-    evaluator sees the path as a chunk of one. Returns values, phis,
-    stoch_cont, drift, and the jump rows' delta and pre."""
+    reference: one path, a chunk of one, one evaluator call per step, each
+    cell's operator applied on its own and each jump applied on its own in
+    micro-order. Returns values, phis, stoch_cont, drift, and the jump rows'
+    delta and pre, without the path axis."""
     integrand = process.integrand
     grid, spec = sample.grid, sample.spec
     n, m, times = grid.n_steps, spec.n_cells, grid.times
@@ -455,8 +467,7 @@ def _loop_walk(process, sample):
     dr = process.drift_rate * grid.dt
     phis = np.zeros((n, m, d_out, d_in))
     stoch = np.zeros((n, d_out))
-    one = sample_chunk(spec, grid, sample.seed, [sample.path_index])
-    history = PathHistory(one, values[:, None])
+    history = PathHistory(sample, values[:, None])
     noise = sample.jumps
     step, cell, amp = noise["step"], noise["cell"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
@@ -477,7 +488,7 @@ def _loop_walk(process, sample):
         mats = np.broadcast_to(mats, (1, len(active), d_out, d_in))
         for j, mat in zip(active, mats[0]):
             phis[k, j] = mat
-            sc += mat @ sample.gauss[k, j]
+            sc += mat @ sample.gauss[0, k, j]
         stoch[k] = sc
         for i in range(lo, hi):
             delta[i] = phis[k, cell[i]] @ amp[i]
@@ -494,8 +505,8 @@ def _gated_simple():
     gate decided at its window's left endpoint from the noise before it."""
     h = np.array([1.0, -0.4])
 
-    def gate(sample, k0, _c=(0, 2)):
-        return evaluate(sample, 0.0, sample.grid.times[k0], _c, h) >= 0.0
+    def gate(samples, k0, _c=(0, 2)):
+        return evaluate(samples, 0.0, samples.grid.times[k0], _c, h) >= 0.0
 
     return SimpleIntegrand(
         [
@@ -506,6 +517,13 @@ def _gated_simple():
         2,
         2,
     )
+
+
+def _row(walked, p):
+    """Path p of a walked chunk: its records without the path axis."""
+    rows = walked.jumps[walked.samples.pid == p]
+    return {"values": walked.values[p], "phis": walked.phis[p], "stoch_cont": walked.stoch_cont[p],
+            "drift": walked.drift, "delta": rows["delta"], "pre": rows["pre"]}
 
 
 def _chunk_processes():
@@ -536,11 +554,9 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
     walked = simulate_ito_process(process, chunk)
     assert isinstance(walked, ItoChunk) and len(walked) == len(chunk)
     assert walked.samples is chunk and len(chunk.jumps) > 9
-    for i, path in enumerate(walked):
-        assert path.sample is chunk[i] and path.sample.path_index == i
+    for i in range(len(walked)):
         want = _loop_walk(process, sample_path(mixed, grid8, seed=4100, path_index=i))
-        got = {"values": path.values, "phis": path.phis, "stoch_cont": path.stoch_cont,
-               "drift": path.drift, "delta": path.jumps["delta"], "pre": path.jumps["pre"]}
+        got = _row(walked, i)
         for field, ref in want.items():
             assert got[field].shape == ref.shape, (name, field)
             scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
@@ -549,10 +565,9 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
 
 @pytest.mark.parametrize("kind", ["deterministic", "adapted"])
 def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
-    """chunk[p] is, bit for bit, the read-only path its sample gives walked
-    alone; a negative index counts from the end, an index past the end
-    raises IndexError, and the walks and every chunk measure refuse a tuple
-    of samples or of paths."""
+    """Walking samples[p], path p as a chunk of one, gives bit for bit row p
+    of the walked chunk, read-only; the walks and every chunk measure and
+    reader refuse a tuple of samples or of walked paths."""
     integrand = {
         "deterministic": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
         "adapted": state_linear_integrand(PHI, [0.6, -0.2], 0.8),
@@ -561,28 +576,33 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
     chunk = integrate(integrand, samples)
     assert isinstance(chunk, ItoChunk) and len(chunk) == len(samples)
     assert 0 < len(chunk.jumps) == len(samples.jumps) and chunk.samples is samples
-    assert [path.sample for path in chunk] == list(samples)
     for i in range(5):
-        alone = integrate(integrand, sample_path(mixed, grid8, seed=4100, path_index=i))
-        for path in (chunk[i], chunk[i - len(chunk)]):
-            assert isinstance(path, ItoPath) and path.sample is samples[i]
-            assert path.sample.gauss.tobytes() == alone.sample.gauss.tobytes()
-            for field in ("values", "phis", "stoch_cont", "drift", "jumps"):
-                got, want = getattr(path, field), getattr(alone, field)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
-                assert not got.flags.writeable, field
-    for past_end in (len(chunk), -len(chunk) - 1):
-        with pytest.raises(IndexError):
-            chunk[past_end]
+        alone = integrate(integrand, samples[i - 5 * (i % 2)])  # odd paths by a negative index
+        assert len(alone) == 1 and alone.samples.path_index == (i,)
+        assert alone.jumps.tobytes() == chunk.jumps[samples.pid == i].tobytes()
+        for field, got in _row(chunk, i).items():
+            want = _row(alone, 0)[field]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        for field in ("values", "phis", "stoch_cont", "drift", "jumps"):
+            assert not getattr(alone, field).flags.writeable, field
     f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](grid8.n_steps, [1, 2])
+    parts, form = dyadic(chunk)[0], lambda t, x: np.eye(2)
     measures = (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
+                realized_lambda2_mass, decompose_integral,
                 lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
-                lambda c: qv_refinement_study(c, dyadic))
+                lambda c: qv_refinement_study(c, dyadic), lambda c: riemann_qv(c, parts),
+                lambda c: riemann_weighted_bilinear(c, parts[0], form),
+                lambda c: weighted_qv_target(c, form), lambda c: make_adaptive_partition(c, 0.5),
+                lambda c: integrate_process(lambda k, t, v: np.eye(2), c, 2))
     process = ItoProcessSpec(integrand)
-    walks = (lambda s: integrate(integrand, s), lambda s: simulate_ito_process(process, s))
-    refusals = [(m, tuple(chunk)) for m in measures] + [(w, tuple(samples)) for w in walks]
-    for refused, given in refusals:
-        with pytest.raises(TypeError, match=r"expected an? \w+ or an? \w+, got tuple"):
+    walks = (lambda s: integrate(integrand, s), lambda s: simulate_ito_process(process, s),
+             lambda s: evaluate(s, 0.0, 1.0, [0], [1.0, 0.0]),
+             lambda s: integrate_simple(SimpleIntegrand([], 2, 2), s))
+    one_each = tuple(integrate(integrand, samples[i]) for i in range(5))
+    refusals = [(m, one_each, "ItoChunk") for m in measures]
+    refusals += [(w, tuple(samples), "SampleChunk") for w in walks]
+    for refused, given, kind in refusals:
+        with pytest.raises(TypeError, match=f"expected an? {kind}, got tuple"):
             refused(given)
 
 
@@ -613,10 +633,10 @@ def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model
     process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False, name="counted"))
     walked = simulate_ito_process(process, sample_chunk(spec, grid8, 21, range(5)))
     assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
-    for i, path in enumerate(walked):
+    for i in range(len(walked)):
         want = _loop_walk(process, sample_path(spec, grid8, seed=21, path_index=i))
         for field in ("values", "phis"):
-            assert np.allclose(getattr(path, field), want[field], rtol=0.0, atol=1e-12)
+            assert np.allclose(_row(walked, i)[field], want[field], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -685,7 +705,9 @@ def test_composed_inner_restarts_with_each_walk(mixed):
     composed = compose_integrands(psi, inner, dim_out=2)
     for first, size in ((0, 3), (3, 2), (5, 1)):
         chunk = sample_chunk(mixed, grid, 12, range(first, first + size))
-        for i, path in enumerate(integrate(composed, chunk), first):
+        ends = integrate(composed, chunk).values[:, -1]
+        for p, i in enumerate(range(first, first + size)):
             alone = integrate(inner, sample_path(mixed, grid, seed=12, path_index=i))
             direct = integrate_process(psi, alone, dim_out=2)
-            assert np.allclose(path.terminal, direct, rtol=0.0, atol=1e-12)
+            assert direct.shape == (1, 2)
+            assert np.allclose(ends[p], direct[0], rtol=0.0, atol=1e-12)

@@ -23,7 +23,7 @@ from cmvm.ito import (
     taylor_remainder,
     taylor_remainder_quadrature,
 )
-from cmvm.noise import TimeGrid, sample_chunk, sample_path
+from cmvm.noise import TimeGrid, sample_chunk
 from cmvm.presets import make_preset
 from cmvm.quadvar import _bracket_steps
 
@@ -41,9 +41,9 @@ def grid8():
     return TimeGrid(1.0, 8)
 
 
-def _walk(spec, grid, integrand, *, seed, path_index, drift=None):
+def _walk(spec, grid, integrand, *, seed, path_indices, drift=None):
     proc = ItoProcessSpec(integrand, drift_rate=drift)
-    return simulate_ito_process(proc, sample_path(spec, grid, seed=seed, path_index=path_index))
+    return simulate_ito_process(proc, sample_chunk(spec, grid, seed, path_indices))
 
 
 # ---------------------------------------------------------------- registry
@@ -144,24 +144,17 @@ def test_quadratic_realized_residual_vanishes_per_path(mixed, grid8):
     ]
     f = make_smooth("quadratic")
     for spec, integrand in models:
-        for idx in range(60):
-            path = _walk(spec, grid8, integrand, seed=4100, path_index=idx)
-            change = f.value(1.0, path.values[-1]) - f.value(0.0, path.values[0])
-            res = ito_residual(path, f, trace_variant="realized")
-            assert np.abs(res).max() <= 1e-10 * max(1.0, np.abs(change).max())
+        paths = _walk(spec, grid8, integrand, seed=4100, path_indices=range(60))
+        change = f.value(1.0, paths.values[:, -1]) - f.value(0.0, paths.values[:, 0])
+        res = ito_residual(paths, f, trace_variant="realized")
+        assert res.shape == change.shape == (60, 1)
+        assert np.all(np.abs(res) <= 1e-10 * np.maximum(1.0, np.abs(change)))
 
 
 def test_compensator_trace_residual_centers_on_zero(mixed, grid8):
     f = make_smooth("quadratic")
     integrand = constant_integrand(PHI)
-    res = np.array(
-        [
-            ito_residual(
-                _walk(mixed, grid8, integrand, seed=6200, path_index=i), f
-            )[0]
-            for i in range(1500)
-        ]
-    )
+    res = ito_residual(_walk(mixed, grid8, integrand, seed=6200, path_indices=range(1500)), f)[:, 0]
     assert res.std() > 1e-4  # the gap is genuinely random ...
     se = res.std(ddof=1) / np.sqrt(len(res))
     assert abs(res.mean()) < 4.0 * se  # ... and centered
@@ -169,39 +162,40 @@ def test_compensator_trace_residual_centers_on_zero(mixed, grid8):
 
 def test_linear_function_sees_no_second_order_terms(mixed, grid8):
     f = make_smooth("linear:0.7")
-    path = _walk(mixed, grid8, constant_integrand(PHI), seed=88, path_index=1, drift=[0.3, -0.2])
-    terms = ito_terms(path, f)
+    paths = _walk(mixed, grid8, constant_integrand(PHI), seed=88, path_indices=range(1, 6), drift=[0.3, -0.2])
+    terms = ito_terms(paths, f)
     assert np.all(terms.trace == 0.0)
     assert np.abs(terms.jump).max() < 1e-13
     assert np.all(terms.time == 0.0)
-    assert np.abs(ito_residual(path, f)).max() < 1e-12
-    drift_total = path.drift.sum(axis=0)
-    assert abs(terms.fv[0] - 0.7 * drift_total.sum()) < 1e-12
+    assert np.abs(ito_residual(paths, f)).max() < 1e-12
+    drift_total = paths.drift.sum(axis=0)
+    assert np.abs(terms.fv[:, 0] - 0.7 * drift_total.sum()).max() < 1e-12
 
 
 def test_unknown_trace_variant_rejected(mixed, grid8):
-    path = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_index=0)
+    path = _walk(mixed, grid8, constant_integrand(PHI), seed=1, path_indices=[0])
     with pytest.raises(ValueError, match="trace variant"):
         ito_terms(path, make_smooth("quadratic"), trace_variant="midpoint")
 
 
-def _loop_terms(path, f, trace_variant):
-    """The five terms by a per-step and per-jump-row loop of single-point
-    calls: the reference for ito_terms' array route."""
+def _loop_terms(paths, p, f, trace_variant):
+    """The five terms of path p by a per-step and per-jump-row loop of
+    single-point calls: the reference for ito_terms' array route."""
     terms = {name: np.zeros(f.dim_value) for name in ("time", "fv", "stoch", "trace", "jump")}
-    cont = _bracket_steps(path, "continuous", operator=True)
-    for k in range(path.grid.n_steps):
-        t, x = float(path.grid.times[k]), path.values[k]
+    cont = _bracket_steps(paths, "continuous", operator=True)[p]
+    values, stoch = paths.values[p], paths.stoch_cont[p]
+    for k in range(paths.grid.n_steps):
+        t, x = float(paths.grid.times[k]), values[k]
         grad, hess = f.d_x(t, x), f.d_xx(t, x)
-        terms["time"] += f.d_t(t, x) * path.grid.dt
-        terms["fv"] += grad @ path.drift[k]
-        terms["stoch"] += grad @ path.stoch_cont[k]
+        terms["time"] += f.d_t(t, x) * paths.grid.dt
+        terms["fv"] += grad @ paths.drift[k]
+        terms["stoch"] += grad @ stoch[k]
         if trace_variant == "realized":
-            s = path.stoch_cont[k]
+            s = stoch[k]
             terms["trace"] += 0.5 * np.einsum("qab,a,b->q", hess, s, s)
         else:
             terms["trace"] += 0.5 * np.einsum("qab,ab->q", hess, cont[k])
-    for rec in path.jumps:
+    for rec in paths.jumps[paths.samples.pid == p]:
         tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
         inc = f.d_x(tau, pre) @ dx
         terms["stoch"] += inc
@@ -213,50 +207,34 @@ def _loop_terms(path, f, trace_variant):
 @pytest.mark.parametrize("trace_variant", ["compensator", "realized"])
 def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
     """A chunk priced in one call gives each path its loop terms, and each
-    path priced alone gives its row of the chunk bit for bit. The chunk
-    holds the first path with at least 8 jump rows and, third, the first
-    path (from index 5 on) that draws no jump. Only the order of summation
-    differs from the loop."""
+    path priced alone, as a chunk of one, gives its row of the chunk bit for
+    bit. The chunk holds the first path with at least 8 jump rows and,
+    third, the first path (from index 5 on) that draws no jump. Only the
+    order of summation differs from the loop."""
     proc = ItoProcessSpec(state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2])
     grid = TimeGrid(1.0, n_steps)
-    jumps = lambda i: len(sample_path(mixed, grid, seed=909, path_index=i).jumps)
-    busy = next(i for i in range(5, 500) if jumps(i) >= 8)
-    quiet = next(i for i in range(5, 500) if jumps(i) == 0)
+    jumps = np.bincount(sample_chunk(mixed, grid, 909, range(500)).pid, minlength=500)
+    busy = next(i for i in range(5, 500) if jumps[i] >= 8)
+    quiet = next(i for i in range(5, 500) if jumps[i] == 0)
     order = (0, 1, quiet, 2, 3, 4, busy)
-    paths = simulate_ito_process(proc, sample_chunk(mixed, grid, 909, order))
-    rows = [len(path.jumps) for path in paths]
+    samples = sample_chunk(mixed, grid, 909, order)
+    paths = simulate_ito_process(proc, samples)
+    rows = np.bincount(samples.pid, minlength=len(order))
     assert rows[2] == 0 and max(rows) >= 8
+    alone = [simulate_ito_process(proc, samples[i]) for i in range(len(order))]
     for name in REGISTERED:
         f = make_smooth(name)
         got = ito_terms(paths, f, trace_variant)
         residual = ito_residual(paths, f, trace_variant)
         assert residual.shape == (len(paths), f.dim_value)
-        for i, path in enumerate(paths):
-            alone = ito_terms(path, f, trace_variant)
-            for term, want in _loop_terms(path, f, trace_variant).items():
-                row = getattr(got, term)[i]
+        for i, one in enumerate(alone):
+            terms = ito_terms(one, f, trace_variant)
+            for term, want in _loop_terms(paths, i, f, trace_variant).items():
+                row = getattr(got, term)[i : i + 1]
                 scale = max(1.0, float(np.abs(want).max()))
-                assert np.abs(row - want).max() <= 1e-12 * scale, (name, term)
-                assert row.tobytes() == getattr(alone, term).tobytes(), (name, term)
-            assert residual[i].tobytes() == ito_residual(path, f, trace_variant).tobytes()
-
-
-def test_one_path_tuple_is_the_single_path_call(mixed, grid8):
-    """One sample walked alone is its chunk of one, without the path axis."""
-    proc = ItoProcessSpec(constant_integrand(PHI), drift_rate=[0.3, -0.2])
-    sample = sample_path(mixed, grid8, seed=31, path_index=4)
-    one = sample_chunk(mixed, grid8, 31, [4])
-    path, walked = simulate_ito_process(proc, sample), simulate_ito_process(proc, one)
-    for name in REGISTERED:
-        f = make_smooth(name)
-        for variant in ("compensator", "realized"):
-            one, chunk = ito_terms(path, f, variant), ito_terms(walked, f, variant)
-            for term in ("time", "fv", "stoch", "trace", "jump", "total"):
-                a, b = getattr(one, term), getattr(chunk, term)
-                assert a.shape == (f.dim_value,) and b.shape == (1, f.dim_value)
-                assert a.tobytes() == b.tobytes(), (name, variant, term)
-            a, b = ito_residual(path, f, variant), ito_residual(walked, f, variant)
-            assert b.shape == (1, f.dim_value) and a.tobytes() == b.tobytes()
+                assert np.abs(row[0] - want).max() <= 1e-12 * scale, (name, term)
+                assert row.tobytes() == getattr(terms, term).tobytes(), (name, term)
+            assert residual[i : i + 1].tobytes() == ito_residual(one, f, trace_variant).tobytes()
 
 
 # -------------------------------------------------- cross-module routes
@@ -269,19 +247,19 @@ def test_stoch_term_matches_composed_integral_without_jumps(grid8):
     gauss = make_preset("gauss-default")
     f = make_smooth("gauss_cos")
     inner = constant_integrand(PHI)
-    for idx in range(8):
-        sample = sample_path(gauss, grid8, seed=2500, path_index=idx)
-        path = integrate(inner, sample)
-        direct = ito_terms(path, f).stoch
+    samples = sample_chunk(gauss, grid8, 2500, range(8))
+    paths = integrate(inner, samples)
+    direct = ito_terms(paths, f).stoch
 
-        def grad_at(step, time, value, _p=path, _f=f):
-            return _f.d_x(time, _p.values[step])
+    def grad_at(step, time, value):  # one row per path, for every cell
+        return f.d_x(time, paths.values[:, step])
 
-        via_process = integrate_process(grad_at, path, dim_out=1)
-        composed = compose_integrands(grad_at, inner, dim_out=1)
-        via_walk = integrate(composed, sample).terminal
-        assert np.abs(direct - via_process).max() < 1e-12
-        assert np.abs(direct - via_walk).max() < 1e-12
+    via_process = integrate_process(grad_at, paths, dim_out=1)
+    composed = compose_integrands(grad_at, inner, dim_out=1)
+    via_walk = integrate(composed, samples).values[:, -1]
+    assert direct.shape == via_process.shape == via_walk.shape == (8, 1)
+    assert np.abs(direct - via_process).max() < 1e-12
+    assert np.abs(direct - via_walk).max() < 1e-12
 
 
 def test_compensator_trace_agrees_with_trace_helper(mixed, grid8):
@@ -290,17 +268,17 @@ def test_compensator_trace_agrees_with_trace_helper(mixed, grid8):
     sum_i zeta(m h_i, m h_i), cell by cell, taken over a random orthonormal
     basis (h_i), which the trace does not depend on."""
     f = make_smooth("gauss_cos")
-    path = _walk(mixed, grid8, constant_integrand(PHI), seed=303, path_index=2)
+    path = _walk(mixed, grid8, constant_integrand(PHI), seed=303, path_indices=[2])
     cont = mixed.tables.flavor("continuous")
     basis, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
     dt = grid8.dt
     expected = np.zeros(1)
     for k in range(grid8.n_steps):
-        zeta = f.d_xx(float(grid8.times[k]), path.values[k])
+        zeta = f.d_xx(float(grid8.times[k]), path.values[0, k])
         for j in np.nonzero(cont.rate)[0]:
-            mh = path.phis[k, j] @ cont.root[j] @ basis
+            mh = path.phis[0, k, j] @ cont.root[j] @ basis
             expected += 0.5 * cont.rate[j] * dt * np.einsum("kab,ai,bi->k", zeta, mh, mh)
-    got = ito_terms(path, f).trace
+    got = ito_terms(path, f).trace[0]
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -310,16 +288,8 @@ def test_residual_shrinks_with_mesh(mixed):
 
     def median_residual(n_steps):
         grid = TimeGrid(1.0, n_steps)
-        res = [
-            abs(
-                ito_residual(
-                    _walk(mixed, grid, integrand, seed=7070, path_index=i, drift=[0.3, -0.2]),
-                    f,
-                    trace_variant="realized",
-                )[0]
-            )
-            for i in range(50)
-        ]
+        paths = _walk(mixed, grid, integrand, seed=7070, path_indices=range(50), drift=[0.3, -0.2])
+        res = np.abs(ito_residual(paths, f, trace_variant="realized")[:, 0])
         return float(np.median(res))
 
     coarse, fine = median_residual(8), median_residual(64)

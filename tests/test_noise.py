@@ -58,7 +58,7 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def ensemble(mixed, grid8):
-    return [sample_path(mixed, grid8, seed=2024, path_index=i) for i in range(4000)]
+    return sample_chunk(mixed, grid8, 2024, range(4000))
 
 
 def test_time_grid():
@@ -290,9 +290,9 @@ def test_streams_are_cell_local(grid8):
     bumped = NoiseSpec(base.dim, base.partition, cells)
     a = sample_path(base, grid8, seed=5)
     b = sample_path(bumped, grid8, seed=5)
-    assert np.array_equal(a.gauss[:, :3, :], b.gauss[:, :3, :])
-    assert np.array_equal(a.jump_sums[:, :3, :], b.jump_sums[:, :3, :])
-    assert not np.array_equal(a.jump_sums[:, 3, :], b.jump_sums[:, 3, :])
+    assert np.array_equal(a.gauss[..., :3, :], b.gauss[..., :3, :])
+    assert np.array_equal(a.jump_sums[..., :3, :], b.jump_sums[..., :3, :])
+    assert not np.array_equal(a.jump_sums[..., 3, :], b.jump_sums[..., 3, :])
 
 
 def test_substream_independence():
@@ -305,13 +305,14 @@ def test_substream_independence():
 
 def test_jump_bookkeeping(ensemble, grid8):
     dt = grid8.dt
-    for path in ensemble[:50]:
+    for p in range(50):
+        path = ensemble[p]
         jumps = path.jumps
         t_lo = grid8.times[jumps["step"]]
         assert np.all((t_lo < jumps["time"]) & (jumps["time"] <= t_lo + dt + 1e-15))
         sums = np.zeros_like(path.jump_sums)
         for step, cell, amp in zip(jumps["step"], jumps["cell"], jumps["amp"]):
-            sums[step, cell] += amp
+            sums[0, step, cell] += amp
         assert np.allclose(sums, path.jump_sums, atol=1e-15)
         steps = list(zip(jumps["step"].tolist(), jumps["time"].tolist()))
         assert steps == sorted(steps)
@@ -319,14 +320,23 @@ def test_jump_bookkeeping(ensemble, grid8):
 
 def test_poisson_event_rate(ensemble):
     # cell 3 fires at rate 2 on a unit horizon
-    counts = np.array([np.count_nonzero(p.jumps["cell"] == 3) for p in ensemble])
+    counts = np.bincount(ensemble.pid[ensemble.jumps["cell"] == 3], minlength=len(ensemble))
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - 2.0) < 4.0 * se
 
 
 def test_evaluate_window_and_errors(ensemble, mixed, grid8):
-    path = ensemble[0]
+    """evaluate gives one pairing per path, each bit for bit the pairing of
+    the path alone; it is additive in cells and time, linear in the
+    direction, and refuses a reversed or off-grid window, a wrong
+    direction and anything but a chunk."""
+    path = ensemble
     h = [0.3, 1.1]
+    pairing = evaluate(ensemble, 0.0, 0.5, [0, 2, 3], h)
+    assert pairing.shape == (len(ensemble),)
+    for p in (0, 1, 2, 3999):
+        alone = evaluate(ensemble[p], 0.0, 0.5, [0, 2, 3], h)
+        assert alone.shape == (1,) and alone.tobytes() == pairing[p : p + 1].tobytes()
     full = evaluate(path, 0.0, 1.0, range(4), h)
     parts = sum(evaluate(path, 0.0, 1.0, [j], h) for j in range(4))
     assert full == pytest.approx(parts, abs=1e-12)
@@ -337,19 +347,21 @@ def test_evaluate_window_and_errors(ensemble, mixed, grid8):
     h2 = [-0.5, 0.2]
     lin = evaluate(path, 0.0, 1.0, range(4), np.add(h, h2))
     assert lin == pytest.approx(full + evaluate(path, 0.0, 1.0, range(4), h2), abs=1e-12)
-    assert evaluate(path, 0.25, 0.25, range(4), h) == 0.0
+    assert np.array_equal(evaluate(path, 0.25, 0.25, range(4), h), np.zeros(len(path)))
     with pytest.raises(ValueError, match="reversed"):
         evaluate(path, 0.5, 0.25, [0], h)
     with pytest.raises(ValueError, match="grid"):
         evaluate(path, 0.0, 0.3, [0], h)
     with pytest.raises(ValueError, match="dim"):
         evaluate(path, 0.0, 1.0, [0], [1.0, 2.0, 3.0])
+    with pytest.raises(TypeError, match="expected a SampleChunk, got tuple"):
+        evaluate((path[0],), 0.0, 1.0, [0], h)
 
 
 def test_increments_are_mean_zero(ensemble):
     h = np.array([0.7, -0.4])
     for j in range(4):
-        vals = np.array([evaluate(p, 0.0, 1.0, [j], h) for p in ensemble])
+        vals = evaluate(ensemble, 0.0, 1.0, [j], h)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) < 4.0 * se, f"cell {j} increments are biased"
 
@@ -360,15 +372,15 @@ def test_second_moment_matches_intensity(ensemble, mixed, grid8):
     h = np.array([0.7, -0.4])
     total = mixed.tables.flavor("total")
     target = grid8.horizon * sum(r * float(h @ q @ h) for r, q in zip(total.rate, total.field))
-    sq = np.array([evaluate(p, 0.0, 1.0, range(4), h) ** 2 for p in ensemble])
+    sq = evaluate(ensemble, 0.0, 1.0, range(4), h) ** 2
     se = sq.std(ddof=1) / np.sqrt(len(sq))
     assert abs(sq.mean() - target) < 4.0 * se
 
 
 def test_disjoint_cells_uncorrelated(ensemble):
     h = np.array([1.0, 0.5])
-    a = np.array([evaluate(p, 0.0, 1.0, [0], h) for p in ensemble])
-    b = np.array([evaluate(p, 0.0, 1.0, [3], h) for p in ensemble])
+    a = evaluate(ensemble, 0.0, 1.0, [0], h)
+    b = evaluate(ensemble, 0.0, 1.0, [3], h)
     prod = a * b
     se = prod.std(ddof=1) / np.sqrt(len(prod))
     assert abs(prod.mean()) < 4.0 * se
@@ -379,7 +391,7 @@ def test_gaussian_step_variance(ensemble, mixed, grid8):
     h = np.array([0.2, 0.9])
     cont = mixed.tables.flavor("continuous")
     target = grid8.dt * cont.rate[2] * float(h @ cont.field[2] @ h)
-    samples = np.concatenate([(p.gauss[:, 2, :] @ h) ** 2 for p in ensemble])
+    samples = ((ensemble.gauss[:, :, 2, :] @ h) ** 2).ravel()
     se = samples.std(ddof=1) / np.sqrt(len(samples))
     assert abs(samples.mean() - target) < 4.0 * se
 
@@ -488,21 +500,24 @@ def fine_chunk(mixed):
 
 @pytest.mark.parametrize("indices", [range(5), (3, 0, 4, 1, 2), (6,)])
 def test_chunk_path_is_the_path_drawn_alone(mixed, indices):
-    """Path p of a drawn chunk is, bit for bit, the path its index draws
-    alone, in any index order, and the chunk's jump_sums row p is that
-    path's jump_sums."""
+    """Path p of a drawn chunk, chunk[p], is a chunk of one of read-only
+    views and, bit for bit, the chunk of one its index draws alone, in any
+    index order; the chunk's jump_sums row p is that path's jump_sums."""
     grid = TimeGrid(0.7, 64)
     chunk = sample_chunk(mixed, grid, 7, indices)
     assert len(chunk) == len(indices) and chunk.path_index == tuple(indices)
     assert 0 < len(chunk.jumps) == sum(len(path.jumps) for path in chunk)
     for p, i in enumerate(indices):
-        path, alone = chunk[p], sample_path(mixed, grid, 7, i)
-        assert path is chunk[p - len(chunk)]
-        assert (path.seed, path.path_index, path.grid) == (7, i, grid)
-        for name in ("gauss", "jumps", "jump_sums"):
-            got, want = getattr(path, name), getattr(alone, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-        assert chunk.jump_sums[p].tobytes() == alone.jump_sums.tobytes()
+        alone = sample_path(mixed, grid, 7, i)
+        for path in (chunk[p], chunk[p - len(chunk)]):
+            assert len(path) == len(alone) == 1
+            assert (path.seed, path.path_index, path.grid) == (7, (i,), grid)
+            for name in ("gauss", "jumps", "pid", "jump_sums"):
+                got, want = getattr(path, name), getattr(alone, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable, name
+            assert np.shares_memory(path.gauss, chunk.gauss)
+        assert chunk.jump_sums[p].tobytes() == alone.jump_sums[0].tobytes()
     arrays = (chunk.gauss, chunk.jumps, chunk.pid, chunk.jump_sums)
     assert not any(a.flags.writeable for a in arrays)
     for past_end in (len(chunk), -len(chunk) - 1):
@@ -514,7 +529,7 @@ def test_coarsen_sums_gaussian_pairs_exactly(fine_chunk):
     for fine, half in zip(fine_chunk, coarsen(fine_chunk)):
         assert half.grid == TimeGrid(0.7, 32)
         assert (half.spec, half.seed, half.path_index) == (fine.spec, fine.seed, fine.path_index)
-        assert half.gauss.tobytes() == (fine.gauss[0::2] + fine.gauss[1::2]).tobytes()
+        assert half.gauss.tobytes() == (fine.gauss[:, 0::2] + fine.gauss[:, 1::2]).tobytes()
         assert not any(a.flags.writeable for a in (half.gauss, half.jumps, half.jump_sums))
 
 
@@ -531,12 +546,13 @@ def test_coarsen_keeps_every_jump_row(fine_chunk):
 
 
 def test_jump_sums_add_the_rows_in_row_order(fine_chunk):
-    """Drawn and coarsened paths alike build jump_sums from their rows."""
-    for path in (*fine_chunk, *coarsen(fine_chunk)):
-        want = np.zeros_like(path.gauss)
-        for row in path.jumps:
-            want[row["step"], row["cell"]] += row["amp"]
-        assert path.jump_sums.tobytes() == want.tobytes()
+    """Drawn and coarsened chunks, and a path of one, alike build jump_sums
+    from their rows."""
+    for chunk in (fine_chunk, coarsen(fine_chunk), fine_chunk[2]):
+        want = np.zeros_like(chunk.gauss)
+        for p, row in zip(chunk.pid, chunk.jumps):
+            want[p, row["step"], row["cell"]] += row["amp"]
+        assert chunk.jump_sums.tobytes() == want.tobytes()
 
 
 def test_coarsen_does_not_depend_on_the_chunk(mixed, fine_chunk):
@@ -549,7 +565,7 @@ def test_coarsen_does_not_depend_on_the_chunk(mixed, fine_chunk):
         assert chunk.pid is fine_chunk.pid
         for half, one in zip(chunk, alone):
             for name in ("gauss", "jumps", "jump_sums"):
-                assert getattr(one[0], name).tobytes() == getattr(half, name).tobytes()
+                assert getattr(one, name).tobytes() == getattr(half, name).tobytes()
 
 
 def test_coarsen_refuses_odd_grids_and_mixed_chunks(mixed, grid8):

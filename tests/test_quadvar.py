@@ -55,58 +55,60 @@ def grid8():
 @pytest.fixture(scope="module")
 def paths(mixed, grid8):
     integrand = state_linear_integrand(PHI, [0.6, -0.2], 0.4)
-    return [
-        integrate(integrand, sample_path(mixed, grid8, seed=2211, path_index=i))
-        for i in range(2000)
-    ]
+    return integrate(integrand, sample_chunk(mixed, grid8, 2211, range(2000)))
 
 
-def test_predictable_bracket_monotone_and_consistent(paths):
-    for p in paths[:50]:
-        for flavor in ("total", "continuous", "discontinuous"):
-            cum = predictable_qv(p, flavor)
-            assert cum[0] == 0.0
-            assert np.all(np.diff(cum) >= -1e-15)
-        # same number through a different arithmetic route
-        assert predictable_qv(p, "total")[-1] == pytest.approx(
-            realized_lambda2_mass(p, "total"), rel=1e-12
-        )
-        total = predictable_qv(p, "total")
-        split = predictable_qv(p, "continuous") + predictable_qv(p, "discontinuous")
-        assert np.allclose(total, split, rtol=1e-12, atol=1e-15)
+@pytest.fixture(scope="module")
+def head(mixed, grid8):
+    """The first 50 paths of ``paths``, walked as their own chunk."""
+    integrand = state_linear_integrand(PHI, [0.6, -0.2], 0.4)
+    return integrate(integrand, sample_chunk(mixed, grid8, 2211, range(50)))
+
+
+def test_predictable_bracket_monotone_and_consistent(head):
+    for flavor in ("total", "continuous", "discontinuous"):
+        cum = predictable_qv(head, flavor)
+        assert cum.shape == (50, head.grid.n_steps + 1)
+        assert np.all(cum[:, 0] == 0.0)
+        assert np.all(np.diff(cum, axis=1) >= -1e-15)
+    # same number through a different arithmetic route
+    np.testing.assert_allclose(
+        predictable_qv(head, "total")[:, -1], realized_lambda2_mass(head, "total"), rtol=1e-12
+    )
+    total = predictable_qv(head, "total")
+    split = predictable_qv(head, "continuous") + predictable_qv(head, "discontinuous")
+    assert np.allclose(total, split, rtol=1e-12, atol=1e-15)
     # the running bracket against the per-step route of the realized mass
-    for p in paths[:4]:
-        for flavor in ("total", "continuous", "discontinuous"):
-            steps = range(p.grid.n_steps + 1)
-            per_step = [realized_lambda2_mass(p, flavor, upto_step=k) for k in steps]
-            assert np.allclose(predictable_qv(p, flavor), per_step, rtol=1e-12, atol=0.0)
+    for flavor in ("total", "continuous", "discontinuous"):
+        steps = range(head.grid.n_steps + 1)
+        per_step = np.stack([realized_lambda2_mass(head, flavor, upto_step=k) for k in steps], 1)
+        assert np.allclose(predictable_qv(head, flavor), per_step, rtol=1e-12, atol=0.0)
 
 
-def test_operator_bracket_trace_and_psd(paths):
+def test_operator_bracket_trace_and_psd(head):
     """The operator steps of the bracket kernel: their running sums trace to
     the scalar bracket, and each step is symmetric PSD."""
-    for p in paths[:30]:
-        for flavor in ("total", "continuous"):
-            inc = _bracket_steps(p, flavor, operator=True)
-            op = np.cumsum(inc, axis=0)
-            scalar = predictable_qv(p, flavor)
-            assert np.allclose(np.trace(op, axis1=1, axis2=2), scalar[1:], rtol=1e-12, atol=1e-15)
-            assert np.allclose(inc, np.swapaxes(inc, 1, 2), atol=1e-14)
-            eigs = np.linalg.eigvalsh(inc)
-            assert eigs.min() > -1e-12
+    for flavor in ("total", "continuous"):
+        inc = _bracket_steps(head, flavor, operator=True)
+        op = np.cumsum(inc, axis=1)
+        scalar = predictable_qv(head, flavor)
+        assert np.allclose(np.trace(op, axis1=2, axis2=3), scalar[:, 1:], rtol=1e-12, atol=1e-15)
+        assert np.allclose(inc, np.swapaxes(inc, 2, 3), atol=1e-14)
+        eigs = np.linalg.eigvalsh(inc)
+        assert eigs.min() > -1e-12
     with pytest.raises(ValueError, match="flavor"):
-        predictable_qv(paths[0], "everything")
+        predictable_qv(head, "everything")
 
 
-def test_optional_bracket_structure(paths):
-    for p in paths[:50]:
-        opt = optional_qv(p)
-        manual = predictable_qv(p, "continuous").copy()
-        for rec in p.jumps:
-            manual[rec["step"] + 1 :] += float(rec["delta"] @ rec["delta"])
-        assert np.allclose(opt, manual, rtol=1e-12, atol=1e-15)
-        op = np.cumsum(_add_jumps(_bracket_steps(p, "continuous", operator=True), p, p), axis=0)
-        assert np.allclose(np.trace(op, axis1=1, axis2=2), opt[1:], rtol=1e-12, atol=1e-15)
+def test_optional_bracket_structure(head):
+    opt = optional_qv(head)
+    manual = predictable_qv(head, "continuous").copy()
+    for p, rec in zip(head.samples.pid, head.jumps):
+        manual[p, rec["step"] + 1 :] += float(rec["delta"] @ rec["delta"])
+    assert np.allclose(opt, manual, rtol=1e-12, atol=1e-15)
+    steps = _add_jumps(_bracket_steps(head, "continuous", operator=True), head, head)
+    op = np.cumsum(steps, axis=1)
+    assert np.allclose(np.trace(op, axis1=2, axis2=3), opt[:, 1:], rtol=1e-12, atol=1e-15)
 
 
 def test_optional_polarization(mixed, grid8):
@@ -115,12 +117,11 @@ def test_optional_polarization(mixed, grid8):
     ia = constant_integrand(PHI)
     ib = constant_integrand(mat_b)
     iab = constant_integrand(PHI + mat_b)
-    for idx in range(25):
-        sample = sample_path(mixed, grid8, seed=31, path_index=idx)
-        pa, pb, pab = integrate(ia, sample), integrate(ib, sample), integrate(iab, sample)
-        lhs = optional_qv(pab)
-        rhs = optional_qv(pa) + 2.0 * optional_qv(pa, pb) + optional_qv(pb)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+    samples = sample_chunk(mixed, grid8, 31, range(25))
+    pa, pb, pab = integrate(ia, samples), integrate(ib, samples), integrate(iab, samples)
+    lhs = optional_qv(pab)
+    rhs = optional_qv(pa) + 2.0 * optional_qv(pa, pb) + optional_qv(pb)
+    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_cross_bracket_requires_same_sample(mixed, grid8):
@@ -136,12 +137,12 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
         optional_qv(p0, replace(p0, jumps=p0.jumps[1:]))
 
 
-def test_realized_mass_window_must_lie_on_the_grid(paths):
+def test_realized_mass_window_must_lie_on_the_grid(head):
     """upto_step runs over 0..n_steps; a negative or too large step would
     slice a different window without a word, so it raises."""
-    p = paths[0]
-    assert realized_lambda2_mass(p, upto_step=0) == 0.0
-    assert realized_lambda2_mass(p, upto_step=8) == realized_lambda2_mass(p)
+    p = head
+    assert np.array_equal(realized_lambda2_mass(p, upto_step=0), np.zeros(len(p)))
+    assert np.array_equal(realized_lambda2_mass(p, upto_step=8), realized_lambda2_mass(p))
     for bad in (-1, 9, 99):
         with pytest.raises(ValueError, match="upto_step"):
             realized_lambda2_mass(p, "total", upto_step=bad)
@@ -159,9 +160,8 @@ _INTEGRANDS = {
 def _mixed_chunk(spec, seed):
     """Three paths with jump rows and three without, in path order (only
     the three without on a continuous model)."""
-    samples = [sample_path(spec, _SHORT, seed=seed, path_index=i) for i in range(40)]
-    busy = [s.path_index for s in samples if len(s.jumps)][:3]
-    quiet = [s.path_index for s in samples if not len(s.jumps)][:3]
+    rows = np.bincount(sample_chunk(spec, _SHORT, seed, range(40)).pid, minlength=40)
+    busy, quiet = np.flatnonzero(rows)[:3].tolist(), np.flatnonzero(rows == 0)[:3].tolist()
     return sample_chunk(spec, _SHORT, seed, sorted(busy + quiet))
 
 
@@ -169,42 +169,51 @@ def _mixed_chunk(spec, seed):
 @pytest.mark.parametrize("preset", ["gauss-default", "jump-default", "mixed-default"])
 def test_chunk_gives_each_path_its_bits_alone(preset, integrand):
     """Every bracket measure priced on a chunk gives each path the bytes it
-    gets priced alone: the predictable bracket in every flavor, the
-    optional and cross brackets, the terminal bracket in every flavor, the
-    running sup and the operator steps."""
+    gets as a chunk of one: the predictable bracket and the realized mass in
+    every flavor, the optional and cross brackets, the terminal bracket in
+    every flavor, the running sup, the operator steps, the adaptive
+    partitions and the Riemann sums over shared and per-path partitions."""
     spec = make_preset(preset)
     samples = _mixed_chunk(spec, seed=61)
     if any(cell.has_jumps for cell in spec.cells):
         assert 0 < sum(1 for s in samples if len(s.jumps)) < len(samples)
-    chunk = integrate(_INTEGRANDS[integrand], samples)
-    partner = integrate(constant_integrand([[0.2, -0.5], [0.7, 0.1]]), samples)
+    walk = lambda s: integrate(_INTEGRANDS[integrand], s)
+    cross = lambda s: integrate(constant_integrand([[0.2, -0.5], [0.7, 0.1]]), s)
+    chunk, partner = walk(samples), cross(samples)
+    alone = [(walk(samples[i]), cross(samples[i])) for i in range(len(samples))]
     n = _SHORT.n_steps
 
-    def same_rows(block, alone, shape):
+    def same_rows(block, one, shape):
         assert block.shape == (len(chunk), *shape)
-        for i, path in enumerate(chunk):
-            assert block[i].tobytes() == alone(path, partner[i]).tobytes()
+        for i, (p, q) in enumerate(alone):
+            assert block[i : i + 1].tobytes() == one(p, q).tobytes()
 
     for flavor in QV_FLAVORS:
         same_rows(predictable_qv(chunk, flavor), lambda p, q: predictable_qv(p, flavor), (n + 1,))
         steps = _bracket_steps(chunk, flavor, operator=True)
         same_rows(steps, lambda p, q: _bracket_steps(p, flavor, operator=True), (n, 2, 2))
+        same_rows(realized_lambda2_mass(chunk, flavor), lambda p, q: realized_lambda2_mass(p, flavor), ())
     same_rows(optional_qv(chunk), lambda p, q: optional_qv(p), (n + 1,))
     same_rows(optional_qv(chunk, partner), lambda p, q: optional_qv(p, q), (n + 1,))
     steps = _add_jumps(_bracket_steps(chunk, "continuous", operator=True), chunk, chunk)
-    alone = lambda p, q: _add_jumps(_bracket_steps(p, "continuous", operator=True), p, p)
-    same_rows(steps, alone, (n, 2, 2))
+    one = lambda p, q: _add_jumps(_bracket_steps(p, "continuous", operator=True), p, p)
+    same_rows(steps, one, (n, 2, 2))
     for flavor in BRACKET_FLAVORS:
-        terminal = bracket_terminal(chunk, flavor)
-        same_rows(terminal, lambda p, q: np.float64(bracket_terminal(p, flavor)), ())
-        assert isinstance(bracket_terminal(chunk[0], flavor), float)
-    same_rows(path_running_sup(chunk), lambda p, q: np.float64(path_running_sup(p)), ())
+        same_rows(bracket_terminal(chunk, flavor), lambda p, q: bracket_terminal(p, flavor), ())
+    same_rows(path_running_sup(chunk), lambda p, q: path_running_sup(p), ())
+    adaptive = make_adaptive_partition(chunk, 0.2)
+    assert adaptive == [make_adaptive_partition(p, 0.2)[0] for p, _ in alone]
+    assert len(set(adaptive)) > 1  # the paths refine differently
+    for parts in ([make_dyadic_partition(n, 2)] * len(chunk), adaptive):
+        sums = riemann_qv(chunk, parts)
+        for i, (p, _) in enumerate(alone):
+            assert sums[i : i + 1].tobytes() == riemann_qv(p, parts[i : i + 1]).tobytes()
 
 
 def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     """Two chunks whose paths pair up except in one place are refused, and
-    so are a chunk paired with a single path and one paired with a shorter
-    chunk."""
+    so are a chunk paired with one of its paths alone and one paired with a
+    shorter chunk."""
     samples = _mixed_chunk(mixed, seed=61)
     ia = constant_integrand(PHI)
     chunk = integrate(ia, samples)
@@ -213,16 +222,17 @@ def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, integrate(ia, swapped))
     with pytest.raises(ValueError, match="same driving sample"):
-        optional_qv(chunk, chunk[0])
+        optional_qv(chunk, integrate(ia, samples[0]))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, integrate(ia, sample_chunk(mixed, _SHORT, 61, indices[:-1])))
 
 
 def test_realized_variance_is_unbiased(paths):
     """E[||I_T||^2 - [I]_T] = 0 and E[[I]_T - <I>_T] = 0."""
-    sq = np.array([float(p.terminal @ p.terminal) for p in paths])
-    opt = np.array([optional_qv(p)[-1] for p in paths])
-    pred = np.array([predictable_qv(p, "total")[-1] for p in paths])
+    end = paths.values[:, -1]
+    sq = np.vecdot(end, end)
+    opt = optional_qv(paths)[:, -1]
+    pred = predictable_qv(paths, "total")[:, -1]
     d1 = sq - opt
     d2 = opt - pred
     for d in (d1, d2):
@@ -244,19 +254,19 @@ def test_dyadic_partition_frozen():
     assert all(b > a for a, b in zip(part251.step_indices, part251.step_indices[1:]))
 
 
-def test_adaptive_partition_triggers(paths):
-    p = paths[0]
-    dt = p.grid.dt
-    coarse = make_adaptive_partition(p, 0.5)
-    fine = make_adaptive_partition(p, 1e-9)
+def test_adaptive_partition_triggers(head):
+    dt = head.grid.dt
+    coarse = make_adaptive_partition(head, 0.5)
+    fine = make_adaptive_partition(head, 1e-9)
+    assert len(coarse) == len(fine) == len(head)
     # a resolution below one step forces a point at every grid step
-    assert fine.step_indices == tuple(range(p.grid.n_steps + 1))
+    assert all(part.step_indices == tuple(range(head.grid.n_steps + 1)) for part in fine)
     # time trigger caps every gap at max(1, floor(delta / dt)) steps
     cap = max(1, int(np.floor(0.5 / dt)))
-    assert max(np.diff(coarse.step_indices)) <= cap
-    assert coarse.kind == "adaptive"
+    assert all(max(np.diff(part.step_indices)) <= cap for part in coarse)
+    assert {part.kind for part in coarse} == {"adaptive"}
     with pytest.raises(ValueError, match="positive"):
-        make_adaptive_partition(p, 0.0)
+        make_adaptive_partition(head, 0.0)
 
 
 def test_adaptive_partition_sees_jump_excursions(mixed):
@@ -266,28 +276,31 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
     grid = TimeGrid(1.0, 16)
     real = integrate(constant_integrand(PHI), sample_path(mixed, grid, seed=7007, path_index=0))
     flat = dict(
-        sample=real.sample,
         grid=grid,
         initial=np.zeros(2),
-        values=np.zeros((17, 2)),
+        values=np.zeros((1, 17, 2)),
         phis=np.zeros_like(real.phis),
-        stoch_cont=np.zeros((16, 2)),
+        stoch_cont=np.zeros((1, 16, 2)),
         drift=np.zeros((16, 2)),
     )
     spike = np.zeros(1, real.jumps.dtype)
     spike["step"], spike["time"], spike["cell"] = 5, float(grid.times[5]) + 0.01, 0
     spike["delta"] = [10.0, 0.0]
-    doctored = replace(real, jumps=spike, **flat)
-    control = replace(real, jumps=spike[:0], **flat)
-    assert make_adaptive_partition(doctored, 1.0).step_indices == (0, 6, 16)
-    assert make_adaptive_partition(control, 1.0).step_indices == (0, 16)
+
+    def with_rows(rows):
+        samples = replace(real.samples, pid=np.zeros(len(rows), np.int64))
+        return replace(real, samples=samples, jumps=rows, **flat)
+
+    assert make_adaptive_partition(with_rows(spike), 1.0)[0].step_indices == (0, 6, 16)
+    assert make_adaptive_partition(with_rows(spike[:0]), 1.0)[0].step_indices == (0, 16)
 
 
-def test_riemann_qv_at_full_resolution(paths):
-    p = paths[0]
-    part = make_dyadic_partition(p.grid.n_steps, 3)
-    manual = float(np.sum(np.diff(p.values, axis=0) ** 2))
-    assert riemann_qv(p, part) == pytest.approx(manual, rel=1e-14)
+def test_riemann_qv_at_full_resolution(head):
+    part = make_dyadic_partition(head.grid.n_steps, 3)
+    manual = np.sum(np.diff(head.values, axis=1) ** 2, axis=(1, 2))
+    np.testing.assert_allclose(riemann_qv(head, [part] * len(head)), manual, rtol=1e-14)
+    with pytest.raises(ValueError, match="1 partitions for 50 paths"):
+        riemann_qv(head, [part])
 
 
 def test_riemann_refinement_tightens(mixed):
@@ -306,11 +319,13 @@ def test_riemann_refinement_tightens(mixed):
         errors, meshes = rows[:, : len(levels)], rows[:, len(levels) :]
         return [(meshes[:, j].mean(), *_quartiles(errors[:, j])) for j in range(len(levels))]
 
-    path = integrate(integrand, sample_path(mixed, grid, 909, 0))
+    chunk = integrate(integrand, sample_chunk(mixed, grid, 909, range(3)))
     dyadic = _REFINEMENTS["dyadic"](grid.n_steps, [1, 3, 5])
-    assert [part.level for part in dyadic(path)] == [1.0, 3.0, 5.0]
-    assert dyadic(path) is dyadic(path)  # built once, shared by every path
-    assert qv_refinement_study(path, dyadic).shape == (2, 3)  # errors, then meshes
+    first, again = dyadic(chunk), dyadic(chunk)
+    assert [[part.level for part in level] for level in first] == [[1.0] * 3, [3.0] * 3, [5.0] * 3]
+    # built once, shared by every path and every chunk
+    assert all(part is first[j][0] for j in range(3) for part in first[j] + again[j])
+    assert qv_refinement_study(chunk, dyadic).shape == (3, 2, 3)  # errors, then meshes
     rows = study([1, 3, 5], 60, "dyadic")
     assert rows[0][0] > rows[1][0] > rows[2][0]
     assert rows[0][2] > rows[1][2] > rows[2][2]
@@ -321,15 +336,14 @@ def test_riemann_refinement_tightens(mixed):
         apply_overrides(load_config("qv-converge"), ["params.kind=random"])
 
 
-def test_weighted_riemann_and_target(paths):
-    p = paths[0]
+def test_weighted_riemann_and_target(head):
     ident = lambda t, x: np.eye(2)
-    part = make_dyadic_partition(p.grid.n_steps, 2)
-    assert riemann_weighted_bilinear(p, part, ident) == pytest.approx(
-        riemann_qv(p, part), rel=1e-14
-    )
+    part = make_dyadic_partition(head.grid.n_steps, 2)
+    weighted = riemann_weighted_bilinear(head, part, ident)
+    assert weighted.shape == (len(head),)
+    np.testing.assert_allclose(weighted, riemann_qv(head, [part] * len(head)), rtol=1e-14)
     # with the identity weight the target is the terminal optional bracket
-    assert weighted_qv_target(p, ident) == pytest.approx(optional_qv(p)[-1], rel=1e-12)
+    np.testing.assert_allclose(weighted_qv_target(head, ident), optional_qv(head)[:, -1], rtol=1e-12)
 
 
 def test_weighted_riemann_converges_to_target(mixed):
@@ -339,12 +353,10 @@ def test_weighted_riemann_converges_to_target(mixed):
     def form(t, x):
         return np.array([[1.0 + 0.5 * t, 0.2], [0.2, 2.0 + np.tanh(x[1])]])
 
-    errs = {lv: [] for lv in (1, 3, 6)}
-    for i in range(60):
-        p = integrate(integrand, sample_path(mixed, grid, seed=1717, path_index=i))
-        target = weighted_qv_target(p, form)
-        for lv in errs:
-            part = make_dyadic_partition(grid.n_steps, lv)
-            errs[lv].append(abs(riemann_weighted_bilinear(p, part, form) - target))
-    med = [np.median(errs[lv]) for lv in (1, 3, 6)]
+    paths = integrate(integrand, sample_chunk(mixed, grid, 1717, range(60)))
+    target = weighted_qv_target(paths, form)
+    med = []
+    for lv in (1, 3, 6):
+        part = make_dyadic_partition(grid.n_steps, lv)
+        med.append(np.median(np.abs(riemann_weighted_bilinear(paths, part, form) - target)))
     assert med[0] > med[1] > med[2]
