@@ -76,8 +76,7 @@ def continuous_constant(p: float) -> float:
 def path_running_sup(chunk: ItoChunk) -> np.ndarray:
     """Largest norm each path attains at grid points and around its jumps, (P,)."""
     best = np.linalg.norm(_checked(chunk, ItoChunk).values, axis=2).max(axis=1)
-    rows = chunk.jumps
-    for x in (rows["pre"], rows["pre"] + rows["delta"]):
+    for x in (chunk.pre, chunk.pre + chunk.delta):
         np.maximum.at(best, chunk.samples.pid, np.sqrt(np.vecdot(x, x)))
     return best
 
@@ -94,7 +93,7 @@ def bracket_terminal(chunk: ItoChunk, flavor: str = "optional") -> np.ndarray:
     """
     _checked(chunk, ItoChunk)
     if flavor == "jumps":
-        dx = chunk.jumps["delta"]  # summed in jump order, as the bracket accumulates
+        dx = chunk.delta  # summed in jump order, as the bracket accumulates
         return _sum_by_path(np.vecdot(dx, dx), chunk.samples.pid, len(chunk))
     if flavor == "optional":
         return optional_qv(chunk)[:, -1]

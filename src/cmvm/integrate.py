@@ -5,9 +5,10 @@ integrand gives one operator per (time step, spatial cell), evaluated from
 information available at the step's left endpoint, then applied to every
 increment the cell produces inside the step. The walk keeps enough
 per-step data (evaluated integrand operators, the continuous stochastic
-increment, drift) and one record array of the paths' jumps with their
-refined pre-jump values, so that the quadratic-variation and chain-rule
-modules work from a finished walk without re-walking it.
+increment, drift) and, beside each jump row of its samples, the jump of
+the integral and its refined pre-jump value, so that the quadratic-variation
+and chain-rule modules work from a finished walk without re-walking it. A
+jump's step, time, cell and path are read from the samples alone.
 
 Within one step the increments apply in a fixed micro-order: drift first,
 then the continuous block, then noise jumps sorted by their exact times.
@@ -45,7 +46,6 @@ z-score, quartiles) reduce the columns of that array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,7 +166,6 @@ class Integrand:
     dim_out: int
     dim_in: int
     deterministic: bool = False
-    name: str = "custom"
     constant_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -184,7 +183,6 @@ def constant_integrand(matrix) -> Integrand:
         dim_out=mat.shape[0],
         dim_in=mat.shape[1],
         deterministic=True,
-        name="constant",
         constant_matrix=mat,
     )
 
@@ -199,7 +197,6 @@ def deterministic_integrand(
         dim_out=dim_out,
         dim_in=dim_in,
         deterministic=True,
-        name="deterministic",
     )
 
 
@@ -217,7 +214,7 @@ def state_linear_integrand(base, weight, gain: float) -> Integrand:
     def _eval(state: AdaptedState, cells) -> np.ndarray:
         return mat * (1.0 + gain * (state.value * w).sum(-1))[:, None, None, None]
 
-    return Integrand(_eval, mat.shape[0], mat.shape[1], deterministic=False, name="state-linear")
+    return Integrand(_eval, mat.shape[0], mat.shape[1], deterministic=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,9 +271,7 @@ class SimpleIntegrand:
                 out[np.ix_(gate, in_block)] += b.matrix
             return out
 
-        return Integrand(
-            _eval, self.dim_out, self.dim_in, deterministic=not has_gates, name="simple"
-        )
+        return Integrand(_eval, self.dim_out, self.dim_in, deterministic=not has_gates)
 
 
 def integrate_simple(simple: SimpleIntegrand, samples: SampleChunk) -> np.ndarray:
@@ -301,12 +296,6 @@ def integrate_simple(simple: SimpleIntegrand, samples: SampleChunk) -> np.ndarra
     return total
 
 
-@lru_cache(maxsize=None)
-def _jump_dtype(dim: int) -> np.dtype:
-    vec = ("f8", (dim,))
-    return np.dtype([("step", "i8"), ("time", "f8"), ("cell", "i8"), ("delta", *vec), ("pre", *vec)])
-
-
 @dataclass(frozen=True, eq=False)
 class ItoChunk:
     """The P paths one walk made from a ``SampleChunk`` (a single path is a
@@ -316,11 +305,11 @@ class ItoChunk:
     phis[p, k, j] the operator used for cell j in step k (a deterministic
     integrand's one array, broadcast over the paths); stoch_cont[p, k] the
     continuous stochastic increment; drift[k], shared by the paths, the
-    drift increment. jumps is a read-only structured array, one row per
-    jump row of ``samples`` (whose pid gives its path) in the walk's
-    micro-order, with fields step (int64), time (float64), cell (int64),
-    delta (float64, (dim_out,)) and pre, the path value just before the
-    jump. The identity
+    drift increment. delta[i] and pre[i], shape (R, dim_out), belong to
+    jump row i of ``samples``, which gives its step, time, cell and path
+    (pid): the integral's jump there and its value just before, in the
+    walk's micro-order. ``grid`` is the samples' grid and values[:, 0] the
+    initial value. The identity
 
         values[p, k+1] == values[p, k] + drift[k] + stoch_cont[p, k] + sum of p's deltas in k
 
@@ -328,16 +317,19 @@ class ItoChunk:
     """
 
     samples: SampleChunk
-    grid: TimeGrid
-    initial: np.ndarray
     values: np.ndarray
     phis: np.ndarray
     stoch_cont: np.ndarray
     drift: np.ndarray
-    jumps: np.ndarray
+    delta: np.ndarray
+    pre: np.ndarray
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.samples.grid
 
 
 def _sum_by_path(rows: np.ndarray, pid: np.ndarray, n_paths: int) -> np.ndarray:
@@ -427,7 +419,7 @@ def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
 
     # the chunk's noise jumps, path-major, each path's rows sorted by (step, time)
     noise, pid = samples.jumps, samples.pid
-    step, cell, time, amp = noise["step"], noise["cell"], noise["time"], noise["amp"]
+    step, cell, amp = noise["step"], noise["cell"], noise["amp"]
     delta = np.zeros((len(noise), d_out))
     history = PathHistory(samples, values)
     gauss = samples.gauss[:, :, sel]  # (P, n, C, dim_in)
@@ -476,15 +468,12 @@ def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
                 running += delta[i]
         values[k + 1] = v
 
-    jumps = np.empty(len(noise), _jump_dtype(d_out))
-    for name, column in zip(jumps.dtype.names, (step, time, cell, delta, pre)):
-        jumps[name] = column
     values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
-    for array in (jumps, values, phis, stoch, drift):
+    for array in (values, phis, stoch, drift, delta, pre):
         array.setflags(write=False)
     if not adapted:
         phis = np.broadcast_to(phis, (n_paths,) + phis.shape)
-    return ItoChunk(samples, grid, process.initial, values, phis, stoch, drift, jumps)
+    return ItoChunk(samples, values, phis, stoch, drift, delta, pre)
 
 
 def integrate(integrand: Integrand, samples: SampleChunk) -> ItoChunk:
@@ -534,7 +523,7 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
     if flavor not in QV_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {QV_FLAVORS}")
     if not integrand.deterministic:
-        raise ValueError(f"lambda2_norm needs a deterministic integrand, got {integrand.name!r}")
+        raise ValueError("lambda2_norm needs a deterministic integrand, got an adapted integrand")
     # the walk's operators depend on the grid and the active cells only
     path = integrate(integrand, sample_path(normalize_spec(spec), grid, 0, 0))
     return float(realized_lambda2_mass(path, flavor)[0])
@@ -615,10 +604,10 @@ def decompose_integral(chunk: ItoChunk):
     np.cumsum(chunk.stoch_cont, axis=1, out=cont[:, 1:])
     jump_steps = np.zeros(chunk.stoch_cont.shape)
     # each path's deltas added in row order, its micro-order
-    np.add.at(jump_steps, (chunk.samples.pid, chunk.jumps["step"]), chunk.jumps["delta"])
+    np.add.at(jump_steps, (chunk.samples.pid, chunk.samples.jumps["step"]), chunk.delta)
     np.cumsum(jump_steps, axis=1, out=jump[:, 1:])
     fv[:, 1:] = np.cumsum(chunk.drift, axis=0)
-    fv += chunk.initial
+    fv += chunk.values[:, :1]
     return cont, jump, fv
 
 
@@ -694,5 +683,4 @@ def compose_integrands(
         evaluator=_eval,
         dim_out=dim_out,
         dim_in=inner.dim_in,
-        name="composed",
     )

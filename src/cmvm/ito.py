@@ -277,10 +277,10 @@ def ito_terms(chunk: ItoChunk, f: SmoothFunction, trace_variant: str = "compensa
         trace = 0.5 * np.einsum("pnkab,pna,pnb->pk", hess, stoch, stoch)
 
     # the chunk's jump rows, each with the index of its path
-    rec, pid = chunk.jumps, chunk.samples.pid
-    pre, dx = rec["pre"], rec["delta"]
-    inc = np.einsum("jkd,jd->jk", f.d_x(rec["time"], pre), dx)
-    jump = f.value(rec["time"], pre + dx) - f.value(rec["time"], pre) - inc
+    pid, time = chunk.samples.pid, chunk.samples.jumps["time"]
+    pre, dx = chunk.pre, chunk.delta
+    inc = np.einsum("jkd,jd->jk", f.d_x(time, pre), dx)
+    jump = f.value(time, pre + dx) - f.value(time, pre) - inc
     terms = {
         "time": f.d_t(t, x).sum(axis=1) * grid.dt,
         "fv": np.einsum("pnkd,nd->pk", grad, chunk.drift),

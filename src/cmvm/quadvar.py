@@ -71,10 +71,9 @@ def _add_jumps(steps: np.ndarray, chunk: ItoChunk, other: ItoChunk) -> np.ndarra
     """Add each realized jump's delta product (inner product into trace
     steps, outer product into operator steps) to the step it happens in, in
     place; ``steps`` are shaped as ``_bracket_steps`` returns them."""
-    da = chunk.jumps["delta"]
-    db = da if other is chunk else other.jumps["delta"]
+    da, db = chunk.delta, other.delta
     prods = da[:, :, None] * db[:, None, :] if steps.ndim == 4 else np.vecdot(da, db)
-    np.add.at(steps, (chunk.samples.pid, chunk.jumps["step"]), prods)
+    np.add.at(steps, (chunk.samples.pid, chunk.samples.jumps["step"]), prods)
     return steps
 
 
@@ -95,7 +94,7 @@ def predictable_qv(chunk: ItoChunk, flavor: str = "total") -> np.ndarray:
 
 def _check_pair(chunk: ItoChunk, other: Optional[ItoChunk]) -> ItoChunk:
     """The second argument of a bracket: ``chunk`` itself, or a cross partner
-    path by path walked on the same driving sample with the same jump rows."""
+    path by path walked on the same driving sample, whose jump rows agree."""
     if other is None:
         return chunk
     a, b = _checked(chunk, ItoChunk), _checked(other, ItoChunk)
@@ -107,7 +106,7 @@ def _check_pair(chunk: ItoChunk, other: Optional[ItoChunk]) -> ItoChunk:
         )
     rows = ["step", "time", "cell"]
     same = np.array_equal(a.samples.pid, b.samples.pid)
-    if not same or not np.array_equal(a.jumps[rows], b.jumps[rows]):
+    if not same or not np.array_equal(a.samples.jumps[rows], b.samples.jumps[rows]):
         raise ValueError("paths disagree on the jump sequence")
     return other
 
@@ -119,8 +118,8 @@ def optional_qv(chunk: ItoChunk, other: Optional[ItoChunk] = None) -> np.ndarray
     The continuous part is the predictable bracket of the continuous flavor;
     every realized jump contributes the product of its deltas at the step it
     happens in. A cross bracket requires each other path to be walked on the
-    same driving sample as its partner, with the same jumps at the same
-    steps, times and cells.
+    same driving sample as its partner, whose jump rows have the same steps,
+    times and cells, and pairs the two walks' deltas row by row.
     """
     other = _check_pair(chunk, other)
     return _cumulative(_add_jumps(_bracket_steps(chunk, "continuous", other), chunk, other))
@@ -183,14 +182,14 @@ def make_adaptive_partition(chunk: ItoChunk, delta: float) -> list:
     max_steps = max(1, int(np.floor(delta / dt)))
     cont_steps = _bracket_steps(chunk, "continuous")
     drift_norms = [float(np.linalg.norm(step)) for step in chunk.drift]
-    rows = chunk.jumps
+    jump_steps = chunk.samples.jumps["step"]
     # each jump's pre- and post-jump values, with per-path, per-step row ranges
-    around = np.stack([rows["pre"], rows["pre"] + rows["delta"]], axis=1)
+    around = np.stack([chunk.pre, chunk.pre + chunk.delta], axis=1)
     bounds = np.searchsorted(chunk.samples.pid, np.arange(len(chunk) + 1))
     partitions = []
     for p, values in enumerate(chunk.values):
         lo, hi = bounds[p], bounds[p + 1]
-        ends = (lo + np.searchsorted(rows["step"][lo:hi], np.arange(n), side="right")).tolist()
+        ends = (lo + np.searchsorted(jump_steps[lo:hi], np.arange(n), side="right")).tolist()
         idx = [0]
         last = 0
         anchor = values[0]

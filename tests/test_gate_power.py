@@ -56,7 +56,7 @@ def _compose_with_outer_value(monkeypatch):
             mat = np.asarray(outer(state.step, state.time, state.value))
             return mat @ inner.evaluator(state, cells)
 
-        return Integrand(_eval, dim_out, inner.dim_in, name="composed")
+        return Integrand(_eval, dim_out, inner.dim_in)
 
     monkeypatch.setattr(cmvm.harness, "compose_integrands", mutant)
 

@@ -199,18 +199,46 @@ _ONE_D_MODEL = {
     ],
 }
 
+# a two-cell 16-d model: identity diffusion with Gaussian jumps, and a
+# jump-only two-point cell
+_SIXTEEN_D_MODEL = {
+    "dim": 16,
+    "partition": [0.0, 0.5, 1.0],
+    "cells": [
+        {
+            "diffusion": {"cov": np.eye(16).tolist(), "intensity": 1.0},
+            "jump": {"rate": 1.5, "amplitude": {"kind": "gaussian", "cov": (0.3 * np.eye(16)).tolist()}},
+        },
+        {
+            "diffusion": None,
+            "jump": {
+                "rate": 2.0,
+                "amplitude": {"kind": "two_point", "vector": np.linspace(0.6, -0.3, 16).tolist()},
+            },
+        },
+    ],
+}
+
 
 @pytest.mark.parametrize("scenario", ["verify-decomposition", "verify-qv"])
-@pytest.mark.parametrize("shape", ["3x2", "1x1", "2x1"])
+@pytest.mark.parametrize("shape", ["3x2", "1x1", "2x1", "16x16"])
 def test_exact_gates_hold_on_other_shapes(scenario, shape, tmp_path):
     """The exact per-path gates on shapes other than 2x2, where the bracket
     kernel's chunk einsums and the batched readers run with dim_out !=
-    dim_in or on a 1-d model: phi 3x2 on mixed-default, and phi 1x1 and 2x1
-    on a two-cell 1-d model file."""
+    dim_in or on a model of another dimension: phi 3x2 on mixed-default,
+    phi 1x1 and 2x1 on a two-cell 1-d model file, and phi diag(1/k) on a
+    two-cell 16-d model file."""
     if shape == "3x2":
         params = {"phi": [[0.9, 0.2], [-0.3, 1.1], [0.4, 0.5]], "weight": [0.6, -0.2, 0.3]}
         params["phi_b"] = [[0.2, -0.5], [0.7, 0.1], [-0.4, 0.3]]
         preset = "mixed-default"
+    elif shape == "16x16":
+        k = np.arange(1, 17)
+        params = {"phi": np.diag(1.0 / k).tolist(), "weight": np.linspace(0.6, -0.6, 16).tolist()}
+        params["phi_b"] = (np.diag(np.cos(k)) + 0.1 * np.eye(16, k=1)).tolist()
+        model = tmp_path / "sixteen-d.json"
+        model.write_text(json.dumps(_SIXTEEN_D_MODEL))
+        preset = str(model)
     else:
         params = {"phi": [[0.9]], "weight": [0.6], "phi_b": [[-0.4]]}
         if shape == "2x1":

@@ -9,6 +9,7 @@ negative control: the same functional form reading one step into the future
 must blow the martingale test, and the guarded history must refuse it.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -125,8 +126,8 @@ def test_linearity_per_path(mixed, grid8, samples):
 
 
 def test_walk_reconstructs_exactly(mixed, grid8):
-    """values, drift, stoch_cont and the jump records tile each step of
-    each path exactly."""
+    """values, drift, stoch_cont and the walked deltas of the samples' jump
+    rows tile each step of each path exactly."""
     proc = ItoProcessSpec(
         state_linear_integrand(PHI, [1.0, -0.5], 0.4),
         initial=[0.2, -0.1],
@@ -135,35 +136,40 @@ def test_walk_reconstructs_exactly(mixed, grid8):
     samples = sample_chunk(mixed, grid8, 77, range(4))
     paths = simulate_ito_process(proc, samples)
     assert len(samples[0].jumps) > 0
-    jumps, pid = paths.jumps, samples.pid
+    steps, pid = samples.jumps["step"], samples.pid
     for p in range(len(paths)):
         for k in range(grid8.n_steps):
             v = paths.values[p, k].copy()
             v += paths.drift[k]
             v += paths.stoch_cont[p, k]
-            for rec in jumps[(pid == p) & (jumps["step"] == k)]:
-                assert np.array_equal(rec["pre"], v)
-                v = v + rec["delta"]
+            for i in np.flatnonzero((pid == p) & (steps == k)):
+                assert np.array_equal(paths.pre[i], v)
+                v = v + paths.delta[i]
             assert np.array_equal(paths.values[p, k + 1], v), f"path {p} step {k} does not tile"
 
 
 def test_jumps_are_read_only_record_arrays(mixed, grid8):
-    """Sampled and walked jumps are structured arrays, one row per jump: the
-    walked rows are the sample's noise jumps, row for row."""
+    """The jump rows are one read-only structured array, in the samples: the
+    walk keeps only delta and pre beside them, read-only (R, dim_out) float
+    arrays whose row i belongs to the samples' jump row i."""
     sample = sample_path(mixed, grid8, seed=77, path_index=0)
-    path = integrate(constant_integrand(PHI), sample)
+    path = integrate(deterministic_integrand(lambda k, t, j: PHI[:1] * (1 + j), 1, 2), sample)
     assert sample.jumps.dtype.names == ("step", "cell", "time", "amp")
     assert sample.jumps.dtype["amp"].shape == (2,)
-    assert path.jumps.dtype.names == ("step", "time", "cell", "delta", "pre")
-    assert path.jumps.dtype["delta"].shape == path.jumps.dtype["pre"].shape == (2,)
-    assert len(sample.jumps) > 0
-    assert len(path.jumps) == len(sample.jumps)
-    for jumps in (sample.jumps, path.jumps):
-        assert isinstance(jumps, np.ndarray) and not jumps.flags.writeable
+    assert len(sample.jumps) > 0 and path.samples is sample
+    assert isinstance(sample.jumps, np.ndarray) and not sample.jumps.flags.writeable
+    with pytest.raises(ValueError):
+        sample.jumps["step"][0] = 0
+    for array in (path.delta, path.pre):
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64
+        assert array.shape == (len(sample.jumps), 1) and not array.flags.writeable
         with pytest.raises(ValueError):
-            jumps["step"][0] = 0
-    for field in ("step", "cell", "time"):
-        assert np.array_equal(path.jumps[field], sample.jumps[field])
+            array[0] = 0.0
+    assert [f.name for f in dataclasses.fields(ItoChunk)] == [
+        "samples", "values", "phis", "stoch_cont", "drift", "delta", "pre"
+    ]
+    assert not hasattr(path, "jumps") and not hasattr(path, "initial")
+    assert path.grid is sample.grid
 
 
 def test_lookahead_guard_raises(mixed, grid8):
@@ -174,14 +180,14 @@ def test_lookahead_guard_raises(mixed, grid8):
         return PHI * (1.0 + g.sum(-1))[:, :, None, None]
 
     with pytest.raises(LookAheadError):
-        integrate(Integrand(peeking, 2, 2, deterministic=False, name="peek"), sample)
+        integrate(Integrand(peeking, 2, 2, deterministic=False), sample)
 
     def too_far_value(state, cells):
         ahead = state.history.value(state.step + 1)
         return PHI * (1.0 + ahead.sum(-1))[:, None, None, None]
 
     with pytest.raises(LookAheadError):
-        integrate(Integrand(too_far_value, 2, 2, deterministic=False, name="peek2"), sample)
+        integrate(Integrand(too_far_value, 2, 2, deterministic=False), sample)
 
 
 def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
@@ -195,7 +201,7 @@ def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
             seen[state.step, cell] = pairing = state.history.noise_pairing(0.0, t, [cell], h)
         return PHI * (1.0 + 0.0 * pairing)[:, None, None, None]
 
-    integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False, name="past"), sample)
+    integrate(Integrand(reads_to_cursor, 2, 2, deterministic=False), sample)
     assert {k for k, _ in seen} == set(range(grid8.n_steps))
     for (k, cell), value in seen.items():
         want = evaluate(sample, 0.0, float(grid8.times[k]), [cell], h)
@@ -206,7 +212,7 @@ def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
         return PHI
 
     with pytest.raises(LookAheadError, match="beyond the walk's step 0"):
-        integrate(Integrand(reads_one_step_ahead, 2, 2, deterministic=False, name="ahead"), sample)
+        integrate(Integrand(reads_one_step_ahead, 2, 2, deterministic=False), sample)
 
 
 def test_anticipating_integrand_is_detected(mixed, grid8):
@@ -222,7 +228,7 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
 
     def run(make_eval):
         samples = sample_chunk(mixed, grid8, 808, range(n_paths))
-        integrand = Integrand(make_eval(samples), 2, 2, deterministic=False, name="ctl")
+        integrand = Integrand(make_eval(samples), 2, 2, deterministic=False)
         means = integrate(integrand, samples).values[:, -1]
         se = means.std(axis=0, ddof=1) / np.sqrt(n_paths)
         return np.abs(means.mean(axis=0)) / se
@@ -328,7 +334,7 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
     assert np.allclose(jump[:, 0], 0.0)
     assert np.allclose(fv[:, 0], [1.0, 2.0])
     jump_totals = np.zeros((len(paths), 2))
-    np.add.at(jump_totals, samples.pid, paths.jumps["delta"])
+    np.add.at(jump_totals, samples.pid, paths.delta)
     assert np.allclose(jump[:, -1], jump_totals, atol=1e-12)
     # each path's parts are, bit for bit, those of the path walked alone
     for p in (0, 7, 24):
@@ -437,7 +443,7 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
     def slow_eval(state, cells):
         return np.stack([fn(state.step, state.time, j) for j in cells])[None]
 
-    slow = Integrand(slow_eval, 2, 2, deterministic=False, name="slow-twin")
+    slow = Integrand(slow_eval, 2, 2, deterministic=False)
     samples = sample_chunk(mixed, grid8, 66, range(20))
     a = integrate(det, samples)
     b = integrate(slow, samples)
@@ -521,9 +527,9 @@ def _gated_simple():
 
 def _row(walked, p):
     """Path p of a walked chunk: its records without the path axis."""
-    rows = walked.jumps[walked.samples.pid == p]
+    rows = walked.samples.pid == p
     return {"values": walked.values[p], "phis": walked.phis[p], "stoch_cont": walked.stoch_cont[p],
-            "drift": walked.drift, "delta": rows["delta"], "pre": rows["pre"]}
+            "drift": walked.drift, "delta": walked.delta[rows], "pre": walked.pre[rows]}
 
 
 def _chunk_processes():
@@ -575,15 +581,15 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
     samples = sample_chunk(mixed, grid8, 4100, range(5))
     chunk = integrate(integrand, samples)
     assert isinstance(chunk, ItoChunk) and len(chunk) == len(samples)
-    assert 0 < len(chunk.jumps) == len(samples.jumps) and chunk.samples is samples
+    assert 0 < len(chunk.delta) == len(samples.jumps) and chunk.samples is samples
     for i in range(5):
         alone = integrate(integrand, samples[i - 5 * (i % 2)])  # odd paths by a negative index
         assert len(alone) == 1 and alone.samples.path_index == (i,)
-        assert alone.jumps.tobytes() == chunk.jumps[samples.pid == i].tobytes()
+        assert alone.samples.jumps.tobytes() == samples.jumps[samples.pid == i].tobytes()
         for field, got in _row(chunk, i).items():
             want = _row(alone, 0)[field]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
-        for field in ("values", "phis", "stoch_cont", "drift", "jumps"):
+        for field in ("values", "phis", "stoch_cont", "drift", "delta", "pre"):
             assert not getattr(alone, field).flags.writeable, field
     f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](grid8.n_steps, [1, 2])
     parts, form = dyadic(chunk)[0], lambda t, x: np.eye(2)
@@ -630,7 +636,7 @@ def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model
         calls.append((state.step, cells, len(state.value)))
         return linear.evaluator(state, cells)
 
-    process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False, name="counted"))
+    process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False))
     walked = simulate_ito_process(process, sample_chunk(spec, grid8, 21, range(5)))
     assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
     for i in range(len(walked)):

@@ -195,8 +195,9 @@ def _loop_terms(paths, p, f, trace_variant):
             terms["trace"] += 0.5 * np.einsum("qab,a,b->q", hess, s, s)
         else:
             terms["trace"] += 0.5 * np.einsum("qab,ab->q", hess, cont[k])
-    for rec in paths.jumps[paths.samples.pid == p]:
-        tau, pre, dx = float(rec["time"]), rec["pre"], rec["delta"]
+    rows = paths.samples.pid == p
+    times = paths.samples.jumps["time"][rows].tolist()
+    for tau, pre, dx in zip(times, paths.pre[rows], paths.delta[rows]):
         inc = f.d_x(tau, pre) @ dx
         terms["stoch"] += inc
         terms["jump"] += f.value(tau, pre + dx) - f.value(tau, pre) - inc

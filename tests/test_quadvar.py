@@ -103,8 +103,8 @@ def test_operator_bracket_trace_and_psd(head):
 def test_optional_bracket_structure(head):
     opt = optional_qv(head)
     manual = predictable_qv(head, "continuous").copy()
-    for p, rec in zip(head.samples.pid, head.jumps):
-        manual[p, rec["step"] + 1 :] += float(rec["delta"] @ rec["delta"])
+    for p, k, dx in zip(head.samples.pid, head.samples.jumps["step"], head.delta):
+        manual[p, k + 1 :] += float(dx @ dx)
     assert np.allclose(opt, manual, rtol=1e-12, atol=1e-15)
     steps = _add_jumps(_bracket_steps(head, "continuous", operator=True), head, head)
     op = np.cumsum(steps, axis=1)
@@ -130,11 +130,16 @@ def test_cross_bracket_requires_same_sample(mixed, grid8):
     p1 = integrate(ia, sample_path(mixed, grid8, seed=31, path_index=1))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(p0, p1)
-    # one sample, but a hand-built partner that lost its first jump row, so
-    # its rows no longer pair with the path's
-    assert len(p0.jumps) > 0
-    with pytest.raises(ValueError, match="jump sequence"):
-        optional_qv(p0, replace(p0, jumps=p0.jumps[1:]))
+    # one sample, but a hand-built partner whose samples lost their first
+    # jump row, with its delta and pre, so its rows no longer pair with the
+    # path's; and one whose first jump row moved in time
+    assert len(p0.samples.jumps) > 0
+    lost = replace(p0.samples, jumps=p0.samples.jumps[1:], pid=p0.samples.pid[1:])
+    moved = p0.samples.jumps.copy()
+    moved["time"][0] -= 0.25 * grid8.dt
+    for samples, rows in ((lost, slice(1, None)), (replace(p0.samples, jumps=moved), slice(None))):
+        with pytest.raises(ValueError, match="jump sequence"):
+            optional_qv(p0, replace(p0, samples=samples, delta=p0.delta[rows], pre=p0.pre[rows]))
 
 
 def test_realized_mass_window_must_lie_on_the_grid(head):
@@ -276,23 +281,21 @@ def test_adaptive_partition_sees_jump_excursions(mixed):
     grid = TimeGrid(1.0, 16)
     real = integrate(constant_integrand(PHI), sample_path(mixed, grid, seed=7007, path_index=0))
     flat = dict(
-        grid=grid,
-        initial=np.zeros(2),
         values=np.zeros((1, 17, 2)),
         phis=np.zeros_like(real.phis),
         stoch_cont=np.zeros((1, 16, 2)),
         drift=np.zeros((16, 2)),
     )
-    spike = np.zeros(1, real.jumps.dtype)
+    spike = np.zeros(1, real.samples.jumps.dtype)
     spike["step"], spike["time"], spike["cell"] = 5, float(grid.times[5]) + 0.01, 0
-    spike["delta"] = [10.0, 0.0]
+    delta = np.array([[10.0, 0.0]])
 
-    def with_rows(rows):
-        samples = replace(real.samples, pid=np.zeros(len(rows), np.int64))
-        return replace(real, samples=samples, jumps=rows, **flat)
+    def with_rows(rows, delta):
+        samples = replace(real.samples, jumps=rows, pid=np.zeros(len(rows), np.int64))
+        return replace(real, samples=samples, delta=delta, pre=np.zeros_like(delta), **flat)
 
-    assert make_adaptive_partition(with_rows(spike), 1.0)[0].step_indices == (0, 6, 16)
-    assert make_adaptive_partition(with_rows(spike[:0]), 1.0)[0].step_indices == (0, 16)
+    assert make_adaptive_partition(with_rows(spike, delta), 1.0)[0].step_indices == (0, 6, 16)
+    assert make_adaptive_partition(with_rows(spike[:0], delta[:0]), 1.0)[0].step_indices == (0, 16)
 
 
 def test_riemann_qv_at_full_resolution(head):
