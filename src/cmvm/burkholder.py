@@ -26,7 +26,7 @@ bias is conservative for checking upper bounds and is left uncorrected.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -178,7 +178,8 @@ class BurkholderReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar: a shallow copy is the whole record
+        return dict(vars(self))
 
 
 def check(

@@ -12,9 +12,11 @@ components:
 
 Cells are sampled from separate counter-based random streams, so increments
 over disjoint cells are independent and a path's content does not depend on
-how many other paths an ensemble draws. A path is a chunk of one: every
-draw is a ``SampleChunk`` of P paths with a leading path axis, and
-``sample_path`` draws a chunk of one path.
+how many other paths an ensemble draws. Every stream is drawn from one
+Philox generator per process, which ``substream`` restarts at the stream's
+key and counter, so a stream is drawn to its end before the next one is asked
+for. A path is a chunk of one: every draw is a ``SampleChunk`` of P paths
+with a leading path axis, and ``sample_path`` draws a chunk of one path.
 
 All quadratic-variation bookkeeping is done against the normalized form of a
 specification (covariance operators of unit operator norm, magnitudes folded
@@ -451,17 +453,40 @@ def normalize_spec(spec: NoiseSpec) -> NoiseSpec:
     return NoiseSpec(spec.dim, spec.partition, new_cells)
 
 
+# The one generator that every substream call restarts, built on the first
+# call: building it at import would charge numpy.random's import to setup.
+_generator: Optional[np.random.Generator] = None
+
+
 def substream(master_seed: int, stream: int, slot: int = 0) -> np.random.Generator:
-    """Independent generator for (master_seed, stream, slot).
+    """Generator positioned at the start of stream (master_seed, stream, slot).
 
     Philox is counter-based: distinct key/counter-block pairs yield
-    independent streams no matter how many are instantiated, so path
-    ``stream`` of an ensemble draws the same numbers whether the ensemble has
-    one path or a million.
+    independent streams no matter how many are drawn, so path ``stream`` of
+    an ensemble draws the same numbers whether the ensemble has one path or
+    a million. The next draw is bit for bit what a new
+    ``Generator(Philox(key=[master_seed, stream], counter=[0, 0, slot, 0]))``
+    would give.
+
+    Every call returns the same process-wide generator, restarted: finish
+    drawing from one stream before asking for another, since the next call
+    moves the generator that an earlier call returned. It is not thread-safe.
     """
-    key = np.array([master_seed % 2**64, stream % 2**64], dtype=np.uint64)
-    counter = np.array([0, 0, slot % 2**64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    global _generator
+    if _generator is None:
+        _generator = np.random.Generator(np.random.Philox(0))
+    _generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [0, 0, slot % 2**64, 0],
+            "key": [master_seed % 2**64, stream % 2**64],
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _generator
 
 
 @lru_cache(maxsize=None)
@@ -538,11 +563,13 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0)
             counts = rg_counts.poisson(cell.jump_rate * dt, size=n)
             total = int(counts.sum())
             if total > 0:
-                rg_times = substream(seed, path_index, 4 * j + _SLOT_TIMES)
-                rg_amps = substream(seed, path_index, 4 * j + _SLOT_AMPS)
                 step = np.repeat(np.arange(n), counts)
                 # times in (t_k, t_{k+1}]: 1 - U with U uniform on [0, 1)
+                rg_times = substream(seed, path_index, 4 * j + _SLOT_TIMES)
                 time = grid.times[step] + dt * (1.0 - rg_times.random(total))
+                # substream restarts one shared generator: the times are drawn
+                # before the amplitudes' stream is asked for
+                rg_amps = substream(seed, path_index, 4 * j + _SLOT_AMPS)
                 amp = cell.jump_amplitude.sample(rg_amps, total)
                 parts.append((step, np.full(total, j), time, amp))
     jumps = np.zeros(0, _jump_dtype(d))

@@ -1,5 +1,6 @@
 """Moment-bound constants, ensemble statistics and report policy."""
 
+import dataclasses
 import json
 import math
 
@@ -174,6 +175,8 @@ def test_report_round_trips_through_json(gauss_paths):
     assert blob["constant_source"] == "closed-form"
     assert isinstance(blob["satisfied"], bool)
     assert set(blob) == set(report.to_dict())
+    # the shallow copy is the dataclass record, field for field and in order
+    assert list(report.to_dict().items()) == list(dataclasses.asdict(report).items())
 
 
 def test_check_rejects_bad_arguments(grid8, gauss_paths):

@@ -303,6 +303,70 @@ def test_substream_independence():
     assert not np.array_equal(r1, substream(1, 3, 3).random(5))
 
 
+# The draw kinds sample_path makes: Gaussian increments and amplitudes,
+# Poisson counts, jump times and two-point signs.
+_DRAWS = {
+    "standard_normal": lambda rg: rg.standard_normal(9),
+    "poisson": lambda rg: rg.poisson(0.7, size=9),
+    "random": lambda rg: rg.random(9),
+    "integers": lambda rg: rg.integers(0, 2, size=9),
+}
+
+
+def _new_philox(master_seed, stream, slot):
+    key = np.array([master_seed % 2**64, stream % 2**64], dtype=np.uint64)
+    counter = np.array([0, 0, slot % 2**64, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+@pytest.mark.parametrize("master_seed", [0, 2**63 + 5, 2**64 - 1])
+def test_substream_draws_what_a_new_philox_generator_draws(master_seed, draw):
+    """The stream layout: (seed, stream, slot) is Philox key [seed, stream]
+    and counter [0, 0, slot, 0], wherever the shared generator was left."""
+    for stream, slot in [(0, 0), (3, 13), (2**64 - 1, 2**64 - 1)]:
+        expected = _DRAWS[draw](_new_philox(master_seed, stream, slot))
+        assert np.array_equal(_DRAWS[draw](substream(master_seed, stream, slot)), expected)
+        # leave the shared generator mid-buffer, half of a 64-bit word kept
+        left = substream(1, 2, 3)
+        left.integers(0, 2**31, dtype=np.int32)
+        state = left.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert np.array_equal(_DRAWS[draw](substream(master_seed, stream, slot)), expected)
+
+
+def _rows(jumps):
+    return [(r["step"], r["cell"], r["time"], tuple(r["amp"].tolist())) for r in jumps]
+
+
+def test_sample_path_golden_values(mixed, grid8):
+    """Draws of the stream layout, frozen: a change to the layout, the slot
+    order or the draw order inside a stream moves them."""
+    path = sample_path(mixed, grid8, seed=99, path_index=3)
+    assert path.gauss[0, 0, 0, 0] == 0.35449678711606336
+    assert path.gauss[0, 3, 1, 1] == -0.3698687338256438
+    assert path.gauss[0, 7, 2, 0] == -0.24710610310142073
+    assert _rows(path.jumps) == [(3, 3, 0.44770271382147536, (0.25, 0.45))]
+    path = sample_path(mixed, grid8, seed=99, path_index=4)
+    assert path.gauss[0, 0, 0, 0] == 0.12455714029739152
+    assert path.gauss[0, 5, 2, 1] == -0.01645251503630048
+    assert _rows(path.jumps) == [
+        (2, 1, 0.3073428875393579, (-0.12087671016665931, 0.5034116392194423)),
+        (3, 0, 0.45799648249952885, (-0.6, 0.2)),
+        (4, 1, 0.6249390038517366, (-1.0873092446869561, -0.06603161052513372)),
+        (5, 3, 0.6426261497585329, (-0.25, -0.45)),
+        (7, 3, 0.9380970638515754, (-0.25, -0.45)),
+    ]
+
+
+def test_no_state_leaks_between_draws(mixed, grid8):
+    before = sample_chunk(mixed, grid8, 7, range(6))
+    substream(5, 5, 5).random(3)
+    after = sample_chunk(mixed, grid8, 7, range(6))
+    for name in ("gauss", "jumps", "pid"):
+        assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
+
+
 def test_jump_bookkeeping(ensemble, grid8):
     dt = grid8.dt
     for p in range(50):
