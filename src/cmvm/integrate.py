@@ -13,7 +13,7 @@ jump's step, time, cell and path are read from the samples alone.
 Within one step the increments apply in a fixed micro-order: drift first,
 then the continuous block, then noise jumps sorted by their exact times.
 Pre-jump values refer to this order, which is what makes telescoping
-identities hold exactly path by path.
+identities hold exactly path by path; ``_micro_values`` alone sums in it.
 
 A path is a chunk of one: the walk takes a ``SampleChunk`` of P paths and
 returns one ``ItoChunk`` of path-axis arrays, and every measure here and in
@@ -21,9 +21,9 @@ the bracket, chain-rule and moment modules takes that chunk as it is and
 returns one row per path, with a leading (P, ...) axis. Anything else
 raises TypeError.
 
-Evaluator protocol: the walk runs one step loop for the whole chunk. An
-adapted evaluator is called once per step, as evaluator(state, cells), for
-the whole chunk and the tuple of the C cells with positive mass, in cell
+Evaluator protocol: a deterministic integrand is walked in array passes,
+an adapted one by one step loop for the whole chunk. An adapted evaluator
+is called once per step, as evaluator(state, cells), for the whole chunk and the tuple of the C cells with positive mass, in cell
 order; ``state.value`` has shape (P, dim_out) and the history readers
 return one row per path. It returns one (dim_out, dim_in) operator for
 every path and cell, or a 4-D stack that broadcasts to (P, C, dim_out,
@@ -37,9 +37,9 @@ detectable here; the isometry checks exist to expose exactly that.
 Ensembles are measured by one private driver, ``_per_path``: it draws the
 paths as ``SampleChunk``s, hands each to a measuring function and writes the
 block of rows that function returns into a per-path array. Every measure
-walks its chunk with one step loop, except verify-associativity's, which
-draws a fresh random integrand pair for each path and so walks its paths
-one at a time. The statistics helpers beside it (mean with standard error,
+walks its chunk at once, except verify-associativity's, which draws a
+fresh random integrand pair for each path and so walks its paths one at a
+time. The statistics helpers beside it (mean with standard error,
 z-score, quartiles) reduce the columns of that array.
 """
 
@@ -221,10 +221,11 @@ def state_linear_integrand(base, weight, gain: float) -> Integrand:
 class SimpleBlock:
     """One block of a simple integrand: a fixed operator on a step window
     and a cell set, optionally gated by a predicate decided at the window's
-    left endpoint. The predicate sees (samples, start_step), a chunk of P
-    paths, and returns (P,) bools; it must only use increments of steps
-    before start_step, and the dual-route equality tests are the
-    enforcement."""
+    left endpoint. The cells are distinct non-negative indices, checked
+    against the model by ``integrate_simple``. The predicate sees (samples,
+    start_step), a chunk of P paths, and returns (P,) bools; it must only
+    use increments of steps before start_step, and the dual-route equality
+    tests are the enforcement."""
 
     start: int
     stop: int
@@ -241,6 +242,9 @@ class SimpleIntegrand:
         for b in blocks:
             if b.stop <= b.start or b.start < 0:
                 raise ValueError(f"block window [{b.start}, {b.stop}) is empty or negative")
+            ints = all(isinstance(j, (int, np.integer)) and j >= 0 for j in b.cells)
+            if not ints or len(set(b.cells)) != len(b.cells):
+                raise ValueError(f"block cells {b.cells} are not distinct non-negative integers")
             if np.asarray(b.matrix).shape != (dim_out, dim_in):
                 raise ValueError(f"block matrix shape {np.asarray(b.matrix).shape} != ({dim_out}, {dim_in})")
         self.blocks = blocks
@@ -286,6 +290,7 @@ def integrate_simple(simple: SimpleIntegrand, samples: SampleChunk) -> np.ndarra
     increments = samples.gauss + samples.jump_sums
     n = samples.grid.n_steps
     for b in simple.blocks:
+        samples.spec.partition.validate_cells(b.cells)
         if b.start >= n:
             continue
         gate = slice(None)
@@ -313,7 +318,7 @@ class ItoChunk:
 
         values[p, k+1] == values[p, k] + drift[k] + stoch_cont[p, k] + sum of p's deltas in k
 
-    holds exactly (bitwise) in the micro-order documented on the module.
+    holds exactly (bitwise), as ``_micro_values`` sums in that micro-order.
     """
 
     samples: SampleChunk
@@ -353,8 +358,8 @@ class ItoProcessSpec:
         rate = np.zeros(d) if drift_rate is None else np.array(drift_rate, dtype=np.float64)
         if init.shape != (d,) or rate.shape != (d,):
             raise ValueError(f"initial and drift_rate must have shape ({d},)")
-        init.setflags(write=False)
-        rate.setflags(write=False)
+        for array in (init, rate):
+            array.setflags(write=False)
         object.__setattr__(self, "integrand", integrand)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "drift_rate", rate)
@@ -391,95 +396,94 @@ def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int
     return mats
 
 
+def _micro_values(initial, dr, stoch, delta, samples: SampleChunk):
+    """The one definition of the micro-order: each path's initial value,
+    then per step its drift (none if ``dr`` is None), continuous increment
+    and jump deltas in row order, zero-padded and summed by one
+    ``np.add.accumulate``, which adds strictly in sequence. Returns values
+    (P, n_steps + 1, d), the sums before each step, and pre (R, d), the sums
+    before each row."""
+    n_paths, n, d = stoch.shape
+    pid, step = samples.pid, samples.jumps["step"]
+    width = 1 if dr is None else 2
+    # before[p, k]: path p's rows in the steps before k, k = 0..n
+    before = np.bincount(pid * (n + 1) + step + 1, minlength=n_paths * (n + 1))
+    before = before.reshape(n_paths, n + 1).cumsum(axis=1)
+    length = n * width + int(before[:, -1].max(initial=0)) + 1
+    # flat positions, path p's from p * length on, of the last entry before step k and row i
+    at = np.arange(n_paths)[:, None] * length + np.arange(n + 1) * width + before
+    slot = pid * length + (step + 1) * width + np.arange(len(pid)) - np.searchsorted(pid, pid)
+    # each entry picks a row of parts: zero (the padding), initial, drift, stoch's and delta's rows
+    fixed = [np.zeros(d), initial, np.zeros(d) if dr is None else dr]
+    parts = np.concatenate([fixed, stoch.reshape(-1, d), delta])
+    pick = np.zeros(n_paths * length, np.int64)
+    pick[at[:, 0]] = 1
+    if dr is not None:
+        pick[at[:, :-1] + 1] = 2
+    pick[at[:, :-1] + width] = np.arange(3, 3 + n_paths * n).reshape(n_paths, n)
+    pick[slot + 1] = np.arange(3 + n_paths * n, len(parts))
+    sums = np.add.accumulate(parts.take(pick, axis=0).reshape(n_paths, length, d), axis=1).reshape(-1, d)
+    return sums.take(at, axis=0), sums.take(slot, axis=0)
+
+
 def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
-    """One step loop for a chunk of samples."""
+    """Walk a chunk: a deterministic integrand in array passes, an adapted one
+    in one step loop; ``_micro_values`` sums the values of either."""
     _checked(samples, SampleChunk)
     integrand = process.integrand
     spec, grid = samples.spec, samples.grid
     if integrand.dim_in != spec.dim:
         raise ValueError(f"integrand input dim {integrand.dim_in} != noise dim {spec.dim}")
-    n_paths = len(samples)
-    n = grid.n_steps
-    m = spec.n_cells
-    times = grid.times
+    n_paths, n, m, d_out = len(samples), grid.n_steps, spec.n_cells, integrand.dim_out
     total_rate = spec.tables.flavor("total").rate
     cells = tuple(j for j in range(m) if total_rate[j] > 0.0)
     sel = slice(None) if len(cells) == m else list(cells)  # a slice copies nothing
-    d_out = integrand.dim_out
-    adapted = not integrand.deterministic
-
-    # step-major while walking, so that a step's rows are one cheap index
-    values = np.zeros((n + 1, n_paths, d_out))
-    values[0] = process.initial
-    drift = np.zeros((n, d_out))
-    dr = process.drift_rate * grid.dt
-    has_drift = bool(process.drift_rate.any())
-    if has_drift:
-        drift[:] = dr
-
+    # without a drift no drift entries at all, so that no + 0.0 flips a -0.0
+    dr = process.drift_rate * grid.dt if process.drift_rate.any() else None
+    drift = np.zeros((n, d_out)) if dr is None else np.tile(dr, (n, 1))
     # the chunk's noise jumps, path-major, each path's rows sorted by (step, time)
-    noise, pid = samples.jumps, samples.pid
-    step, cell, amp = noise["step"], noise["cell"], noise["amp"]
-    delta = np.zeros((len(noise), d_out))
-    history = PathHistory(samples, values)
+    pid, step, cell, amp = samples.pid, samples.jumps["step"], samples.jumps["cell"], samples.jumps["amp"]
     gauss = samples.gauss[:, :, sel]  # (P, n, C, dim_in)
-    if adapted:
-        phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
-        stoch = np.zeros((n, n_paths, d_out))
-    else:
-        # operators, continuous contributions and jump deltas in array passes;
-        # einsum lays its output out path-major, as gauss, and the loop reads steps
+    if integrand.deterministic:
         phis = _deterministic_phis(integrand, samples, cells, sel)
-        stoch = np.ascontiguousarray(np.einsum("kjab,pkjb->kpa", phis[:, sel], gauss))
-        if len(noise):
-            delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
-
-    pre = np.zeros((len(noise), d_out))
-    # rows by step; the stable sort keeps each path's rows of a step in its
-    # micro-order, and paths never share a running value
-    order = np.argsort(step, kind="stable")
-    ends = np.searchsorted(step[order], np.arange(n), side="right").tolist()
-    row_path = list(zip(order.tolist(), pid[order].tolist()))
-
-    hi = 0
-    for k in range(n):
-        if adapted:
+        stoch = np.einsum("kjab,pkjb->pka", phis[:, sel], gauss)
+        delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
+    else:
+        phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
+        stoch, delta = np.zeros((n_paths, n, d_out)), np.zeros((len(pid), d_out))
+        # the running value feeds the evaluator, through the history too
+        running = np.zeros((n + 1, n_paths, d_out))
+        running[0] = process.initial
+        history = PathHistory(samples, running)
+        # rows by step; the stable sort keeps each path's rows of a step in time order
+        order = np.argsort(step, kind="stable")
+        ends = np.searchsorted(step[order], np.arange(n + 1)).tolist()
+        for k in range(n):
             history._cursor = k
-            state = AdaptedState(step=k, time=times[k], value=values[k].copy(), history=history)
-            mats = _checked_eval(integrand, state, cells, n_paths)
-            phis[:, k, sel] = mats
+            state = AdaptedState(step=k, time=grid.times[k], value=running[k].copy(), history=history)
+            mats = phis[:, k, sel] = _checked_eval(integrand, state, cells, n_paths)
             # elementwise products summed over the input axis, then over the
             # cells in cell order (accumulate adds strictly in sequence), so
-            # that each path's arithmetic does not depend on its chunk
-            stoch[k] += np.add.accumulate((mats * gauss[:, k, :, None]).sum(-1), axis=1)[:, -1]
-        if has_drift:
-            v = values[k] + dr
-            v += stoch[k]
-        else:
-            v = values[k] + stoch[k]
-        lo, hi = hi, ends[k]
-        if lo < hi:
-            if adapted:
-                rows = order[lo:hi]
+            # that each path's arithmetic does not depend on its chunk; plus
+            # 0.0, which stores a -0.0 sum as 0.0, as the einsum above does
+            inc = stoch[:, k] = np.add.accumulate((mats * gauss[:, k, :, None]).sum(-1), axis=1)[:, -1] + 0.0
+            np.add(running[k] if dr is None else running[k] + dr, inc, out=running[k + 1])
+            if ends[k] < ends[k + 1]:
+                rows = order[ends[k] : ends[k + 1]]
                 delta[rows] = (phis[pid[rows], k, cell[rows]] * amp[rows, None, :]).sum(-1)
-            for i, p in row_path[lo:hi]:
-                running = v[p]
-                pre[i] = running
-                running += delta[i]
-        values[k + 1] = v
-
-    values, stoch = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (values, stoch))
+                # ufunc.at adds a path's rows in index order, which is time order
+                np.add.at(running[k + 1], pid[rows], delta[rows])
+    values, pre = _micro_values(process.initial, dr, stoch, delta, samples)
     for array in (values, phis, stoch, drift, delta, pre):
         array.setflags(write=False)
-    if not adapted:
+    if integrand.deterministic:
         phis = np.broadcast_to(phis, (n_paths,) + phis.shape)
     return ItoChunk(samples, values, phis, stoch, drift, delta, pre)
 
 
 def integrate(integrand: Integrand, samples: SampleChunk) -> ItoChunk:
     """Walk the stochastic integral of ``integrand`` against each path of a
-    SampleChunk, returning their ItoChunk walked by one step loop; anything
-    else raises TypeError."""
+    SampleChunk, returning their ItoChunk; anything else raises TypeError."""
     return _walk(ItoProcessSpec(integrand), samples)
 
 
@@ -533,8 +537,8 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
 
 
 # Paths per chunk of _per_path: the chunk's walk arrays grow with it (about
-# 80 KB per 256-step path on a four-cell model), and the step loop's Python
-# cost is paid once per chunk.
+# 80 KB per 256-step path on a four-cell model), and the walk's Python cost,
+# an adapted walk's step loop included, is paid once per chunk.
 _CHUNK = 16
 
 
@@ -544,7 +548,7 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
 
     Those paths are drawn by ``sample_chunk`` and handed to measure in
     ``SampleChunk``s of at most ``_CHUNK`` paths, in path order;
-    measure(samples) walks the chunk, with one ``integrate`` or
+    measure(samples) walks the chunk at once, with one ``integrate`` or
     ``simulate_ito_process`` call per integrand (verify-associativity's
     integrands differ from path to path, so it walks each path
     ``samples[p]`` as a chunk of one),

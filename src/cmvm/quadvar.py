@@ -237,23 +237,21 @@ def riemann_qv(chunk: ItoChunk, partitions: Sequence[RandomPartition]) -> np.nda
 
 
 def riemann_weighted_bilinear(
-    chunk: ItoChunk, partition: RandomPartition, form: Callable[[float, np.ndarray], np.ndarray]
+    chunk: ItoChunk, partition: RandomPartition, form: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Riemann sum sum_i <dX_i, F(s_i, X_{s_i}) dX_i> of each path, (P,),
-    with F frozen at each block's left endpoint. F takes one point, so each
-    path is summed on its own."""
-    times = _checked(chunk, ItoChunk).grid.times
-    out = np.zeros(len(chunk))
-    for p, values in enumerate(chunk.values):
-        for a, b in zip(partition.step_indices, partition.step_indices[1:]):
-            x = values[a]
-            d = values[b] - x
-            out[p] += float(d @ np.asarray(form(float(times[a]), x)) @ d)
-    return out
+    with F frozen at each block's left endpoint. F broadcasts as a
+    SmoothFunction does, t (...) and x (..., d) giving (..., d, d), and is
+    called once for the chunk; a constant F such as np.eye(d) passes."""
+    idx = partition._index
+    pts = _checked(chunk, ItoChunk).values[:, idx]
+    x, d = pts[:, :-1], pts[:, 1:] - pts[:, :-1]
+    forms = form(np.broadcast_to(chunk.grid.times[idx[:-1]], x.shape[:-1]), x)
+    return np.einsum("pia,piab,pib->p", d, np.broadcast_to(forms, x.shape + x.shape[-1:]), d)
 
 
 def weighted_qv_target(
-    chunk: ItoChunk, form: Callable[[float, np.ndarray], np.ndarray]
+    chunk: ItoChunk, form: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """The limit the weighted Riemann sums approach on each path, (P,).
 
@@ -261,16 +259,13 @@ def weighted_qv_target(
     where the operator step S_k carries the continuous control-measure
     increment and the outer product of every jump delta in step k, so each
     jump sees F frozen at the left endpoint of its step. The steps are
-    priced once for the chunk; F takes one point, so it is called path by
-    path.
+    priced once for the chunk, and F, which broadcasts as in
+    ``riemann_weighted_bilinear``, is called once.
     """
-    times = _checked(chunk, ItoChunk).grid.times
+    x = _checked(chunk, ItoChunk).values[:, :-1]
     steps = _add_jumps(_bracket_steps(chunk, "continuous", operator=True), chunk, chunk)
-    out = np.zeros(len(chunk))
-    for p, values in enumerate(chunk.values):
-        forms = np.array([form(float(times[k]), values[k]) for k in range(chunk.grid.n_steps)])
-        out[p] = np.einsum("kab,kab->", forms, steps[p])
-    return out
+    forms = form(np.broadcast_to(chunk.grid.times[:-1], x.shape[:-1]), x)
+    return np.einsum("pkab,pkab->p", np.broadcast_to(forms, steps.shape), steps)
 
 
 def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:

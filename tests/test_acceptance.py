@@ -101,8 +101,12 @@ def test_criterion_05_riemann_qv_convergence(tmp_path):
     grid = TimeGrid(1.0, 256)
     integrand = constant_integrand(PHI)
 
-    def form(t, x):
-        return np.array([[1.0 + 0.5 * t, 0.2], [0.2, 2.0 + np.tanh(x[1])]])
+    def form(t, x):  # broadcasts: t (...) and x (..., 2) give (..., 2, 2)
+        out = np.empty(np.shape(t) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.5 * t
+        out[..., 0, 1] = out[..., 1, 0] = 0.2
+        out[..., 1, 1] = 2.0 + np.tanh(x[..., 1])
+        return out
 
     levels = (3, 4, 5, 6, 7)
     paths = integrate(integrand, sample_chunk(spec, grid, 515_05, range(200)))

@@ -29,8 +29,8 @@ ALLOWED_UNREACHED = {
     ("noise", "evaluate"),
     # the writer of the docs/noise-spec.md format that load_noise_spec reads
     ("noise", "spec_to_json"),
-    # criterion 05, the Riemann representation of the abstract; as a scenario
-    # gate they would add per-step Python form calls to qv-converge
+    # criterion 05, the Riemann representation of the abstract; no scenario
+    # gates it yet (each prices a chunk with one broadcasting form call)
     ("quadvar", "riemann_weighted_bilinear"),
     ("quadvar", "weighted_qv_target"),
 }

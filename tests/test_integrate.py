@@ -47,6 +47,7 @@ from cmvm.harness import apply_overrides, load_config, run
 from cmvm.ito import ito_residual, ito_terms, make_smooth
 from cmvm.noise import (
     CellNoise,
+    GaussianAmplitude,
     NoiseSpec,
     SpatialPartition,
     TimeGrid,
@@ -125,18 +126,34 @@ def test_linearity_per_path(mixed, grid8, samples):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_walk_reconstructs_exactly(mixed, grid8):
+def _dense_jumps():
+    """One cell of Gaussian-amplitude jumps at rate 256: on an 8-step grid a
+    path has many jump rows in one step."""
+    cell = CellNoise(jump_rate=256.0, jump_amplitude=GaussianAmplitude([[1.0, 0.3], [0.3, 0.5]]))
+    return normalize_spec(NoiseSpec(2, SpatialPartition.uniform(1), [cell]))
+
+
+@pytest.mark.parametrize("model", ["mixed", "rate-256"])
+@pytest.mark.parametrize("drift", [False, True], ids=["no-drift", "drift"])
+@pytest.mark.parametrize("kind", ["deterministic", "adapted"])
+def test_walk_reconstructs_exactly(mixed, grid8, kind, drift, model):
     """values, drift, stoch_cont and the walked deltas of the samples' jump
-    rows tile each step of each path exactly."""
-    proc = ItoProcessSpec(
-        state_linear_integrand(PHI, [1.0, -0.5], 0.4),
-        initial=[0.2, -0.1],
-        drift_rate=[0.3, -0.2],
-    )
-    samples = sample_chunk(mixed, grid8, 77, range(4))
+    rows tile each step of each path exactly, for either integrand kind,
+    with and without drift entries, and with many rows in one step."""
+    integrand = {
+        "deterministic": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
+        "adapted": state_linear_integrand(PHI, [1.0, -0.5], 0.4),
+    }[kind]
+    proc = ItoProcessSpec(integrand)
+    if drift:
+        proc = ItoProcessSpec(integrand, initial=[0.2, -0.1], drift_rate=[0.3, -0.2])
+    spec = mixed if model == "mixed" else _dense_jumps()
+    samples = sample_chunk(spec, grid8, 77, range(4))
     paths = simulate_ito_process(proc, samples)
     assert len(samples[0].jumps) > 0
     steps, pid = samples.jumps["step"], samples.pid
+    if model == "rate-256":
+        assert np.bincount(pid * grid8.n_steps + steps).min() > 1
     for p in range(len(paths)):
         for k in range(grid8.n_steps):
             v = paths.values[p, k].copy()
@@ -374,6 +391,18 @@ def test_simple_block_validation():
         SimpleIntegrand([SimpleBlock(0, 1, (0,), np.eye(3))], 2, 2)
 
 
+def test_simple_block_cells_are_checked(mixed, grid8):
+    """Cells that are not distinct non-negative integers are refused when the
+    integrand is built. A cell beyond the model's is refused by the block-sum
+    route, which sees the model; the walk route does not see the cell count."""
+    for cells in ((-1,), (0, 0)):
+        with pytest.raises(ValueError, match="distinct non-negative integers"):
+            SimpleIntegrand([SimpleBlock(0, 8, cells, np.eye(2))], 2, 2)
+    beyond = SimpleIntegrand([SimpleBlock(0, 8, (4,), np.eye(2))], 2, 2)
+    with pytest.raises(ValueError, match=r"cell index 4 outside 0\.\.3"):
+        integrate_simple(beyond, sample_chunk(mixed, grid8, 3, range(2)))
+
+
 def test_composition_matches_direct_route(mixed, grid8):
     """Integrating Psi against the walked inner integral equals one walk of
     the composed integrand, path by path."""
@@ -551,17 +580,25 @@ def _chunk_processes():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_chunk_processes()))
-def test_chunked_walk_matches_per_path_loop(mixed, grid8, name):
+@pytest.mark.parametrize(
+    "name, model",
+    [pytest.param(name, "mixed", id=name) for name in sorted(_chunk_processes())]
+    # the gated blocks name cells the one-cell model lacks
+    + [pytest.param(name, "rate-256", id=f"{name}-rate-256")
+       for name in sorted(_chunk_processes()) if name != "gated-simple"],
+)
+def test_chunked_walk_matches_per_path_loop(mixed, grid8, name, model):
     """One step loop over a chunk of paths reproduces the per-path loop on
-    every record, path by path, to 1e-12 relative."""
+    every record, path by path, to 1e-12 relative, also with many jump rows
+    of a path in one step."""
     process = _chunk_processes()[name]
-    chunk = sample_chunk(mixed, grid8, 4100, range(9))
+    spec = mixed if model == "mixed" else _dense_jumps()
+    chunk = sample_chunk(spec, grid8, 4100, range(9))
     walked = simulate_ito_process(process, chunk)
     assert isinstance(walked, ItoChunk) and len(walked) == len(chunk)
     assert walked.samples is chunk and len(chunk.jumps) > 9
     for i in range(len(walked)):
-        want = _loop_walk(process, sample_path(mixed, grid8, seed=4100, path_index=i))
+        want = _loop_walk(process, sample_path(spec, grid8, seed=4100, path_index=i))
         got = _row(walked, i)
         for field, ref in want.items():
             assert got[field].shape == ref.shape, (name, field)
@@ -626,19 +663,23 @@ def _with_dead_cell():
 @pytest.mark.parametrize("model", ["mixed", "dead-cell"])
 def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model):
     """One evaluator call per step hands the whole chunk every active cell
-    at once, in cell order, and the walk matches the per-path loop."""
+    at once, in cell order, and the walk matches the per-path loop. The
+    running value each call sees is bitwise the returned value at its step."""
     spec = mixed if model == "mixed" else _with_dead_cell()
     active = (0, 1, 2, 3) if model == "mixed" else (0, 2)
     linear = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
-    calls = []
+    calls, seen = [], []
 
     def counted(state, cells):
         calls.append((state.step, cells, len(state.value)))
+        seen.append(state.value.copy())
         return linear.evaluator(state, cells)
 
     process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False))
     walked = simulate_ito_process(process, sample_chunk(spec, grid8, 21, range(5)))
     assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
+    for k, value in enumerate(seen):
+        assert value.tobytes() == walked.values[:, k].tobytes(), k
     for i in range(len(walked)):
         want = _loop_walk(process, sample_path(spec, grid8, seed=21, path_index=i))
         for field in ("values", "phis"):

@@ -353,8 +353,12 @@ def test_weighted_riemann_converges_to_target(mixed):
     grid = TimeGrid(1.0, 64)
     integrand = constant_integrand(PHI)
 
-    def form(t, x):
-        return np.array([[1.0 + 0.5 * t, 0.2], [0.2, 2.0 + np.tanh(x[1])]])
+    def form(t, x):  # broadcasts: t (...) and x (..., 2) give (..., 2, 2)
+        out = np.empty(np.shape(t) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.5 * t
+        out[..., 0, 1] = out[..., 1, 0] = 0.2
+        out[..., 1, 1] = 2.0 + np.tanh(x[..., 1])
+        return out
 
     paths = integrate(integrand, sample_chunk(mixed, grid, 1717, range(60)))
     target = weighted_qv_target(paths, form)
