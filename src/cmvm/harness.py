@@ -28,6 +28,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -151,8 +152,10 @@ def _build_config(data: dict) -> ExperimentConfig:
         raise ValueError("n_steps and n_paths must be positive")
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {n_steps}")
-    if seed < 0:  # the scenarios seed numpy generators with seed + small offsets
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    # the noise streams are keyed by a 64-bit seed; the scenarios also seed
+    # numpy generators with seed + small offsets
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
     for key, default in entry.params.items():
         _check_param_type(key, params[key], default)
     _check_param_values(params, n_steps)
@@ -331,28 +334,58 @@ CONVERGENCE_HEADER = (
 )
 
 
-def _jsonify(value):
-    """json.dump default hook for numpy scalars and arrays."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+# json's text of a value of one of these exact types; _json_text looks the
+# type up first, because nearly every value is one of them
+_JSON_SCALARS = {
+    str: _json_str,
+    float: lambda v: repr(v) if math.isfinite(v) else "null",
+    int: str,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """value as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at
+    indentation pad, numpy scalars and arrays as the Python values they hold
+    and every non-finite float as null, so that the JSON stays strict.
+
+    json indents only in its pure-Python encoder, which takes about twice as
+    long for the same bytes."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        return _json_object({k: _json_text(v, pad + "  ") for k, v in value.items()}, pad)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + pad + "  "
+        items = ("," + inner).join([_json_text(v, pad + "  ") for v in value])
+        return "[" + inner + items + "\n" + pad + "]"
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _JSON_SCALARS[float](float(value))
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def _definite(obj):
-    """Replace non-finite floats with None so the JSON stays strict."""
-    if isinstance(obj, dict):
-        return {k: _definite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_definite(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return None
-    return obj
+def _json_object(members: dict, pad: str = "") -> str:
+    """The JSON object of members already encoded at indentation pad + 2
+    spaces, keys sorted; a key that is not a string is written as json
+    writes it (an int 4 as "4")."""
+    if not members:
+        return "{}"
+    inner = "\n" + pad + "  "
+    key = lambda k: _json_str(k if isinstance(k, str) else _json_text(k))
+    items = ("," + inner).join([f"{key(k)}: {members[k]}" for k in sorted(members)])
+    return "{" + inner + items + "\n" + pad + "}"
 
 
 def _fmt(value) -> str:
@@ -373,10 +406,14 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_definite(doc), fh, sort_keys=True, indent=2, default=_jsonify)
-        fh.write("\n")
+def _write_json(shared: dict, files: dict) -> None:
+    """Write each file of files (path -> its own members) as one JSON object
+    that also holds the members of shared, each encoded once for all files."""
+    encoded = {key: _json_text(value, "  ") for key, value in shared.items()}
+    for path, own in files.items():
+        members = dict(encoded, **{key: _json_text(value, "  ") for key, value in own.items()})
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_json_object(members) + "\n")
 
 
 _CHECK_HEADER = ("check", "value", "target", "tolerance", "z", "passed")
@@ -1037,10 +1074,9 @@ def run(cfg: ExperimentConfig, out_dir: str) -> RunResult:
         "config_hash": config_hash(cfg),
         "checks": outcome.checks,
     }
-    _write_json(json_path, dict(shared, metrics=outcome.metrics))
     outputs = {"csv": csv_name, "json": json_name}
-    record = dict(shared, package_version=__version__, wall_time_s=elapsed, outputs=outputs)
-    _write_json(record_path, record)
+    record = dict(package_version=__version__, wall_time_s=elapsed, outputs=outputs)
+    _write_json(shared, {json_path: {"metrics": outcome.metrics}, record_path: record})
     return RunResult(
         scenario=cfg.scenario,
         passed=passed,

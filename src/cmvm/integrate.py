@@ -22,8 +22,12 @@ returns one row per path, with a leading (P, ...) axis. Anything else
 raises TypeError.
 
 Evaluator protocol: a deterministic integrand is walked in array passes,
-an adapted one by one step loop for the whole chunk. An adapted evaluator
-is called once per step, as evaluator(state, cells), for the whole chunk and the tuple of the C cells with positive mass, in cell
+an adapted one by one step loop for the whole chunk. Both apply a cell's
+operator to its continuous increment by adding the input-axis terms in
+order, then add the cells in cell order (``_contract`` by explicit adds),
+so at up to two inputs their continuous increments agree bitwise. An
+adapted evaluator is called once per step, as evaluator(state, cells), for
+the whole chunk and the tuple of the C cells with positive mass, in cell
 order; ``state.value`` has shape (P, dim_out) and the history readers
 return one row per path. It returns one (dim_out, dim_in) operator for
 every path and cell, or a 4-D stack that broadcasts to (P, C, dim_out,
@@ -396,6 +400,21 @@ def _checked_eval(integrand: Integrand, state: AdaptedState, cells, n_paths: int
     return mats
 
 
+def _contract(phis: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """Continuous increments (P, n, dim_out) of operators phis (n, C, dim_out,
+    dim_in) shared by the paths, applied to gauss (P, n, C, dim_in): each
+    cell's operator by adding its input-axis terms in order, starting from
+    the first, then the cells added in cell order, then plus 0.0, which
+    stores a -0.0 sum as 0.0. At up to two inputs the adapted step adds in
+    this order too."""
+    for c in range(phis.shape[1]):
+        term = phis[:, c, :, 0] * gauss[:, :, c, None, 0]
+        for b in range(1, phis.shape[3]):
+            term += phis[:, c, :, b] * gauss[:, :, c, None, b]
+        total = term if c == 0 else total + term
+    return total + 0.0
+
+
 def _micro_values(initial, dr, stoch, delta, samples: SampleChunk):
     """The one definition of the micro-order: each path's initial value,
     then per step its drift (none if ``dr`` is None), continuous increment
@@ -446,7 +465,7 @@ def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
     gauss = samples.gauss[:, :, sel]  # (P, n, C, dim_in)
     if integrand.deterministic:
         phis = _deterministic_phis(integrand, samples, cells, sel)
-        stoch = np.einsum("kjab,pkjb->pka", phis[:, sel], gauss)
+        stoch = _contract(phis[:, sel], gauss)
         delta = (phis[step, cell] @ amp[:, :, None])[:, :, 0]
     else:
         phis = np.zeros((n_paths, n, m, d_out, integrand.dim_in))
@@ -465,7 +484,7 @@ def _walk(process: ItoProcessSpec, samples: SampleChunk) -> ItoChunk:
             # elementwise products summed over the input axis, then over the
             # cells in cell order (accumulate adds strictly in sequence), so
             # that each path's arithmetic does not depend on its chunk; plus
-            # 0.0, which stores a -0.0 sum as 0.0, as the einsum above does
+            # 0.0, which stores a -0.0 sum as 0.0, as _contract's adds do
             inc = stoch[:, k] = np.add.accumulate((mats * gauss[:, k, :, None]).sum(-1), axis=1)[:, -1] + 0.0
             np.add(running[k] if dr is None else running[k] + dr, inc, out=running[k + 1])
             if ends[k] < ends[k + 1]:

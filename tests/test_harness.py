@@ -154,6 +154,79 @@ def test_run_outputs_are_reproducible(tmp_path):
         assert {"name", "value", "target", "tolerance", "passed"} <= set(check)
 
 
+def _json_dump_reference(value) -> str:
+    """The stdlib encoding the JSON files follow: json.dumps with sorted keys
+    and indent 2, numpy values through a default hook, and every non-finite
+    float outside an array made null first."""
+
+    def definite(obj):
+        if isinstance(obj, dict):
+            return {k: definite(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [definite(v) for v in obj]
+        if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+            return None
+        return obj
+
+    def default(obj):
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        raise TypeError(type(obj).__name__)
+
+    return json.dumps(definite(value), sort_keys=True, indent=2, default=default)
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    doc = {
+        "floats": [1.0, 2.5, -0.0, 1e-300, 1e300, 0.1 + 0.2, math.nan, math.inf, -math.inf],
+        "plain": [None, True, False, 0, -7, 10**30, "", 'quote " and \\ and\nnewline', "naïve ✓"],
+        "numpy": (np.float64(0.1), np.float32(0.3), np.int64(-7), np.uint8(200), np.bool_(True),
+                  np.float64(math.nan)),
+        "array": np.array([[1.0, -2.5], [3.0, 1e300]]),
+        "empty": {"dict": {}, "list": [], "tuple": (), "array": np.zeros(0)},
+        "nested": {"z": {"y": [{}, [[]], {"x": [1, {"w": None}]}]}},
+        "keys": {"ints": {10: "b", 2: "a"}, "float": {0.5: 1}, "bool": {True: 1}, "none": {None: 1}},
+        "ü": "key outside ASCII",
+    }
+    assert cmvm.harness._json_text(doc) == _json_dump_reference(doc)
+    for value in doc.values():
+        assert cmvm.harness._json_text(value) == _json_dump_reference(value)
+    # unlike json's NaN, a non-finite float inside an array is null too
+    assert cmvm.harness._json_text(np.array([1.0, math.nan])) == "[\n  1.0,\n  null\n]"
+    with pytest.raises(TypeError, match="not JSON serializable: object"):
+        cmvm.harness._json_text({"x": object()})
+
+
+@pytest.mark.parametrize("scenario", ["verify-qv", "ito-converge", "burkholder"])
+def test_json_files_are_what_json_dumps_writes(scenario, tmp_path):
+    cfg = apply_overrides(load_config(scenario), ["n_paths=12"])
+    res = run(cfg, str(tmp_path))
+    shared = {
+        "scenario": scenario,
+        "passed": res.passed,
+        "config": cfg.to_dict(),
+        "config_hash": config_hash(cfg),
+        "checks": res.checks,
+    }
+    payload = (tmp_path / f"{scenario}.json").read_text()
+    assert payload == _json_dump_reference(dict(shared, metrics=res.metrics)) + "\n"
+    record = (tmp_path / "run-record.json").read_text()
+    stored = json.loads(record)
+    expected = dict(
+        shared,
+        package_version=cmvm.__version__,
+        wall_time_s=stored["wall_time_s"],
+        outputs={"csv": f"{scenario}.csv", "json": f"{scenario}.json"},
+    )
+    assert record == _json_dump_reference(expected) + "\n"
+
+
 def test_single_path_run_flags_unreliable_stderr(tmp_path):
     # one path has no standard error: every z-gate fails with z recorded as null
     z_checks = {
@@ -424,6 +497,19 @@ def test_step_counts_above_the_cap_exit_two(capsys, scenario, above, at):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert main(["validate-config", scenario, "--set", at]) == 0
+
+
+@pytest.mark.parametrize("scenario", ["verify-isometry", "burkholder"])
+@pytest.mark.parametrize("above", [2**64, 2**64 + 7, 2**80])
+def test_seeds_at_or_above_two_to_the_64_exit_two(capsys, scenario, above):
+    """The noise streams are keyed by a 64-bit seed, so a seed at or above
+    2**64 would draw the noise of a smaller one: it exits 2 at resolve time,
+    naming the range, and 2**64 - 1 resolves."""
+    for args in (["--seed", str(above)], ["--set", f"seed={above}"]):
+        assert main(["validate-config", scenario, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must lie in 0..2**64 - 1") and err.count("\n") == 1, err
+    assert main(["validate-config", scenario, "--seed", str(2**64 - 1)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -57,7 +57,7 @@ from cmvm.noise import (
     sample_chunk,
     sample_path,
 )
-from cmvm.presets import make_preset
+from cmvm.presets import PRESETS, make_preset
 from cmvm.quadvar import (
     _REFINEMENTS,
     make_adaptive_partition,
@@ -476,8 +476,62 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
     samples = sample_chunk(mixed, grid8, 66, range(20))
     a = integrate(det, samples)
     b = integrate(slow, samples)
-    assert np.allclose(a.values, b.values, atol=1e-12)
-    assert np.allclose(a.phis, b.phis, atol=0.0)
+    # both routes add the input-axis terms, then the cells, in one order
+    assert a.phis.tobytes() == b.phis.tobytes()
+    assert a.stoch_cont.tobytes() == b.stoch_cont.tobytes()
+    # the deterministic route's deltas are one matmul, the adapted route's a
+    # multiply-and-sum, so the values and the jump rows agree to rounding
+    for field in ("values", "delta", "pre"):
+        assert np.allclose(getattr(a, field), getattr(b, field), rtol=0.0, atol=1e-12), field
+
+
+def _gauss_cells(dim, live):
+    """A diffusion-only model of dim dimensions, one cell per entry of live,
+    a cell without noise where it is False."""
+    rng = np.random.default_rng(dim)
+    cells = []
+    for alive in live:
+        root = rng.standard_normal((dim, dim))
+        cov = root @ root.T + 0.1 * np.eye(dim)
+        cells.append(CellNoise(diffusion_cov=cov, diffusion_intensity=1.3) if alive else CellNoise())
+    return normalize_spec(NoiseSpec(dim, SpatialPartition.uniform(len(live)), cells))
+
+
+# one to four active cells: four on mixed-default, two on the other presets
+# and three of four around a dead cell
+_CONTRACTION_MODELS = {"one-cell": (True,), "dead-cell": (True, False, True, True)}
+
+
+@pytest.mark.parametrize(
+    "shape, model",
+    [(s, m) for s in ("2x2", "3x2") for m in ("mixed-default", "gauss-default", "jump-default", *_CONTRACTION_MODELS)]
+    + [(s, m) for s in ("2x1", "1x1", "3x3", "16x16") for m in _CONTRACTION_MODELS],
+)
+def test_deterministic_contraction_matches_einsum(shape, model):
+    """The deterministic walk's continuous increments against the einsum it
+    replaced, "kjab,pkjb->pka" over the active cells: bitwise at the presets'
+    two inputs and at 2x1, where the explicit adds take einsum's order, and
+    within 1e-15 of the largest increment at 1x1, 3x3 and 16x16, where
+    einsum adds in another order."""
+    d_out, d_in = map(int, shape.split("x"))
+    spec = make_preset(model) if model in PRESETS else _gauss_cells(d_in, _CONTRACTION_MODELS[model])
+    op = np.random.default_rng(d_out * 100 + d_in).standard_normal((d_out, d_in))
+
+    def fn(step, time, cell):
+        return op * np.cos(3.0 * time) * (1.0 + 0.4 * cell)
+
+    grid = TimeGrid(1.0, 16)
+    active = np.flatnonzero(spec.tables.flavor("total").rate)
+    phis = np.array([[fn(k, t, j) for j in active] for k, t in enumerate(grid.times[:-1])])
+    integrand = deterministic_integrand(fn, d_out, d_in)
+    chunk = sample_chunk(spec, grid, 29, range(16))
+    for samples in (chunk, chunk[5]):
+        got = integrate(integrand, samples).stoch_cont
+        want = np.einsum("kjab,pkjb->pka", phis, samples.gauss[:, :, active])
+        if d_in == 2 or shape == "2x1":
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # ------------------------------------------------ the chunked walk

@@ -335,6 +335,28 @@ def test_substream_draws_what_a_new_philox_generator_draws(master_seed, draw):
         assert np.array_equal(_DRAWS[draw](substream(master_seed, stream, slot)), expected)
 
 
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stream, slot", [(0, 0), (3, 13), (2**64 - 1, 2**64 - 1)])
+def test_two_point_signs_are_raw_top_bits(master_seed, stream, slot):
+    """Sign i of a two-point amplitude is the top bit of the i-th 32-bit half
+    of the raw stream, low half first, 1 picking +vector: bitwise what the
+    formula with integers(0, 2, size=n) drew, for every count n."""
+    amp = TwoPointAmplitude([0.6, -0.2])
+    for n in range(1, 66):
+        signs = substream(master_seed, stream, slot).integers(0, 2, size=n) * 2.0 - 1.0
+        want = (amp.scale * signs)[:, None] * amp.direction[None, :]
+        assert amp.sample(substream(master_seed, stream, slot), n).tobytes() == want.tobytes(), n
+
+
+def test_two_point_sign_bits_are_pinned():
+    """One stream's signs as literal bits, so that the rule holds whatever
+    numpy's integers comes to draw."""
+    amp = TwoPointAmplitude([0.6, -0.2])
+    bits = "11111001000111111000110100010110111100100100000110001011011101100"
+    draws = amp.sample(substream(0, 3, 13), len(bits))
+    assert draws.tobytes() == np.array([(amp.scale * float(2 * int(b) - 1)) * amp.direction for b in bits]).tobytes()
+
+
 def _rows(jumps):
     return [(r["step"], r["cell"], r["time"], tuple(r["amp"].tolist())) for r in jumps]
 
