@@ -16,7 +16,10 @@ how many other paths an ensemble draws. Every stream is drawn from one
 Philox generator per process, which ``substream`` restarts at the stream's
 key and counter, so a stream is drawn to its end before the next one is asked
 for. A path is a chunk of one: every draw is a ``SampleChunk`` of P paths
-with a leading path axis, and ``sample_path`` draws a chunk of one path.
+with a leading path axis. One sampler draws them, under two names,
+``sample_path`` and ``sample_chunk``: given an index it draws a chunk of one,
+given a sequence of indices one chunk, each path from its own streams and
+everything else once per chunk.
 A two-point jump's sign is one raw bit of its cell's amplitude stream: the
 top bit of a 32-bit half of a 64-bit word, low half first, 1 for +vector.
 
@@ -471,6 +474,18 @@ def normalize_spec(spec: NoiseSpec) -> NoiseSpec:
 # call: building it at import would charge numpy.random's import to setup.
 _generator: Optional[np.random.Generator] = None
 
+# The Philox state every substream call sets: only the key and the counter's
+# slot word change from stream to stream, so one dict is overwritten in place.
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_KEY, _COUNTER = _STATE["state"]["key"], _STATE["state"]["counter"]
+
 
 def substream(master_seed: int, stream: int, slot: int = 0) -> np.random.Generator:
     """Generator positioned at the start of stream (master_seed, stream, slot).
@@ -489,17 +504,8 @@ def substream(master_seed: int, stream: int, slot: int = 0) -> np.random.Generat
     global _generator
     if _generator is None:
         _generator = np.random.Generator(np.random.Philox(0))
-    _generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [0, 0, slot % 2**64, 0],
-            "key": [master_seed % 2**64, stream % 2**64],
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _KEY[0], _KEY[1], _COUNTER[2] = master_seed % 2**64, stream % 2**64, slot % 2**64
+    _generator.bit_generator.state = _STATE
     return _generator
 
 
@@ -557,76 +563,70 @@ class SampleChunk:
 _SLOT_GAUSS, _SLOT_COUNTS, _SLOT_TIMES, _SLOT_AMPS = range(4)
 
 
-def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index: int = 0) -> SampleChunk:
-    """Draw one path of the noise field, deterministically in (seed,
-    path_index), as a chunk of one."""
+def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index=0) -> SampleChunk:
+    """Draw the ensemble's path path_index, an int, as a chunk of one, or its
+    paths path_index[p], a sequence, as one chunk, deterministically in
+    (seed, index): path p is, bit for bit, the chunk of one its index draws
+    alone, whatever the chunk. ``sample_chunk`` is this same function.
+
+    Each stream of each path is drawn by its own numpy call, as when the
+    path is drawn alone; the rest runs once per chunk: one stacked product
+    per diffusing cell, the jump steps and times of every cell and path at
+    once, one sort of the rows by (path, step, time) and one record fill.
+    """
+    try:
+        indices = (index(path_index),)
+    except TypeError:
+        indices = tuple(index(i) for i in path_index)
+    if not indices:
+        raise ValueError("no path to draw: path_index is empty")
     spec = normalize_spec(spec)
     tab = spec.tables
-    n, m, d = grid.n_steps, spec.n_cells, spec.dim
+    P, n, m, d = len(indices), grid.n_steps, spec.n_cells, spec.dim
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
-    gauss = np.zeros((1, n, m, d))
-    steps = np.arange(n)
-    parts = []  # per jumping cell: its step, cell, time and amplitude columns
+    gauss, z = np.zeros((P, n, m, d)), np.empty((P, n, d))
+    jumping = [j for j, cell in enumerate(spec.cells) if cell.has_jumps]
+    counts = np.empty((len(jumping), P, n), np.int64)
     for j, cell in enumerate(spec.cells):
         if cell.has_diffusion:
-            rg = substream(seed, path_index, 4 * j + _SLOT_GAUSS)
-            z = rg.standard_normal((n, d))
-            gauss[0, :, j, :] = sqrt_dt * (z @ tab.gauss_factor[j].T)
-        if cell.has_jumps:
-            rg_counts = substream(seed, path_index, 4 * j + _SLOT_COUNTS)
-            step = steps.repeat(rg_counts.poisson(cell.jump_rate * dt, size=n))
-            total = len(step)
-            if total > 0:
-                # times in (t_k, t_{k+1}]: 1 - U with U uniform on [0, 1)
-                rg_times = substream(seed, path_index, 4 * j + _SLOT_TIMES)
-                time = grid.times[step] + dt * (1.0 - rg_times.random(total))
+            for p, i in enumerate(indices):
+                substream(seed, i, 4 * j + _SLOT_GAUSS).standard_normal(out=z[p])
+            # a stacked product: bitwise each path's own (n, d) @ (d, d)
+            gauss[:, :, j, :] = sqrt_dt * (z @ tab.gauss_factor[j].T)
+    for c, j in enumerate(jumping):
+        lam = spec.cells[j].jump_rate * dt
+        for p, i in enumerate(indices):
+            counts[c, p] = substream(seed, i, 4 * j + _SLOT_COUNTS).poisson(lam, size=n)
+    # rows (jumping cell, path) block by block, each block in draw order
+    sizes = counts.sum(axis=2)
+    u, amp = np.empty(sizes.sum()), np.empty((sizes.sum(), d))
+    lo = 0
+    for c, j in enumerate(jumping):
+        model = spec.cells[j].jump_amplitude
+        for i, size in zip(indices, sizes[c].tolist()):
+            if size:
+                substream(seed, i, 4 * j + _SLOT_TIMES).random(out=u[lo : lo + size])
                 # substream restarts one shared generator: the times are drawn
                 # before the amplitudes' stream is asked for
-                rg_amps = substream(seed, path_index, 4 * j + _SLOT_AMPS)
-                amp = cell.jump_amplitude.sample(rg_amps, total)
-                parts.append((step, np.full(total, j), time, amp))
-    jumps = np.zeros(0, _jump_dtype(d))
-    if parts:
-        columns = parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
-        # rows by (step, time): a cell's times within a step are drawn unsorted
-        order = np.lexsort((columns[2], columns[0]))
-        jumps = np.empty(len(order), jumps.dtype)
-        for name, column in zip(jumps.dtype.names, columns):
-            jumps[name] = column[order]
-    pid = np.zeros(len(jumps), np.int64)
-    gauss, jumps, pid = map(_frozen, (gauss, jumps, pid))
-    return SampleChunk(spec, grid, int(seed), (int(path_index),), gauss, jumps, pid)
+                amp[lo : lo + size] = model.sample(substream(seed, i, 4 * j + _SLOT_AMPS), size)
+                lo += size
+    # each row's flat (jumping cell, path, step) index, in the same block order
+    block, step = np.divmod(np.arange(counts.size).repeat(counts.ravel()), n)
+    cell, pid = np.divmod(block, P)
+    # times in (t_k, t_{k+1}]: 1 - U with U uniform on [0, 1)
+    time = grid.times[step] + dt * (1.0 - u)
+    # rows by (path, step, time): a cell's times within a step are drawn unsorted
+    order = np.lexsort((time, step, pid))
+    jumps = np.empty(len(order), _jump_dtype(d))
+    for name, column in zip(jumps.dtype.names, (step, np.take(jumping, cell), time, amp)):
+        jumps[name] = column[order]
+    gauss, jumps, pid = map(_frozen, (gauss, jumps, pid[order]))
+    return SampleChunk(spec, grid, int(seed), indices, gauss, jumps, pid)
 
 
-def _concat_records(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """A new writable array of the rows of record arrays of one structured
-    dtype, byte for byte what np.concatenate returns. It joins their raw
-    bytes, which skips numpy's per-field dtype promotion (most of
-    np.concatenate's cost on the jump rows of a chunk) and the per-array
-    view checks a concatenation of void views still pays."""
-    dtype = arrays[0].dtype
-    if any(a.dtype != dtype for a in arrays):
-        raise ValueError("record arrays of one concatenation must share one dtype")
-    return np.frombuffer(bytearray(b"".join([a.tobytes() for a in arrays])), dtype)
-
-
-def _join(paths: Sequence[SampleChunk]) -> SampleChunk:
-    """Chunks of one path, of one model, grid and seed, in the given order,
-    as one chunk."""
-    if not paths:
-        raise ValueError("no path to join")
-    pid = _frozen(np.repeat(np.arange(len(paths)), [len(s.jumps) for s in paths]))
-    gauss = _frozen(np.concatenate([s.gauss for s in paths]))
-    jumps = _frozen(_concat_records([s.jumps for s in paths]))
-    indices = tuple(s.path_index[0] for s in paths)
-    return SampleChunk(paths[0].spec, paths[0].grid, paths[0].seed, indices, gauss, jumps, pid)
-
-
-def sample_chunk(spec: NoiseSpec, grid: TimeGrid, seed: int, path_indices) -> SampleChunk:
-    """The ensemble's paths path_indices, drawn as one chunk: path p is, bit
-    for bit, the chunk of one sample_path(spec, grid, seed, path_indices[p])."""
-    return _join([sample_path(spec, grid, seed, i) for i in path_indices])
+# one sampler, one object under both names
+sample_chunk = sample_path
 
 
 def coarsen(chunk: SampleChunk) -> SampleChunk:

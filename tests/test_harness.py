@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cmvm.harness
+import cmvm.integrate
 import cmvm.ito
-import cmvm.noise
 from cmvm.cli import main
 from cmvm.harness import (
     _build_config,
@@ -612,21 +612,22 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     the columns in config order. Its JSON reports, for each pair of
     adjacent levels, the median over paths of their residual ratio."""
     drawn, blocks = [], []
-    draw, per_path = cmvm.noise.sample_path, cmvm.harness._per_path
+    draw, per_path = cmvm.integrate.sample_chunk, cmvm.harness._per_path
 
     def recorded_draw(spec, grid, seed, path_index=0):
-        drawn.append((grid.n_steps, path_index))
+        drawn.append((grid.n_steps, tuple(path_index)))
         return draw(spec, grid, seed, path_index)
 
     def recorded_rows(*args, **kwargs):
         blocks.append(per_path(*args, **kwargs))
         return blocks[-1]
 
-    monkeypatch.setattr(cmvm.noise, "sample_path", recorded_draw)
+    # _per_path draws every chunk through its module's name for the sampler
+    monkeypatch.setattr(cmvm.integrate, "sample_chunk", recorded_draw)
     monkeypatch.setattr(cmvm.harness, "_per_path", recorded_rows)
     cfg = apply_overrides(load_config("ito-converge"), ["n_paths=5", "params.levels=[5,3,4]"])
     res = run(cfg, str(tmp_path))
-    assert drawn == [(32, i) for i in range(5)]
+    assert drawn == [(32, tuple(range(5)))]
     [rows] = blocks
 
     p = cfg.params

@@ -27,7 +27,6 @@ from cmvm.noise import (
     SpatialPartition,
     TimeGrid,
     TwoPointAmplitude,
-    _concat_records,
     coarsen,
     evaluate,
     load_noise_spec,
@@ -668,11 +667,59 @@ def test_coarsen_refuses_odd_grids_and_mixed_chunks(mixed, grid8):
             coarsen(paths)
 
 
-def test_concat_records_matches_numpy_and_refuses_mixed_dtypes(fine_chunk):
-    rows = [s.jumps for s in fine_chunk] + [fine_chunk[0].jumps[:0]]
-    joined = _concat_records(rows)
-    assert joined.dtype == rows[0].dtype and joined.flags.writeable
-    assert joined.tobytes() == np.concatenate(rows).tobytes()
-    other = np.zeros(2, [("step", "i8"), ("cell", "i8")])
-    with pytest.raises(ValueError, match="one dtype"):
-        _concat_records([rows[0], other])
+def _three_dim_spec():
+    """d = 3: a diffusing cell whose jump amplitude is Gaussian with
+    off-diagonal covariance, next to a two-point cell and a diffusion-only
+    cell."""
+    cells = [
+        CellNoise(
+            diffusion_cov=np.array([[1.0, 0.2, 0.1], [0.2, 0.7, -0.3], [0.1, -0.3, 0.9]]),
+            diffusion_intensity=0.9,
+            jump_rate=2.5,
+            jump_amplitude=GaussianAmplitude([[0.5, 0.2, -0.1], [0.2, 0.4, 0.15], [-0.1, 0.15, 0.3]]),
+        ),
+        CellNoise(jump_rate=3.0, jump_amplitude=TwoPointAmplitude([0.3, -0.4, 0.2])),
+        CellNoise(diffusion_cov=2.0 * np.eye(3), diffusion_intensity=0.4),
+    ]
+    return normalize_spec(NoiseSpec(3, SpatialPartition.uniform(3), cells))
+
+
+@pytest.mark.parametrize(
+    "preset, n_steps, indices",
+    [
+        ("three-dim", 9, (4, 1, 4, 0, 7, 30)),
+        ("mixed-default", 7, (5, 0, 5, 2)),
+        ("three-dim", 1, range(3)),
+    ],
+)
+def test_chunk_path_is_the_path_drawn_alone_beyond_the_presets(preset, n_steps, indices):
+    """A chunk's path p is, bit for bit, the path its index draws alone at a
+    noise dimension other than 2, next to Gaussian amplitudes with
+    off-diagonal covariance, on odd step counts and for unordered and
+    repeated indices; each Gaussian increment is its own stream's (n, d)
+    block times the cell's factor, as a 2-D product."""
+    spec = _three_dim_spec() if preset == "three-dim" else make_preset(preset)
+    grid = TimeGrid(0.9, n_steps)
+    chunk = sample_chunk(spec, grid, 17, indices)
+    assert chunk.path_index == tuple(indices)
+    assert set(chunk.jumps["cell"].tolist()) >= {0, 1}
+    for p, i in enumerate(indices):
+        alone = sample_path(spec, grid, 17, i)
+        for name in ("gauss", "jumps", "pid", "jump_sums"):
+            assert getattr(chunk[p], name).tobytes() == getattr(alone, name).tobytes(), name
+        for j, factor in enumerate(spec.tables.gauss_factor):
+            if factor is not None:
+                z = substream(17, i, 4 * j).standard_normal((n_steps, spec.dim))
+                assert chunk.gauss[p, :, j].tobytes() == (np.sqrt(grid.dt) * (z @ factor.T)).tobytes()
+
+
+def test_one_sampler_draws_paths_and_chunks_and_refuses_no_path(mixed, grid8):
+    """sample_chunk is sample_path: an int draws a chunk of one, a sequence a
+    chunk, and an empty sequence is refused."""
+    assert sample_chunk is sample_path
+    assert sample_path(mixed, grid8, 3, 2).path_index == (2,)
+    one, listed = sample_path(mixed, grid8, 3, np.int64(2)), sample_path(mixed, grid8, 3, [2])
+    assert one.gauss.tobytes() == listed.gauss.tobytes()
+    for empty in ([], (), range(0)):
+        with pytest.raises(ValueError, match="no path"):
+            sample_chunk(mixed, grid8, 3, empty)
