@@ -26,6 +26,7 @@ bias is conservative for checking upper bounds and is left uncorrected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -70,7 +71,10 @@ def continuous_constant(p: float) -> float:
         return 1.0 + 2.0 / (2.0 - p)
     if p == 2.0:
         return 1.0
-    return bracket_power_constant(p) ** (0.5 * p)
+    try:
+        return bracket_power_constant(p) ** (0.5 * p)
+    except OverflowError:  # past the largest float
+        return math.inf
 
 
 def path_running_sup(chunk: ItoChunk) -> np.ndarray:
@@ -146,9 +150,14 @@ def walk_ensemble(
 
 
 def _moment(column: np.ndarray, q: float) -> Tuple[float, float]:
-    """Mean of column**q with its standard error. The powers are taken on
-    Python floats: np.power can differ from ** in the last bit."""
-    return _mean_se(np.array([v ** q for v in column.tolist()]))
+    """Mean of column**q with its standard error, infinite where a power or
+    their sum passes the largest float. The powers are taken on Python
+    floats: np.power can differ from ** in the last bit."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mean_se(np.array([v ** q for v in column.tolist()]))
+    except OverflowError:
+        return math.inf, math.nan
 
 
 def terminal_isometry_gap(ensemble: Ensemble) -> Tuple[float, float]:
@@ -195,7 +204,8 @@ def check(
     the choice. ``satisfied`` allows three combined standard errors of Monte
     Carlo slack on top of the bound; with an empirical constant the
     inequality is the definition of the constant, so ``satisfied`` only
-    reports that both sides were finite and positive.
+    reports that both sides were finite and positive. A side or a constant
+    past the largest float fails any check.
     """
     stats = ensemble.stats
     if not len(stats):
@@ -220,10 +230,11 @@ def check(
         constant, source = ratio, "empirical"
 
     if source == "empirical":
-        satisfied = np.isfinite(ratio) and rhs > 0.0
+        satisfied = rhs > 0.0
     else:
         rel = lhs_se / max(lhs, 1e-300) + rhs_se / max(rhs, 1e-300)
         satisfied = lhs <= constant * rhs * (1.0 + 3.0 * rel)
+    satisfied = satisfied and all(map(math.isfinite, (lhs, rhs, constant)))
 
     return BurkholderReport(
         p=float(p),

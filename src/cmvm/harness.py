@@ -192,6 +192,8 @@ def _build_config(data: dict) -> ExperimentConfig:
         finest = n_steps.bit_length() - 1  # 2^level blocks must not out-refine the grid
         if params.get("kind") == "dyadic" and not all(0 <= v <= finest for v in levels):
             raise ValueError(f"dyadic levels {levels} must lie in 0..{finest} for {n_steps} steps")
+        if params.get("kind") == "adaptive" and not all(-1023 <= v <= 1074 for v in levels):
+            raise ValueError(f"adaptive levels {levels} must lie in -1023..1074 (2^-level finite, > 0)")
     fields.update(horizon=float(horizon), n_steps=n_steps, n_paths=n_paths, seed=seed)
     return ExperimentConfig(scenario=scenario, params=params, **fields)
 

@@ -9,11 +9,12 @@ re-simulation:
   bracket with the realized squared jumps, and the cross bracket of two
   paths walked on one driving sample;
 * Riemann quadratic-variation sums over coarser partitions of the horizon,
-  which converge to the optional bracket as the partition refines. The
-  partitions may be deterministic (dyadic) or adaptive, with refinement
-  points that are stopping times of the path. A weighted form pairs each
-  block's increment with an operator frozen at its left endpoint; its limit
-  integrates that operator against the optional bracket.
+  which converge to the optional bracket as the partition refines. A
+  partition is a bool mask of grid points: one (n_steps + 1,) mask shared by
+  every path (dyadic), or a (P, n_steps + 1) mask of each path's stopping
+  times (adaptive). A weighted form pairs each block's increment with an
+  operator frozen at its left endpoint; its limit integrates that operator
+  against the optional bracket.
 
 Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
@@ -25,8 +26,8 @@ leading (P, ...) axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .noise import _checked
 __all__ = [
     "predictable_qv",
     "optional_qv",
-    "RandomPartition",
     "make_dyadic_partition",
     "make_adaptive_partition",
     "riemann_qv",
@@ -125,126 +125,113 @@ def optional_qv(chunk: ItoChunk, other: Optional[ItoChunk] = None) -> np.ndarray
     return _cumulative(_add_jumps(_bracket_steps(chunk, "continuous", other), chunk, other))
 
 
-@dataclass(frozen=True)
-class RandomPartition:
-    """A partition of the horizon into grid-aligned blocks.
-
-    step_indices are strictly increasing grid steps from 0 to n_steps; the
-    partition points are the corresponding grid times. ``kind`` records how
-    it was built ("dyadic" or "adaptive").
-    """
-
-    step_indices: tuple
-    kind: str
-    level: float
-
-    def __post_init__(self):
-        idx = self.step_indices
-        if len(idx) < 2 or idx[0] != 0:
-            raise ValueError("partition must start at step 0 and contain the terminal step")
-        blocks = np.diff(idx)
-        if (blocks <= 0).any():
-            raise ValueError("partition steps must be strictly increasing")
-        # derived once: a dyadic partition serves every path of a study
-        object.__setattr__(self, "_index", np.array(idx))
-        object.__setattr__(self, "_longest_block", int(blocks.max()))
-
-    def mesh(self, dt: float) -> float:
-        return float(self._longest_block * dt)
+def _partition(chunk: ItoChunk, mask, per_path: bool = True) -> np.ndarray:
+    """``mask`` checked as a partition: bools over the grid points, true at
+    both ends, shared by every path or, if ``per_path``, one row per path."""
+    n = _checked(chunk, ItoChunk).grid.n_steps
+    mask, shapes = np.asarray(mask), [(n + 1,), (len(chunk), n + 1)][: 1 + per_path]
+    if mask.dtype != bool or mask.shape not in shapes or not (mask[..., 0] & mask[..., -1]).all():
+        raise ValueError(
+            f"a partition is a bool mask of shape {' or '.join(map(str, shapes))}, true at "
+            f"both ends; got {mask.dtype} {mask.shape}"
+        )
+    return mask
 
 
-def make_dyadic_partition(n_steps: int, level: int) -> RandomPartition:
-    """2^level near-equal blocks of the grid; level must not out-refine it."""
+def _mesh(mask: np.ndarray, dt: float) -> np.ndarray:
+    """The longest block of each row of a partition mask, times dt."""
+    k = np.arange(mask.shape[-1])
+    last = np.maximum.accumulate(np.where(mask, k, 0), axis=-1)  # latest point at or before k
+    return (k[1:] - last[..., :-1]).max(axis=-1) * dt
+
+
+def make_dyadic_partition(n_steps: int, level: int) -> np.ndarray:
+    """2^level near-equal blocks of the grid, as a read-only (n_steps + 1,)
+    mask that every path shares; level must not out-refine the grid."""
     blocks = 2**level
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if blocks > n_steps:
         raise ValueError(f"2^{level} blocks cannot refine a {n_steps}-step grid")
-    idx = tuple(int(round(i * n_steps / blocks)) for i in range(blocks + 1))
-    return RandomPartition(step_indices=idx, kind="dyadic", level=float(level))
+    mask = np.zeros(n_steps + 1, bool)
+    mask[[int(round(i * n_steps / blocks)) for i in range(blocks + 1)]] = True
+    mask.setflags(write=False)
+    return mask
 
 
-def make_adaptive_partition(chunk: ItoChunk, delta: float) -> list:
+def make_adaptive_partition(chunk: ItoChunk, delta: float) -> np.ndarray:
     """Refinement points chosen by each path itself, at resolution ``delta``:
-    one partition per path of the chunk.
+    a read-only (P, n_steps + 1) mask, one row per path.
 
     Starting from the last refinement point, the next one is placed at the
     first grid time where any of these crosses delta: elapsed time, the
     path's displacement (pre-jump values included), the continuous-flavor
     bracket mass, or the accumulated drift. Each trigger is computed from
-    the step just completed, so refinement points are stopping times. The
-    continuous bracket steps are priced once for the chunk.
+    the step just completed, so refinement points are stopping times. One
+    loop over steps decides every path of the chunk at once.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     n = _checked(chunk, ItoChunk).grid.n_steps
-    dt = chunk.grid.dt
-    max_steps = max(1, int(np.floor(delta / dt)))
-    cont_steps = _bracket_steps(chunk, "continuous")
-    drift_norms = [float(np.linalg.norm(step)) for step in chunk.drift]
-    jump_steps = chunk.samples.jumps["step"]
-    # each jump's pre- and post-jump values, with per-path, per-step row ranges
-    around = np.stack([chunk.pre, chunk.pre + chunk.delta], axis=1)
-    bounds = np.searchsorted(chunk.samples.pid, np.arange(len(chunk) + 1))
-    partitions = []
-    for p, values in enumerate(chunk.values):
-        lo, hi = bounds[p], bounds[p + 1]
-        ends = (lo + np.searchsorted(jump_steps[lo:hi], np.arange(n), side="right")).tolist()
-        idx = [0]
-        last = 0
-        anchor = values[0]
-        cont_mass = 0.0
-        drift_var = 0.0
-        for k in range(n):
-            cont_mass += cont_steps[p, k]
-            drift_var += drift_norms[k]
-            moved = float(np.linalg.norm(values[k + 1] - anchor))
-            if ends[k] > lo:
-                x = around[lo : ends[k]] - anchor
-                moved = max(moved, float(np.sqrt(np.vecdot(x, x)).max()))
-                lo = ends[k]
-            if (k + 1 - last) >= max_steps or moved >= delta or cont_mass >= delta or drift_var >= delta:
-                idx.append(k + 1)
-                last = k + 1
-                anchor = values[k + 1]
-                cont_mass = 0.0
-                drift_var = 0.0
-        if idx[-1] != n:
-            idx.append(n)
-        partitions.append(RandomPartition(step_indices=tuple(idx), kind="adaptive", level=delta))
-    return partitions
+    drift_norms = np.sqrt(np.vecdot(chunk.drift, chunk.drift))
+    # what each path accumulates since its last point, with the limit of each:
+    # continuous mass, drift, and steps (capped at the grid, so that a large
+    # delta cannot overflow)
+    grows = np.stack(np.broadcast_arrays(_bracket_steps(chunk, "continuous"), drift_norms, 1.0), -1)
+    limits = np.array([delta, delta, max(1, min(np.floor(delta / chunk.grid.dt), n))])
+    # each jump's pre- and post-jump values, (R, 2, d), and its path, in step order
+    order = np.argsort(chunk.samples.jumps["step"], kind="stable")
+    bounds = np.searchsorted(chunk.samples.jumps["step"][order], np.arange(n + 1)).tolist()
+    around = np.stack([chunk.pre, chunk.pre + chunk.delta], axis=1)[order]
+    pid = chunk.samples.pid[order]
+    values, sums = chunk.values, np.zeros((len(chunk), 3))
+    mask = np.zeros(values.shape[:2], bool)
+    mask[:, 0] = mask[:, n] = True
+    anchor = values[:, 0]
+    for k in range(n):
+        sums += grows[:, k]
+        x = values[:, k + 1] - anchor
+        moved = np.sqrt(np.vecdot(x, x))
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            x = around[lo:hi] - anchor[pid[lo:hi], None]
+            np.maximum.at(moved, pid[lo:hi], np.sqrt(np.vecdot(x, x)).max(axis=1))
+        hit = (moved >= delta) | (sums >= limits).any(axis=1)
+        mask[hit, k + 1] = True
+        anchor = np.where(hit[:, None], values[:, k + 1], anchor)
+        sums[hit] = 0.0
+    mask.setflags(write=False)
+    return mask
 
 
-def riemann_qv(chunk: ItoChunk, partitions: Sequence[RandomPartition]) -> np.ndarray:
+def _squares(pts: np.ndarray) -> np.ndarray:
+    """Each path's squared increments over its points (P, m, d), summed flat."""
+    diffs = pts[:, 1:] - pts[:, :-1]
+    return (diffs * diffs).reshape(len(pts), -1).sum(axis=1)
+
+
+def riemann_qv(chunk: ItoChunk, partition: np.ndarray) -> np.ndarray:
     """Sum of squared path increments over the partition blocks, (P,).
 
-    ``partitions`` gives each path its partition; paths that share one
-    partition are priced together in one array pass.
+    A shared (n_steps + 1,) mask prices every path in one array pass; a
+    (P, n_steps + 1) mask prices each path over its own row.
     """
-    chunk = _checked(chunk, ItoChunk)
-    if len(partitions) != len(chunk):
-        raise ValueError(f"{len(partitions)} partitions for {len(chunk)} paths")
-    shared = {}
-    for p, part in enumerate(partitions):
-        shared.setdefault(part, []).append(p)
-    out = np.empty(len(chunk))
-    for part, paths in shared.items():
-        pts = chunk.values[np.ix_(paths, part._index)]
-        diffs = pts[:, 1:] - pts[:, :-1]
-        # each path's squares summed as one flat array, as np.sum sums one path's
-        out[paths] = (diffs * diffs).reshape(len(paths), -1).sum(axis=1)
-    return out
+    mask = _partition(chunk, partition)
+    if mask.ndim == 1:
+        return _squares(chunk.values[:, mask])
+    return np.concatenate([_squares(chunk.values[p : p + 1, row]) for p, row in enumerate(mask)])
 
 
 def riemann_weighted_bilinear(
-    chunk: ItoChunk, partition: RandomPartition, form: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    chunk: ItoChunk, partition: np.ndarray, form: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Riemann sum sum_i <dX_i, F(s_i, X_{s_i}) dX_i> of each path, (P,),
-    with F frozen at each block's left endpoint. F broadcasts as a
-    SmoothFunction does, t (...) and x (..., d) giving (..., d, d), and is
-    called once for the chunk; a constant F such as np.eye(d) passes."""
-    idx = partition._index
-    pts = _checked(chunk, ItoChunk).values[:, idx]
+    over a shared (n_steps + 1,) partition mask, with F frozen at each
+    block's left endpoint. F broadcasts as a SmoothFunction does, t (...)
+    and x (..., d) giving (..., d, d), and is called once for the chunk; a
+    constant F such as np.eye(d) passes."""
+    idx = np.flatnonzero(_partition(chunk, partition, per_path=False))
+    pts = chunk.values[:, idx]
     x, d = pts[:, :-1], pts[:, 1:] - pts[:, :-1]
     forms = form(np.broadcast_to(chunk.grid.times[idx[:-1]], x.shape[:-1]), x)
     return np.einsum("pia,piab,pib->p", d, np.broadcast_to(forms, x.shape + x.shape[-1:]), d)
@@ -269,36 +256,34 @@ def weighted_qv_target(
 
 
 def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
-    """2^level blocks per level; built once and shared by every path, since
-    they do not depend on the path."""
-    partitions = [make_dyadic_partition(n_steps, int(level)) for level in levels]
-    return lambda chunk: [[part] * len(chunk) for part in partitions]
+    """2^level blocks per level: one mask each, built once for every path and chunk."""
+    masks = [make_dyadic_partition(n_steps, int(level)) for level in levels]
+    return lambda chunk: masks
 
 
 def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
-    """Resolution 2^-level per level; built on each path, whose stopping times they are."""
+    """Resolution 2^-level per level, one row per path: its stopping times."""
     return lambda chunk: [make_adaptive_partition(chunk, 2.0 ** (-float(level))) for level in levels]
 
 
 # the partition kinds of a refinement study: kind -> (n_steps, levels) -> a
-# function giving a chunk its partitions, per level one for each path
+# function giving a chunk one partition mask per level
 _REFINEMENTS = {"dyadic": _dyadic_levels, "adaptive": _adaptive_levels}
 
 
 def qv_refinement_study(chunk: ItoChunk, partitions: Callable[[ItoChunk], list]) -> np.ndarray:
     """Riemann-vs-optional-bracket error of each path over refining partitions.
 
-    partitions(chunk) gives, per refinement level, one partition for each
-    path (see ``_REFINEMENTS``). For each level, the relative error
-    |riemann - optional| / |optional| (absolute when the bracket is 0) and
-    the mesh. Returns shape (P, 2, L), the errors, then the meshes; the
+    partitions(chunk) gives one partition mask per refinement level, shared
+    or one row per path (see ``_REFINEMENTS``). For each level, the relative
+    error |riemann - optional| / |optional| (absolute when the bracket is 0)
+    and the mesh. Returns shape (P, 2, L), the errors, then the meshes; the
     optional-bracket targets are priced in one call and each level's
     Riemann sums in another.
     """
     targets = optional_qv(_checked(chunk, ItoChunk))[:, -1]
     scale = np.where(targets != 0.0, np.abs(targets), 1.0)
-    errors, meshes = [], []
-    for parts in partitions(chunk):
-        errors.append(np.abs(riemann_qv(chunk, parts) - targets) / scale)
-        meshes.append([part.mesh(chunk.grid.dt) for part in parts])
+    masks = partitions(chunk)
+    errors = [np.abs(riemann_qv(chunk, mask) - targets) / scale for mask in masks]
+    meshes = [np.broadcast_to(_mesh(mask, chunk.grid.dt), len(chunk)) for mask in masks]
     return np.stack([np.transpose(errors), np.transpose(meshes)], axis=1)

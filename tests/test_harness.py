@@ -464,6 +464,8 @@ def _model_file(tmp_path, name):
         ("verify-isometry", ['scenario=["verify-qv"]']),
         ("verify-taylor", ["seed=-5"]),
         ("verify-associativity", ["seed=-20"]),
+        ("qv-converge", ["params.kind=adaptive", "params.levels=[1100]"]),
+        ("qv-converge", ["params.kind=adaptive", "params.levels=[-2000]"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):
@@ -640,6 +642,43 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
         assert rows[:, column].tobytes() == np.abs(residual[:, 0]).tobytes()
     want = [float(np.median(b / a)) for a, b in zip(rows.T, rows.T[1:])]
     assert res.metrics["median_path_ratios"] == want
+
+
+def test_extreme_adaptive_levels_run_to_a_verdict(tmp_path, capsys):
+    """The ends of the adaptive level range resolve, and a resolution as
+    coarse as 2^1020, whose time trigger would pass the largest float in
+    steps, runs to a verdict."""
+    adaptive = ["--set", "params.kind=adaptive"]
+    for levels in ("[-1023]", "[1074]"):
+        levels = ["--set", f"params.levels={levels}"]
+        assert main(["validate-config", "qv-converge", *adaptive, *levels]) == 0
+    argv = ["run", "qv-converge", *adaptive, "--set", "params.levels=[-1020, 1074, 2]"]
+    assert main(argv + ["--set", "n_paths=8", "--set", "n_steps=16", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
+    rows = (tmp_path / "qv-converge.csv").read_text().splitlines()[1:]
+    levels_and_meshes = [row.split(",")[1:3] for row in rows]
+    assert levels_and_meshes == [["-1020.0", "1.0"], ["1074.0", "0.0625"], ["2.0", "0.1015625"]]
+
+
+@pytest.mark.parametrize(
+    "override, name, nulls",
+    [
+        ("params.p_closed=[1000]", "sup-moment-p1000", ["value", "target"]),
+        ("params.p_empirical=[1000]", "empirical-ratio-p1000", ["value", "target"]),  # no target
+        ("params.p_closed=[300]", "sup-moment-p300", ["target"]),
+    ],
+)
+def test_burkholder_orders_past_the_largest_float_fail(tmp_path, override, name, nulls):
+    """A moment order whose moments or closed-form constant pass the largest
+    float fails its check, with the values that overflowed written as null,
+    and leaves the other checks passing."""
+    argv = ["run", "burkholder", "--set", override, "--set", "n_paths=50", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    blob = json.loads((tmp_path / "burkholder.json").read_text())
+    assert [c["name"] for c in blob["checks"] if not c["passed"]] == [name]
+    check = next(c for c in blob["checks"] if c["name"] == name)
+    assert [key for key in ("value", "target") if check[key] is None] == nulls
+    assert any(None in (r["lhs"], r["rhs_core"], r["constant"]) for r in blob["metrics"]["reports"])
 
 
 def test_single_delta_fails_modulus_gate(tmp_path):

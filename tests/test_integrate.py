@@ -683,12 +683,12 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
         for field in ("values", "phis", "stoch_cont", "drift", "delta", "pre"):
             assert not getattr(alone, field).flags.writeable, field
     f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](grid8.n_steps, [1, 2])
-    parts, form = dyadic(chunk)[0], lambda t, x: np.eye(2)
+    mask, form = dyadic(chunk)[0], lambda t, x: np.eye(2)
     measures = (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
                 realized_lambda2_mass, decompose_integral,
                 lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
-                lambda c: qv_refinement_study(c, dyadic), lambda c: riemann_qv(c, parts),
-                lambda c: riemann_weighted_bilinear(c, parts[0], form),
+                lambda c: qv_refinement_study(c, dyadic), lambda c: riemann_qv(c, mask),
+                lambda c: riemann_weighted_bilinear(c, mask, form),
                 lambda c: weighted_qv_target(c, form), lambda c: make_adaptive_partition(c, 0.5),
                 lambda c: integrate_process(lambda k, t, v: np.eye(2), c, 2))
     process = ItoProcessSpec(integrand)

@@ -19,7 +19,9 @@ from cmvm.integrate import (
     constant_integrand,
     deterministic_integrand,
     integrate,
+    ItoProcessSpec,
     realized_lambda2_mass,
+    simulate_ito_process,
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
@@ -29,6 +31,7 @@ from cmvm.quadvar import (
     _REFINEMENTS,
     _add_jumps,
     _bracket_steps,
+    _mesh,
     make_adaptive_partition,
     make_dyadic_partition,
     optional_qv,
@@ -207,12 +210,17 @@ def test_chunk_gives_each_path_its_bits_alone(preset, integrand):
         same_rows(bracket_terminal(chunk, flavor), lambda p, q: bracket_terminal(p, flavor), ())
     same_rows(path_running_sup(chunk), lambda p, q: path_running_sup(p), ())
     adaptive = make_adaptive_partition(chunk, 0.2)
-    assert adaptive == [make_adaptive_partition(p, 0.2)[0] for p, _ in alone]
-    assert len(set(adaptive)) > 1  # the paths refine differently
-    for parts in ([make_dyadic_partition(n, 2)] * len(chunk), adaptive):
-        sums = riemann_qv(chunk, parts)
+    assert np.array_equal(adaptive, np.concatenate([make_adaptive_partition(p, 0.2) for p, _ in alone]))
+    assert len(np.unique(adaptive, axis=0)) > 1  # the paths refine differently
+    shared = make_dyadic_partition(n, 2)
+    for mask in (shared, adaptive):
+        sums = riemann_qv(chunk, mask)
         for i, (p, _) in enumerate(alone):
-            assert sums[i : i + 1].tobytes() == riemann_qv(p, parts[i : i + 1]).tobytes()
+            row = mask if mask.ndim == 1 else mask[i : i + 1]
+            assert sums[i : i + 1].tobytes() == riemann_qv(p, row).tobytes()
+    # the one pass over a shared mask sums as the row-by-row pass does
+    per_row = np.broadcast_to(shared, (len(chunk), n + 1))
+    assert riemann_qv(chunk, shared).tobytes() == riemann_qv(chunk, per_row).tobytes()
 
 
 def test_cross_bracket_of_chunks_checks_every_pair(mixed):
@@ -247,63 +255,146 @@ def test_realized_variance_is_unbiased(paths):
 
 def test_dyadic_partition_frozen():
     part = make_dyadic_partition(8, 2)
-    assert part.step_indices == (0, 2, 4, 6, 8)
-    assert part.mesh(0.125) == pytest.approx(0.25)
+    assert part.shape == (9,) and part.dtype == bool and not part.flags.writeable
+    assert np.flatnonzero(part).tolist() == [0, 2, 4, 6, 8]
+    assert _mesh(part, 0.125) == pytest.approx(0.25)
     full = make_dyadic_partition(8, 3)
-    assert full.step_indices == tuple(range(9))
+    assert np.flatnonzero(full).tolist() == list(range(9))
     with pytest.raises(ValueError, match="refine"):
         make_dyadic_partition(8, 4)
-    # uneven grid still yields strictly increasing indices
+    # uneven grid still yields 2^level blocks
     part251 = make_dyadic_partition(251, 5)
-    assert len(part251.step_indices) == 33
-    assert all(b > a for a, b in zip(part251.step_indices, part251.step_indices[1:]))
+    assert part251.sum() == 33 and part251[0] and part251[-1]
 
 
 def test_adaptive_partition_triggers(head):
     dt = head.grid.dt
     coarse = make_adaptive_partition(head, 0.5)
     fine = make_adaptive_partition(head, 1e-9)
-    assert len(coarse) == len(fine) == len(head)
+    assert coarse.shape == fine.shape == (len(head), head.grid.n_steps + 1)
+    assert not coarse.flags.writeable
     # a resolution below one step forces a point at every grid step
-    assert all(part.step_indices == tuple(range(head.grid.n_steps + 1)) for part in fine)
+    assert fine.all()
     # time trigger caps every gap at max(1, floor(delta / dt)) steps
     cap = max(1, int(np.floor(0.5 / dt)))
-    assert all(max(np.diff(part.step_indices)) <= cap for part in coarse)
-    assert {part.kind for part in coarse} == {"adaptive"}
-    with pytest.raises(ValueError, match="positive"):
-        make_adaptive_partition(head, 0.0)
+    assert all(max(np.diff(np.flatnonzero(row))) <= cap for row in coarse)
+    assert np.array_equal(_mesh(coarse, dt), [max(np.diff(np.flatnonzero(row))) * dt for row in coarse])
+    for delta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            make_adaptive_partition(head, delta)
 
 
-def test_adaptive_partition_sees_jump_excursions(mixed):
-    """A large intra-step excursion must trigger refinement even when the
-    step's end value settles back at the anchor. Built synthetically: a flat
-    path whose only feature is one cancelled jump."""
+def _flat_path(mixed, rows=None, delta=None, **fields):
+    """A walked 16-step path held flat at zero, with no drift and no
+    continuous bracket mass, and only the jump rows given (pre-jump values
+    zero), unless ``fields`` override its arrays."""
     grid = TimeGrid(1.0, 16)
     real = integrate(constant_integrand(PHI), sample_path(mixed, grid, seed=7007, path_index=0))
+    if rows is None:
+        rows, delta = real.samples.jumps[:0], np.zeros((0, 2))
+    samples = replace(real.samples, jumps=rows, pid=np.zeros(len(rows), np.int64))
     flat = dict(
         values=np.zeros((1, 17, 2)),
         phis=np.zeros_like(real.phis),
         stoch_cont=np.zeros((1, 16, 2)),
         drift=np.zeros((16, 2)),
     )
-    spike = np.zeros(1, real.samples.jumps.dtype)
-    spike["step"], spike["time"], spike["cell"] = 5, float(grid.times[5]) + 0.01, 0
-    delta = np.array([[10.0, 0.0]])
+    return replace(real, samples=samples, delta=delta, pre=np.zeros_like(delta), **(flat | fields))
 
-    def with_rows(rows, delta):
-        samples = replace(real.samples, jumps=rows, pid=np.zeros(len(rows), np.int64))
-        return replace(real, samples=samples, delta=delta, pre=np.zeros_like(delta), **flat)
 
-    assert make_adaptive_partition(with_rows(spike, delta), 1.0)[0].step_indices == (0, 6, 16)
-    assert make_adaptive_partition(with_rows(spike[:0], delta[:0]), 1.0)[0].step_indices == (0, 16)
+def test_adaptive_partition_sees_jump_excursions(mixed):
+    """A large intra-step excursion must trigger refinement even when the
+    step's end value settles back at the anchor. Built synthetically: a flat
+    path whose only feature is one cancelled jump."""
+    flat = _flat_path(mixed)
+    spike = np.zeros(1, flat.samples.jumps.dtype)
+    spike["step"], spike["time"], spike["cell"] = 5, float(flat.grid.times[5]) + 0.01, 0
+    spiked = _flat_path(mixed, spike, np.array([[10.0, 0.0]]))
+    assert np.flatnonzero(make_adaptive_partition(spiked, 1.0)).tolist() == [0, 6, 16]
+    assert np.flatnonzero(make_adaptive_partition(flat, 1.0)).tolist() == [0, 16]
+
+
+def test_adaptive_partition_drift_and_mass_triggers(mixed):
+    """On a flat path, the accumulated drift alone, or the continuous
+    bracket mass alone, places the points where it crosses delta."""
+    drifting = _flat_path(mixed, drift=np.tile([0.5, 0.0], (16, 1)))
+    assert np.flatnonzero(make_adaptive_partition(drifting, 1.0)).tolist() == list(range(0, 17, 2))
+    real = integrate(constant_integrand(PHI), sample_path(mixed, TimeGrid(1.0, 16), 7007, 0))
+    massive = _flat_path(mixed, phis=real.phis)
+    steps = _bracket_steps(massive, "continuous")[0]
+    delta, want, mass = steps.sum() / 3.5, [0], 0.0
+    for k, step in enumerate(steps):
+        mass += step
+        if mass >= delta:
+            want, mass = want + [k + 1], 0.0
+    assert len(want) == 4  # three points inside the horizon, none at its end
+    assert np.flatnonzero(make_adaptive_partition(massive, delta)).tolist() == want + [16]
+
+
+# the grid steps that each of paths 0-3 of mixed-default (64 steps, seed 5)
+# leaves out of its adaptive partition, by (drift rate, level): the rule
+# places a point at every other step
+_ADAPTIVE_GAPS = {
+    (None, 3): [
+        [1, 16, 23, 33, 40, 43, 44, 46, 47, 49, 62],
+        [1, 8, 9, 20, 21, 25, 30, 32, 33, 35, 36, 38, 39, 40, 41, 42, 44, 46, 49, 53, 54, 55, 56, 57,
+         58, 60, 62, 63],
+        [2, 9, 10, 13, 15, 19, 21, 36, 44, 45, 47, 48, 55, 57, 62],
+        [10, 20, 21, 24, 30, 33, 41, 45, 49, 59, 63],
+    ],
+    (None, 5): [[], [41, 54, 60], [], []],
+    ((0.3, -0.2), 3): [
+        [1, 16, 23, 40, 43, 44, 46, 47, 49, 62],
+        [1, 8, 9, 20, 22, 25, 30, 33, 35, 38, 39, 40, 41, 42, 44, 46, 49, 53, 54, 55, 57, 58, 60],
+        [2, 9, 10, 13, 15, 19, 21, 36, 44, 47, 55, 57, 62],
+        [10, 20, 21, 24, 33, 41, 45, 49, 59, 63],
+    ],
+    ((0.3, -0.2), 5): [[], [39, 41, 60], [], []],
+}
+
+
+@pytest.mark.parametrize("drift, level", list(_ADAPTIVE_GAPS))
+def test_adaptive_partition_golden(mixed, drift, level):
+    """Pinned partitions of an adapted walk with jumps, with and without a
+    drift, so that any change to the rule's triggers or their arithmetic
+    shows."""
+    samples = sample_chunk(mixed, TimeGrid(1.0, 64), 5, range(4))
+    process = ItoProcessSpec(state_linear_integrand(PHI, [0.6, -0.2], 0.4), drift_rate=drift)
+    mask = make_adaptive_partition(simulate_ito_process(process, samples), 2.0**-level)
+    assert [np.flatnonzero(~row).tolist() for row in mask] == _ADAPTIVE_GAPS[drift, level]
+
+
+def test_adaptive_points_are_stopping_times(head):
+    """Whether step k + 1 is a point depends on the path up to t_{k+1} alone:
+    changing the values after t_k keeps every point up to t_k, and moves
+    some later one."""
+    mask = make_adaptive_partition(head, 0.5)
+    for k in (0, 3, 6):
+        values = head.values.copy()
+        values[:, k + 1 :] *= 3.0
+        moved = make_adaptive_partition(replace(head, values=values), 0.5)
+        assert np.array_equal(moved[:, : k + 1], mask[:, : k + 1])
+        assert (moved[:, k + 1 :] != mask[:, k + 1 :]).any()
+
+
+def test_partition_masks_are_checked(head):
+    n = head.grid.n_steps
+    part = make_dyadic_partition(n, 2)
+    no_end = np.ones(n + 1, bool)
+    no_end[-1] = False
+    for bad in (part.astype(int), part[:-1], no_end, np.broadcast_to(no_end, (len(head), n + 1))):
+        with pytest.raises(ValueError, match="partition"):
+            riemann_qv(head, bad)
+    with pytest.raises(ValueError, match=r"shape \(9,\), true at both ends; got bool \(50, 9\)"):
+        riemann_weighted_bilinear(head, make_adaptive_partition(head, 0.5), lambda t, x: np.eye(2))
 
 
 def test_riemann_qv_at_full_resolution(head):
     part = make_dyadic_partition(head.grid.n_steps, 3)
     manual = np.sum(np.diff(head.values, axis=1) ** 2, axis=(1, 2))
-    np.testing.assert_allclose(riemann_qv(head, [part] * len(head)), manual, rtol=1e-14)
-    with pytest.raises(ValueError, match="1 partitions for 50 paths"):
-        riemann_qv(head, [part])
+    np.testing.assert_allclose(riemann_qv(head, part), manual, rtol=1e-14)
+    with pytest.raises(ValueError, match=r"shape \(9,\) or \(50, 9\), .* got bool \(1, 9\)"):
+        riemann_qv(head, part[None])
 
 
 def test_riemann_refinement_tightens(mixed):
@@ -325,9 +416,10 @@ def test_riemann_refinement_tightens(mixed):
     chunk = integrate(integrand, sample_chunk(mixed, grid, 909, range(3)))
     dyadic = _REFINEMENTS["dyadic"](grid.n_steps, [1, 3, 5])
     first, again = dyadic(chunk), dyadic(chunk)
-    assert [[part.level for part in level] for level in first] == [[1.0] * 3, [3.0] * 3, [5.0] * 3]
+    for mask, level in zip(first, [1, 3, 5]):
+        assert np.array_equal(mask, make_dyadic_partition(grid.n_steps, level))
     # built once, shared by every path and every chunk
-    assert all(part is first[j][0] for j in range(3) for part in first[j] + again[j])
+    assert all(mask.shape == (grid.n_steps + 1,) and mask is again[j] for j, mask in enumerate(first))
     assert qv_refinement_study(chunk, dyadic).shape == (3, 2, 3)  # errors, then meshes
     rows = study([1, 3, 5], 60, "dyadic")
     assert rows[0][0] > rows[1][0] > rows[2][0]
@@ -344,7 +436,7 @@ def test_weighted_riemann_and_target(head):
     part = make_dyadic_partition(head.grid.n_steps, 2)
     weighted = riemann_weighted_bilinear(head, part, ident)
     assert weighted.shape == (len(head),)
-    np.testing.assert_allclose(weighted, riemann_qv(head, [part] * len(head)), rtol=1e-14)
+    np.testing.assert_allclose(weighted, riemann_qv(head, part), rtol=1e-14)
     # with the identity weight the target is the terminal optional bracket
     np.testing.assert_allclose(weighted_qv_target(head, ident), optional_qv(head)[:, -1], rtol=1e-12)
 
