@@ -73,7 +73,10 @@ from .ito import (
 # bench/test_bench.py checks that the tracer rebinds this module's name too
 from .noise import MAX_STEPS, QV_FLAVORS, TimeGrid, coarsen, load_noise_spec, normalize_spec, sample_path  # noqa: F401
 from .presets import make_preset, preset_names
-from .quadvar import _REFINEMENTS, optional_qv, predictable_qv, qv_refinement_study
+from .quadvar import (
+    _REFINEMENTS, make_adaptive_partition, make_dyadic_partition, optional_qv, predictable_qv,
+    qv_refinement_study,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -599,11 +602,14 @@ def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
     levels = [int(v) for v in p["levels"]]
-    partitions = _REFINEMENTS[p["kind"]](cfg.n_steps, levels)
+    deltas = np.ldexp(1.0, [-level for level in levels])  # adaptive resolutions 2^-level
+    if p["kind"] == "dyadic":  # one mask per level, shared by every path and chunk
+        shared = np.stack([make_dyadic_partition(cfg.n_steps, level) for level in levels])
 
     def measure(samples):
-        study = qv_refinement_study(integrate(integrand, samples), partitions)
-        return study.reshape(len(samples), -1)  # errors, then meshes
+        chunk = integrate(integrand, samples)
+        masks = shared if p["kind"] == "dyadic" else make_adaptive_partition(chunk, deltas)
+        return qv_refinement_study(chunk, masks).reshape(len(samples), -1)  # errors, then meshes
 
     study = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
     errors, meshes = study[:, : len(levels)], study[:, len(levels) :]

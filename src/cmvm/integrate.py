@@ -56,7 +56,7 @@ import numpy as np
 
 from .hilbert import _check_dim
 from .noise import QV_FLAVORS, SampleChunk, TimeGrid, _checked, evaluate
-from .noise import normalize_spec, sample_chunk, sample_path
+from .noise import normalize_spec, sample_path
 
 __all__ = [
     "LookAheadError",
@@ -565,7 +565,7 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     """The package's one Monte Carlo loop: measure paths 0, ..., n_paths - 1
     of the ensemble into a float64 array, one row per path.
 
-    Those paths are drawn by ``sample_chunk`` and handed to measure in
+    Those paths are drawn by ``sample_path`` and handed to measure in
     ``SampleChunk``s of at most ``_CHUNK`` paths, in path order;
     measure(samples) walks the chunk at once, with one ``integrate`` or
     ``simulate_ito_process`` call per integrand (verify-associativity's
@@ -581,7 +581,7 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     rows = np.empty((n_paths, 0))
     for lo in range(0, n_paths, _CHUNK):
         hi = min(n_paths, lo + _CHUNK)
-        block = np.asarray(measure(sample_chunk(spec, grid, seed, range(lo, hi))), dtype=np.float64)
+        block = np.asarray(measure(sample_path(spec, grid, seed, range(lo, hi))), dtype=np.float64)
         if lo == 0:
             rows = np.empty((n_paths, block.shape[1]))
         rows[lo:hi] = block

@@ -35,12 +35,13 @@ quadrature nodes in one call, and a sampled modulus for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .integrate import ItoChunk, _sum_by_path
-from .noise import _checked
+from .noise import _checked, _frozen
 from .quadvar import _bracket_steps
 
 __all__ = [
@@ -313,6 +314,14 @@ def taylor_remainder(f: SmoothFunction, t: float, x, y) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _unit_gauss_legendre() -> tuple:
+    """16 Gauss-Legendre nodes moved to [0, 1] and their weights, read-only;
+    built on first use, since numpy.polynomial takes milliseconds to import."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return _frozen(0.5 * (nodes + 1.0)), _frozen(0.5 * weights)
+
+
 def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y) -> np.ndarray:
     """The same remainder in integral form.
 
@@ -323,9 +332,7 @@ def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     d = y - x
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    s_vals = 0.5 * (nodes + 1.0)
-    w_vals = 0.5 * weights
+    s_vals, w_vals = _unit_gauss_legendre()
     diff = f.d_xx(t, x + s_vals[:, None] * d) - f.d_xx(t, x)
     return np.einsum("s,sqab,a,b->q", w_vals * (1.0 - s_vals), diff, d, d)
 

@@ -16,10 +16,9 @@ how many other paths an ensemble draws. Every stream is drawn from one
 Philox generator per process, which ``substream`` restarts at the stream's
 key and counter, so a stream is drawn to its end before the next one is asked
 for. A path is a chunk of one: every draw is a ``SampleChunk`` of P paths
-with a leading path axis. One sampler draws them, under two names,
-``sample_path`` and ``sample_chunk``: given an index it draws a chunk of one,
-given a sequence of indices one chunk, each path from its own streams and
-everything else once per chunk.
+with a leading path axis. One sampler, ``sample_path``, draws them: given an
+index it draws a chunk of one, given a sequence of indices one chunk, each
+path from its own streams and everything else once per chunk.
 A two-point jump's sign is one raw bit of its cell's amplitude stream: the
 top bit of a 32-bit half of a 64-bit word, low half first, 1 for +vector.
 
@@ -56,7 +55,6 @@ __all__ = [
     "normalize_spec",
     "substream",
     "sample_path",
-    "sample_chunk",
     "coarsen",
     "evaluate",
     "spec_to_json",
@@ -567,7 +565,7 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index=0) -> Sam
     """Draw the ensemble's path path_index, an int, as a chunk of one, or its
     paths path_index[p], a sequence, as one chunk, deterministically in
     (seed, index): path p is, bit for bit, the chunk of one its index draws
-    alone, whatever the chunk. ``sample_chunk`` is this same function.
+    alone, whatever the chunk.
 
     Each stream of each path is drawn by its own numpy call, as when the
     path is drawn alone; the rest runs once per chunk: one stacked product
@@ -623,10 +621,6 @@ def sample_path(spec: NoiseSpec, grid: TimeGrid, seed: int, path_index=0) -> Sam
         jumps[name] = column[order]
     gauss, jumps, pid = map(_frozen, (gauss, jumps, pid[order]))
     return SampleChunk(spec, grid, int(seed), indices, gauss, jumps, pid)
-
-
-# one sampler, one object under both names
-sample_chunk = sample_path
 
 
 def coarsen(chunk: SampleChunk) -> SampleChunk:

@@ -12,9 +12,10 @@ re-simulation:
   which converge to the optional bracket as the partition refines. A
   partition is a bool mask of grid points: one (n_steps + 1,) mask shared by
   every path (dyadic), or a (P, n_steps + 1) mask of each path's stopping
-  times (adaptive). A weighted form pairs each block's increment with an
-  operator frozen at its left endpoint; its limit integrates that operator
-  against the optional bracket.
+  times (adaptive); a refinement study takes a stack of them, one per level.
+  A weighted form pairs each block's increment with an operator frozen at
+  its left endpoint; its limit integrates that operator against the
+  optional bracket.
 
 Every bracket reads the same per-step control-measure increments of
 ``_bracket_steps``, as operators or as their traces, plus the realized jump
@@ -159,49 +160,53 @@ def make_dyadic_partition(n_steps: int, level: int) -> np.ndarray:
     return mask
 
 
-def make_adaptive_partition(chunk: ItoChunk, delta: float) -> np.ndarray:
+def make_adaptive_partition(chunk: ItoChunk, delta) -> np.ndarray:
     """Refinement points chosen by each path itself, at resolution ``delta``:
-    a read-only (P, n_steps + 1) mask, one row per path.
+    a read-only mask of shape np.shape(delta) + (P, n_steps + 1), one row
+    per path for each resolution.
 
     Starting from the last refinement point, the next one is placed at the
     first grid time where any of these crosses delta: elapsed time, the
     path's displacement (pre-jump values included), the continuous-flavor
     bracket mass, or the accumulated drift. Each trigger is computed from
     the step just completed, so refinement points are stopping times. One
-    loop over steps decides every path of the chunk at once.
+    loop over steps decides every path at every resolution at once, and
+    each resolution's rows are those of a call with it alone.
     """
-    if not 0.0 < delta < math.inf:
+    res = np.asarray(delta, float).reshape(-1, 1)  # (L, 1), one row per resolution
+    if not ((0.0 < res) & (res < math.inf)).all():
         raise ValueError(f"delta must be positive and finite, got {delta}")
     n = _checked(chunk, ItoChunk).grid.n_steps
     drift_norms = np.sqrt(np.vecdot(chunk.drift, chunk.drift))
     # what each path accumulates since its last point, with the limit of each:
-    # continuous mass, drift, and steps (capped at the grid, so that a large
-    # delta cannot overflow)
+    # continuous mass, drift, and steps (capped at the grid: a coarse delta
+    # passes the largest float in steps)
     grows = np.stack(np.broadcast_arrays(_bracket_steps(chunk, "continuous"), drift_norms, 1.0), -1)
-    limits = np.array([delta, delta, max(1, min(np.floor(delta / chunk.grid.dt), n))])
+    with np.errstate(over="ignore"):
+        limits = np.stack([res, res, np.clip(np.floor(res / chunk.grid.dt), 1, n)], -1)  # (L, 1, 3)
     # each jump's pre- and post-jump values, (R, 2, d), and its path, in step order
     order = np.argsort(chunk.samples.jumps["step"], kind="stable")
     bounds = np.searchsorted(chunk.samples.jumps["step"][order], np.arange(n + 1)).tolist()
     around = np.stack([chunk.pre, chunk.pre + chunk.delta], axis=1)[order]
     pid = chunk.samples.pid[order]
-    values, sums = chunk.values, np.zeros((len(chunk), 3))
-    mask = np.zeros(values.shape[:2], bool)
-    mask[:, 0] = mask[:, n] = True
-    anchor = values[:, 0]
+    values, sums = chunk.values, np.zeros((len(res), len(chunk), 3))
+    mask = np.zeros((len(res),) + values.shape[:2], bool)
+    mask[..., 0] = mask[..., n] = True
+    anchor = np.broadcast_to(values[:, 0], (len(res),) + values[:, 0].shape)
     for k in range(n):
         sums += grows[:, k]
         x = values[:, k + 1] - anchor
         moved = np.sqrt(np.vecdot(x, x))
         lo, hi = bounds[k], bounds[k + 1]
         if hi > lo:
-            x = around[lo:hi] - anchor[pid[lo:hi], None]
-            np.maximum.at(moved, pid[lo:hi], np.sqrt(np.vecdot(x, x)).max(axis=1))
-        hit = (moved >= delta) | (sums >= limits).any(axis=1)
-        mask[hit, k + 1] = True
-        anchor = np.where(hit[:, None], values[:, k + 1], anchor)
+            x = around[lo:hi] - anchor[:, pid[lo:hi], None]
+            np.maximum.at(moved, (slice(None), pid[lo:hi]), np.sqrt(np.vecdot(x, x)).max(axis=-1))
+        hit = (moved >= res) | (sums >= limits).any(axis=-1)
+        mask[..., k + 1] |= hit
+        anchor = np.where(hit[..., None], values[:, k + 1], anchor)
         sums[hit] = 0.0
     mask.setflags(write=False)
-    return mask
+    return mask.reshape(np.shape(delta) + values.shape[:2])
 
 
 def _squares(pts: np.ndarray) -> np.ndarray:
@@ -255,35 +260,22 @@ def weighted_qv_target(
     return np.einsum("pkab,pkab->p", np.broadcast_to(forms, steps.shape), steps)
 
 
-def _dyadic_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
-    """2^level blocks per level: one mask each, built once for every path and chunk."""
-    masks = [make_dyadic_partition(n_steps, int(level)) for level in levels]
-    return lambda chunk: masks
+_REFINEMENTS = ("dyadic", "adaptive")  # the partition kinds of a refinement study
 
 
-def _adaptive_levels(n_steps: int, levels) -> Callable[[ItoChunk], list]:
-    """Resolution 2^-level per level, one row per path: its stopping times."""
-    return lambda chunk: [make_adaptive_partition(chunk, 2.0 ** (-float(level))) for level in levels]
-
-
-# the partition kinds of a refinement study: kind -> (n_steps, levels) -> a
-# function giving a chunk one partition mask per level
-_REFINEMENTS = {"dyadic": _dyadic_levels, "adaptive": _adaptive_levels}
-
-
-def qv_refinement_study(chunk: ItoChunk, partitions: Callable[[ItoChunk], list]) -> np.ndarray:
+def qv_refinement_study(chunk: ItoChunk, masks: np.ndarray) -> np.ndarray:
     """Riemann-vs-optional-bracket error of each path over refining partitions.
 
-    partitions(chunk) gives one partition mask per refinement level, shared
-    or one row per path (see ``_REFINEMENTS``). For each level, the relative
+    ``masks`` stacks one partition mask per level, (L, n_steps + 1) shared
+    or (L, P, n_steps + 1) one row per path. For each level, the relative
     error |riemann - optional| / |optional| (absolute when the bracket is 0)
     and the mesh. Returns shape (P, 2, L), the errors, then the meshes; the
-    optional-bracket targets are priced in one call and each level's
-    Riemann sums in another.
+    optional-bracket targets are priced in one call and each level's Riemann
+    sums in another.
     """
     targets = optional_qv(_checked(chunk, ItoChunk))[:, -1]
     scale = np.where(targets != 0.0, np.abs(targets), 1.0)
-    masks = partitions(chunk)
+    masks = np.asarray(masks)
     errors = [np.abs(riemann_qv(chunk, mask) - targets) / scale for mask in masks]
-    meshes = [np.broadcast_to(_mesh(mask, chunk.grid.dt), len(chunk)) for mask in masks]
-    return np.stack([np.transpose(errors), np.transpose(meshes)], axis=1)
+    meshes = np.broadcast_to(_mesh(masks, chunk.grid.dt).T, (len(chunk), len(masks)))
+    return np.stack([np.transpose(errors), meshes], axis=1)

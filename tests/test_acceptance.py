@@ -22,7 +22,7 @@ from cmvm.integrate import (
     integrate,
     realized_lambda2_mass,
 )
-from cmvm.noise import TimeGrid, sample_chunk
+from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
     make_dyadic_partition,
@@ -109,7 +109,7 @@ def test_criterion_05_riemann_qv_convergence(tmp_path):
         return out
 
     levels = (3, 4, 5, 6, 7)
-    paths = integrate(integrand, sample_chunk(spec, grid, 515_05, range(200)))
+    paths = integrate(integrand, sample_path(spec, grid, 515_05, range(200)))
     target = weighted_qv_target(paths, form)
     wmed = []
     for lv in levels:
@@ -141,7 +141,7 @@ def test_criterion_06_decomposition_and_additivity(tmp_path):
         deterministic_integrand(lambda k, t, j: PHI * (1.0 + 0.3 * t + 0.1 * j), 2, 2),
     ]
     worst = 0.0
-    samples = sample_chunk(spec, grid, 606, range(50))
+    samples = sample_path(spec, grid, 606, range(50))
     for integrand in det_models:
         paths = integrate(integrand, samples)
         total = realized_lambda2_mass(paths, "total")

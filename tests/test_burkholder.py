@@ -19,7 +19,7 @@ from cmvm.burkholder import (
     walk_ensemble,
 )
 from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
-from cmvm.noise import TimeGrid, sample_chunk, sample_path
+from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 
 PHI = np.array([[0.9, 0.2], [-0.3, 1.1]])
@@ -195,7 +195,7 @@ def test_sup_includes_refined_jump_positions(grid8):
     report that excursion, not just the grid values."""
     spec = make_preset("jump-default")
     proc = ItoProcessSpec(constant_integrand(PHI))
-    paths = simulate_ito_process(proc, sample_chunk(spec, grid8, 6800, range(200)))
+    paths = simulate_ito_process(proc, sample_path(spec, grid8, 6800, range(200)))
     grid_sup = np.linalg.norm(paths.values, axis=2).max(axis=1)
     sup = path_running_sup(paths)
     assert np.all(sup >= grid_sup)

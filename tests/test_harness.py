@@ -24,7 +24,7 @@ from cmvm.harness import (
 )
 from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
 from cmvm.ito import ito_residual, make_smooth
-from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_chunk, spec_to_json
+from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
 from cmvm.presets import make_preset, preset_names
 
 ALL_SCENARIOS = [
@@ -614,7 +614,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     the columns in config order. Its JSON reports, for each pair of
     adjacent levels, the median over paths of their residual ratio."""
     drawn, blocks = [], []
-    draw, per_path = cmvm.integrate.sample_chunk, cmvm.harness._per_path
+    draw, per_path = cmvm.integrate.sample_path, cmvm.harness._per_path
 
     def recorded_draw(spec, grid, seed, path_index=0):
         drawn.append((grid.n_steps, tuple(path_index)))
@@ -625,7 +625,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
         return blocks[-1]
 
     # _per_path draws every chunk through its module's name for the sampler
-    monkeypatch.setattr(cmvm.integrate, "sample_chunk", recorded_draw)
+    monkeypatch.setattr(cmvm.integrate, "sample_path", recorded_draw)
     monkeypatch.setattr(cmvm.harness, "_per_path", recorded_rows)
     cfg = apply_overrides(load_config("ito-converge"), ["n_paths=5", "params.levels=[5,3,4]"])
     res = run(cfg, str(tmp_path))
@@ -636,7 +636,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     proc = ItoProcessSpec(constant_integrand(p["phi"]), drift_rate=p["drift"])
     f = make_smooth(p["function"])
     spec, grid = make_preset(cfg.preset), TimeGrid(cfg.horizon, 32)
-    fine = sample_chunk(spec, grid, cfg.seed, range(5))
+    fine = sample_path(spec, grid, cfg.seed, range(5))
     for column, samples in zip((0, 2, 1), (fine, coarsen(fine), coarsen(coarsen(fine)))):
         residual = ito_residual(simulate_ito_process(proc, samples), f, trace_variant=p["variant"])
         assert rows[:, column].tobytes() == np.abs(residual[:, 0]).tobytes()
@@ -644,6 +644,7 @@ def test_ito_converge_draws_each_path_once_and_halves_it(tmp_path, monkeypatch):
     assert res.metrics["median_path_ratios"] == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_adaptive_levels_run_to_a_verdict(tmp_path, capsys):
     """The ends of the adaptive level range resolve, and a resolution as
     coarse as 2^1020, whose time trigger would pass the largest float in

@@ -54,13 +54,12 @@ from cmvm.noise import (
     TwoPointAmplitude,
     evaluate,
     normalize_spec,
-    sample_chunk,
     sample_path,
 )
 from cmvm.presets import PRESETS, make_preset
 from cmvm.quadvar import (
-    _REFINEMENTS,
     make_adaptive_partition,
+    make_dyadic_partition,
     optional_qv,
     predictable_qv,
     qv_refinement_study,
@@ -84,7 +83,7 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def samples(mixed, grid8):
-    return sample_chunk(mixed, grid8, 515, range(3000))
+    return sample_path(mixed, grid8, 515, range(3000))
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ def test_walk_reconstructs_exactly(mixed, grid8, kind, drift, model):
     if drift:
         proc = ItoProcessSpec(integrand, initial=[0.2, -0.1], drift_rate=[0.3, -0.2])
     spec = mixed if model == "mixed" else _dense_jumps()
-    samples = sample_chunk(spec, grid8, 77, range(4))
+    samples = sample_path(spec, grid8, 77, range(4))
     paths = simulate_ito_process(proc, samples)
     assert len(samples[0].jumps) > 0
     steps, pid = samples.jumps["step"], samples.pid
@@ -208,7 +207,7 @@ def test_lookahead_guard_raises(mixed, grid8):
 
 
 def test_noise_pairing_sees_windows_up_to_the_cursor(mixed, grid8):
-    sample = sample_chunk(mixed, grid8, 3, range(4))
+    sample = sample_path(mixed, grid8, 3, range(4))
     h = [0.4, -1.0]
     seen = {}
 
@@ -244,7 +243,7 @@ def test_anticipating_integrand_is_detected(mixed, grid8):
     n_paths = 1500
 
     def run(make_eval):
-        samples = sample_chunk(mixed, grid8, 808, range(n_paths))
+        samples = sample_path(mixed, grid8, 808, range(n_paths))
         integrand = Integrand(make_eval(samples), 2, 2, deterministic=False)
         means = integrate(integrand, samples).values[:, -1]
         se = means.std(axis=0, ddof=1) / np.sqrt(n_paths)
@@ -339,7 +338,7 @@ def test_decompose_parts_sum_exactly(mixed, grid8):
         initial=[1.0, 2.0],
         drift_rate=[0.5, -0.1],
     )
-    samples = sample_chunk(mixed, grid8, 21, range(25))
+    samples = sample_path(mixed, grid8, 21, range(25))
     paths = simulate_ito_process(proc, samples)
     parts = decompose_integral(paths)
     cont, jump, fv = parts
@@ -377,7 +376,7 @@ def test_simple_integrand_two_routes(mixed, grid8):
                 gate = None
             blocks.append(SimpleBlock(start, stop, cells, matrix, gate))
         simple = SimpleIntegrand(blocks, 2, 2)
-        samples = sample_chunk(mixed, grid8, 33, range(trial, trial + 4))
+        samples = sample_path(mixed, grid8, 33, range(trial, trial + 4))
         direct = integrate_simple(simple, samples)
         walked = integrate(simple.as_general(), samples)
         assert direct.shape == (4, 2)
@@ -400,7 +399,7 @@ def test_simple_block_cells_are_checked(mixed, grid8):
             SimpleIntegrand([SimpleBlock(0, 8, cells, np.eye(2))], 2, 2)
     beyond = SimpleIntegrand([SimpleBlock(0, 8, (4,), np.eye(2))], 2, 2)
     with pytest.raises(ValueError, match=r"cell index 4 outside 0\.\.3"):
-        integrate_simple(beyond, sample_chunk(mixed, grid8, 3, range(2)))
+        integrate_simple(beyond, sample_path(mixed, grid8, 3, range(2)))
 
 
 def test_composition_matches_direct_route(mixed, grid8):
@@ -423,7 +422,7 @@ def test_composition_matches_direct_route(mixed, grid8):
 
     general = inner.as_general()
     composed = compose_integrands(psi, general, dim_out=2)
-    samples = sample_chunk(mixed, grid8, 44, range(40))
+    samples = sample_path(mixed, grid8, 44, range(40))
     direct = integrate_process(psi, integrate(general, samples), dim_out=2)
     fused = integrate(composed, samples).values[:, -1]
     assert direct.shape == (40, 2)
@@ -439,7 +438,7 @@ def test_composition_with_state_dependent_outer(mixed, grid8):
         return np.eye(2) * (1.0 + 0.3 * np.tanh(value[:, 0]))[:, None, None]
 
     composed = compose_integrands(psi, inner, dim_out=2)
-    samples = sample_chunk(mixed, grid8, 55, range(25))
+    samples = sample_path(mixed, grid8, 55, range(25))
     direct = integrate_process(psi, integrate(inner, samples), dim_out=2)
     fused = integrate(composed, samples).values[:, -1]
     assert np.allclose(direct, fused, atol=1e-12)
@@ -455,7 +454,7 @@ def test_composition_with_adapted_inner(mixed, grid8):
         return outer_mats[step]
 
     composed = compose_integrands(psi, inner, dim_out=2)
-    samples = sample_chunk(mixed, grid8, 0, range(40))
+    samples = sample_path(mixed, grid8, 0, range(40))
     direct = integrate_process(psi, integrate(inner, samples), dim_out=2)
     fused = integrate(composed, samples).values[:, -1]
     scale = np.maximum(1.0, np.abs(direct).max(axis=1, keepdims=True))
@@ -473,7 +472,7 @@ def test_deterministic_integrand_time_dependence(mixed, grid8):
         return np.stack([fn(state.step, state.time, j) for j in cells])[None]
 
     slow = Integrand(slow_eval, 2, 2, deterministic=False)
-    samples = sample_chunk(mixed, grid8, 66, range(20))
+    samples = sample_path(mixed, grid8, 66, range(20))
     a = integrate(det, samples)
     b = integrate(slow, samples)
     # both routes add the input-axis terms, then the cells, in one order
@@ -524,7 +523,7 @@ def test_deterministic_contraction_matches_einsum(shape, model):
     active = np.flatnonzero(spec.tables.flavor("total").rate)
     phis = np.array([[fn(k, t, j) for j in active] for k, t in enumerate(grid.times[:-1])])
     integrand = deterministic_integrand(fn, d_out, d_in)
-    chunk = sample_chunk(spec, grid, 29, range(16))
+    chunk = sample_path(spec, grid, 29, range(16))
     for samples in (chunk, chunk[5]):
         got = integrate(integrand, samples).stoch_cont
         want = np.einsum("kjab,pkjb->pka", phis, samples.gauss[:, :, active])
@@ -647,7 +646,7 @@ def test_chunked_walk_matches_per_path_loop(mixed, grid8, name, model):
     of a path in one step."""
     process = _chunk_processes()[name]
     spec = mixed if model == "mixed" else _dense_jumps()
-    chunk = sample_chunk(spec, grid8, 4100, range(9))
+    chunk = sample_path(spec, grid8, 4100, range(9))
     walked = simulate_ito_process(process, chunk)
     assert isinstance(walked, ItoChunk) and len(walked) == len(chunk)
     assert walked.samples is chunk and len(chunk.jumps) > 9
@@ -669,7 +668,7 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
         "deterministic": deterministic_integrand(lambda k, t, j: PHI * (1.0 + t * (1 + j)), 2, 2),
         "adapted": state_linear_integrand(PHI, [0.6, -0.2], 0.8),
     }[kind]
-    samples = sample_chunk(mixed, grid8, 4100, range(5))
+    samples = sample_path(mixed, grid8, 4100, range(5))
     chunk = integrate(integrand, samples)
     assert isinstance(chunk, ItoChunk) and len(chunk) == len(samples)
     assert 0 < len(chunk.delta) == len(samples.jumps) and chunk.samples is samples
@@ -682,14 +681,17 @@ def test_chunk_index_is_the_path_walked_alone(mixed, grid8, kind):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
         for field in ("values", "phis", "stoch_cont", "drift", "delta", "pre"):
             assert not getattr(alone, field).flags.writeable, field
-    f, dyadic = make_smooth("quadratic"), _REFINEMENTS["dyadic"](grid8.n_steps, [1, 2])
-    mask, form = dyadic(chunk)[0], lambda t, x: np.eye(2)
+        stacked = make_adaptive_partition(alone, [0.5, 0.25])
+        assert np.array_equal(stacked, make_adaptive_partition(chunk, [0.5, 0.25])[:, i : i + 1])
+    f, dyadic = make_smooth("quadratic"), np.stack([make_dyadic_partition(grid8.n_steps, v) for v in (1, 2)])
+    mask, form = dyadic[0], lambda t, x: np.eye(2)
     measures = (predictable_qv, optional_qv, bracket_terminal, path_running_sup,
                 realized_lambda2_mass, decompose_integral,
                 lambda c: ito_terms(c, f), lambda c: ito_residual(c, f),
                 lambda c: qv_refinement_study(c, dyadic), lambda c: riemann_qv(c, mask),
                 lambda c: riemann_weighted_bilinear(c, mask, form),
                 lambda c: weighted_qv_target(c, form), lambda c: make_adaptive_partition(c, 0.5),
+                lambda c: make_adaptive_partition(c, [0.5, 0.25]),
                 lambda c: integrate_process(lambda k, t, v: np.eye(2), c, 2))
     process = ItoProcessSpec(integrand)
     walks = (lambda s: integrate(integrand, s), lambda s: simulate_ito_process(process, s),
@@ -730,7 +732,7 @@ def test_adapted_evaluator_is_called_once_per_step_per_chunk(mixed, grid8, model
         return linear.evaluator(state, cells)
 
     process = ItoProcessSpec(Integrand(counted, 2, 2, deterministic=False))
-    walked = simulate_ito_process(process, sample_chunk(spec, grid8, 21, range(5)))
+    walked = simulate_ito_process(process, sample_path(spec, grid8, 21, range(5)))
     assert calls == [(k, active, 5) for k in range(grid8.n_steps)]
     for k, value in enumerate(seen):
         assert value.tobytes() == walked.values[:, k].tobytes(), k
@@ -749,7 +751,7 @@ def test_malformed_evaluator_return_names_the_accepted_shapes(mixed, grid8, shap
     """A 3-D (P, dim_out, dim_in) stack, a wrong path or cell count and a
     wrong operator shape are refused, naming what the walk accepts."""
     bad = Integrand(lambda state, cells: np.ones(shape), 2, 2, deterministic=deterministic)
-    chunk = sample_chunk(mixed, grid8, 2, range(5))
+    chunk = sample_path(mixed, grid8, 2, range(5))
     paths = 1 if deterministic else 5
     accepted = f"shape {shape}, expected (2, 2) or a 4-D stack that broadcasts to ({paths}, 4, 2, 2)"
     with pytest.raises(ValueError, match=re.escape(accepted)):
@@ -805,7 +807,7 @@ def test_composed_inner_restarts_with_each_walk(mixed):
 
     composed = compose_integrands(psi, inner, dim_out=2)
     for first, size in ((0, 3), (3, 2), (5, 1)):
-        chunk = sample_chunk(mixed, grid, 12, range(first, first + size))
+        chunk = sample_path(mixed, grid, 12, range(first, first + size))
         ends = integrate(composed, chunk).values[:, -1]
         for p, i in enumerate(range(first, first + size)):
             alone = integrate(inner, sample_path(mixed, grid, seed=12, path_index=i))

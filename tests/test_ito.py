@@ -23,7 +23,7 @@ from cmvm.ito import (
     taylor_remainder,
     taylor_remainder_quadrature,
 )
-from cmvm.noise import TimeGrid, sample_chunk
+from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import _bracket_steps
 
@@ -43,7 +43,7 @@ def grid8():
 
 def _walk(spec, grid, integrand, *, seed, path_indices, drift=None):
     proc = ItoProcessSpec(integrand, drift_rate=drift)
-    return simulate_ito_process(proc, sample_chunk(spec, grid, seed, path_indices))
+    return simulate_ito_process(proc, sample_path(spec, grid, seed, path_indices))
 
 
 # ---------------------------------------------------------------- registry
@@ -214,11 +214,11 @@ def test_array_terms_match_per_step_loop(mixed, n_steps, trace_variant):
     order of summation differs from the loop."""
     proc = ItoProcessSpec(state_linear_integrand(PHI, [0.5, -0.3], 0.4), drift_rate=[0.3, -0.2])
     grid = TimeGrid(1.0, n_steps)
-    jumps = np.bincount(sample_chunk(mixed, grid, 909, range(500)).pid, minlength=500)
+    jumps = np.bincount(sample_path(mixed, grid, 909, range(500)).pid, minlength=500)
     busy = next(i for i in range(5, 500) if jumps[i] >= 8)
     quiet = next(i for i in range(5, 500) if jumps[i] == 0)
     order = (0, 1, quiet, 2, 3, 4, busy)
-    samples = sample_chunk(mixed, grid, 909, order)
+    samples = sample_path(mixed, grid, 909, order)
     paths = simulate_ito_process(proc, samples)
     rows = np.bincount(samples.pid, minlength=len(order))
     assert rows[2] == 0 and max(rows) >= 8
@@ -248,7 +248,7 @@ def test_stoch_term_matches_composed_integral_without_jumps(grid8):
     gauss = make_preset("gauss-default")
     f = make_smooth("gauss_cos")
     inner = constant_integrand(PHI)
-    samples = sample_chunk(gauss, grid8, 2500, range(8))
+    samples = sample_path(gauss, grid8, 2500, range(8))
     paths = integrate(inner, samples)
     direct = ito_terms(paths, f).stoch
 

@@ -31,7 +31,6 @@ from cmvm.noise import (
     evaluate,
     load_noise_spec,
     normalize_spec,
-    sample_chunk,
     sample_path,
     spec_from_json,
     spec_to_json,
@@ -57,7 +56,7 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def ensemble(mixed, grid8):
-    return sample_chunk(mixed, grid8, 2024, range(4000))
+    return sample_path(mixed, grid8, 2024, range(4000))
 
 
 def test_time_grid():
@@ -381,9 +380,9 @@ def test_sample_path_golden_values(mixed, grid8):
 
 
 def test_no_state_leaks_between_draws(mixed, grid8):
-    before = sample_chunk(mixed, grid8, 7, range(6))
+    before = sample_path(mixed, grid8, 7, range(6))
     substream(5, 5, 5).random(3)
-    after = sample_chunk(mixed, grid8, 7, range(6))
+    after = sample_path(mixed, grid8, 7, range(6))
     for name in ("gauss", "jumps", "pid"):
         assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
 
@@ -580,7 +579,7 @@ def test_from_json_errors():
 @pytest.fixture(scope="module")
 def fine_chunk(mixed):
     """Six paths on a 64-step grid whose step is not a power of two."""
-    return sample_chunk(mixed, TimeGrid(0.7, 64), 7, range(6))
+    return sample_path(mixed, TimeGrid(0.7, 64), 7, range(6))
 
 
 @pytest.mark.parametrize("indices", [range(5), (3, 0, 4, 1, 2), (6,)])
@@ -589,7 +588,7 @@ def test_chunk_path_is_the_path_drawn_alone(mixed, indices):
     views and, bit for bit, the chunk of one its index draws alone, in any
     index order; the chunk's jump_sums row p is that path's jump_sums."""
     grid = TimeGrid(0.7, 64)
-    chunk = sample_chunk(mixed, grid, 7, indices)
+    chunk = sample_path(mixed, grid, 7, indices)
     assert len(chunk) == len(indices) and chunk.path_index == tuple(indices)
     assert 0 < len(chunk.jumps) == sum(len(path.jumps) for path in chunk)
     for p, i in enumerate(indices):
@@ -644,7 +643,7 @@ def test_coarsen_does_not_depend_on_the_chunk(mixed, fine_chunk):
     """Halving a chunk gives each path bitwise what halving it alone gives,
     at every level down to one step."""
     chunk = fine_chunk
-    alone = [sample_chunk(mixed, chunk.grid, 7, [i]) for i in chunk.path_index]
+    alone = [sample_path(mixed, chunk.grid, 7, [i]) for i in chunk.path_index]
     while chunk.grid.n_steps > 1:
         chunk, alone = coarsen(chunk), [coarsen(one) for one in alone]
         assert chunk.pid is fine_chunk.pid
@@ -657,7 +656,7 @@ def test_coarsen_refuses_odd_grids_and_mixed_chunks(mixed, grid8):
     """An odd grid cannot be halved, and a tuple of paths, of one model and
     grid or mixed, is not a chunk."""
     with pytest.raises(ValueError, match="cannot halve a grid of 5 steps"):
-        coarsen(sample_chunk(mixed, TimeGrid(1.0, 5), 0, [0]))
+        coarsen(sample_path(mixed, TimeGrid(1.0, 5), 0, [0]))
     gauss = make_preset("gauss-default")
     for paths in (
         (sample_path(mixed, grid8, 0, 0), sample_path(mixed, grid8, 0, 1)),
@@ -700,7 +699,7 @@ def test_chunk_path_is_the_path_drawn_alone_beyond_the_presets(preset, n_steps, 
     block times the cell's factor, as a 2-D product."""
     spec = _three_dim_spec() if preset == "three-dim" else make_preset(preset)
     grid = TimeGrid(0.9, n_steps)
-    chunk = sample_chunk(spec, grid, 17, indices)
+    chunk = sample_path(spec, grid, 17, indices)
     assert chunk.path_index == tuple(indices)
     assert set(chunk.jumps["cell"].tolist()) >= {0, 1}
     for p, i in enumerate(indices):
@@ -714,12 +713,12 @@ def test_chunk_path_is_the_path_drawn_alone_beyond_the_presets(preset, n_steps, 
 
 
 def test_one_sampler_draws_paths_and_chunks_and_refuses_no_path(mixed, grid8):
-    """sample_chunk is sample_path: an int draws a chunk of one, a sequence a
-    chunk, and an empty sequence is refused."""
-    assert sample_chunk is sample_path
+    """sample_path is the one sampler, under one name: an int draws a chunk
+    of one, a sequence a chunk, and an empty sequence is refused."""
+    assert "sample_chunk" not in vars(cmvm.noise)
     assert sample_path(mixed, grid8, 3, 2).path_index == (2,)
     one, listed = sample_path(mixed, grid8, 3, np.int64(2)), sample_path(mixed, grid8, 3, [2])
     assert one.gauss.tobytes() == listed.gauss.tobytes()
     for empty in ([], (), range(0)):
         with pytest.raises(ValueError, match="no path"):
-            sample_chunk(mixed, grid8, 3, empty)
+            sample_path(mixed, grid8, 3, empty)

@@ -25,10 +25,9 @@ from cmvm.integrate import (
     state_linear_integrand,
 )
 from cmvm.harness import apply_overrides, load_config
-from cmvm.noise import QV_FLAVORS, TimeGrid, sample_chunk, sample_path
+from cmvm.noise import QV_FLAVORS, TimeGrid, sample_path
 from cmvm.presets import make_preset
 from cmvm.quadvar import (
-    _REFINEMENTS,
     _add_jumps,
     _bracket_steps,
     _mesh,
@@ -58,14 +57,14 @@ def grid8():
 @pytest.fixture(scope="module")
 def paths(mixed, grid8):
     integrand = state_linear_integrand(PHI, [0.6, -0.2], 0.4)
-    return integrate(integrand, sample_chunk(mixed, grid8, 2211, range(2000)))
+    return integrate(integrand, sample_path(mixed, grid8, 2211, range(2000)))
 
 
 @pytest.fixture(scope="module")
 def head(mixed, grid8):
     """The first 50 paths of ``paths``, walked as their own chunk."""
     integrand = state_linear_integrand(PHI, [0.6, -0.2], 0.4)
-    return integrate(integrand, sample_chunk(mixed, grid8, 2211, range(50)))
+    return integrate(integrand, sample_path(mixed, grid8, 2211, range(50)))
 
 
 def test_predictable_bracket_monotone_and_consistent(head):
@@ -120,7 +119,7 @@ def test_optional_polarization(mixed, grid8):
     ia = constant_integrand(PHI)
     ib = constant_integrand(mat_b)
     iab = constant_integrand(PHI + mat_b)
-    samples = sample_chunk(mixed, grid8, 31, range(25))
+    samples = sample_path(mixed, grid8, 31, range(25))
     pa, pb, pab = integrate(ia, samples), integrate(ib, samples), integrate(iab, samples)
     lhs = optional_qv(pab)
     rhs = optional_qv(pa) + 2.0 * optional_qv(pa, pb) + optional_qv(pb)
@@ -168,9 +167,9 @@ _INTEGRANDS = {
 def _mixed_chunk(spec, seed):
     """Three paths with jump rows and three without, in path order (only
     the three without on a continuous model)."""
-    rows = np.bincount(sample_chunk(spec, _SHORT, seed, range(40)).pid, minlength=40)
+    rows = np.bincount(sample_path(spec, _SHORT, seed, range(40)).pid, minlength=40)
     busy, quiet = np.flatnonzero(rows)[:3].tolist(), np.flatnonzero(rows == 0)[:3].tolist()
-    return sample_chunk(spec, _SHORT, seed, sorted(busy + quiet))
+    return sample_path(spec, _SHORT, seed, sorted(busy + quiet))
 
 
 @pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
@@ -231,13 +230,13 @@ def test_cross_bracket_of_chunks_checks_every_pair(mixed):
     ia = constant_integrand(PHI)
     chunk = integrate(ia, samples)
     indices = samples.path_index
-    swapped = sample_chunk(mixed, _SHORT, 61, indices[:2] + (99,) + indices[3:])
+    swapped = sample_path(mixed, _SHORT, 61, indices[:2] + (99,) + indices[3:])
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, integrate(ia, swapped))
     with pytest.raises(ValueError, match="same driving sample"):
         optional_qv(chunk, integrate(ia, samples[0]))
     with pytest.raises(ValueError, match="same driving sample"):
-        optional_qv(chunk, integrate(ia, sample_chunk(mixed, _SHORT, 61, indices[:-1])))
+        optional_qv(chunk, integrate(ia, sample_path(mixed, _SHORT, 61, indices[:-1])))
 
 
 def test_realized_variance_is_unbiased(paths):
@@ -358,10 +357,34 @@ def test_adaptive_partition_golden(mixed, drift, level):
     """Pinned partitions of an adapted walk with jumps, with and without a
     drift, so that any change to the rule's triggers or their arithmetic
     shows."""
-    samples = sample_chunk(mixed, TimeGrid(1.0, 64), 5, range(4))
+    samples = sample_path(mixed, TimeGrid(1.0, 64), 5, range(4))
     process = ItoProcessSpec(state_linear_integrand(PHI, [0.6, -0.2], 0.4), drift_rate=drift)
     mask = make_adaptive_partition(simulate_ito_process(process, samples), 2.0**-level)
     assert [np.flatnonzero(~row).tolist() for row in mask] == _ADAPTIVE_GAPS[drift, level]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("drift", [None, (0.3, -0.2)])
+@pytest.mark.parametrize("preset", ["mixed-default", "gauss-default", "jump-default"])
+def test_adaptive_stack_is_each_resolution_alone(preset, drift):
+    """One call over a stack of resolutions gives, level by level, the mask
+    of a call at that resolution alone, bit for bit, from 2^1023 (whose time
+    trigger, capped at the grid, would pass the largest float in steps) to
+    2^-1074; the stack takes the shape of delta, and one bad entry refuses it."""
+    samples = sample_path(make_preset(preset), TimeGrid(1.0, 64), 5, range(6))
+    process = ItoProcessSpec(state_linear_integrand(PHI, [0.6, -0.2], 0.4), drift_rate=drift)
+    chunk = simulate_ito_process(process, samples)
+    deltas = np.ldexp(1.0, -np.array([-1023, -3, 0, 2, 3, 4, 5, 7, 12, 1074]))
+    stack = make_adaptive_partition(chunk, deltas)
+    assert stack.shape == (10, 6, 65) and not stack.flags.writeable
+    for level, delta in enumerate(deltas):
+        alone = make_adaptive_partition(chunk, float(delta))
+        assert alone.shape == (6, 65) and stack[level].tobytes() == alone.tobytes()
+    assert len(np.unique(stack, axis=0)) > 3  # the levels refine differently
+    assert np.array_equal(make_adaptive_partition(chunk, deltas.reshape(2, 5)), stack.reshape(2, 5, 6, 65))
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            make_adaptive_partition(chunk, np.append(deltas, bad))
 
 
 def test_adaptive_points_are_stopping_times(head):
@@ -403,24 +426,26 @@ def test_riemann_refinement_tightens(mixed):
 
     def study(levels, n_paths, kind):
         """(mesh, q25, median, q75) of the relative errors at each level."""
-        partitions = _REFINEMENTS[kind](grid.n_steps, levels)
+        shared = np.stack([make_dyadic_partition(grid.n_steps, level) for level in levels])
+        deltas = np.ldexp(1.0, [-level for level in levels])
 
         def measure(samples):
             chunk = integrate(integrand, samples)
-            return qv_refinement_study(chunk, partitions).reshape(len(chunk), -1)
+            masks = shared if kind == "dyadic" else make_adaptive_partition(chunk, deltas)
+            return qv_refinement_study(chunk, masks).reshape(len(chunk), -1)
 
         rows = _per_path(mixed, grid, 909, n_paths, measure)
         errors, meshes = rows[:, : len(levels)], rows[:, len(levels) :]
         return [(meshes[:, j].mean(), *_quartiles(errors[:, j])) for j in range(len(levels))]
 
-    chunk = integrate(integrand, sample_chunk(mixed, grid, 909, range(3)))
-    dyadic = _REFINEMENTS["dyadic"](grid.n_steps, [1, 3, 5])
-    first, again = dyadic(chunk), dyadic(chunk)
-    for mask, level in zip(first, [1, 3, 5]):
-        assert np.array_equal(mask, make_dyadic_partition(grid.n_steps, level))
-    # built once, shared by every path and every chunk
-    assert all(mask.shape == (grid.n_steps + 1,) and mask is again[j] for j, mask in enumerate(first))
+    chunk = integrate(integrand, sample_path(mixed, grid, 909, range(3)))
+    dyadic = np.stack([make_dyadic_partition(grid.n_steps, level) for level in (1, 3, 5)])
     assert qv_refinement_study(chunk, dyadic).shape == (3, 2, 3)  # errors, then meshes
+    # each level of a stack, shared or per path, prices as that level alone
+    for masks in (dyadic, make_adaptive_partition(chunk, [0.5, 0.125])):
+        stacked = qv_refinement_study(chunk, masks)
+        for j, mask in enumerate(masks):
+            assert stacked[:, :, j].tobytes() == qv_refinement_study(chunk, mask[None])[:, :, 0].tobytes()
     rows = study([1, 3, 5], 60, "dyadic")
     assert rows[0][0] > rows[1][0] > rows[2][0]
     assert rows[0][2] > rows[1][2] > rows[2][2]
@@ -452,7 +477,7 @@ def test_weighted_riemann_converges_to_target(mixed):
         out[..., 1, 1] = 2.0 + np.tanh(x[..., 1])
         return out
 
-    paths = integrate(integrand, sample_chunk(mixed, grid, 1717, range(60)))
+    paths = integrate(integrand, sample_path(mixed, grid, 1717, range(60)))
     target = weighted_qv_target(paths, form)
     med = []
     for lv in (1, 3, 6):
