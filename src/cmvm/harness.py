@@ -223,8 +223,8 @@ def _check_param_type(key: str, value, default) -> None:
 
 def _check_param_values(params: dict, n_steps: int) -> None:
     """Names go through the lookup of the module that owns them; moment
-    orders, block counts, the conditioning step and the deltas must be in
-    range."""
+    orders, block counts and the conditioning step must be in range, and
+    the deltas and the functions must not be empty."""
     for key, names in (("flavor", QV_FLAVORS), ("kind", _REFINEMENTS), ("variant", _TRACE_VARIANTS)):
         if key in params and params[key] not in names:
             raise ValueError(f"params.{key} must be one of {sorted(names)}, got {params[key]!r}")
@@ -241,8 +241,9 @@ def _check_param_values(params: dict, n_steps: int) -> None:
         raise ValueError(f"params.max_blocks must be at least 1, got {params['max_blocks']!r}")
     if not 0 <= params.get("s_step", 0) < n_steps:
         raise ValueError(f"params.s_step must lie in 0..{n_steps - 1}, got {params['s_step']!r}")
-    if params.get("deltas") == []:
-        raise ValueError("params.deltas must not be empty")
+    for key in ("deltas", "functions"):  # an empty list leaves its gates nothing to test
+        if params.get(key) == []:
+            raise ValueError(f"params.{key} must not be empty")
 
 
 def _param_array(params: dict, key: str, ndim: int) -> np.ndarray:
@@ -826,20 +827,16 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
     tol = float(p["tol"])
     rng = np.random.default_rng(cfg.seed + 23)
+    # columns t, x (2) and y - x (2), each low + (high - low) * U as rng.uniform draws it
+    low, high = np.array([0.0, -1.5, -1.5, -1.0, -1.0]), np.array([cfg.horizon, 1.5, 1.5, 1.0, 1.0])
     worst, derivative_errors = {}, {}
     for name in p["functions"]:
         f = make_smooth(name)
-        gaps, fd_errs = np.empty(cfg.n_paths), np.empty((cfg.n_paths, 3))
-        for i in range(cfg.n_paths):
-            t = float(rng.uniform(0.0, cfg.horizon))
-            x = rng.uniform(-1.5, 1.5, size=2)
-            y = x + rng.uniform(-1.0, 1.0, size=2)
-            direct = taylor_remainder(f, t, x, y)
-            quad = taylor_remainder_quadrature(f, t, x, y)
-            gaps[i] = np.abs(direct - quad).max()
-            fd_errs[i] = list(finite_difference_check(f, t, x).values())
-        worst[name] = float(np.max(gaps))
-        derivative_errors[name] = float(np.max(fd_errs))
+        u = low + (high - low) * rng.random((cfg.n_paths, 5))
+        t, x, y = u[:, 0], u[:, 1:3], u[:, 1:3] + u[:, 3:]
+        gaps = taylor_remainder(f, t, x, y) - taylor_remainder_quadrature(f, t, x, y)
+        worst[name] = float(np.max(np.abs(gaps)))
+        derivative_errors[name] = float(np.max(list(finite_difference_check(f, t, x).values())))
     deltas = [float(d) for d in p["deltas"]]
     sups = gamma_estimate(
         make_smooth("norm_p:4"), deltas, dim=2, n_samples=max(cfg.n_paths, 100), seed=cfg.seed

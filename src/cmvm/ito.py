@@ -28,8 +28,9 @@ jump rows at their pre- and post-jump values, each row tagged with its
 path. A path's terms do not depend on its chunk; ``verify-ito`` and
 ``ito-converge`` price each chunk they walk in one call. The module also
 carries the integral-form Taylor remainder (the object whose smallness
-makes the trace term the right second-order price), evaluated at all
-quadrature nodes in one call, and a sampled modulus for it.
+makes the trace term the right second-order price) by two routes, and a
+sampled modulus for it; both routes and ``finite_difference_check``
+price a whole batch of points in one call, as the functions broadcast.
 """
 
 from __future__ import annotations
@@ -205,29 +206,23 @@ FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
-def finite_difference_check(f: SmoothFunction, t: float, x) -> dict:
-    """Central-difference errors of the coded derivatives at one point.
-
-    Returns absolute errors scaled by max(1, |derivative|); anything above
-    ``FD_TOL`` means a wrong derivative rather than rounding.
-    """
+def finite_difference_check(f: SmoothFunction, t, x) -> dict:
+    """Central-difference errors of the coded derivatives, broadcast like the
+    functions: t of shape (...) and x of shape (..., d) give errors of shape
+    (...), each absolute and scaled by max(1, |derivative|) at its point;
+    anything above ``FD_TOL`` means a wrong derivative rather than rounding."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
     dt_num = (f.value(t + FD_STEP, x) - f.value(t - FD_STEP, x)) / (2 * FD_STEP)
-    errs = {"d_t": float(np.abs(dt_num - f.d_t(t, x)).max())}
-    jac = np.zeros((f.dim_value, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = FD_STEP
-        jac[:, i] = (f.value(t, x + e) - f.value(t, x - e)) / (2 * FD_STEP)
-    errs["d_x"] = float(np.abs(jac - f.d_x(t, x)).max() / max(1.0, np.abs(jac).max()))
-    hess = np.zeros((f.dim_value, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = FD_STEP
-        hess[:, :, i] = (f.d_x(t, x + e) - f.d_x(t, x - e)) / (2 * FD_STEP)
-    sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    errs["d_xx"] = float(np.abs(sym - f.d_xx(t, x)).max() / max(1.0, np.abs(sym).max()))
+    errs = {"d_t": np.abs(dt_num - f.d_t(t, x)).max(axis=-1)}
+    # the stencil x +- FD_STEP e_i, one row per i, on the axis after the batch's
+    tt, e, axis = np.asarray(t)[..., None], FD_STEP * np.eye(x.shape[-1]), x.ndim - 1
+    plus, minus = x[..., None, :] + e, x[..., None, :] - e
+    jac = np.moveaxis(f.value(tt, plus) - f.value(tt, minus), axis, -1) / (2 * FD_STEP)
+    hess = np.moveaxis(f.d_x(tt, plus) - f.d_x(tt, minus), axis, -1) / (2 * FD_STEP)
+    sym = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    for key, num, coded in (("d_x", jac, f.d_x(t, x)), ("d_xx", sym, f.d_xx(t, x))):
+        axes = tuple(range(axis, num.ndim))  # the derivative's own axes
+        errs[key] = np.abs(num - coded).max(axis=axes) / np.maximum(1.0, np.abs(num).max(axis=axes))
     return errs
 
 
@@ -301,17 +296,15 @@ def ito_residual(
     return change - ito_terms(chunk, f, trace_variant).total
 
 
-def taylor_remainder(f: SmoothFunction, t: float, x, y) -> np.ndarray:
-    """Second-order Taylor remainder of f(t, .) between x and y, directly."""
+def taylor_remainder(f: SmoothFunction, t, x, y) -> np.ndarray:
+    """Second-order Taylor remainder of f(t, .) between x and y, directly;
+    t of shape (...) and x, y of shape (..., d) give (..., dim_value)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     d = y - x
-    return (
-        f.value(t, y)
-        - f.value(t, x)
-        - f.d_x(t, x) @ d
-        - 0.5 * np.einsum("qab,a,b->q", f.d_xx(t, x), d, d)
-    )
+    # over b, then over a: an einsum over both may sum a batch in another order
+    second = (f.d_xx(t, x) * d[..., None, :, None] * d[..., None, None, :]).sum(axis=-1).sum(axis=-1)
+    return f.value(t, y) - f.value(t, x) - (f.d_x(t, x) @ d[..., None])[..., 0] - 0.5 * second
 
 
 @lru_cache(maxsize=None)
@@ -322,8 +315,8 @@ def _unit_gauss_legendre() -> tuple:
     return _frozen(0.5 * (nodes + 1.0)), _frozen(0.5 * weights)
 
 
-def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y) -> np.ndarray:
-    """The same remainder in integral form.
+def taylor_remainder_quadrature(f: SmoothFunction, t, x, y) -> np.ndarray:
+    """The same remainder in integral form, broadcast the same way.
 
     Integrates (1 - s) [f_xx(t, x + s(y - x)) - f_xx(t, x)](y - x, y - x) over
     s in [0, 1] with Gauss-Legendre nodes; 16 nodes are exact for any
@@ -333,8 +326,10 @@ def taylor_remainder_quadrature(f: SmoothFunction, t: float, x, y) -> np.ndarray
     y = np.asarray(y, dtype=np.float64)
     d = y - x
     s_vals, w_vals = _unit_gauss_legendre()
-    diff = f.d_xx(t, x + s_vals[:, None] * d) - f.d_xx(t, x)
-    return np.einsum("s,sqab,a,b->q", w_vals * (1.0 - s_vals), diff, d, d)
+    # every node of every point at once: (..., 16, d) against times (..., 1)
+    nodes = x[..., None, :] + s_vals[:, None] * d[..., None, :]
+    diff = f.d_xx(np.asarray(t)[..., None], nodes) - f.d_xx(t, x)[..., None, :, :, :]
+    return np.einsum("s,...sqab,...a,...b->...q", w_vals * (1.0 - s_vals), diff, d, d)
 
 
 def gamma_estimate(

@@ -698,6 +698,13 @@ def spec_to_json(spec: NoiseSpec) -> dict:
     return {"dim": spec.dim, "partition": list(spec.partition.breaks), "cells": cells}
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """A JSON number as a float, or a JSON integer as an int; bools and strings are neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def spec_from_json(doc: dict) -> NoiseSpec:
     def field(key, convert):
         try:
@@ -707,7 +714,7 @@ def spec_from_json(doc: dict) -> NoiseSpec:
         except TypeError as exc:
             raise ValueError(f"noise spec field {key!r}: {exc}") from exc
 
-    dim = field("dim", int)
+    dim = field("dim", lambda value: _json_number(value, "dim", integer=True))
     partition = field("partition", SpatialPartition)
     cell_docs = field("cells", list)
     cells = []
@@ -720,12 +727,12 @@ def spec_from_json(doc: dict) -> NoiseSpec:
             kwargs = {}
             if diffusion is not None:
                 kwargs["diffusion_cov"] = np.asarray(diffusion["cov"], dtype=np.float64)
-                kwargs["diffusion_intensity"] = float(diffusion["intensity"])
+                kwargs["diffusion_intensity"] = _json_number(diffusion["intensity"], "diffusion intensity")
             if jump is not None:
-                kwargs["jump_rate"] = float(jump["rate"])
+                kwargs["jump_rate"] = _json_number(jump["rate"], "jump rate")
                 kwargs["jump_amplitude"] = amplitude_from_params(jump["amplitude"])
             cells.append(CellNoise(**kwargs))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"cell {j}: {exc}") from exc
     return NoiseSpec(dim, partition, cells)
 

@@ -26,6 +26,7 @@ from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_proc
 from cmvm.ito import ito_residual, make_smooth
 from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
 from cmvm.presets import make_preset, preset_names
+from test_manifest import ROOT, SHAPES, shape_overrides
 
 ALL_SCENARIOS = [
     "burkholder",
@@ -259,71 +260,15 @@ def test_noise_model_file_as_preset(tmp_path):
     assert res.passed
 
 
-# a two-cell 1-d model: a mixed cell and a jump-only cell
-_ONE_D_MODEL = {
-    "dim": 1,
-    "partition": [0.0, 0.5, 1.0],
-    "cells": [
-        {
-            "diffusion": {"cov": [[0.8]], "intensity": 1.2},
-            "jump": {"rate": 1.5, "amplitude": {"kind": "two_point", "vector": [0.6]}},
-        },
-        {"diffusion": None, "jump": {"rate": 2.0, "amplitude": {"kind": "gaussian", "cov": [[0.3]]}}},
-    ],
-}
-
-# a two-cell 16-d model: identity diffusion with Gaussian jumps, and a
-# jump-only two-point cell
-_SIXTEEN_D_MODEL = {
-    "dim": 16,
-    "partition": [0.0, 0.5, 1.0],
-    "cells": [
-        {
-            "diffusion": {"cov": np.eye(16).tolist(), "intensity": 1.0},
-            "jump": {"rate": 1.5, "amplitude": {"kind": "gaussian", "cov": (0.3 * np.eye(16)).tolist()}},
-        },
-        {
-            "diffusion": None,
-            "jump": {
-                "rate": 2.0,
-                "amplitude": {"kind": "two_point", "vector": np.linspace(0.6, -0.3, 16).tolist()},
-            },
-        },
-    ],
-}
-
-
 @pytest.mark.parametrize("scenario", ["verify-decomposition", "verify-qv"])
-@pytest.mark.parametrize("shape", ["3x2", "1x1", "2x1", "16x16"])
-def test_exact_gates_hold_on_other_shapes(scenario, shape, tmp_path):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exact_gates_hold_on_other_shapes(scenario, shape, tmp_path, monkeypatch):
     """The exact per-path gates on shapes other than 2x2, where the bracket
     kernel's chunk einsums and the batched readers run with dim_out !=
-    dim_in or on a model of another dimension: phi 3x2 on mixed-default,
-    phi 1x1 and 2x1 on a two-cell 1-d model file, and phi diag(1/k) on a
-    two-cell 16-d model file."""
-    if shape == "3x2":
-        params = {"phi": [[0.9, 0.2], [-0.3, 1.1], [0.4, 0.5]], "weight": [0.6, -0.2, 0.3]}
-        params["phi_b"] = [[0.2, -0.5], [0.7, 0.1], [-0.4, 0.3]]
-        preset = "mixed-default"
-    elif shape == "16x16":
-        k = np.arange(1, 17)
-        params = {"phi": np.diag(1.0 / k).tolist(), "weight": np.linspace(0.6, -0.6, 16).tolist()}
-        params["phi_b"] = (np.diag(np.cos(k)) + 0.1 * np.eye(16, k=1)).tolist()
-        model = tmp_path / "sixteen-d.json"
-        model.write_text(json.dumps(_SIXTEEN_D_MODEL))
-        preset = str(model)
-    else:
-        params = {"phi": [[0.9]], "weight": [0.6], "phi_b": [[-0.4]]}
-        if shape == "2x1":
-            params = {"phi": [[0.9], [-0.5]], "weight": [0.6, -0.2], "phi_b": [[-0.4], [0.3]]}
-        model = tmp_path / "one-d.json"
-        model.write_text(json.dumps(_ONE_D_MODEL))
-        preset = str(model)
-    if scenario == "verify-decomposition":
-        del params["phi_b"]
-    overrides = [f"preset={preset}", "n_paths=40"]
-    overrides += [f"params.{key}={json.dumps(value)}" for key, value in params.items()]
-    res = run(apply_overrides(load_config(scenario), overrides), str(tmp_path / "out"))
+    dim_in or on a model of another dimension (see shape_overrides; the
+    model files are committed under tests/models)."""
+    monkeypatch.chdir(ROOT)
+    res = run(apply_overrides(load_config(scenario), shape_overrides(scenario, shape)), str(tmp_path / "out"))
     assert res.passed, res.checks
     assert all(c["value"] <= 1e-12 for c in res.checks)
 
@@ -393,9 +338,24 @@ def test_cli_bad_inputs_exit_two(tmp_path, capsys):
     assert "give a config" in capsys.readouterr().err
 
 
+# model files with one field of the wrong JSON type: the field, its value
+_WRONG_TYPES = {
+    "FRACTIONAL_DIM_MODEL": ("dim", 2.7),
+    "STRING_DIM_MODEL": ("dim", "2"),
+    "BOOL_DIM_MODEL": ("dim", True),
+    "BOOL_RATE_MODEL": ("rate", True),
+    "STRING_RATE_MODEL": ("rate", "1.5"),
+    "HUGE_RATE_MODEL": ("rate", 10**400),
+    "BOOL_INTENSITY_MODEL": ("intensity", True),
+    "STRING_INTENSITY_MODEL": ("intensity", "1.5"),
+}
+
+
 def _model_file(tmp_path, name):
     """A noise-model file: jump-default with one field spoiled (or given a
-    diffusion whose rate underflows), or a valid 1-D model."""
+    diffusion whose rate underflows), jump-default with a diffusing cell 1
+    and its dim, that cell's jump rate or its intensity of the wrong type,
+    or a valid 1-D model."""
     doc = spec_to_json(make_preset("jump-default"))
     if name == "NAN_MODEL":
         doc["cells"][1]["jump"]["rate"] = float("nan")
@@ -407,6 +367,11 @@ def _model_file(tmp_path, name):
         doc["cells"][1]["diffusion"] = {"cov": [[0.0, 0.0], [0.0, 0.25]], "intensity": 5e-324}
     elif name == "UNDERFLOW_MODEL":
         doc["cells"][1]["diffusion"] = {"cov": [[1e-30, 0.0], [0.0, 0.0]], "intensity": 1e-300}
+    elif name in _WRONG_TYPES:
+        field, value = _WRONG_TYPES[name]
+        cell = doc["cells"][1]
+        cell["diffusion"] = {"cov": [[1.0, 0.0], [0.0, 1.0]], "intensity": 1.0}
+        {"dim": doc, "rate": cell["jump"], "intensity": cell["diffusion"]}[field][field] = value
     elif name == "ONE_DIM_MODEL":
         cell = {"diffusion": {"cov": [[1.0]], "intensity": 1.0}, "jump": None}
         doc = {"dim": 1, "partition": [0.0, 1.0], "cells": [cell]}
@@ -466,6 +431,15 @@ def _model_file(tmp_path, name):
         ("verify-associativity", ["seed=-20"]),
         ("qv-converge", ["params.kind=adaptive", "params.levels=[1100]"]),
         ("qv-converge", ["params.kind=adaptive", "params.levels=[-2000]"]),
+        ("verify-taylor", ["params.functions=[]"]),
+        ("verify-isometry", ["preset=FRACTIONAL_DIM_MODEL"]),
+        ("verify-isometry", ["preset=STRING_DIM_MODEL"]),
+        ("verify-isometry", ["preset=BOOL_DIM_MODEL"]),
+        ("verify-isometry", ["preset=BOOL_RATE_MODEL"]),
+        ("verify-isometry", ["preset=STRING_RATE_MODEL"]),
+        ("verify-isometry", ["preset=BOOL_INTENSITY_MODEL"]),
+        ("verify-isometry", ["preset=STRING_INTENSITY_MODEL"]),
+        ("verify-isometry", ["preset=HUGE_RATE_MODEL"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):

@@ -85,6 +85,42 @@ def test_smooth_functions_broadcast(name):
         assert fn(np.zeros(0), np.zeros((0, d))).shape == (0, 1) + tail
 
 
+@pytest.mark.parametrize("name", REGISTERED)
+def test_taylor_helpers_broadcast(name):
+    """Both remainder routes and the finite-difference check take a batch of
+    points as the functions do: 12 points at d = 3, the origin among them,
+    give the stacked point calls, and (3, 4) and empty batches give their
+    shapes. norm_p is held to 1e-14 relative, for the reason above."""
+    f = make_smooth(name)
+    rng = np.random.default_rng(11)
+    d = 3
+    t = rng.uniform(0.0, 1.0, 12)
+    x = rng.uniform(-1.5, 1.5, (12, d))
+    x[4] = 0.0
+    y = x + rng.uniform(-1.0, 1.0, (12, d))
+
+    def same(batch, stacked):
+        if name.startswith("norm_p"):
+            np.testing.assert_allclose(batch, stacked, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(batch, stacked)
+
+    for route in (taylor_remainder, taylor_remainder_quadrature):
+        batch = route(f, t, x, y)
+        assert batch.shape == (12, 1) and np.all(np.isfinite(batch))
+        same(batch, np.stack([route(f, float(ti), xi, yi) for ti, xi, yi in zip(t, x, y)]))
+        assert route(f, t.reshape(3, 4), x.reshape(3, 4, d), y.reshape(3, 4, d)).shape == (3, 4, 1)
+        assert route(f, np.zeros(0), np.zeros((0, d)), np.zeros((0, d))).shape == (0, 1)
+    errs = finite_difference_check(f, t, x)
+    points = [finite_difference_check(f, float(ti), xi) for ti, xi in zip(t, x)]
+    assert list(errs) == ["d_t", "d_x", "d_xx"]
+    for key, batch in errs.items():
+        assert batch.shape == (12,) and np.all(batch < FD_TOL)
+        same(batch, np.array([point[key] for point in points]))
+    for shape, (tb, xb) in {(3, 4): (t.reshape(3, 4), x.reshape(3, 4, d)), (0,): (t[:0], x[:0])}.items():
+        assert all(e.shape == shape for e in finite_difference_check(f, tb, xb).values())
+
+
 def test_registry_rejects_unknown_and_shallow_powers():
     with pytest.raises(ValueError, match="unknown smooth function"):
         make_smooth("cubic-spline")

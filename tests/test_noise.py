@@ -11,6 +11,8 @@ the two-point amplitude [0.6, -0.2] has squared length 0.4.
 """
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +495,17 @@ def test_serialization_roundtrip(tmp_path, mixed):
     assert loaded.partition.breaks == mixed.partition.breaks
 
 
+def test_docs_example_is_the_committed_model_file():
+    """The example of docs/noise-spec.md is tests/models/noise-spec-example.json,
+    which the output manifest runs; it loads and normalizes."""
+    root = pathlib.Path(__file__).resolve().parent
+    text = (root.parent / "docs" / "noise-spec.md").read_text()
+    example = text.split("## Example", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = root / "models" / "noise-spec-example.json"
+    assert json.loads(example) == json.loads(path.read_text())
+    assert normalize_spec(load_noise_spec(str(path))).dim == 2
+
+
 _FLOAT = st.floats(-2.0, 2.0)
 
 
@@ -574,6 +587,21 @@ def test_from_json_errors():
     }
     with pytest.raises(ValueError, match="cell 0"):
         spec_from_json(bad)
+    # a dim, rate or intensity of the wrong JSON type is not converted
+    doc = spec_to_json(make_preset("mixed-default"))
+    for spoil, message in (
+        (lambda d: d.update(dim=2.7), "dim must be an integer, got 2.7"),
+        (lambda d: d.update(dim=2.0), "dim must be an integer, got 2.0"),
+        (lambda d: d.update(dim="2"), "dim must be an integer, got '2'"),
+        (lambda d: d.update(dim=True), "dim must be an integer, got True"),
+        (lambda d: d["cells"][1]["jump"].update(rate=True), "cell 1: jump rate must be a number, got True"),
+        (lambda d: d["cells"][1]["jump"].update(rate="1.5"), "cell 1: jump rate must be a number, got '1.5'"),
+        (lambda d: d["cells"][0]["diffusion"].update(intensity=True), "cell 0: diffusion intensity must be"),
+    ):
+        spoiled = json.loads(json.dumps(doc))
+        spoil(spoiled)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec_from_json(spoiled)
 
 
 @pytest.fixture(scope="module")
