@@ -555,10 +555,18 @@ def lambda2_norm(integrand: Integrand, spec, grid: TimeGrid, flavor: str = "tota
 # ------------------------------------------------------------- ensembles
 
 
-# Paths per chunk of _per_path: the chunk's walk arrays grow with it (about
-# 80 KB per 256-step path on a four-cell model), and the walk's Python cost,
-# an adapted walk's step loop included, is paid once per chunk.
-_CHUNK = 16
+# Bytes of a chunk's operator table, an adapted walk's float64 (P, n_steps,
+# n_cells, dim, dim) ``phis``: a fixed budget keeps a chunk's arrays the same
+# size on every mesh, and few-step runs take large chunks, which pay the
+# per-chunk Python costs (step loop, brackets, running sup) seldom. 2**19
+# bytes is 16 paths at 256 steps on a four-cell model in d = 2.
+_CHUNK_BYTES = 2**19
+
+
+def _chunk_paths(spec, grid: TimeGrid) -> int:
+    """Paths per chunk of ``_per_path``: as many as fit one operator table
+    each in ``_CHUNK_BYTES``, and at least one."""
+    return max(1, _CHUNK_BYTES // (8 * grid.n_steps * spec.n_cells * spec.dim**2))
 
 
 def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndarray:
@@ -566,11 +574,12 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     of the ensemble into a float64 array, one row per path.
 
     Those paths are drawn by ``sample_path`` and handed to measure in
-    ``SampleChunk``s of at most ``_CHUNK`` paths, in path order;
-    measure(samples) walks the chunk at once, with one ``integrate`` or
-    ``simulate_ito_process`` call per integrand (verify-associativity's
-    integrands differ from path to path, so it walks each path
-    ``samples[p]`` as a chunk of one),
+    ``SampleChunk``s of ``_chunk_paths(spec, grid)`` paths (the last one
+    shorter), in path order, so that a chunk's arrays take about the same
+    bytes at every mesh; measure(samples) walks the chunk at once, with one
+    ``integrate`` or ``simulate_ito_process`` call per integrand
+    (verify-associativity's integrands differ from path to path, so it walks
+    each path ``samples[p]`` as a chunk of one),
     and returns one row of k floats per sample, a (len(samples), k) block,
     which fills the chunk's rows of an (n_paths, k) array ((0, 0) without
     paths). Row i depends on path i alone, not on the chunking. Gates
@@ -579,8 +588,9 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     maximum.
     """
     rows = np.empty((n_paths, 0))
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(n_paths, lo + _CHUNK)
+    size = _chunk_paths(spec, grid)
+    for lo in range(0, n_paths, size):
+        hi = min(n_paths, lo + size)
         block = np.asarray(measure(sample_path(spec, grid, seed, range(lo, hi))), dtype=np.float64)
         if lo == 0:
             rows = np.empty((n_paths, block.shape[1]))

@@ -242,7 +242,7 @@ def amplitude_from_params(params: dict) -> AmplitudeModel:
     if not isinstance(kind, str) or kind not in _AMPLITUDE_KINDS:
         raise ValueError(f"unknown amplitude kind {kind!r}; expected one of {sorted(_AMPLITUDE_KINDS)}")
     model, key = _AMPLITUDE_KINDS[kind]
-    return model(params[key])
+    return model(_json_array(params[key], f"amplitude {key}"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -705,17 +705,26 @@ def _json_number(value, name: str, integer: bool = False):
     return value if integer else float(value)
 
 
+def _json_array(value, name: str) -> np.ndarray:
+    """A JSON array of numbers, or of such arrays, as a float64 array; each
+    entry must pass ``_json_number``."""
+    def entries(v):
+        return [entries(x) for x in v] if isinstance(v, list) else _json_number(v, f"{name} entry")
+
+    return np.asarray(entries(value), dtype=np.float64)
+
+
 def spec_from_json(doc: dict) -> NoiseSpec:
     def field(key, convert):
         try:
             return convert(doc[key])
         except KeyError as exc:
             raise ValueError(f"noise spec document is missing field {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"noise spec field {key!r}: {exc}") from exc
 
     dim = field("dim", lambda value: _json_number(value, "dim", integer=True))
-    partition = field("partition", SpatialPartition)
+    partition = field("partition", lambda value: SpatialPartition(_json_array(value, "partition")))
     cell_docs = field("cells", list)
     cells = []
     for j, cd in enumerate(cell_docs):
@@ -726,7 +735,7 @@ def spec_from_json(doc: dict) -> NoiseSpec:
             jump = cd.get("jump")
             kwargs = {}
             if diffusion is not None:
-                kwargs["diffusion_cov"] = np.asarray(diffusion["cov"], dtype=np.float64)
+                kwargs["diffusion_cov"] = _json_array(diffusion["cov"], "diffusion cov")
                 kwargs["diffusion_intensity"] = _json_number(diffusion["intensity"], "diffusion intensity")
             if jump is not None:
                 kwargs["jump_rate"] = _json_number(jump["rate"], "jump rate")

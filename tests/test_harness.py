@@ -350,12 +350,20 @@ _WRONG_TYPES = {
     "STRING_INTENSITY_MODEL": ("intensity", "1.5"),
 }
 
+# mixed-default model files with a string or bool among a field's array entries
+_WRONG_ENTRIES = {
+    "STRING_COV_MODEL": lambda doc: doc["cells"][1]["diffusion"].update(cov=[["0.4166", 0], [0, True]]),
+    "STRING_PARTITION_MODEL": lambda doc: doc.update(partition=["0", 0.25, 0.5, 0.75, True]),
+    "STRING_VECTOR_MODEL": lambda doc: doc["cells"][0]["jump"]["amplitude"].update(vector=["0.6", False]),
+}
+
 
 def _model_file(tmp_path, name):
     """A noise-model file: jump-default with one field spoiled (or given a
     diffusion whose rate underflows), jump-default with a diffusing cell 1
     and its dim, that cell's jump rate or its intensity of the wrong type,
-    or a valid 1-D model."""
+    mixed-default with wrong-type covariance, partition or amplitude vector
+    entries, or a valid 1-D model."""
     doc = spec_to_json(make_preset("jump-default"))
     if name == "NAN_MODEL":
         doc["cells"][1]["jump"]["rate"] = float("nan")
@@ -372,6 +380,9 @@ def _model_file(tmp_path, name):
         cell = doc["cells"][1]
         cell["diffusion"] = {"cov": [[1.0, 0.0], [0.0, 1.0]], "intensity": 1.0}
         {"dim": doc, "rate": cell["jump"], "intensity": cell["diffusion"]}[field][field] = value
+    elif name in _WRONG_ENTRIES:
+        doc = spec_to_json(make_preset("mixed-default"))
+        _WRONG_ENTRIES[name](doc)
     elif name == "ONE_DIM_MODEL":
         cell = {"diffusion": {"cov": [[1.0]], "intensity": 1.0}, "jump": None}
         doc = {"dim": 1, "partition": [0.0, 1.0], "cells": [cell]}
@@ -440,6 +451,9 @@ def _model_file(tmp_path, name):
         ("verify-isometry", ["preset=BOOL_INTENSITY_MODEL"]),
         ("verify-isometry", ["preset=STRING_INTENSITY_MODEL"]),
         ("verify-isometry", ["preset=HUGE_RATE_MODEL"]),
+        ("verify-isometry", ["preset=STRING_COV_MODEL"]),
+        ("verify-isometry", ["preset=STRING_PARTITION_MODEL"]),
+        ("verify-isometry", ["preset=STRING_VECTOR_MODEL"]),
     ],
 )
 def test_invalid_configs_exit_two_at_resolve_time(tmp_path, capsys, scenario, overrides):

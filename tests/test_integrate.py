@@ -10,10 +10,14 @@ must blow the martingale test, and the guarded history must refuse it.
 """
 
 import dataclasses
+import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmvm.burkholder
 import cmvm.harness
@@ -46,6 +50,7 @@ from cmvm.burkholder import bracket_terminal, path_running_sup
 from cmvm.harness import apply_overrides, load_config, run
 from cmvm.ito import ito_residual, ito_terms, make_smooth
 from cmvm.noise import (
+    MAX_STEPS,
     CellNoise,
     GaussianAmplitude,
     NoiseSpec,
@@ -53,6 +58,7 @@ from cmvm.noise import (
     TimeGrid,
     TwoPointAmplitude,
     evaluate,
+    load_noise_spec,
     normalize_spec,
     sample_path,
 )
@@ -774,12 +780,14 @@ def test_malformed_evaluator_return_names_the_accepted_shapes(mixed, grid8, shap
 )
 def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path, monkeypatch):
     """The rows a scenario's measure writes are bitwise the same whether the
-    paths are walked one at a time, three at a time or all together."""
-    original = cmvm.harness._per_path
+    paths are walked one at a time, three at a time, all together or in the
+    chunks the byte budget sizes."""
+    original, budget = cmvm.harness._per_path, cmvm.integrate._chunk_paths
     blocks = {}
 
-    for chunk in (1, 3, 7):
-        monkeypatch.setattr(cmvm.integrate, "_CHUNK", chunk)
+    for chunk in (1, 3, 7, "budget"):
+        sizing = budget if chunk == "budget" else lambda spec, grid, _chunk=chunk: _chunk
+        monkeypatch.setattr(cmvm.integrate, "_chunk_paths", sizing)
         seen = blocks[chunk] = []
 
         def recorded(*args, _seen=seen, **kwargs):
@@ -792,8 +800,86 @@ def test_per_path_rows_do_not_depend_on_chunk_size(scenario, overrides, tmp_path
         monkeypatch.setattr(cmvm.burkholder, "_per_path", recorded)
         run(apply_overrides(load_config(scenario), overrides), str(tmp_path / str(chunk)))
     assert blocks[1] and all(b.shape[0] == 7 for b in blocks[1])
-    for chunk in (3, 7):
+    for chunk in (3, 7, "budget"):
         assert [b.tobytes() for b in blocks[chunk]] == [b.tobytes() for b in blocks[1]], chunk
+
+
+def test_chunk_budget_bounds_a_walks_memory(mixed):
+    """A chunk of the byte budget's size, drawn and walked with an adapted
+    integrand, peaks at about the same memory at 8, 32 and 256 steps on
+    mixed-default: its operator table is the same size at every mesh. The
+    jump rows grow with the chunk's paths, not its steps (about 2,300 rows
+    at 8 steps against 90 at 256), and the walk's padded micro-order sums
+    with them, so the 8-step peak reads about 1.4x the 256-step one; 16
+    paths at every mesh, or 512, would be far outside the bound. 256 steps
+    size a chunk at 16 paths, and the longest grid on the 16-d model gets 1
+    path, never 0."""
+    linear = state_linear_integrand(PHI, [0.6, -0.2], 0.8)
+    integrate(linear, sample_path(mixed, TimeGrid(1.0, 4), 5, range(3)))  # first-call allocations
+    peaks = {}
+    for n in (8, 32, 256):
+        grid = TimeGrid(1.0, n)
+        tracemalloc.start()
+        try:
+            integrate(linear, sample_path(mixed, grid, 5, range(cmvm.integrate._chunk_paths(mixed, grid))))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(1 / 1.5 <= peak / peaks[256] <= 1.5 for peak in peaks.values()), peaks
+    assert cmvm.integrate._chunk_paths(mixed, TimeGrid(1.0, 256)) == 16
+    wide = load_noise_spec(str(pathlib.Path(__file__).parent / "models" / "sixteen-d.json"))
+    assert cmvm.integrate._chunk_paths(wide, TimeGrid(1.0, MAX_STEPS)) == 1
+
+
+@st.composite
+def _small_models(draw):
+    """A NoiseSpec of 1-3 dims on 1-4 uniform cells, each cell with a
+    diffusion, a two-point or Gaussian jump part, or both; some covariances
+    are rank one. Cell 0 always carries noise."""
+    dim = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 0.05)
+
+    def cov():
+        a = np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+        return np.outer(a[0], a[0]) if draw(st.booleans()) else a @ a.T + 0.1 * np.eye(dim)
+
+    cells = []
+    for j in range(draw(st.integers(1, 4))):
+        parts = draw(st.sampled_from(["diffusion", "jump", "both"] + ["none"] * (j > 0)))
+        kwargs = {}
+        if parts in ("diffusion", "both"):
+            kwargs.update(diffusion_cov=cov(), diffusion_intensity=draw(st.floats(0.2, 2.0)))
+        if parts in ("jump", "both"):
+            if draw(st.booleans()):
+                amplitude = TwoPointAmplitude(draw(st.lists(entries, min_size=dim, max_size=dim)))
+            else:
+                amplitude = GaussianAmplitude(cov())
+            kwargs.update(jump_rate=draw(st.floats(0.5, 6.0)), jump_amplitude=amplitude)
+        cells.append(CellNoise(**kwargs))
+    return NoiseSpec(dim, SpatialPartition.uniform(len(cells)), cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_models(), st.integers(1, 33), st.integers(1, 9), st.integers(0, 2**31))
+def test_per_path_rows_do_not_depend_on_chunk_size_on_random_models(spec, n_steps, n_paths, seed):
+    """On any small model, _per_path's rows of a deterministic and of an
+    adapted walk are bitwise the same at one path per chunk and in the
+    chunks the byte budget sizes."""
+    grid, dim = TimeGrid(1.0, n_steps), spec.dim
+    mat = np.arange(1.0, 1.0 + dim * dim).reshape(dim, dim) / (dim * dim)
+    integrands = (deterministic_integrand(lambda k, t, j: mat * (1.0 + t * (1 + j)), dim, dim),
+                  state_linear_integrand(mat, np.linspace(0.5, -0.5, dim), 0.6))
+
+    def measure(samples):
+        walks = [integrate(integrand, samples) for integrand in integrands]
+        return np.column_stack([column for walked in walks for column in (
+            walked.values[:, -1], realized_lambda2_mass(walked, "total"), path_running_sup(walked))])
+
+    budget = _per_path(spec, grid, seed, n_paths, measure)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cmvm.integrate, "_chunk_paths", lambda spec, grid: 1)
+        alone = _per_path(spec, grid, seed, n_paths, measure)
+    assert budget.shape == (n_paths, 2 * (dim + 2)) and budget.tobytes() == alone.tobytes()
 
 
 def test_composed_inner_restarts_with_each_walk(mixed):

@@ -587,7 +587,7 @@ def test_from_json_errors():
     }
     with pytest.raises(ValueError, match="cell 0"):
         spec_from_json(bad)
-    # a dim, rate or intensity of the wrong JSON type is not converted
+    # a dim, rate, intensity or array entry of the wrong JSON type is not converted
     doc = spec_to_json(make_preset("mixed-default"))
     for spoil, message in (
         (lambda d: d.update(dim=2.7), "dim must be an integer, got 2.7"),
@@ -597,6 +597,14 @@ def test_from_json_errors():
         (lambda d: d["cells"][1]["jump"].update(rate=True), "cell 1: jump rate must be a number, got True"),
         (lambda d: d["cells"][1]["jump"].update(rate="1.5"), "cell 1: jump rate must be a number, got '1.5'"),
         (lambda d: d["cells"][0]["diffusion"].update(intensity=True), "cell 0: diffusion intensity must be"),
+        (lambda d: d["cells"][1]["diffusion"].update(cov=[[0.4, 0], [0, True]]),
+         "cell 1: diffusion cov entry must be a number, got True"),
+        (lambda d: d["cells"][1]["jump"]["amplitude"].update(cov=[[0.4, 0.1], [0.1, "0.3"]]),
+         "cell 1: amplitude cov entry must be a number, got '0.3'"),
+        (lambda d: d["cells"][0]["jump"]["amplitude"].update(vector=[0.6, False]),
+         "cell 0: amplitude vector entry must be a number, got False"),
+        (lambda d: d.update(partition=["0", 0.25, 0.5, 0.75, 1.0]), "partition entry must be a number, got '0'"),
+        (lambda d: d.update(partition=[0.0, 0.5, 10**400]), "noise spec field 'partition': int too large"),
     ):
         spoiled = json.loads(json.dumps(doc))
         spoil(spoiled)
