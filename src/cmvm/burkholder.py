@@ -160,13 +160,14 @@ def _moment(column: np.ndarray, q: float) -> Tuple[float, float]:
         return math.inf, math.nan
 
 
-def terminal_isometry_gap(ensemble: Ensemble) -> Tuple[float, float]:
-    """Paired per-path gap |I_T|^2 - <I>_T: mean and standard error.
+def terminal_isometry_gap(ensemble: Ensemble) -> np.ndarray:
+    """Paired per-path gap |I_T|^2 - <I>_T, one value per path.
 
     Zero in expectation for any integrand the walk accepts; the pairing
-    cancels most of the variance the two one-sided estimates would carry.
+    cancels most of the variance the two one-sided estimates would carry,
+    so a z-gate reduces this column, not the two one-sided means.
     """
-    return _mean_se(ensemble.stats["terminal_sq"] - ensemble.stats["predictable"])
+    return ensemble.stats["terminal_sq"] - ensemble.stats["predictable"]
 
 
 @dataclass(frozen=True)

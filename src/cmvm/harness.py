@@ -47,7 +47,6 @@ from .integrate import (
     _mean_se,
     _per_path,
     _quartiles,
-    _z_score,
     compose_integrands,
     constant_integrand,
     decompose_integral,
@@ -439,6 +438,23 @@ def _check(name: str, value, target, tolerance, passed, z=None) -> dict:
     }
 
 
+def _z_gate(name: str, values, z_max: float, target: float = 0.0, also: bool = True):
+    """The z-gate over values, one per path: z = (mean - target) / se, NaN
+    without a positive, finite standard error, so that one path or no
+    spread fails the gate instead of passing on z = 0. It passes when
+    |z| <= z_max and also holds. Returns the check, the mean and the se."""
+    mean, se = _mean_se(np.asarray(values))
+    z = (mean - target) / se if np.isfinite(se) and se > 0.0 else math.nan
+    return _check(name, z, 0.0, z_max, abs(z) <= z_max and also, z=z), mean, se
+
+
+def _max_gate(name: str, values, tol: float) -> dict:
+    """The worst-case gate: the largest of values is at most tol. np.max
+    keeps a NaN, so one non-finite value fails the gate with a null value."""
+    worst = float(np.max(values))
+    return _check(name, worst, 0.0, tol, worst <= tol)
+
+
 @dataclass(frozen=True)
 class _Outcome:
     """What a scenario measured; ``run`` derives the verdict from the checks
@@ -464,21 +480,17 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
         return np.vecdot(end, end)[:, None]
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    mean, se = _mean_se(rows[:, 0])
-    z = _z_score(mean - target, se)
+    moment, mean, se = _z_gate("second-moment-z", rows[:, 0], cfg.params["z_max"], target)
     # a flavor no cell carries (or a zero phi) leaves no target to be relative
     # to: the gate fails with a null value
     rel = abs(mean - target) / target if target > 0.0 else math.nan
-    checks = [
-        _check("second-moment-z", z, 0.0, cfg.params["z_max"], abs(z) <= cfg.params["z_max"], z=z),
-        _check("second-moment-rel-err", rel, 0.0, cfg.params["rel_tol"], rel <= cfg.params["rel_tol"]),
-    ]
+    checks = [moment, _max_gate("second-moment-rel-err", rel, cfg.params["rel_tol"])]
     metrics = {
         "terminal_second_moment": mean,
         "stderr": se,
         "stderr_reliable": cfg.n_paths >= 2,
         "control_measure_norm": target,
-        "z": z,
+        "z": moment["z"],
         "rel_err": rel,
     }
     return _Outcome(checks, metrics)
@@ -513,22 +525,19 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
     checks, metrics = [], {}
     for name, ind in zip(events, rows[:, 2:].T):
         hit = ind == 1.0
-        mean, se = _mean_se(ind * (sq - bracket))
-        z = _z_score(mean, se)
         rate = int(np.count_nonzero(hit)) / cfg.n_paths
+        check, mean, se = _z_gate(f"event-{name}-z", ind * (sq - bracket), p["z_max"], also=rate > 0)
         # running sums over the hit paths, in path order
         lhs, rhs = (
             float(np.cumsum(np.where(hit, col, 0.0))[-1]) / cfg.n_paths for col in (sq, bracket)
         )
-        checks.append(
-            _check(f"event-{name}-z", z, 0.0, p["z_max"], abs(z) <= p["z_max"] and rate > 0, z=z)
-        )
+        checks.append(check)
         metrics[name] = {
             "lhs": lhs,
             "rhs": rhs,
             "mean_diff": mean,
             "stderr": se,
-            "z": z,
+            "z": check["z"],
             "event_rate": rate,
         }
     metrics["stderr_reliable"] = cfg.n_paths >= 2
@@ -561,12 +570,9 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
         errors.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
         return np.stack(errors, axis=1)
 
-    rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    worst = {name: float(np.max(col)) for name, col in zip(names, rows.T)}
-    checks = [
-        _check(name, val, 0.0, tol, val <= tol) for name, val in sorted(worst.items())
-    ]
-    return _Outcome(checks, {"max_rel_err": worst, "tol": tol})
+    columns = dict(zip(names, _per_path(spec, grid, cfg.seed, cfg.n_paths, measure).T))
+    checks = [_max_gate(name, columns[name], tol) for name in sorted(columns)]
+    return _Outcome(checks, {"max_rel_err": {c["name"]: c["value"] for c in checks}, "tol": tol})
 
 
 def _convergence(
@@ -592,7 +598,7 @@ def _convergence(
     prefix = metric.replace("_", "-")
     checks = [
         _check(f"{prefix}-strictly-decreasing", worst_ratio, 0.0, 1.0, worst_ratio < 1.0),
-        _check(f"{prefix}-finest", final, 0.0, final_tol, final <= final_tol),
+        _max_gate(f"{prefix}-finest", final, final_tol),
     ]
     return _Outcome(checks, dict(metrics, medians=medians), CONVERGENCE_HEADER, rows)
 
@@ -653,23 +659,18 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
         return np.stack(out, axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    worst = float(np.max(rows[:, 0::2]))
+    realized = _max_gate("realized-residual-max-rel", rows[:, 0::2], p["path_tol"])
     comp = rows[:, 1::2].T.ravel()  # model by model, each in path order
-    mean, se = _mean_se(comp)
-    z = _z_score(mean, se)
-    checks = [
-        _check("realized-residual-max-rel", worst, 0.0, p["path_tol"], worst <= p["path_tol"]),
-        _check("compensator-residual-z", z, 0.0, p["z_max"], abs(z) <= p["z_max"], z=z),
-    ]
+    compensator, mean, se = _z_gate("compensator-residual-z", comp, p["z_max"])
     metrics = {
-        "realized_max_rel_residual": worst,
+        "realized_max_rel_residual": realized["value"],
         "compensator_mean": mean,
         "compensator_stderr": se,
         "stderr_reliable": len(comp) >= 2,
-        "compensator_z": z,
+        "compensator_z": compensator["z"],
         "models": list(models),
     }
-    return _Outcome(checks, metrics)
+    return _Outcome([realized, compensator], metrics)
 
 
 def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
@@ -732,10 +733,9 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
         return np.stack([gap / np.maximum(1.0, size), mass], axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    worst_sum, worst_mass = (float(v) for v in np.max(rows, axis=0))
     tab = spec.tables
     total, parts = tab.flavor("total"), (tab.flavor("continuous"), tab.flavor("discontinuous"))
-    worst_mix = 0.0
+    mix = [0.0]  # a model without mass mixes nothing
     for j in range(spec.n_cells):
         if total.rate[j] <= 0:
             continue
@@ -744,18 +744,14 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
         for part in parts:
             if part.rate[j] > 0:
                 rhs = rhs + part.rate[j] * part.field[j]
-        worst_mix = max(worst_mix, float(np.linalg.norm(lhs - rhs)))
+        mix.append(np.linalg.norm(lhs - rhs))
     checks = [
-        _check("parts-sum-to-path", worst_sum, 0.0, tol, worst_sum <= tol),
-        _check("flavor-mass-additivity", worst_mass, 0.0, tol, worst_mass <= tol),
-        _check("covariance-mixture", worst_mix, 0.0, tol, worst_mix <= tol),
+        _max_gate("parts-sum-to-path", rows[:, 0], tol),
+        _max_gate("flavor-mass-additivity", rows[:, 1], tol),
+        _max_gate("covariance-mixture", mix, tol),
     ]
-    metrics = {
-        "parts_sum_max_rel": worst_sum,
-        "mass_additivity_max_rel": worst_mass,
-        "covariance_mixture_max_frob": worst_mix,
-        "tol": tol,
-    }
+    keys = ("parts_sum_max_rel", "mass_additivity_max_rel", "covariance_mixture_max_frob")
+    metrics = dict(zip(keys, (c["value"] for c in checks)), tol=tol)
     return _Outcome(checks, metrics)
 
 
@@ -818,9 +814,8 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
         return [row(samples[p]) for p in range(len(samples))]
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    worst = float(np.max(rows))
-    checks = [_check("iterated-vs-fused-max-rel", worst, 0.0, tol, worst <= tol)]
-    return _Outcome(checks, {"max_rel_diff": worst, "tol": tol, "n_pairs": cfg.n_paths})
+    check = _max_gate("iterated-vs-fused-max-rel", rows, tol)
+    return _Outcome([check], {"max_rel_diff": check["value"], "tol": tol, "n_pairs": cfg.n_paths})
 
 
 def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
@@ -829,33 +824,27 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     rng = np.random.default_rng(cfg.seed + 23)
     # columns t, x (2) and y - x (2), each low + (high - low) * U as rng.uniform draws it
     low, high = np.array([0.0, -1.5, -1.5, -1.0, -1.0]), np.array([cfg.horizon, 1.5, 1.5, 1.0, 1.0])
-    worst, derivative_errors = {}, {}
+    gaps, derivative_errors = {}, {}  # drawn in config order, gated in name order
     for name in p["functions"]:
         f = make_smooth(name)
         u = low + (high - low) * rng.random((cfg.n_paths, 5))
         t, x, y = u[:, 0], u[:, 1:3], u[:, 1:3] + u[:, 3:]
-        gaps = taylor_remainder(f, t, x, y) - taylor_remainder_quadrature(f, t, x, y)
-        worst[name] = float(np.max(np.abs(gaps)))
-        derivative_errors[name] = float(np.max(list(finite_difference_check(f, t, x).values())))
+        gaps[name] = np.abs(taylor_remainder(f, t, x, y) - taylor_remainder_quadrature(f, t, x, y))
+        derivative_errors[name] = list(finite_difference_check(f, t, x).values())
     deltas = [float(d) for d in p["deltas"]]
     sups = gamma_estimate(
         make_smooth("norm_p:4"), deltas, dim=2, n_samples=max(cfg.n_paths, 100), seed=cfg.seed
     )
     # one delta leaves no pair to compare: the gate fails with a null value
     decays = len(sups) > 1 and all(a > b for a, b in zip(sups, sups[1:]))
-    checks = [
-        _check(f"remainder-routes-{name}", gap, 0.0, tol, gap <= tol)
-        for name, gap in sorted(worst.items())
-    ]
+    names = sorted(gaps)
+    routes = [_max_gate(f"remainder-routes-{name}", gaps[name], tol) for name in names]
+    derivatives = [_max_gate(f"derivatives-{name}", derivative_errors[name], FD_TOL) for name in names]
     last = sups[-1] if len(sups) > 1 else math.nan
-    checks.append(_check("modulus-decays", last, 0.0, sups[0], decays))
-    checks += [
-        _check(f"derivatives-{name}", err, 0.0, FD_TOL, err <= FD_TOL)
-        for name, err in sorted(derivative_errors.items())
-    ]
+    checks = routes + [_check("modulus-decays", last, 0.0, sups[0], decays)] + derivatives
     metrics = {
-        "route_gaps": worst,
-        "derivative_errors": derivative_errors,
+        "route_gaps": {name: c["value"] for name, c in zip(names, routes)},
+        "derivative_errors": {name: c["value"] for name, c in zip(names, derivatives)},
         "deltas": deltas,
         "modulus": sups,
         "decays": decays,
@@ -889,13 +878,11 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
 
     def terminal_equality(name, ensemble, preset):
         """The paired isometry gate E|I_T|^2 = E<I>_T on one ensemble."""
-        gap, gap_se = terminal_isometry_gap(ensemble)
-        gap_z = _z_score(gap, gap_se)
         rep = burkholder_check(ensemble, 2.0, flavor="predictable", moment="terminal")
-        ok = rep.satisfied and abs(gap_z) <= p["z_max"]
+        check, gap, gap_se = _z_gate(name, terminal_isometry_gap(ensemble), p["z_max"], also=rep.satisfied)
         reports.append((rep, preset))
-        checks.append(_check(name, gap_z, 0.0, p["z_max"], ok, z=gap_z))
-        return gap, gap_se, gap_z
+        checks.append(check)
+        return gap, gap_se, check["z"]
 
     for order in p["p_closed"]:
         rep = burkholder_check(cont, float(order), flavor="optional")

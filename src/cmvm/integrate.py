@@ -44,7 +44,7 @@ block of rows that function returns into a per-path array. Every measure
 walks its chunk at once, except verify-associativity's, which draws a
 fresh random integrand pair for each path and so walks its paths one at a
 time. The statistics helpers beside it (mean with standard error,
-z-score, quartiles) reduce the columns of that array.
+quartiles) reduce the columns of that array.
 """
 
 from __future__ import annotations
@@ -583,9 +583,9 @@ def _per_path(spec, grid: TimeGrid, seed: int, n_paths: int, measure) -> np.ndar
     and returns one row of k floats per sample, a (len(samples), k) block,
     which fills the chunk's rows of an (n_paths, k) array ((0, 0) without
     paths). Row i depends on path i alone, not on the chunking. Gates
-    reduce the columns with the helpers below and np.max, so a non-finite
-    path reaches every reduction instead of being dropped by a running
-    maximum.
+    reduce the columns with ``_mean_se``, ``_quartiles`` and np.max, so a
+    non-finite path reaches every reduction instead of being dropped by a
+    running maximum.
     """
     rows = np.empty((n_paths, 0))
     size = _chunk_paths(spec, grid)
@@ -604,12 +604,6 @@ def _mean_se(samples: np.ndarray):
     if len(samples) < 2:
         return mean, float("nan")
     return mean, float(samples.std(ddof=1) / np.sqrt(len(samples)))
-
-
-def _z_score(diff: float, se: float) -> float:
-    """diff / se, or NaN when se is not finite and positive, so that a
-    z-gate without a spread estimate fails instead of passing on z = 0."""
-    return diff / se if np.isfinite(se) and se > 0.0 else float("nan")
 
 
 def _quartiles(values: np.ndarray) -> list:

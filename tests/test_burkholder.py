@@ -18,7 +18,7 @@ from cmvm.burkholder import (
     terminal_isometry_gap,
     walk_ensemble,
 )
-from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
+from cmvm.integrate import ItoProcessSpec, _mean_se, constant_integrand, simulate_ito_process
 from cmvm.noise import TimeGrid, sample_path
 from cmvm.presets import make_preset
 
@@ -76,7 +76,7 @@ def test_continuous_sup_bounds_hold(gauss_paths, p):
 
 def test_terminal_second_moment_is_an_identity(gauss_paths, mixed_paths):
     for paths in (gauss_paths, mixed_paths):
-        gap, se = terminal_isometry_gap(paths)
+        gap, se = _mean_se(terminal_isometry_gap(paths))
         assert abs(gap) < 4.0 * se
         report = check(paths, 2.0, flavor="predictable", moment="terminal")
         assert report.constant == 1.0
