@@ -34,15 +34,16 @@ def _hessian_off_by_one_percent(monkeypatch):
     monkeypatch.setattr(cmvm.ito, "_gauss_cos", mutant)
 
 
-def _realized_trace_doubled(monkeypatch):
-    """ito_terms with 1.0 in place of the 0.5 of the realized trace term."""
+def _trace_scaled(monkeypatch, variant, factor):
+    """ito_terms with the trace term of one variant scaled by factor: 2.0
+    puts 1.0 in place of the 0.5 of the chain rule's trace term."""
     original = cmvm.ito.ito_terms
 
     def mutant(path, f, trace_variant="compensator"):
         terms = original(path, f, trace_variant)
-        if trace_variant != "realized":
+        if trace_variant != variant:
             return terms
-        return dataclasses.replace(terms, trace=2.0 * terms.trace)
+        return dataclasses.replace(terms, trace=factor * terms.trace)
 
     monkeypatch.setattr(cmvm.ito, "ito_terms", mutant)
 
@@ -129,13 +130,19 @@ MUTANTS = {
         "derivatives-gauss_cos",
     ),
     "ito-realized-trace-x2": (
-        _realized_trace_doubled,
+        lambda mp: _trace_scaled(mp, "realized", 2.0),
         "verify-ito",
         ["n_paths=20"],
         "realized-residual-max-rel",
     ),
+    "ito-compensator-trace-x1.2": (
+        lambda mp: _trace_scaled(mp, "compensator", 1.2),
+        "verify-ito",
+        [],
+        "compensator-residual-z",
+    ),
     "ito-converge-realized-trace-x2": (
-        _realized_trace_doubled,
+        lambda mp: _trace_scaled(mp, "realized", 2.0),
         "ito-converge",
         ["n_paths=40"],
         "median-abs-residual-finest",

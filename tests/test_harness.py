@@ -233,7 +233,8 @@ def test_single_path_run_flags_unreliable_stderr(tmp_path):
     z_checks = {
         "verify-isometry": ["second-moment-z"],
         "verify-conditional-isometry": ["event-always-z", "event-first-up-z", "event-first-down-z"],
-        "burkholder": ["terminal-equality-p2-z"],
+        "verify-ito": ["compensator-residual-z"],
+        "burkholder": ["terminal-equality-p2-z", "jump-terminal-equality-p2-z"],
     }
     for scenario, names in z_checks.items():
         cfg = apply_overrides(load_config(scenario), ["n_paths=1", "n_steps=4"])
