@@ -1,6 +1,7 @@
 """Config handling, scenario outputs, CLI exit codes."""
 
 import dataclasses
+import fnmatch
 import json
 import math
 
@@ -15,6 +16,9 @@ import cmvm.ito
 from cmvm.cli import main
 from cmvm.harness import (
     _build_config,
+    _check,
+    _max_gate,
+    _z_gate,
     apply_overrides,
     config_hash,
     load_config,
@@ -249,6 +253,67 @@ def test_single_path_run_flags_unreliable_stderr(tmp_path):
         assert res.record_path  # the run completed and wrote its record
     isometry = json.loads((tmp_path / "verify-isometry" / "verify-isometry.json").read_text())
     assert isometry["metrics"]["stderr"] is None
+
+
+# checks that keep rules of their own, outside the two gate kernels
+OWN_RULES = ("*-strictly-decreasing", "modulus-decays", "sup-moment-p*", "empirical-ratio-p*")
+
+
+def test_every_gate_comes_from_a_gate_kernel(tmp_path, monkeypatch):
+    """Every *-z check is built by _z_gate and every other check by
+    _max_gate, except the checks that keep rules of their own, in every
+    scenario and in the adaptive and compensator variants."""
+    built = {}
+    for kernel in ("_z_gate", "_max_gate"):
+
+        def recorder(name, *args, _kernel=kernel, _original=getattr(cmvm.harness, kernel), **kwargs):
+            built[name] = _kernel
+            return _original(name, *args, **kwargs)
+
+        monkeypatch.setattr(cmvm.harness, kernel, recorder)
+    runs = [(name, []) for name in ALL_SCENARIOS]
+    runs += [("qv-converge", ["params.kind=adaptive"]), ("ito-converge", ["params.variant=compensator"])]
+    for scenario, extra in runs:
+        built.clear()
+        cfg = apply_overrides(load_config(scenario), ["n_paths=2"] + extra)
+        with np.errstate(all="ignore"):
+            checks = run(cfg, str(tmp_path / scenario)).checks
+        for name in (c["name"] for c in checks):
+            if any(fnmatch.fnmatch(name, rule) for rule in OWN_RULES):
+                assert name not in built, (scenario, name)
+            else:
+                assert built.get(name) == ("_z_gate" if name.endswith("-z") else "_max_gate"), (scenario, name)
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [1.0], [2.0, 2.0, 2.0]])
+def test_z_gate_fails_without_a_spread(values):
+    """NaN values, a single value and zero spread leave no positive, finite
+    standard error: z is NaN (null in the outputs) and the gate fails, even
+    where the mean hits its target."""
+    check = _z_gate("g", values, 4.0, target=values[0])[0]
+    assert math.isnan(check["z"]) and math.isnan(check["value"])
+    assert check["passed"] is False
+
+
+def test_z_gate_bounds():
+    """Mean 1 and standard error 1 exactly: |z| = z_max passes on either
+    side, beyond it fails, and also=False fails at z = 0."""
+    for target, passed in ((-3.0, True), (5.0, True), (-3.5, False)):
+        check, mean, se = _z_gate("g", np.array([0.0, 2.0]), 4.0, target=target)
+        assert (mean, se, check["z"]) == (1.0, 1.0, 1.0 - target)
+        assert check["passed"] is passed, check
+        assert (check["value"], check["target"], check["tolerance"]) == (check["z"], 0.0, 4.0)
+    assert _z_gate("g", [0.0, 2.0], 4.0, target=1.0)[0]["passed"] is True
+    assert _z_gate("g", [0.0, 2.0], 4.0, target=1.0, also=False)[0]["passed"] is False
+
+
+def test_max_gate_bounds():
+    """The largest value is gated; a value equal to tol passes, and a NaN
+    among finite values fails with a NaN (null) value."""
+    assert _max_gate("g", [1e-13, 1e-12], 1e-12) == _check("g", 1e-12, 0.0, 1e-12, True)
+    assert _max_gate("g", np.array([1e-13, 2e-12]), 1e-12)["passed"] is False
+    nan = _max_gate("g", [0.0, math.nan, 1e-13], 1e-12)
+    assert math.isnan(nan["value"]) and nan["passed"] is False and nan["z"] is None
 
 
 def test_noise_model_file_as_preset(tmp_path):
