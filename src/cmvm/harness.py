@@ -70,7 +70,7 @@ from .ito import (
 )
 # sample_path is imported but not called here (paths come from integrate._per_path):
 # bench/test_bench.py checks that the tracer rebinds this module's name too
-from .noise import MAX_STEPS, QV_FLAVORS, TimeGrid, coarsen, load_noise_spec, normalize_spec, sample_path  # noqa: F401
+from .noise import MAX_JUMP_ROWS, MAX_STEPS, QV_FLAVORS, TimeGrid, coarsen, load_noise_spec, normalize_spec, sample_path  # noqa: F401
 from .presets import make_preset, preset_names
 from .quadvar import (
     _REFINEMENTS, make_adaptive_partition, make_dyadic_partition, optional_qv, predictable_qv,
@@ -102,18 +102,19 @@ _GLOBAL_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings of one scenario run."""
+    """Resolved settings of one scenario run. A top-level field the scenario
+    does not read is None and is left out of ``to_dict``."""
 
     scenario: str
-    preset: str
+    preset: Optional[str]
     horizon: float
-    n_steps: int
+    n_steps: Optional[int]
     n_paths: int
     seed: int
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return dict(vars(self), params=dict(self.params))
+        return {k: dict(v) if k == "params" else v for k, v in vars(self).items() if v is not None}
 
 
 def _build_config(data: dict) -> ExperimentConfig:
@@ -125,7 +126,7 @@ def _build_config(data: dict) -> ExperimentConfig:
     if not isinstance(scenario, str) or scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {scenario_names()}")
     entry = _SCENARIOS[scenario]
-    fields = dict(_GLOBAL_DEFAULTS, **entry.fields)
+    fields = {k: v for k, v in dict(_GLOBAL_DEFAULTS, **entry.fields).items() if v is not None}
     params = dict(entry.params)
     for key, value in data.items():
         if key == "scenario":
@@ -143,17 +144,17 @@ def _build_config(data: dict) -> ExperimentConfig:
             fields[key] = value
         else:
             raise ValueError(
-                f"unknown config key {key!r}; expected scenario, params or one of {sorted(fields)}"
+                f"unknown config key {key!r} for {scenario}; expected scenario, params or one of "
+                f"{sorted(fields)}"
             )
     horizon = fields["horizon"]
     number = isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
     if not (number and 0 < horizon < math.inf):
         raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
-    n_steps, n_paths, seed = (_integer(key, fields[key]) for key in ("n_steps", "n_paths", "seed"))
-    if n_steps <= 0 or n_paths <= 0:
-        raise ValueError("n_steps and n_paths must be positive")
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {n_steps}")
+    fields.update((key, _integer(key, fields[key])) for key in ("n_steps", "n_paths", "seed") if key in fields)
+    n_steps, n_paths, seed = fields.get("n_steps"), fields["n_paths"], fields["seed"]
+    if n_paths <= 0 or (n_steps is not None and not 0 < n_steps <= MAX_STEPS):
+        raise ValueError(f"n_paths must be positive and n_steps lie in 1..{MAX_STEPS}; got {n_paths}, {n_steps}")
     # the noise streams are keyed by a 64-bit seed; the scenarios also seed
     # numpy generators with seed + small offsets
     if not 0 <= seed < 2**64:
@@ -161,10 +162,13 @@ def _build_config(data: dict) -> ExperimentConfig:
     for key, default in entry.params.items():
         _check_param_type(key, params[key], default)
     _check_param_values(params, n_steps)
-    models = [fields["preset"]]
-    if "continuous_preset" in params:
-        models.append(params["continuous_preset"])
+    models = [name for name in (fields.get("preset"), params.get("continuous_preset")) if name is not None]
     specs = {name: _spec_for(name) for name in models}
+    for name, spec in specs.items():  # a path holds about horizon * rate jump rows per cell
+        rates = spec.tables.jump_rate
+        if horizon * rates.sum() > MAX_JUMP_ROWS:
+            raise ValueError(f"model {name!r} expects {horizon * rates.sum():.4g} jump rows per path, above "
+                             f"{MAX_JUMP_ROWS}; its cell {int(np.argmax(rates))} has jump rate {float(rates.max())!r}")
     dims = {name: spec.dim for name, spec in specs.items()}
     if "continuous_preset" in params:  # burkholder: preset walks the jump ensemble
         name = fields["preset"]
@@ -191,12 +195,12 @@ def _build_config(data: dict) -> ExperimentConfig:
         top = MAX_STEPS.bit_length() - 1
         if scenario == "ito-converge" and not all(0 <= v <= top for v in levels):
             raise ValueError(f"levels are log2 step counts and must lie in 0..{top}, got {levels}")
-        finest = n_steps.bit_length() - 1  # 2^level blocks must not out-refine the grid
-        if params.get("kind") == "dyadic" and not all(0 <= v <= finest for v in levels):
+        finest = n_steps.bit_length() - 1 if params.get("kind") == "dyadic" else None
+        if finest is not None and not all(0 <= v <= finest for v in levels):  # 2^level blocks within the grid
             raise ValueError(f"dyadic levels {levels} must lie in 0..{finest} for {n_steps} steps")
         if params.get("kind") == "adaptive" and not all(-1023 <= v <= 1074 for v in levels):
             raise ValueError(f"adaptive levels {levels} must lie in -1023..1074 (2^-level finite, > 0)")
-    fields.update(horizon=float(horizon), n_steps=n_steps, n_paths=n_paths, seed=seed)
+    fields = {**dict.fromkeys(_GLOBAL_DEFAULTS), **fields, "horizon": float(horizon)}
     return ExperimentConfig(scenario=scenario, params=params, **fields)
 
 
@@ -220,7 +224,7 @@ def _check_param_type(key: str, value, default) -> None:
         raise ValueError(f"params.{key} must have the type of its default {default!r}; got {value!r}")
 
 
-def _check_param_values(params: dict, n_steps: int) -> None:
+def _check_param_values(params: dict, n_steps: Optional[int]) -> None:
     """Names go through the lookup of the module that owns them; moment
     orders, block counts and the conditioning step must be in range, and
     the deltas and the functions must not be empty."""
@@ -238,7 +242,7 @@ def _check_param_values(params: dict, n_steps: int) -> None:
             raise ValueError(f"params.{key} must hold positive moment orders, got {params[key]!r}")
     if params.get("max_blocks", 1) < 1:
         raise ValueError(f"params.max_blocks must be at least 1, got {params['max_blocks']!r}")
-    if not 0 <= params.get("s_step", 0) < n_steps:
+    if "s_step" in params and not 0 <= params["s_step"] < n_steps:
         raise ValueError(f"params.s_step must lie in 0..{n_steps - 1}, got {params['s_step']!r}")
     for key in ("deltas", "functions"):  # an empty list leaves its gates nothing to test
         if params.get(key) == []:
@@ -438,14 +442,24 @@ def _check(name: str, value, target, tolerance, passed, z=None) -> dict:
     }
 
 
-def _z_gate(name: str, values, z_max: float, target: float = 0.0, also: bool = True):
+# The gates' bounds: constants of the gates, not config, so that no run can loosen one
+Z_MAX = 4.0  # every *-z check
+EXACT_TOL = 1e-12  # identities exact up to rounding: verify-qv, verify-decomposition, verify-associativity
+ISOMETRY_REL_TOL = 0.05  # verify-isometry's second-moment-rel-err
+QV_FINEST_TOL = 0.10  # qv-converge's median-rel-err-finest
+ITO_PATH_TOL = 1e-10  # verify-ito's realized-residual-max-rel
+ITO_FINAL_RATIO = 0.25  # ito-converge's median-abs-residual-finest: finest median over coarsest
+TAYLOR_TOL = 1e-8  # verify-taylor's remainder-routes-*; its derivatives-* checks use ito.FD_TOL
+
+
+def _z_gate(name: str, values, target: float = 0.0, also: bool = True):
     """The z-gate over values, one per path: z = (mean - target) / se, NaN
     without a positive, finite standard error, so that one path or no
     spread fails the gate instead of passing on z = 0. It passes when
-    |z| <= z_max and also holds. Returns the check, the mean and the se."""
+    |z| <= Z_MAX and also holds. Returns the check, the mean and the se."""
     mean, se = _mean_se(np.asarray(values))
     z = (mean - target) / se if np.isfinite(se) and se > 0.0 else math.nan
-    return _check(name, z, 0.0, z_max, abs(z) <= z_max and also, z=z), mean, se
+    return _check(name, z, 0.0, Z_MAX, abs(z) <= Z_MAX and also, z=z), mean, se
 
 
 def _max_gate(name: str, values, tol: float) -> dict:
@@ -480,11 +494,11 @@ def _scn_verify_isometry(cfg: ExperimentConfig) -> _Outcome:
         return np.vecdot(end, end)[:, None]
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    moment, mean, se = _z_gate("second-moment-z", rows[:, 0], cfg.params["z_max"], target)
+    moment, mean, se = _z_gate("second-moment-z", rows[:, 0], target)
     # a flavor no cell carries (or a zero phi) leaves no target to be relative
     # to: the gate fails with a null value
     rel = abs(mean - target) / target if target > 0.0 else math.nan
-    checks = [moment, _max_gate("second-moment-rel-err", rel, cfg.params["rel_tol"])]
+    checks = [moment, _max_gate("second-moment-rel-err", rel, ISOMETRY_REL_TOL)]
     metrics = {
         "terminal_second_moment": mean,
         "stderr": se,
@@ -526,7 +540,7 @@ def _scn_verify_conditional(cfg: ExperimentConfig) -> _Outcome:
     for name, ind in zip(events, rows[:, 2:].T):
         hit = ind == 1.0
         rate = int(np.count_nonzero(hit)) / cfg.n_paths
-        check, mean, se = _z_gate(f"event-{name}-z", ind * (sq - bracket), p["z_max"], also=rate > 0)
+        check, mean, se = _z_gate(f"event-{name}-z", ind * (sq - bracket), also=rate > 0)
         # running sums over the hit paths, in path order
         lhs, rhs = (
             float(np.cumsum(np.where(hit, col, 0.0))[-1]) / cfg.n_paths for col in (sq, bracket)
@@ -548,7 +562,6 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    tol = float(p["tol"])
     mat_a = _param_array(p, "phi", 2)
     mat_b = _param_array(p, "phi_b", 2)
     adapted = state_linear_integrand(mat_a, p["weight"], p["gain"])
@@ -571,8 +584,8 @@ def _scn_verify_qv(cfg: ExperimentConfig) -> _Outcome:
         return np.stack(errors, axis=1)
 
     columns = dict(zip(names, _per_path(spec, grid, cfg.seed, cfg.n_paths, measure).T))
-    checks = [_max_gate(name, columns[name], tol) for name in sorted(columns)]
-    return _Outcome(checks, {"max_rel_err": {c["name"]: c["value"] for c in checks}, "tol": tol})
+    checks = [_max_gate(name, columns[name], EXACT_TOL) for name in sorted(columns)]
+    return _Outcome(checks, {"max_rel_err": {c["name"]: c["value"] for c in checks}, "tol": EXACT_TOL})
 
 
 def _convergence(
@@ -626,9 +639,9 @@ def _scn_qv_converge(cfg: ExperimentConfig) -> _Outcome:
         [float(level) for level in levels],  # the CSV has 3.0 here, where ito-converge has 4
         [float(np.mean(column)) for column in meshes.T],
         errors.T,
-        p["finest_tol"],
+        QV_FINEST_TOL,
         relative_to_first=False,
-        metrics={"finest_tol": p["finest_tol"]},
+        metrics={"finest_tol": QV_FINEST_TOL},
     )
 
 
@@ -659,9 +672,9 @@ def _scn_verify_ito(cfg: ExperimentConfig) -> _Outcome:
         return np.stack(out, axis=1)
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    realized = _max_gate("realized-residual-max-rel", rows[:, 0::2], p["path_tol"])
+    realized = _max_gate("realized-residual-max-rel", rows[:, 0::2], ITO_PATH_TOL)
     # one value per path: a path's three model residuals are correlated
-    compensator, mean, se = _z_gate("compensator-residual-z", rows[:, 1::2].mean(axis=1), p["z_max"])
+    compensator, mean, se = _z_gate("compensator-residual-z", rows[:, 1::2].mean(axis=1))
     metrics = {
         "realized_max_rel_residual": realized["value"],
         "compensator_mean": mean,
@@ -706,7 +719,7 @@ def _scn_ito_converge(cfg: ExperimentConfig) -> _Outcome:
         levels,
         [TimeGrid(cfg.horizon, 2**level).dt for level in levels],
         rows.T,
-        p["final_ratio"],
+        ITO_FINAL_RATIO,
         relative_to_first=True,
         metrics={"levels": levels, "median_path_ratios": ratios},
     )
@@ -716,7 +729,6 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    tol = float(p["tol"])
     integrand = state_linear_integrand(_param_array(p, "phi", 2), p["weight"], p["gain"])
 
     def measure(samples):
@@ -746,12 +758,12 @@ def _scn_verify_decomposition(cfg: ExperimentConfig) -> _Outcome:
                 rhs = rhs + part.rate[j] * part.field[j]
         mix.append(np.linalg.norm(lhs - rhs))
     checks = [
-        _max_gate("parts-sum-to-path", rows[:, 0], tol),
-        _max_gate("flavor-mass-additivity", rows[:, 1], tol),
-        _max_gate("covariance-mixture", mix, tol),
+        _max_gate("parts-sum-to-path", rows[:, 0], EXACT_TOL),
+        _max_gate("flavor-mass-additivity", rows[:, 1], EXACT_TOL),
+        _max_gate("covariance-mixture", mix, EXACT_TOL),
     ]
     keys = ("parts_sum_max_rel", "mass_additivity_max_rel", "covariance_mixture_max_frob")
-    metrics = dict(zip(keys, (c["value"] for c in checks)), tol=tol)
+    metrics = dict(zip(keys, (c["value"] for c in checks)), tol=EXACT_TOL)
     return _Outcome(checks, metrics)
 
 
@@ -791,7 +803,6 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
     spec = _spec_for(cfg.preset)
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     p = cfg.params
-    tol = float(p["tol"])
     rng = np.random.default_rng(cfg.seed + 17)
 
     def row(sample):  # paths are measured in order, so rng draws as a loop would
@@ -814,13 +825,12 @@ def _scn_verify_associativity(cfg: ExperimentConfig) -> _Outcome:
         return [row(samples[p]) for p in range(len(samples))]
 
     rows = _per_path(spec, grid, cfg.seed, cfg.n_paths, measure)
-    check = _max_gate("iterated-vs-fused-max-rel", rows, tol)
-    return _Outcome([check], {"max_rel_diff": check["value"], "tol": tol, "n_pairs": cfg.n_paths})
+    check = _max_gate("iterated-vs-fused-max-rel", rows, EXACT_TOL)
+    return _Outcome([check], {"max_rel_diff": check["value"], "tol": EXACT_TOL, "n_pairs": cfg.n_paths})
 
 
 def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     p = cfg.params
-    tol = float(p["tol"])
     rng = np.random.default_rng(cfg.seed + 23)
     # columns t, x (2) and y - x (2), each low + (high - low) * U as rng.uniform draws it
     low, high = np.array([0.0, -1.5, -1.5, -1.0, -1.0]), np.array([cfg.horizon, 1.5, 1.5, 1.0, 1.0])
@@ -838,7 +848,7 @@ def _scn_verify_taylor(cfg: ExperimentConfig) -> _Outcome:
     # one delta leaves no pair to compare: the gate fails with a null value
     decays = len(sups) > 1 and all(a > b for a, b in zip(sups, sups[1:]))
     names = sorted(gaps)
-    routes = [_max_gate(f"remainder-routes-{name}", gaps[name], tol) for name in names]
+    routes = [_max_gate(f"remainder-routes-{name}", gaps[name], TAYLOR_TOL) for name in names]
     derivatives = [_max_gate(f"derivatives-{name}", derivative_errors[name], FD_TOL) for name in names]
     last = sups[-1] if len(sups) > 1 else math.nan
     checks = routes + [_check("modulus-decays", last, 0.0, sups[0], decays)] + derivatives
@@ -879,7 +889,7 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
     def terminal_equality(name, ensemble, preset):
         """The paired isometry gate E|I_T|^2 = E<I>_T on one ensemble."""
         rep = burkholder_check(ensemble, 2.0, flavor="predictable", moment="terminal")
-        check, gap, gap_se = _z_gate(name, terminal_isometry_gap(ensemble), p["z_max"], also=rep.satisfied)
+        check, gap, gap_se = _z_gate(name, terminal_isometry_gap(ensemble), also=rep.satisfied)
         reports.append((rep, preset))
         checks.append(check)
         return gap, gap_se, check["z"]
@@ -923,7 +933,8 @@ def _scn_burkholder(cfg: ExperimentConfig) -> _Outcome:
 @dataclass(frozen=True)
 class _Scenario:
     """A scenario's runner and description, its overrides of
-    ``_GLOBAL_DEFAULTS`` and its params, each default fixing the param's type."""
+    ``_GLOBAL_DEFAULTS`` (None for a field it does not read) and its params,
+    each default fixing the param's type."""
 
     run: Callable[[ExperimentConfig], _Outcome]
     description: str
@@ -936,25 +947,19 @@ _SCENARIOS: Dict[str, _Scenario] = {
         _scn_verify_isometry,
         "terminal second moment of a constant-integrand integral vs its control-measure norm",
         {},
-        {"phi": _PHI_DEFAULT, "flavor": "total", "rel_tol": 0.05, "z_max": 4.0},
+        {"phi": _PHI_DEFAULT, "flavor": "total"},
     ),
     "verify-conditional-isometry": _Scenario(
         _scn_verify_conditional,
         "paired increment-vs-bracket differences on past-measurable events",
         {},
-        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4, "s_step": 1, "z_max": 4.0},
+        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4, "s_step": 1},
     ),
     "verify-qv": _Scenario(
         _scn_verify_qv,
         "per-path bracket identities: mass agreement, optional additivity, polarization",
         {"n_paths": 200, "n_steps": 8},
-        {
-            "phi": _PHI_DEFAULT,
-            "phi_b": [[0.2, -0.5], [0.7, 0.1]],
-            "weight": [0.6, -0.2],
-            "gain": 0.4,
-            "tol": 1e-12,
-        },
+        {"phi": _PHI_DEFAULT, "phi_b": [[0.2, -0.5], [0.7, 0.1]], "weight": [0.6, -0.2], "gain": 0.4},
     ),
     "qv-converge": _Scenario(
         _scn_qv_converge,
@@ -966,49 +971,43 @@ _SCENARIOS: Dict[str, _Scenario] = {
             "gain": 0.4,
             "levels": [3, 4, 5, 6, 7],
             "kind": "dyadic",
-            "finest_tol": 0.10,
         },
     ),
     "verify-ito": _Scenario(
         _scn_verify_ito,
         "chain-rule residuals: exact for quadratic driftless, centered for compensator",
         {"n_paths": 400, "n_steps": 8},
-        {"phi": _PHI_DEFAULT, "weight": [0.5, -0.3], "gain": 0.4, "path_tol": 1e-10, "z_max": 4.0},
+        {"phi": _PHI_DEFAULT, "weight": [0.5, -0.3], "gain": 0.4},
     ),
     "ito-converge": _Scenario(
         _scn_ito_converge,
         "chain-rule residual of a smooth test function across mesh refinements",
-        {"n_paths": 200},
+        {"n_paths": 200, "n_steps": None},  # its levels set the grids
         {
             "phi": _PHI_DEFAULT,
             "drift": [0.3, -0.2],
             "function": "gauss_cos",
             "levels": [4, 5, 6, 7, 8],
             "variant": "realized",
-            "final_ratio": 0.25,
         },
     ),
     "verify-decomposition": _Scenario(
         _scn_verify_decomposition,
         "path decomposition, flavor mass additivity and the covariance mixture identity",
         {"n_paths": 200, "n_steps": 8},
-        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4, "tol": 1e-12},
+        {"phi": _PHI_DEFAULT, "weight": [0.6, -0.2], "gain": 0.4},
     ),
     "verify-associativity": _Scenario(
         _scn_verify_associativity,
         "iterated vs fused integration over gated simple and state-linear inner integrands",
         {"n_paths": 200, "n_steps": 8},
-        {"tol": 1e-12, "max_blocks": 3},
+        {"max_blocks": 3},
     ),
     "verify-taylor": _Scenario(
         _scn_verify_taylor,
         "Taylor remainder routes, modulus decay and coded derivatives vs finite differences",
-        {"n_paths": 200},
-        {
-            "functions": ["quadratic", "linear:1.5", "norm_p:4", "gauss_cos"],
-            "tol": 1e-8,
-            "deltas": [1.0, 0.5, 0.25, 0.125],
-        },
+        {"n_paths": 200, "preset": None, "n_steps": None},  # it samples points, not a model's paths
+        {"functions": ["quadratic", "linear:1.5", "norm_p:4", "gauss_cos"], "deltas": [1.0, 0.5, 0.25, 0.125]},
     ),
     "burkholder": _Scenario(
         _scn_burkholder,
@@ -1019,7 +1018,6 @@ _SCENARIOS: Dict[str, _Scenario] = {
             "continuous_preset": "gauss-default",
             "p_closed": [1.0, 3.0, 4.0],
             "p_empirical": [3.0, 4.0],
-            "z_max": 4.0,
         },
     ),
 }

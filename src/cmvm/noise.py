@@ -44,6 +44,7 @@ from .hilbert import _check_dim, op_norm, psd_sqrt
 
 __all__ = [
     "MAX_STEPS",
+    "MAX_JUMP_ROWS",
     "TimeGrid",
     "SpatialPartition",
     "TwoPointAmplitude",
@@ -73,8 +74,9 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 # Step cap of a time grid, as hilbert.MAX_DIM caps dimensions: a path's
 # arrays grow with the step count, and numpy refuses to allocate the largest
-# counts a config can name.
-MAX_STEPS = 2**16
+# counts a config can name. A path's jump rows grow with horizon * rate, so
+# a config's models are capped at MAX_JUMP_ROWS expected rows per path.
+MAX_STEPS = MAX_JUMP_ROWS = 2**16
 
 
 @dataclass(frozen=True)

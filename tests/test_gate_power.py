@@ -91,6 +91,25 @@ def _rate_shifted_to_jumps(monkeypatch):
     monkeypatch.setattr(cmvm.presets, "_built", rebuilt)
 
 
+def _conditional_look_ahead(monkeypatch):
+    """verify-conditional-isometry's adapted integrand replaced by one that
+    reads the current step's Gaussian increment g, which the walk has not
+    revealed: phi * (1 + 2 * sum of g over the noise axis), the strength of
+    test_integrate.py's test_anticipating_integrand_is_detected. The
+    scenario's own weight and gain on g are too weak to be seen."""
+
+    def mutant(base, weight, gain):
+        mat = np.array(base, dtype=np.float64)
+
+        def _eval(state, cells):
+            g = state.history._samples.gauss[:, state.step, list(cells)]
+            return mat * (1.0 + 2.0 * g.sum(-1))[:, :, None, None]
+
+        return Integrand(_eval, mat.shape[0], mat.shape[1])
+
+    monkeypatch.setattr(cmvm.harness, "state_linear_integrand", mutant)
+
+
 # mutant -> (planting function, scenario, overrides, the gate that must fail)
 MUTANTS = {
     "jump-amplitudes-x3": (
@@ -152,6 +171,12 @@ MUTANTS = {
         "verify-decomposition",
         ["n_paths=5"],
         "flavor-mass-additivity",
+    ),
+    "conditional-look-ahead": (
+        _conditional_look_ahead,
+        "verify-conditional-isometry",
+        ["n_paths=100"],
+        "event-always-z",
     ),
     "compose-with-outer-value": (
         _compose_with_outer_value,

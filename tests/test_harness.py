@@ -28,7 +28,7 @@ from cmvm.harness import (
 )
 from cmvm.integrate import ItoProcessSpec, constant_integrand, simulate_ito_process
 from cmvm.ito import ito_residual, make_smooth
-from cmvm.noise import MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
+from cmvm.noise import MAX_JUMP_ROWS, MAX_STEPS, TimeGrid, coarsen, sample_path, spec_to_json
 from cmvm.presets import make_preset, preset_names
 from test_manifest import ROOT, SHAPES, shape_overrides
 
@@ -56,7 +56,7 @@ def test_defaults_and_overrides():
     cfg = load_config("verify-qv")
     assert cfg.preset == "mixed-default"
     assert cfg.n_steps == 8
-    assert cfg.params["tol"] == 1e-12
+    assert cfg.params["gain"] == 0.4
     cfg2 = apply_overrides(cfg, ["n_paths=77", "params.gain=0.1", "preset=gauss-default"])
     assert cfg2.n_paths == 77
     assert cfg2.params["gain"] == 0.1
@@ -90,17 +90,19 @@ def test_unknown_scenario_and_bad_config(tmp_path):
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scenario": "verify-qv", "n_paths": 25, "params": {"tol": 1e-11}}))
+    path.write_text(json.dumps({"scenario": "verify-qv", "n_paths": 25, "params": {"gain": 0.25}}))
     cfg = load_config(str(path))
     assert cfg.n_paths == 25
-    assert cfg.params["tol"] == 1e-11
-    assert cfg.params["gain"] == 0.4  # untouched default
+    assert cfg.params["gain"] == 0.25
+    assert cfg.params["weight"] == [0.6, -0.2]  # untouched default
 
 
 @st.composite
 def _configs(draw):
-    """A default scenario config with drawn valid top-level and phi overrides."""
+    """A default scenario config with drawn valid overrides of the top-level
+    fields it reads, and of phi."""
     scenario = draw(st.sampled_from(ALL_SCENARIOS))
+    cfg = load_config(scenario)
     fields = {
         "preset": draw(st.sampled_from(preset_names())),
         "horizon": draw(st.floats(1e-3, 100.0)),
@@ -108,9 +110,8 @@ def _configs(draw):
         "n_paths": draw(st.integers(1, 10**6)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
-    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    keys = draw(st.sets(st.sampled_from(sorted(set(fields) & set(cfg.to_dict())))))
     overrides = [f"{key}={json.dumps(fields[key])}" for key in sorted(keys)]
-    cfg = load_config(scenario)
     if "phi" in cfg.params and draw(st.booleans()):
         row = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
         phi = draw(st.lists(row, min_size=2, max_size=2))
@@ -290,21 +291,22 @@ def test_z_gate_fails_without_a_spread(values):
     """NaN values, a single value and zero spread leave no positive, finite
     standard error: z is NaN (null in the outputs) and the gate fails, even
     where the mean hits its target."""
-    check = _z_gate("g", values, 4.0, target=values[0])[0]
+    check = _z_gate("g", values, target=values[0])[0]
     assert math.isnan(check["z"]) and math.isnan(check["value"])
     assert check["passed"] is False
 
 
 def test_z_gate_bounds():
-    """Mean 1 and standard error 1 exactly: |z| = z_max passes on either
+    """Mean 1 and standard error 1 exactly: |z| = Z_MAX = 4 passes on either
     side, beyond it fails, and also=False fails at z = 0."""
+    assert cmvm.harness.Z_MAX == 4.0
     for target, passed in ((-3.0, True), (5.0, True), (-3.5, False)):
-        check, mean, se = _z_gate("g", np.array([0.0, 2.0]), 4.0, target=target)
+        check, mean, se = _z_gate("g", np.array([0.0, 2.0]), target=target)
         assert (mean, se, check["z"]) == (1.0, 1.0, 1.0 - target)
         assert check["passed"] is passed, check
         assert (check["value"], check["target"], check["tolerance"]) == (check["z"], 0.0, 4.0)
-    assert _z_gate("g", [0.0, 2.0], 4.0, target=1.0)[0]["passed"] is True
-    assert _z_gate("g", [0.0, 2.0], 4.0, target=1.0, also=False)[0]["passed"] is False
+    assert _z_gate("g", [0.0, 2.0], target=1.0)[0]["passed"] is True
+    assert _z_gate("g", [0.0, 2.0], target=1.0, also=False)[0]["passed"] is False
 
 
 def test_max_gate_bounds():
@@ -371,22 +373,11 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert "value=" in line and "target=0.0" in line and "tolerance=1e-12" in line
     assert line.endswith(" z=-")
 
-    # an absurdly tight relative tolerance makes the gate fail honestly
-    code = main(
-        [
-            "run",
-            "verify-isometry",
-            "--set",
-            "n_paths=200",
-            "--set",
-            "params.rel_tol=1e-12",
-            "--out",
-            str(tmp_path / "fail"),
-        ]
-    )
+    # 40 paths at seed 5 miss the 5% relative-error bound, as the manifest pins
+    code = main(["run", "verify-isometry", "--set", "n_paths=40", "--seed", "5", "--out", str(tmp_path / "fail")])
     assert code == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "[FAIL] second-moment-rel-err:" in out and out.rstrip().endswith("FAIL")
     line = next(ln for ln in out.splitlines() if "second-moment-z:" in ln)
     shown = dict(item.split("=") for item in line.split(": ", 1)[1].split())
     assert list(shown) == ["value", "target", "tolerance", "z"]
@@ -488,12 +479,12 @@ def _model_file(tmp_path, name):
         ("ito-converge", ["params.variant=bogus"]),
         ("ito-converge", ["params.function=bogus"]),
         ("verify-isometry", ["params.flavor=bogus"]),
-        ("verify-isometry", ['params.z_max="abc"']),
+        ("verify-isometry", ["params.flavor=3"]),
         ("verify-taylor", ['params.functions=["bogus"]']),
         ("verify-taylor", ['params.deltas=["a"]']),
         ("burkholder", ['params.p_closed=["x"]']),
         ("burkholder", ["params.p_closed=[0]"]),
-        ("verify-qv", ['params.tol="abc"']),
+        ("verify-qv", ['params.gain="abc"']),
         ("verify-associativity", ["params.max_blocks=0"]),
         ("verify-conditional-isometry", ["n_steps=32", "params.s_step=32"]),
         ("verify-conditional-isometry", ["n_steps=32", "params.s_step=100"]),
@@ -553,6 +544,71 @@ def test_step_counts_above_the_cap_exit_two(capsys, scenario, above, at):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert main(["validate-config", scenario, "--set", at]) == 0
+
+
+# the twelve gate bounds that were params and the three top-level fields no
+# runner read, each at its old default
+_REMOVED_KEYS = [
+    ("verify-isometry", "params.z_max", 4.0),
+    ("verify-isometry", "params.rel_tol", 0.05),
+    ("verify-conditional-isometry", "params.z_max", 4.0),
+    ("verify-qv", "params.tol", 1e-12),
+    ("qv-converge", "params.finest_tol", 0.10),
+    ("verify-ito", "params.path_tol", 1e-10),
+    ("verify-ito", "params.z_max", 4.0),
+    ("ito-converge", "params.final_ratio", 0.25),
+    ("verify-decomposition", "params.tol", 1e-12),
+    ("verify-associativity", "params.tol", 1e-12),
+    ("verify-taylor", "params.tol", 1e-8),
+    ("burkholder", "params.z_max", 4.0),
+    ("ito-converge", "n_steps", 32),
+    ("verify-taylor", "preset", "mixed-default"),
+    ("verify-taylor", "n_steps", 32),
+]
+
+
+@pytest.mark.parametrize("scenario, key, value", _REMOVED_KEYS)
+def test_removed_keys_exit_two(tmp_path, capsys, scenario, key, value):
+    """A gate bound is a constant of its gate and a field the scenario does
+    not read is not config: setting either, by --set or in a config file,
+    exits 2 at validate-config, naming the key."""
+    is_param, name = key.startswith("params."), key.removeprefix("params.")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": scenario, **({"params": {name: value}} if is_param else {name: value})}))
+    for argv in (["validate-config", scenario, "--set", f"{key}={json.dumps(value)}"], ["validate-config", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and repr(name) in err and err.count("\n") == 1, err
+    resolved = load_config(scenario).to_dict()
+    assert name not in (resolved["params"] if is_param else resolved)
+
+
+def _jump_model(tmp_path, rate):
+    """A one-cell 1-d noise-model file with Gaussian jumps at rate."""
+    cell = {"diffusion": None, "jump": {"rate": rate, "amplitude": {"kind": "gaussian", "cov": [[1.0]]}}}
+    model = tmp_path / f"rate-{rate}.json"
+    model.write_text(json.dumps({"dim": 1, "partition": [0.0, 1.0], "cells": [cell]}))
+    return str(model)
+
+
+@pytest.mark.parametrize(
+    "rate, horizon, code",
+    [(1e9, 1.0, 2), (1024.0, 1.0, 0), (1024.0, 64.0, 0), (1024.0, 65.0, 2)],
+)
+def test_expected_jump_rows_above_the_cap_exit_two(tmp_path, capsys, rate, horizon, code):
+    """A model whose expected jump rows per path, horizon * sum of its rates,
+    pass MAX_JUMP_ROWS exits 2 at validate-config, naming the cell, on any
+    step count; at the cap (rate 1,024 over horizon 64) it resolves. Only
+    validate-config runs: a run of such a model would allocate its rows."""
+    assert MAX_JUMP_ROWS == 2**16
+    model = _jump_model(tmp_path, rate)
+    for scenario, extra in (("verify-isometry", ["--set", "params.phi=[[1.0]]"]), ("verify-associativity", [])):
+        args = ["--set", f"preset={model}", "--set", f"horizon={horizon}", "--set", "n_steps=1", *extra]
+        assert main(["validate-config", scenario, *args]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith(f"error: model {model!r} expects") and "its cell 0" in err, err
+            assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("scenario", ["verify-isometry", "burkholder"])
@@ -615,17 +671,39 @@ class _ReadRecorder(dict):
         return super().get(key, default)
 
 
+class _FieldRecorder:
+    """A config that records every top-level field read from it."""
+
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+# the top-level fields that a scenario's runner does not read
+_UNREAD_FIELDS = {"ito-converge": {"n_steps"}, "verify-taylor": {"preset", "n_steps"}}
+
+
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_scenario_table_holds_no_dead_default(scenario):
-    """Every param a scenario declares is read by its runner, and its field
-    overrides name only global config fields."""
+    """Every param a scenario declares is read by its runner, its field
+    overrides name only global config fields, and its config holds exactly
+    the top-level fields its runner reads: the others are None and left out
+    of the config's dict, its JSON and its hash."""
     entry = cmvm.harness._SCENARIOS[scenario]
     assert set(entry.fields) <= set(cmvm.harness._GLOBAL_DEFAULTS)
     cfg = apply_overrides(load_config(scenario), ["n_paths=2"])
     params = _ReadRecorder(cfg.params)
+    fields = _FieldRecorder(dataclasses.replace(cfg, params=params))
     with np.errstate(all="ignore"):
-        entry.run(dataclasses.replace(cfg, params=params))
+        entry.run(fields)
     assert params.read == set(entry.params)
+    unread = set(cmvm.harness._GLOBAL_DEFAULTS) - fields.read
+    assert unread == _UNREAD_FIELDS.get(scenario, set())
+    assert set(cfg.to_dict()) == {"scenario", "params"} | set(cmvm.harness._GLOBAL_DEFAULTS) - unread
+    assert all(getattr(cfg, key) is None for key in unread)
 
 
 def test_integral_floats_still_resolve():

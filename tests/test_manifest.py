@@ -8,9 +8,9 @@ moved. A change that moves outputs on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_manifest.py
 
-which prints each entry and file (csv, json, passed) that moved from the
-committed manifest, and each entry that is new or gone, for the change to
-say which moved and why.
+which prints, for each entry, which of its csv, json and passed moved from
+the committed manifest or that it is unchanged, and each entry that is new
+or gone, for the change to say which moved and why.
 
 A run on a noise-model file writes the preset string into its config JSON,
 so every run starts in the repository root and names its model file by a
@@ -65,15 +65,18 @@ def shape_overrides(scenario: str, shape: str) -> list:
 
 
 def entries() -> list:
-    """(scenario, overrides) of every pinned run: each scenario on each
-    preset, except burkholder on gauss-default, which it refuses (it walks
-    the preset as its jump ensemble), then each variant on each preset, the
-    documented model file, and the runs on other shapes."""
-    runs = [
+    """(scenario, overrides) of every pinned run: each scenario that reads no
+    preset once, each other scenario on each preset, except burkholder on
+    gauss-default, which it refuses (it walks the preset as its jump
+    ensemble), then each variant on each preset, the documented model file,
+    and the runs on other shapes."""
+    presetless = [name for name in scenario_names() if load_config(name).preset is None]
+    runs = [(name, SIZE) for name in presetless]
+    runs += [
         (name, (f"preset={preset}",) + SIZE)
         for preset in PRESETS
         for name in scenario_names()
-        if (name, preset) != ("burkholder", "gauss-default")
+        if name not in presetless and (name, preset) != ("burkholder", "gauss-default")
     ]
     runs += [(name, (f"preset={preset}",) + SIZE + (extra,)) for name, extra in VARIANTS for preset in PRESETS]
     runs.append(("verify-isometry", (f"preset={EXAMPLE}",) + SIZE))
@@ -132,7 +135,11 @@ def main() -> None:
     pinned = {(e["scenario"], tuple(e["overrides"])): e for e in old["entries"]}
     for row in rows:
         key = (row["scenario"], tuple(row["overrides"]))
-        for line in moved(pinned.pop(key), row) if key in pinned else [f"{label(*key)}: new"]:
+        if key in pinned:
+            lines = moved(pinned.pop(key), row) or [f"{label(*key)}: unchanged"]
+        else:
+            lines = [f"{label(*key)}: new"]
+        for line in lines:
             print(line, file=sys.stderr)
     for key in pinned:  # entries the manifest no longer runs
         print(f"{label(*key)}: gone", file=sys.stderr)
